@@ -10,8 +10,7 @@
 //! cargo run --release -p bmmc-bench --bin ablation_chunk
 //! ```
 
-use bmmc::algorithm::execute_passes;
-use bmmc::{catalog, factor_chunked};
+use bmmc::{catalog, factor_chunked, Plan};
 use bmmc_bench::{geom_label, Table};
 use gf2::elim::rank;
 use pdm::{DiskSystem, Geometry};
@@ -43,7 +42,8 @@ fn main() {
         let fac = factor_chunked(&perm, geom.b(), geom.m(), chunk).unwrap();
         let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
         sys.load_records(0, &input);
-        let report = execute_passes(&mut sys, &fac.passes).unwrap();
+        let plan = Plan::from_passes(&fac.passes, geom.b(), geom.m());
+        let report = plan.execute(&mut sys, &perm, |&x| x).unwrap();
         let out = sys.dump_records(report.final_portion);
         let ok = out
             .iter()

@@ -30,14 +30,13 @@
 //! retry layer engaged: placement, charged parallel I/Os, and the
 //! retry ledger are exact-gated, and `--baseline` requires recovered
 //! throughput ≥ 0.8× clean.
-//! Since PR 5 the extsort section sweeps all three merge strategies
-//! (single-buffered, double-buffered, and the forecasting
+//! The extsort section sweeps every merge strategy in
+//! `extsort::MergeStrategy::ALL` (single-buffered, and the forecasting
 //! block-granular merge whose fan-in `M/B − D − 1` closes the D× gap
 //! to Vitter–Shriver) across serial/threaded service and mem/file
 //! backends, asserting every row's pass count and parallel-I/O count
-//! equals the `bmmc::bounds::merge_sort_*` prediction and that the
-//! forecast rows reach ≥8× the single-buffered fan-in in strictly
-//! fewer passes. Since PR 4 a **file** section runs the same engine
+//! equals the `extsort::merge_sort_*` replay and that the forecast rows
+//! reach ≥8× the single-buffered fan-in in strictly fewer passes. Since PR 4 a **file** section runs the same engine
 //! pass on MemDisk vs. `FileDisk` (real positional file I/O) under the
 //! serial / spawn-per-op / persistent-DiskPool disciplines: placement
 //! must be byte-identical and the charged parallel-I/O counts
@@ -57,7 +56,7 @@
 //! Since PR 10 a **planner** section emits the `--algorithm auto`
 //! crossover table: for each named workload × geometry × timing model,
 //! `bmmc::plan::candidates` + `choose` pick among the DP-fused BMMC
-//! route and the three external-sort routes, and the pick itself is
+//! route and the external-sort route per merge strategy, and the pick itself is
 //! part of the row *key* — a code change that flips any crossover
 //! decision fails the `--check` gate as a missing row rather than
 //! silently re-baselining. The section also carries the committed
@@ -96,22 +95,21 @@
 //!                    the working directory (per-PR bench trajectory)
 //! ```
 
-use bmmc::algorithm::{execute_passes, execute_passes_strategy, execute_passes_unfused};
-use bmmc::bounds;
+use bmmc::algorithm::execute_passes_unfused;
 use bmmc::bpc_baseline::bpc_baseline_plan;
 use bmmc::catalog;
 use bmmc::factoring::{Pass, PassKind};
-use bmmc::fusion::fuse_passes;
+use bmmc::fusion::{execute_fused_with_strategy, fuse_passes};
 use bmmc::passes::{execute_pass, reference, reference_permute, EvalStrategy};
-use bmmc::{
-    candidates, choose, fuse_passes_greedy, AffineEvaluator, BlockEvaluator, Bmmc, CandidateKind,
-    Plan, PlanStep,
-};
+use bmmc::plan::reassociation_case;
+use bmmc::{candidates, choose, fuse_passes_greedy, AffineEvaluator, BlockEvaluator, Bmmc, Plan};
 use bmmc_bench::json::Json;
-use extsort::{keys, sort_by_key_with, MergeStrategy, SortConfig};
+use extsort::{
+    keys, merge_sort_ios, merge_sort_passes, sort_by_key_with, MergeStrategy, SortConfig,
+};
 use pdm::{
-    Backend, DiskSystem, FaultPlan, Geometry, MsgStats, RetryPolicy, ServiceMode, TimingModel,
-    TransportConfig,
+    Backend, DiskSystem, FaultPlan, Geometry, MsgStats, PassEngine, RetryPolicy, ServiceMode,
+    TimingModel, TransportConfig,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -326,6 +324,8 @@ struct FusionCase {
     workload: &'static str,
     geom: Geometry,
     passes: Vec<Pass>,
+    /// The permutation the passes compose to.
+    perm: Bmmc,
     expect: Vec<u64>,
     /// True when the whole chain must fuse pairwise (exactly 2× fewer
     /// I/Os).
@@ -356,6 +356,7 @@ fn fusion_cases(lg_records: usize) -> Vec<FusionCase> {
             workload: "bpc-baseline",
             geom,
             passes,
+            perm,
             expect,
             fully_fusable: false,
         });
@@ -381,6 +382,7 @@ fn fusion_cases(lg_records: usize) -> Vec<FusionCase> {
             workload: "alternating-chain",
             geom,
             passes,
+            perm: composed,
             expect,
             fully_fusable: true,
         });
@@ -404,6 +406,7 @@ fn fusion_cases(lg_records: usize) -> Vec<FusionCase> {
             workload: "mld-pair",
             geom,
             passes,
+            perm: composed,
             expect,
             fully_fusable: true,
         });
@@ -420,7 +423,7 @@ fn run_fusion_sweep(lg_records: usize, reps: usize) -> Json {
     let mut rows: Vec<Json> = Vec::new();
     for case in fusion_cases(lg_records) {
         let geom = case.geom;
-        let plan = fuse_passes(&case.passes, geom.b(), geom.m());
+        let plan = Plan::from_passes(&case.passes, geom.b(), geom.m());
         let mut ios = [0u64; 2]; // [unfused, fused]
         for (fi, fused) in [false, true].into_iter().enumerate() {
             let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
@@ -429,7 +432,7 @@ fn run_fusion_sweep(lg_records: usize, reps: usize) -> Json {
             sys.load_records(0, &input);
             let execute = |sys: &mut DiskSystem<u64>| {
                 if fused {
-                    execute_passes(sys, &case.passes).expect("fused run")
+                    plan.execute(sys, &case.perm, |&r| r).expect("fused run")
                 } else {
                     execute_passes_unfused(sys, &case.passes).expect("unfused run")
                 }
@@ -527,8 +530,8 @@ fn run_fusion_sweep(lg_records: usize, reps: usize) -> Json {
 ///   ≥ 4× the per-address addresses/s.
 /// * **end_to_end** rows run the fusion sweep's bpc-baseline workload
 ///   (BPC bit reversal, `B = 2^6`, `D = 2^2`, `M = 2^9`, threaded
-///   MemDisk) through [`execute_passes_strategy`] with
-///   [`EvalStrategy::PerAddress`] vs. [`EvalStrategy::BlockRun`]:
+///   MemDisk), its fused steps run by [`execute_fused_with_strategy`]
+///   with [`EvalStrategy::PerAddress`] vs. [`EvalStrategy::BlockRun`]:
 ///   placement must be byte-identical and the charged parallel-I/O
 ///   counts equal (exact-gated by `--check`); under `--baseline` the
 ///   block-run execution must clear ≥ 1.2× the per-address records/s.
@@ -710,6 +713,7 @@ fn run_addr_eval_sweep(lg_records: usize, reps: usize, baseline_mode: bool) -> J
     let passes = bpc_baseline_plan(&perm, geom.b(), geom.m())
         .expect("bit reversal is BPC")
         .passes;
+    let plan = fuse_passes(&passes, geom.b(), geom.m());
     let input: Vec<u64> = (0..records).collect();
     let expect = reference_permute(&input, |x| perm.target(x));
     let mut e2e_rates = [0.0f64; 2]; // [per_address, block_run]
@@ -723,22 +727,32 @@ fn run_addr_eval_sweep(lg_records: usize, reps: usize, baseline_mode: bool) -> J
         let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
         sys.set_service_mode(ServiceMode::Threaded);
         sys.load_records(0, &input);
+        // `Plan::execute`'s BMMC-route loop, with the strategy under
+        // test. Returns (parallel I/Os, final portion).
         let execute = |sys: &mut DiskSystem<u64>| {
-            execute_passes_strategy(sys, &passes, strategy).expect("bpc-baseline run")
+            let before = sys.stats();
+            let mut engine = PassEngine::new(geom);
+            let mut src = 0;
+            for step in &plan.steps {
+                execute_fused_with_strategy(&mut engine, sys, src, 1 - src, step, strategy)
+                    .expect("bpc-baseline run");
+                src = 1 - src;
+            }
+            (sys.stats().since(&before).parallel_ios(), src)
         };
         // Warm-up rep doubles as the correctness check.
-        let report = execute(&mut sys);
+        let (ios, portion) = execute(&mut sys);
         assert_eq!(
-            sys.dump_records(report.final_portion),
+            sys.dump_records(portion),
             expect,
             "{simpl} produced a wrong permutation"
         );
         let mut best = f64::INFINITY;
         for _ in 0..reps {
             let t0 = Instant::now();
-            let r = execute(&mut sys);
+            let (r, _) = execute(&mut sys);
             best = best.min(t0.elapsed().as_secs_f64());
-            assert_eq!(r.total.parallel_ios(), report.total.parallel_ios());
+            assert_eq!(r, ios);
         }
         e2e_rates[si] = records as f64 / best;
         eprintln!(
@@ -746,16 +760,13 @@ fn run_addr_eval_sweep(lg_records: usize, reps: usize, baseline_mode: bool) -> J
             simpl,
             e2e_rates[si],
             best * 1e3,
-            report.total.parallel_ios()
+            ios
         );
         rows.push(Json::obj(vec![
             ("kind", Json::Str("end_to_end".into())),
             ("impl", Json::Str(simpl.into())),
-            ("executed_passes", Json::Num(report.num_passes() as f64)),
-            (
-                "parallel_ios",
-                Json::Num(report.total.parallel_ios() as f64),
-            ),
+            ("executed_passes", Json::Num(plan.num_steps() as f64)),
+            ("parallel_ios", Json::Num(ios as f64)),
             (
                 "records_per_sec",
                 Json::Num((e2e_rates[si] * 10.0).round() / 10.0),
@@ -821,7 +832,7 @@ fn planner_row(
 ///
 /// For each named workload × geometry × timing model the unified plan
 /// IR enumerates every executable candidate (the DP-fused BMMC route
-/// plus the three external-sort routes) and `choose` picks the
+/// plus the external-sort route per merge strategy) and `choose` picks the
 /// cheapest by modeled wall-clock, exact parallel I/Os breaking ties.
 /// The table spans the regimes the cost model distinguishes:
 ///
@@ -837,7 +848,7 @@ fn planner_row(
 /// * the `tiny-mem` geometry — `M = BD`, where no merge fits and the
 ///   sort route vanishes exactly where BMMC factoring is costliest;
 /// * the committed `MLD;MRC;MLD` re-association chain
-///   ([`bmmc::plan::reassociation_case`]) planned both ways: greedy
+///   ([`reassociation_case`]) planned both ways: greedy
 ///   pair fusion is stuck at two steps, the DP whole-plan fuser
 ///   executes it in one — strictly fewer steps and parallel I/Os,
 ///   asserted here and exact-gated by `--check`.
@@ -908,14 +919,10 @@ fn run_planner_sweep() -> Json {
         // The sort-only shuffle workload: a general permutation with no
         // BMMC structure, so the candidates are the merge strategies
         // alone and the pick is the pure strategy crossover.
-        let sort_plans: Vec<Plan> = [
-            bmmc::bounds::MergeStrategy::SingleBuffered,
-            bmmc::bounds::MergeStrategy::DoubleBuffered,
-            bmmc::bounds::MergeStrategy::Forecast,
-        ]
-        .into_iter()
-        .filter_map(|s| Plan::sort(g, s))
-        .collect();
+        let sort_plans: Vec<Plan> = MergeStrategy::ALL
+            .into_iter()
+            .filter_map(|s| Plan::sort(g, s))
+            .collect();
         if sort_plans.is_empty() {
             eprintln!(
                 "   {gname:<8} shuffle: no merge fits (fan-in < 2) — the sort route \
@@ -954,12 +961,8 @@ fn run_planner_sweep() -> Json {
     // and the DP's full-gather split executes all three passes in one
     // round-trip.
     let (gname, g) = &geoms[0];
-    let passes = catalog::reassociation_chain(g.n(), g.b(), g.m());
-    let greedy = fuse_passes_greedy(&passes, g.b(), g.m());
-    let greedy_plan = Plan {
-        candidate: CandidateKind::Bmmc,
-        steps: greedy.steps.iter().cloned().map(PlanStep::Bmmc).collect(),
-    };
+    let passes = reassociation_case(g.n(), g.b(), g.m());
+    let greedy_plan: Plan = fuse_passes_greedy(&passes, g.b(), g.m()).into();
     let dp = Plan::from_passes(&passes, g.b(), g.m());
     assert!(
         dp.num_steps() < greedy_plan.num_steps(),
@@ -1711,20 +1714,11 @@ fn run_transport_sweep(
     ])
 }
 
-/// Maps an extsort strategy to its `bmmc::bounds` mirror (the two
-/// crates are siblings, so the enum exists on both sides).
-fn bounds_strategy(merge: MergeStrategy) -> bounds::MergeStrategy {
-    match merge {
-        MergeStrategy::SingleBuffered => bounds::MergeStrategy::SingleBuffered,
-        MergeStrategy::DoubleBuffered => bounds::MergeStrategy::DoubleBuffered,
-        MergeStrategy::Forecast => bounds::MergeStrategy::Forecast,
-    }
-}
-
-/// The extsort merge-strategy sweep: single- vs double-buffered vs
-/// forecasting merge, across serial/threaded service and mem/file
-/// backends. Every row's pass count and parallel-I/O count must equal
-/// the `bmmc::bounds` prediction (service mode and backend may only
+/// The extsort merge-strategy sweep: every [`MergeStrategy`] (single-
+/// buffered and forecasting merge), across serial/threaded service and
+/// mem/file backends. Every row's pass count and parallel-I/O count
+/// must equal the exact schedule replay ([`merge_sort_passes`],
+/// [`merge_sort_ios`]) (service mode and backend may only
 /// move the wall clock), and the forecasting rows must realize the
 /// PR 5 acceptance criterion: fan-in ≥ 8× the single-buffered
 /// `M/BD − 1` and strictly fewer passes at this geometry.
@@ -1734,23 +1728,18 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
     let reps = reps.min(3);
     eprintln!(
         "== extsort sweep: N=2^{lg_records}, B=2^3, D=2^4, M=2^12, \
-         {{single,double,forecast}} x {{serial,threaded}} x {{mem,file}}, best of {reps} reps"
+         {{single,forecast}} x {{serial,threaded}} x {{mem,file}}, best of {reps} reps"
     );
     let mut rng = StdRng::seed_from_u64(0x50C7);
     let mut input: Vec<u64> = (0..geom.records() as u64).collect();
     input.shuffle(&mut rng);
-    let strategies = [
-        MergeStrategy::SingleBuffered,
-        MergeStrategy::DoubleBuffered,
-        MergeStrategy::Forecast,
-    ];
     let mut rows: Vec<Json> = Vec::new();
     for backend in ["mem", "file"] {
         for (mode_name, mode) in [
             ("serial", ServiceMode::Serial),
             ("threaded", ServiceMode::Threaded),
         ] {
-            for merge in strategies {
+            for merge in MergeStrategy::ALL {
                 let variant = merge.as_str();
                 let scratch = parent.join(format!("extsort-{backend}-{mode_name}-{variant}"));
                 let run = |input: &[u64]| {
@@ -1779,18 +1768,17 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
                     std::fs::remove_dir_all(&scratch).ok();
                 }
                 // The model cost is a function of the strategy alone:
-                // exactly the bounds-side replay, on every backend and
+                // exactly the schedule replay, on every backend and
                 // service mode.
-                let predicted = bounds_strategy(merge);
                 assert_eq!(
                     Some(report.passes),
-                    bounds::merge_sort_passes(&geom, predicted),
-                    "{variant}/{backend}/{mode_name}: pass count drifted from bounds"
+                    merge_sort_passes(&geom, merge),
+                    "{variant}/{backend}/{mode_name}: pass count drifted from the replay"
                 );
                 assert_eq!(
                     Some(report.total.parallel_ios()),
-                    bounds::merge_sort_ios(&geom, predicted),
-                    "{variant}/{backend}/{mode_name}: parallel I/Os drifted from bounds"
+                    merge_sort_ios(&geom, merge),
+                    "{variant}/{backend}/{mode_name}: parallel I/Os drifted from the replay"
                 );
                 eprintln!(
                     "   {:<8} {:<5} {:<9} fan-in {:>3}  {} passes  {:>7} parallel I/Os  \
@@ -1830,7 +1818,7 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
     // Adversarial key catalogs (PR 10, `extsort::keys`): duplicate-
     // heavy and log-uniform skewed inputs through every strategy on
     // mem/serial. The merge schedule is a function of the geometry
-    // alone, so these rows must replay the same bounds counts as the
+    // alone, so these rows must replay the same counts as the
     // permutation input — the gate holds the schedule input-
     // independent — and the outputs must be exactly the sorted input.
     let records = geom.records();
@@ -1841,7 +1829,7 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
     for (iname, input) in &adversarial {
         let mut expect = input.clone();
         expect.sort_unstable();
-        for merge in strategies {
+        for merge in MergeStrategy::ALL {
             let variant = merge.as_str();
             let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
             sys.set_service_mode(ServiceMode::Serial);
@@ -1854,16 +1842,15 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
                 expect,
                 "{variant}/{iname}: adversarial input missorted"
             );
-            let predicted = bounds_strategy(merge);
             assert_eq!(
                 Some(report.passes),
-                bounds::merge_sort_passes(&geom, predicted),
+                merge_sort_passes(&geom, merge),
                 "{variant}/{iname}: the merge schedule must be input-independent"
             );
             assert_eq!(
                 Some(report.total.parallel_ios()),
-                bounds::merge_sort_ios(&geom, predicted),
-                "{variant}/{iname}: parallel I/Os drifted from bounds"
+                merge_sort_ios(&geom, merge),
+                "{variant}/{iname}: parallel I/Os drifted from the replay"
             );
             eprintln!(
                 "   {:<8} {:<5} {:<9} fan-in {:>3}  {} passes  {:>7} parallel I/Os  \
@@ -1902,8 +1889,8 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
     // Acceptance: forecasting closes the D× fan-in gap at this
     // geometry (M/B − D − 1 ≥ 8·(M/BD − 1)) and needs strictly fewer
     // passes than the single-buffered merge.
-    let single = bounds::MergeStrategy::SingleBuffered;
-    let forecast = bounds::MergeStrategy::Forecast;
+    let single = MergeStrategy::SingleBuffered;
+    let forecast = MergeStrategy::Forecast;
     assert!(
         forecast.fan_in(&geom) >= 8 * single.fan_in(&geom),
         "forecast fan-in {} below 8x single-buffered {}",
@@ -1911,7 +1898,7 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
         single.fan_in(&geom)
     );
     assert!(
-        bounds::merge_sort_passes(&geom, forecast) < bounds::merge_sort_passes(&geom, single),
+        merge_sort_passes(&geom, forecast) < merge_sort_passes(&geom, single),
         "forecast must sort in strictly fewer passes at the bench geometry"
     );
     Json::obj(vec![

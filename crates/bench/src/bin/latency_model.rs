@@ -10,8 +10,7 @@
 //! cargo run --release -p bmmc-bench --bin latency_model
 //! ```
 
-use bmmc::algorithm::{perform_bmmc, plan_passes};
-use bmmc::catalog;
+use bmmc::{catalog, Plan, PlanStep};
 
 use bmmc_bench::{default_geometry, geom_label, Table};
 use extsort::general_permute;
@@ -61,9 +60,10 @@ fn main() {
             let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
             sys.set_timing(model);
             sys.load_records(0, &input);
-            let report = perform_bmmc(&mut sys, perm).unwrap();
+            let plan = Plan::bmmc(perm, &geom).unwrap();
+            let report = plan.execute(&mut sys, perm, |&x| x).unwrap();
             let timing = sys.timing().unwrap();
-            let kinds: Vec<String> = report.passes.iter().map(|p| p.label()).collect();
+            let kinds: Vec<String> = plan.steps.iter().map(PlanStep::label).collect();
             t.row(&[
                 format!("{name} {kinds:?}"),
                 report.num_passes().to_string(),
@@ -72,8 +72,6 @@ fn main() {
                 timing.sequential_accesses().to_string(),
                 format!("{:.2}", timing.elapsed_ms() / 1000.0),
             ]);
-            // Also verify plan classification is stable.
-            let _ = plan_passes(perm, geom.b(), geom.m()).unwrap();
         }
         // The sort baseline under the same model.
         let perm = catalog::bit_reversal(geom.n());

@@ -37,7 +37,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     let fac = factor(&perm, geom.b(), geom.m()).unwrap();
-    let (report, traj) =
+    let (passes, traj) =
         trace_potential(&mut sys, &fac, |rec| rec.key, |x| perm.target(x)).unwrap();
 
     let dmax = delta_max(geom.block(), geom.disks(), geom.lg_mb());
@@ -51,9 +51,9 @@ fn main() {
         format!("{dmax:.1}"),
     ]);
     for (i, w) in traj.windows(2).enumerate() {
-        let ios = report.passes[i].ios.parallel_ios();
+        let ios = passes[i].ios.parallel_ios();
         t.row(&[
-            format!("{} ({})", i + 1, report.passes[i].label()),
+            format!("{} ({:?})", i + 1, passes[i].kind),
             format!("{:.0}", w[1]),
             format!("{:+.0}", w[1] - w[0]),
             ios.to_string(),
@@ -76,7 +76,7 @@ fn main() {
     println!(
         "§7 precise lower bound:   {:.0} parallel I/Os (measured {}; Theorem 21 upper {})",
         bounds::precise_lower(&geom, r_gamma),
-        report.total.parallel_ios(),
+        passes.iter().map(|p| p.ios.parallel_ios()).sum::<u64>(),
         bounds::theorem21_upper(&geom, r_gamma)
     );
     assert!((traj[0] - phi0).abs() < 1e-6);

@@ -1,81 +1,16 @@
 //! The asymptotically optimal BMMC algorithm (Theorem 21), end to end:
 //! factor the characteristic matrix (Section 5), fuse adjacent passes
 //! where they compose within the memory model ([`crate::fusion`]),
-//! then execute the plan on a disk system, ping-ponging between the
-//! source and target portions.
+//! then execute the plan ([`crate::plan::Plan::execute`]) on a disk
+//! system, ping-ponging between the source and target portions.
 
 use crate::bmmc::Bmmc;
 use crate::classes::{is_mld, is_mld_inverse, is_mrc};
-use crate::error::{BmmcError, Result};
-use crate::factoring::{factor, Factorization, Pass, PassKind};
-use crate::fusion::{execute_fused_with_strategy, fuse_passes, FusedPlan};
-use crate::passes::{execute_pass_with_strategy, EvalStrategy, PassStats};
-use pdm::{DiskSystem, IoStats, MsgStats, PassEngine, Record};
-
-/// Statistics for one *executed* step: one disk round-trip realizing
-/// one or more original planned passes (several when the pass fuser
-/// folded adjacent passes — see [`crate::fusion`]).
-#[derive(Clone, Debug)]
-pub struct StepStats {
-    /// Kinds of the original planned passes this step realized, in
-    /// order (length 1 for an unfused step).
-    pub kinds: Vec<PassKind>,
-    /// I/O performed by this step alone.
-    pub ios: IoStats,
-}
-
-impl StepStats {
-    /// True if this step realized more than one planned pass.
-    pub fn fused(&self) -> bool {
-        self.kinds.len() > 1
-    }
-
-    /// Display label, e.g. `"Mrc"` or `"Mrc+Mld"`.
-    pub fn label(&self) -> String {
-        crate::fusion::kinds_label(&self.kinds)
-    }
-}
-
-impl From<PassStats> for StepStats {
-    fn from(p: PassStats) -> Self {
-        StepStats {
-            kinds: vec![p.kind],
-            ios: p.ios,
-        }
-    }
-}
-
-/// The result of performing a BMMC permutation.
-#[derive(Clone, Debug)]
-pub struct BmmcReport {
-    /// Per-step kinds and I/O counts, in execution order.
-    pub passes: Vec<StepStats>,
-    /// Total I/O across all steps.
-    pub total: IoStats,
-    /// Transport messages and wire bytes moved by all steps —
-    /// identically zero when the disk system is served in process
-    /// (channels move buffers, not messages).
-    pub msgs: MsgStats,
-    /// The portion (0 or 1) holding the permuted data afterwards.
-    pub final_portion: usize,
-}
-
-impl BmmcReport {
-    /// Number of passes (disk round-trips) executed.
-    pub fn num_passes(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// Number of passes the plan contained before fusion.
-    pub fn planned_passes(&self) -> usize {
-        self.passes.iter().map(|s| s.kinds.len()).sum()
-    }
-
-    /// Disk round-trips saved by pass fusion.
-    pub fn passes_saved(&self) -> usize {
-        self.planned_passes() - self.num_passes()
-    }
-}
+use crate::error::Result;
+use crate::factoring::{factor, Pass, PassKind};
+use crate::passes::{execute_pass_with_strategy, EvalStrategy};
+use crate::plan::{Plan, RunReport};
+use pdm::{DiskSystem, PassEngine, Record};
 
 /// Plans the pass sequence for `perm` at boundaries `(b, m)`.
 ///
@@ -114,84 +49,15 @@ pub fn plan_passes(perm: &Bmmc, b: usize, m: usize) -> Result<Vec<Pass>> {
     Ok(factor(perm, b, m)?.passes)
 }
 
-/// Executes a sequence of one-pass permutations, fusing adjacent
-/// passes that compose within the memory model ([`crate::fusion`]) —
-/// the default execution path. Data starts in portion 0; each executed
-/// step flips portions; the report names the final portion. One
-/// [`PassEngine`] (and so one pair of memoryload buffers) is shared
-/// across all steps.
-///
-/// The final placement is byte-identical to
-/// [`execute_passes_unfused`]; only the intermediate disk round-trips
-/// (and so the I/O totals) differ.
-pub fn execute_passes<R: Record>(sys: &mut DiskSystem<R>, passes: &[Pass]) -> Result<BmmcReport> {
-    execute_passes_strategy(sys, passes, EvalStrategy::default())
-}
-
-/// [`execute_passes`] with an explicit address-evaluation strategy
-/// (see [`EvalStrategy`]): placement and I/O counts are identical
-/// across strategies, only the in-memory kernel work differs. The
-/// `addr_eval` benchmark uses [`EvalStrategy::PerAddress`] as its
-/// end-to-end baseline.
-pub fn execute_passes_strategy<R: Record>(
-    sys: &mut DiskSystem<R>,
-    passes: &[Pass],
-    strategy: EvalStrategy,
-) -> Result<BmmcReport> {
-    let geom = sys.geometry();
-    execute_fused_plan_strategy(sys, &fuse_passes(passes, geom.b(), geom.m()), strategy)
-}
-
-/// Executes an already-fused plan (see [`execute_passes`], which
-/// builds one automatically).
-pub fn execute_fused_plan<R: Record>(
-    sys: &mut DiskSystem<R>,
-    plan: &FusedPlan,
-) -> Result<BmmcReport> {
-    execute_fused_plan_strategy(sys, plan, EvalStrategy::default())
-}
-
-/// [`execute_fused_plan`] with an explicit address-evaluation strategy.
-pub fn execute_fused_plan_strategy<R: Record>(
-    sys: &mut DiskSystem<R>,
-    plan: &FusedPlan,
-    strategy: EvalStrategy,
-) -> Result<BmmcReport> {
-    assert!(
-        sys.portions() >= 2,
-        "plan execution needs a source and a target portion"
-    );
-    let before = sys.stats();
-    let msgs_before = sys.message_stats();
-    let mut engine = PassEngine::new(sys.geometry());
-    let mut stats = Vec::with_capacity(plan.num_steps());
-    let mut src = 0usize;
-    for step in &plan.steps {
-        let dst = 1 - src;
-        let step_before = sys.stats();
-        execute_fused_with_strategy(&mut engine, sys, src, dst, step, strategy)?;
-        stats.push(StepStats {
-            kinds: step.replaced.clone(),
-            ios: sys.stats().since(&step_before),
-        });
-        src = dst;
-    }
-    Ok(BmmcReport {
-        passes: stats,
-        total: sys.stats().since(&before),
-        msgs: sys.message_stats().since(&msgs_before),
-        final_portion: src,
-    })
-}
-
 /// Executes a pass sequence *without* fusion: one disk round-trip per
-/// planned pass, exactly as the plan was written. This is the opt-out
-/// for differential testing against [`crate::passes::reference`] and
-/// for measuring what fusion saves.
+/// planned pass, exactly as the plan was written, through the one-pass
+/// executors of [`crate::passes`]. This is the reference the fused
+/// executor is tested against (`tests/fusion_equivalence.rs`), and the
+/// opt-out for measuring what fusion saves.
 pub fn execute_passes_unfused<R: Record>(
     sys: &mut DiskSystem<R>,
     passes: &[Pass],
-) -> Result<BmmcReport> {
+) -> Result<RunReport> {
     assert!(
         sys.portions() >= 2,
         "plan execution needs a source and a target portion"
@@ -199,71 +65,36 @@ pub fn execute_passes_unfused<R: Record>(
     let before = sys.stats();
     let msgs_before = sys.message_stats();
     let mut engine = PassEngine::new(sys.geometry());
-    let mut stats = Vec::with_capacity(passes.len());
     let mut src = 0usize;
     for pass in passes {
         let dst = 1 - src;
-        stats.push(
-            execute_pass_with_strategy(&mut engine, sys, src, dst, pass, EvalStrategy::default())?
-                .into(),
-        );
+        execute_pass_with_strategy(&mut engine, sys, src, dst, pass, EvalStrategy::default())?;
         src = dst;
     }
-    Ok(BmmcReport {
-        passes: stats,
+    Ok(RunReport {
         total: sys.stats().since(&before),
         msgs: sys.message_stats().since(&msgs_before),
+        steps: passes.len(),
         final_portion: src,
     })
 }
 
-/// Executes an already-computed factorization (see [`execute_passes`]).
-pub fn execute_plan<R: Record>(sys: &mut DiskSystem<R>, fac: &Factorization) -> Result<BmmcReport> {
-    execute_passes(sys, &fac.passes)
-}
-
-/// Executes the BMMC route of a plan-IR [`crate::plan::Plan`] — the
-/// executor side of the unified planner: [`crate::plan::candidates`] /
-/// [`crate::plan::choose`] produce the plan, this function consumes
-/// it. The executed parallel-I/O count equals
-/// [`crate::plan::Plan::parallel_ios`] exactly.
-///
-/// # Panics
-///
-/// Panics on a sort-route plan: `extsort` is a sibling crate, so sort
-/// plans are executed (and exact-checked against the IR) by the CLI
-/// and bench layers.
-pub fn execute_plan_ir<R: Record>(
-    sys: &mut DiskSystem<R>,
-    plan: &crate::plan::Plan,
-    strategy: EvalStrategy,
-) -> Result<BmmcReport> {
-    let fused = plan
-        .fused_plan()
-        .expect("execute_plan_ir takes BMMC-route plans; sort routes run via extsort");
-    execute_fused_plan_strategy(sys, &fused, strategy)
-}
-
 /// Performs the BMMC permutation `perm` on the records in portion 0,
-/// using the one-pass fast paths or the Section 5 factoring. This is
-/// the algorithm of Theorem 21: at most
-/// `(2N/BD)(⌈rank γ / lg(M/B)⌉ + 2)` parallel I/Os.
-pub fn perform_bmmc<R: Record>(sys: &mut DiskSystem<R>, perm: &Bmmc) -> Result<BmmcReport> {
-    let geom = sys.geometry();
-    if perm.bits() != geom.n() {
-        return Err(BmmcError::GeometryMismatch {
-            perm_bits: perm.bits(),
-            system_bits: geom.n(),
-        });
-    }
-    let passes = plan_passes(perm, geom.b(), geom.m())?;
-    execute_passes(sys, &passes)
+/// using the one-pass fast paths or the Section 5 factoring: the
+/// [`Plan::bmmc`] plan, run by [`Plan::execute`]. This is the
+/// algorithm of Theorem 21: at most `(2N/BD)(⌈rank γ / lg(M/B)⌉ + 2)`
+/// parallel I/Os.
+pub fn perform_bmmc<R: Record>(sys: &mut DiskSystem<R>, perm: &Bmmc) -> Result<RunReport> {
+    Plan::bmmc(perm, &sys.geometry())?.execute(sys, perm, |_| {
+        unreachable!("BMMC-route plans never read record contents")
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog;
+    use crate::error::BmmcError;
     use crate::passes::reference_permute;
     use gf2::elim::rank;
     use pdm::Geometry;
@@ -275,7 +106,7 @@ mod tests {
         Geometry::new(1 << 10, 1 << 2, 1 << 2, 1 << 6).unwrap()
     }
 
-    fn run_and_check(perm: &Bmmc, g: Geometry) -> BmmcReport {
+    fn run_and_check(perm: &Bmmc, g: Geometry) -> RunReport {
         let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
         let input: Vec<u64> = (0..g.records() as u64).collect();
         sys.load_records(0, &input);

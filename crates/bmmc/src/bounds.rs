@@ -66,12 +66,17 @@ pub fn old_bpc_upper(geom: &Geometry, cross_rank: usize) -> u64 {
 }
 
 /// The Vitter–Shriver general-permutation cost,
-/// `Θ(min(N/D, (N/BD)·lg(N/B)/lg(M/B)))`, with the constants of an
-/// actual external merge sort: one run-formation pass plus
-/// `⌈(n−m)/(m−b)⌉` merge passes (fan-in `M/B`), each pass `2N/BD`
-/// parallel I/Os; or `2N/D` one-record-at-a-time I/Os when blocks are
-/// tiny. Returns `(per_record_term, sorting_term, min)` — these are
-/// the I/O counts the `extsort`-based baseline actually performs.
+/// `Θ(min(N/D, (N/BD)·lg(N/B)/lg(M/B)))`, as the expression
+/// `min(2N/D, (2N/BD)·(1 + ⌈(n−m)/(m−b)⌉))`: one run-formation pass
+/// plus the merge passes of an ideal merge with fan-in `M/B`, each pass
+/// `2N/BD` parallel I/Os; or `2N/D` one-record-at-a-time I/Os when
+/// blocks are tiny. Returns `(per_record_term, sorting_term, min)`.
+///
+/// This is the bound's expression, not a count any executor performs:
+/// the `extsort` merges reach fan-in `M/BD − 1` (striped) or
+/// `M/B − D − 1` at `D` reads per stripe (forecasting). Their exact
+/// costs are [`merge_sort_ios`], which `bmmc-cli info` prints beside
+/// this bound.
 pub fn general_permutation_bound(geom: &Geometry) -> (u64, u64, u64) {
     let per_record = (2 * geom.records() / geom.disks()) as u64;
     let merge_passes = 1 + (geom.n() - geom.m()).div_ceil(geom.lg_mb());
@@ -79,131 +84,12 @@ pub fn general_permutation_bound(geom: &Geometry) -> (u64, u64, u64) {
     (per_record, sorting, per_record.min(sorting))
 }
 
-/// Merge-buffering strategy of the `extsort` external merge sort,
-/// mirrored here variant-for-variant (`extsort` and `bmmc` are sibling
-/// crates, so the bound formulas carry their own copy of the label).
-/// The `engine_sweep` bench and `tests/merge_strategies.rs` pin the
-/// two enums — and the predicted-vs-measured pass and I/O counts —
-/// against each other.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MergeStrategy {
-    /// One stripe buffer per run: fan-in `M/BD − 1`, striped I/O only.
-    #[default]
-    SingleBuffered,
-    /// Two stripe buffers per run (split-phase prefetch): fan-in
-    /// `(M/BD − 1)/2`.
-    DoubleBuffered,
-    /// Vitter–Shriver forecasting at block granularity: one block
-    /// buffer per run plus one landing block and the output stripe,
-    /// fan-in `M/B − D − 1 = Θ(M/B)`; merge refills are independent
-    /// single-block reads (`D` read operations per stripe).
-    Forecast,
-}
-
-impl MergeStrategy {
-    /// The merge fan-in this strategy reaches on `geom`.
-    pub fn fan_in(&self, geom: &Geometry) -> usize {
-        match self {
-            MergeStrategy::SingleBuffered => geom.stripes_per_memoryload().saturating_sub(1),
-            MergeStrategy::DoubleBuffered => geom.stripes_per_memoryload().saturating_sub(1) / 2,
-            MergeStrategy::Forecast => geom
-                .blocks_per_memoryload()
-                .saturating_sub(geom.disks() + 1),
-        }
-    }
-
-    /// Parallel *read* operations charged per merged stripe: the
-    /// striped strategies move `D` blocks per read, the forecasting
-    /// merge one block per read.
-    fn reads_per_stripe(&self, geom: &Geometry) -> u64 {
-        match self {
-            MergeStrategy::Forecast => geom.disks() as u64,
-            _ => 1,
-        }
-    }
-}
-
-/// One merge level of the external-sort schedule, as it lands on the
-/// plan IR ([`crate::plan::Plan::sort`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MergeLevel {
-    /// Groups of ≥ 2 runs actually merged on this level.
-    pub merged_groups: usize,
-    /// Leftover groups of one run, left in place at zero I/O.
-    pub singleton_groups: usize,
-    /// Total stripes flowing through the merged groups: each costs
-    /// `reads_per_stripe` parallel reads plus one striped write.
-    pub merged_stripes: u64,
-    /// Exact parallel I/Os of this level,
-    /// `merged_stripes · (reads_per_stripe + 1)`.
-    pub parallel_ios: u64,
-}
-
-/// Replays the merge schedule of `extsort::sort_by_key_with` exactly —
-/// run sizes, `chunks(fan_in)` grouping, and the leftover-singleton
-/// rule (a group of one run stays in place, zero I/O) — returning one
-/// [`MergeLevel`] per merge pass (run formation excluded). `None` when
-/// memory is too small to merge (fan-in < 2).
-pub fn merge_sort_levels(geom: &Geometry, strategy: MergeStrategy) -> Option<Vec<MergeLevel>> {
-    let fan_in = strategy.fan_in(geom);
-    if fan_in < 2 {
-        return None;
-    }
-    let reads_per_stripe = strategy.reads_per_stripe(geom);
-    let mut levels = Vec::new();
-    // Run sizes in stripes.
-    let mut runs: Vec<usize> = vec![geom.stripes_per_memoryload(); geom.memoryloads()];
-    while runs.len() > 1 {
-        let mut level = MergeLevel {
-            merged_groups: 0,
-            singleton_groups: 0,
-            merged_stripes: 0,
-            parallel_ios: 0,
-        };
-        let mut next = Vec::with_capacity(runs.len().div_ceil(fan_in));
-        for group in runs.chunks(fan_in) {
-            if group.len() == 1 {
-                level.singleton_groups += 1;
-                next.push(group[0]);
-                continue;
-            }
-            let stripes: u64 = group.iter().map(|&s| s as u64).sum();
-            level.merged_groups += 1;
-            level.merged_stripes += stripes;
-            level.parallel_ios += stripes * (reads_per_stripe + 1);
-            next.push(group.iter().sum());
-        }
-        runs = next;
-        levels.push(level);
-    }
-    Some(levels)
-}
-
-/// `(passes, parallel_ios)` totals of the merge schedule: run
-/// formation plus every [`MergeLevel`].
-fn merge_sort_schedule(geom: &Geometry, strategy: MergeStrategy) -> Option<(usize, u64)> {
-    let levels = merge_sort_levels(geom, strategy)?;
-    let ios = geom.ios_per_pass() as u64 + levels.iter().map(|l| l.parallel_ios).sum::<u64>();
-    Some((1 + levels.len(), ios))
-}
-
-/// The exact parallel-I/O count of the external merge sort in the
-/// `extsort` crate (the executable general-permutation baseline) under
-/// the given [`MergeStrategy`]: run formation (`2N/BD`) plus, per
-/// merge pass, one read per block-transfer unit and one striped write
-/// per stripe over every *merged* group — leftover singleton groups
-/// are left in place and charge nothing. Returns `None` when memory is
-/// too small to merge (fan-in < 2).
-pub fn merge_sort_ios(geom: &Geometry, strategy: MergeStrategy) -> Option<u64> {
-    merge_sort_schedule(geom, strategy).map(|(_, ios)| ios)
-}
-
-/// The exact pass count (run formation + merge passes) of the
-/// `extsort` merge sort under the given [`MergeStrategy`]; `None` when
-/// memory is too small to merge.
-pub fn merge_sort_passes(geom: &Geometry, strategy: MergeStrategy) -> Option<usize> {
-    merge_sort_schedule(geom, strategy).map(|(passes, _)| passes)
-}
+/// The merge-sort schedule and its exact costs belong to `extsort`,
+/// which executes them; they are re-exported here beside the bounds
+/// they are compared with.
+pub use extsort::{
+    merge_sort_ios, merge_sort_levels, merge_sort_passes, MergeLevel, MergeStrategy,
+};
 
 /// Section 6's detection cost in parallel reads:
 /// `N/BD + ⌈(lg(N/B) + 1)/D⌉`.
@@ -314,85 +200,25 @@ mod tests {
     }
 
     #[test]
-    fn merge_sort_ios_formula() {
-        // N=2^10, B=2^2, D=2^2, M=2^6: fan-in 3, 16 runs → 4 passes,
-        // and merge pass 1 (16 = 5·3 + 1) leaves a 4-stripe singleton
-        // in place: 4·128 − 2·4.
-        let geom = g(10, 2, 2, 6);
+    fn general_bound_sorting_term_is_below_the_executed_sorts() {
+        // The fan-in M/B expression is a bound, not an extsort count:
+        // single-buffered (fan-in 15) needs 4 passes, forecasting
+        // (fan-in 59) 3 passes at D reads per merged stripe.
+        let geom = g(20, 4, 2, 10);
+        assert_eq!(general_permutation_bound(&geom).1, 98_304);
         assert_eq!(
             merge_sort_ios(&geom, MergeStrategy::SingleBuffered),
-            Some(4 * 128 - 8)
+            Some(131_072)
         );
         assert_eq!(
             merge_sort_passes(&geom, MergeStrategy::SingleBuffered),
             Some(4)
         );
-        // M = BD: no strategy can merge.
-        let tiny = g(8, 2, 2, 4);
-        for s in [
-            MergeStrategy::SingleBuffered,
-            MergeStrategy::DoubleBuffered,
-            MergeStrategy::Forecast,
-        ] {
-            assert_eq!(merge_sort_ios(&tiny, s), None, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn merge_strategy_fan_ins_at_bench_geometry() {
-        // The engine_sweep extsort geometry: B=2^3, D=2^4, M=2^12.
-        let geom = g(18, 3, 4, 12);
-        let single = MergeStrategy::SingleBuffered.fan_in(&geom);
-        let double = MergeStrategy::DoubleBuffered.fan_in(&geom);
-        let forecast = MergeStrategy::Forecast.fan_in(&geom);
-        assert_eq!(single, 31); // M/BD − 1
-        assert_eq!(double, 15); // (M/BD − 1)/2
-        assert_eq!(forecast, 495); // M/B − D − 1
-        assert!(
-            forecast >= 8 * single,
-            "forecasting must close the D× fan-in gap: {forecast} vs {single}"
-        );
-    }
-
-    #[test]
-    fn forecast_passes_strictly_fewer_when_single_needs_two_merges() {
-        // Same B, D, M at N=2^17: 32 runs. Single-buffered (fan-in 31)
-        // needs two merge passes (32 → 2 → 1, with a singleton left in
-        // place in pass 1); forecasting (fan-in 495) merges all 32 at
-        // once.
-        let geom = g(17, 3, 4, 12);
         assert_eq!(
-            merge_sort_passes(&geom, MergeStrategy::SingleBuffered),
-            Some(3)
+            merge_sort_ios(&geom, MergeStrategy::Forecast),
+            Some(196_608)
         );
-        assert_eq!(merge_sort_passes(&geom, MergeStrategy::Forecast), Some(2));
-        // Exact I/Os: single = 2048 + (992·2) + 2048; forecast =
-        // 2048 + 1024·(D+1) — fewer passes, but block-granular reads.
-        assert_eq!(
-            merge_sort_ios(&geom, MergeStrategy::SingleBuffered),
-            Some(6080)
-        );
-        assert_eq!(merge_sort_ios(&geom, MergeStrategy::Forecast), Some(19456));
-    }
-
-    #[test]
-    fn forecast_passes_never_exceed_single_buffered() {
-        for (n, b, d, m) in [
-            (10, 2, 2, 6),
-            (12, 3, 2, 8),
-            (14, 4, 3, 9),
-            (17, 3, 4, 12),
-            (20, 3, 0, 13),
-        ] {
-            let geom = g(n, b, d, m);
-            let (Some(fc), Some(sb)) = (
-                merge_sort_passes(&geom, MergeStrategy::Forecast),
-                merge_sort_passes(&geom, MergeStrategy::SingleBuffered),
-            ) else {
-                panic!("both strategies must fit N=2^{n}");
-            };
-            assert!(fc <= sb, "forecast {fc} passes vs single {sb} at N=2^{n}");
-        }
+        assert_eq!(merge_sort_passes(&geom, MergeStrategy::Forecast), Some(3));
     }
 
     #[test]

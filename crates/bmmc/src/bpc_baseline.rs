@@ -23,11 +23,11 @@
 //! paper claims ("reduces the innermost factor of 2 … to a factor
 //! of 1").
 
-use crate::algorithm::{execute_passes, BmmcReport};
 use crate::bmmc::Bmmc;
 use crate::classes::{is_bpc, is_mrc};
 use crate::error::{BmmcError, Result};
 use crate::factoring::{factor, Pass, PassKind};
+use crate::plan::{Plan, RunReport};
 use gf2::perm::{permutation_matrix, permutation_of_matrix};
 use pdm::{DiskSystem, Record};
 
@@ -111,9 +111,9 @@ pub fn bpc_baseline_plan(perm: &Bmmc, b: usize, m: usize) -> Result<BpcPlan> {
     Ok(BpcPlan { passes, rho_m })
 }
 
-/// Executes the baseline plan, data in portion 0. The report's pass
-/// count realizes the \[4\]-style bound `2⌈ρ_m/lg(M/B)⌉ + 1`.
-pub fn perform_bpc_baseline<R: Record>(sys: &mut DiskSystem<R>, perm: &Bmmc) -> Result<BmmcReport> {
+/// Executes the baseline plan, DP-fused, data in portion 0. The plan's
+/// pass count realizes the \[4\]-style bound `2⌈ρ_m/lg(M/B)⌉ + 1`.
+pub fn perform_bpc_baseline<R: Record>(sys: &mut DiskSystem<R>, perm: &Bmmc) -> Result<RunReport> {
     let geom = sys.geometry();
     if perm.bits() != geom.n() {
         return Err(BmmcError::GeometryMismatch {
@@ -122,7 +122,9 @@ pub fn perform_bpc_baseline<R: Record>(sys: &mut DiskSystem<R>, perm: &Bmmc) -> 
         });
     }
     let plan = bpc_baseline_plan(perm, geom.b(), geom.m())?;
-    execute_passes(sys, &plan.passes)
+    Plan::from_passes(&plan.passes, geom.b(), geom.m()).execute(sys, perm, |_| {
+        unreachable!("BMMC-route plans never read record contents")
+    })
 }
 
 #[cfg(test)]
@@ -139,7 +141,7 @@ mod tests {
         Geometry::new(1 << 10, 1 << 2, 1 << 2, 1 << 6).unwrap()
     }
 
-    fn run(perm: &Bmmc) -> BmmcReport {
+    fn run(perm: &Bmmc) -> RunReport {
         let g = geom();
         let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
         let input: Vec<u64> = (0..g.records() as u64).collect();

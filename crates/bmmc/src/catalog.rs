@@ -219,13 +219,6 @@ pub fn random_worst_rank<R: Rng + ?Sized>(rng: &mut R, n: usize, split: usize) -
     Bmmc::new(a, c).expect("sampled nonsingular")
 }
 
-/// The committed `MLD;MRC;MLD` re-association chain, re-exported here
-/// so workload catalogs (benches, `tests/planner.rs`) can name it
-/// beside the samplers. See [`crate::plan::reassociation_case`].
-pub fn reassociation_chain(n: usize, b: usize, m: usize) -> Vec<crate::factoring::Pass> {
-    crate::plan::reassociation_case(n, b, m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,18 +382,6 @@ mod tests {
                 "n={n} split={split}"
             );
         }
-    }
-
-    #[test]
-    fn reassociation_chain_kinds_and_recomposition() {
-        let (n, b, m) = (10, 2, 6);
-        let passes = reassociation_chain(n, b, m);
-        assert_eq!(passes.len(), 3);
-        let mut composed = Bmmc::identity(n);
-        for p in &passes {
-            composed = p.as_bmmc().compose(&composed);
-        }
-        assert!(classes::is_mld_inverse(composed.matrix(), b, m));
     }
 
     #[test]

@@ -24,6 +24,13 @@ pub enum BmmcError {
     /// The supplied target-address vector is not a permutation of
     /// `0..N` (detection rejects it before matrix fitting).
     NotAPermutation(String),
+    /// Executing a plan measured other counts than the plan predicts.
+    PlanMismatch {
+        /// `(parallel I/Os, steps)` the plan predicts.
+        predicted: (u64, usize),
+        /// `(parallel I/Os, steps)` the run measured.
+        measured: (u64, usize),
+    },
 }
 
 impl fmt::Display for BmmcError {
@@ -44,6 +51,14 @@ impl fmt::Display for BmmcError {
             BmmcError::NotAPermutation(msg) => {
                 write!(f, "target vector is not a permutation: {msg}")
             }
+            BmmcError::PlanMismatch {
+                predicted,
+                measured,
+            } => write!(
+                f,
+                "plan predicted {} parallel I/Os in {} steps, the run measured {} in {}",
+                predicted.0, predicted.1, measured.0, measured.1
+            ),
         }
     }
 }

@@ -23,8 +23,8 @@ use crate::bmmc::Bmmc;
 use crate::classes::is_mld;
 use crate::error::{BmmcError, Result};
 use crate::factoring::PassKind;
-use crate::fusion::{execute_fused_with, FusedPass, WriteDiscipline};
-use crate::passes::PassStats;
+use crate::fusion::{execute_fused_with_strategy, FusedPass, WriteDiscipline};
+use crate::passes::{EvalStrategy, PassStats};
 use pdm::{DiskSystem, PassEngine, Record};
 
 /// Performs the composition `π_Y ∘ π_Z⁻¹` (first `Z⁻¹`, then `Y`) of
@@ -71,7 +71,7 @@ pub fn perform_mld_pair<R: Record>(
         replaced: vec![PassKind::MldInverse, PassKind::Mld],
     };
     let mut engine = PassEngine::new(geom);
-    execute_fused_with(&mut engine, sys, src, dst, &step)?;
+    execute_fused_with_strategy(&mut engine, sys, src, dst, &step, EvalStrategy::default())?;
     Ok(PassStats {
         kind: PassKind::Mld,
         ios: sys.stats().since(&before),

@@ -9,11 +9,11 @@
 //! affine maps — whenever they compose within the `M`-record memory
 //! model, one read, one composed in-memory rearrangement, and one
 //! write suffice, halving the parallel I/O for that pair. The
-//! [`fuse_passes`] planner folds passes into [`FusedPass`] groups —
-//! since the plan-IR refactor by whole-plan dynamic programming
-//! ([`crate::plan::fuse_passes_dp`]), with the original greedy pair
-//! fuser kept as [`fuse_passes_greedy`] — and [`execute_fused_with`]
-//! runs each group in a single pass of `2N/BD` parallel I/Os.
+//! [`fuse_passes`] planner folds passes into [`FusedPass`] groups by
+//! whole-plan dynamic programming (see *The DP fuser* below), with the
+//! greedy pair fuser kept as [`fuse_passes_greedy`], and
+//! [`execute_fused_with_strategy`] runs each group in a single pass of
+//! `2N/BD` parallel I/Os.
 //!
 //! # Legality rule
 //!
@@ -75,6 +75,43 @@
 //!   asymptotically the 2× round-trip saving this module exists for.
 //! * Chains of MRC passes, and any `MLD⁻¹ …` prefix followed by
 //!   striped-reading passes, collapse completely (`k` passes → 1).
+//!
+//! # The DP fuser
+//!
+//! [`fuse_passes`] runs an interval dynamic program over the whole
+//! pass sequence instead of greedy left-to-right pair absorption
+//! ([`fuse_passes_greedy`]). Its legality rule generalizes both greedy
+//! rules: a contiguous interval of passes with composed map
+//! `C = A_j ⋯ A_i` is one-step executable iff some *gather split*
+//! exists — a prefix `G = A_s ⋯ A_i` (possibly empty) with `G` in
+//! MLD⁻¹ and the remaining suffix `W = C·G⁻¹` in MLD:
+//!
+//! * `G ∈ MLD⁻¹` means `G⁻¹` disperses memoryloads onto whole blocks
+//!   spread evenly across the disks (Lemma 13), so the iteration units
+//!   `{x : G(x) ∈ memoryload u}` = `G⁻¹(memoryload u)` are gatherable
+//!   in `M/BD` parallel reads (striped reads when the prefix is empty);
+//! * `W ∈ MLD` means each gathered unit lands on whole target blocks
+//!   evenly spread — scatterable in `M/BD` parallel writes, striped
+//!   when `W` is in fact MRC (Lemma 12).
+//!
+//! Every greedy group satisfies this rule (discipline-rule chains have
+//! `W` a composition of striped readers, which stays in MLD because
+//! MLD∘MRC ⊆ MLD and MRC∘MRC ⊆ MRC; rank-rule groups are the empty or
+//! full split), so the DP **never produces more steps than greedy**;
+//! when the step counts tie, [`fuse_passes`] returns the greedy plan
+//! verbatim, so behavior is bit-for-bit identical everywhere greedy
+//! was already optimal. Where greedy was *not* optimal the DP finds
+//! re-associations pair fusion cannot see. The closure lemmas pin down
+//! exactly when: because MLD∘MRC ⊆ MLD and right-composition with an
+//! MRC preserves the MLD kernel condition, any split whose gather
+//! prefix is a *proper* prefix of a three-pass `MLD;MRC;MLD` chain is
+//! visible to greedy's rank rule too — so the DP wins precisely when
+//! the **full** composition classifies while the pair seam does not.
+//! [`crate::plan::reassociation_case`] commits such a chain: greedy is
+//! stuck at two steps — `[p₁]`, `[p₂+p₃]` — while the whole product
+//! telescopes into MLD⁻¹ and the full-gather split executes all three
+//! passes in one round-trip (`tests/planner.rs`, and the `reassoc` row
+//! of the bench `planner` section).
 
 use crate::bmmc::Bmmc;
 use crate::classes::{is_mld, is_mld_inverse, is_mrc};
@@ -126,7 +163,9 @@ pub struct FusedPass {
 }
 
 impl FusedPass {
-    pub(crate) fn from_single(pass: &Pass) -> Self {
+    /// The unfused step for one pass: its own matrix, read side, and
+    /// write side.
+    pub fn from_single(pass: &Pass) -> Self {
         FusedPass {
             matrix: pass.matrix.clone(),
             complement: pass.complement.clone(),
@@ -166,19 +205,9 @@ impl FusedPass {
 
     /// Display label, e.g. `"Mrc"` or `"Mrc+Mld"`.
     pub fn label(&self) -> String {
-        kinds_label(&self.replaced)
+        let kinds: Vec<String> = self.replaced.iter().map(|k| format!("{k:?}")).collect();
+        kinds.join("+")
     }
-}
-
-/// Display label for a (possibly fused) run of pass kinds, e.g.
-/// `"Mrc"` or `"Mrc+Mld"` — shared by [`FusedPass::label`] and
-/// [`crate::algorithm::StepStats::label`].
-pub fn kinds_label(kinds: &[PassKind]) -> String {
-    kinds
-        .iter()
-        .map(|k| format!("{k:?}"))
-        .collect::<Vec<_>>()
-        .join("+")
 }
 
 /// A fused execution plan: the steps to run, each one disk round-trip.
@@ -227,12 +256,16 @@ impl FusedPlan {
     }
 }
 
-/// Fuses a pass plan at boundaries `b = lg B`, `m = lg M`. Since the
-/// plan-IR refactor this is the dynamic-programming whole-plan fuser
-/// ([`crate::plan::fuse_passes_dp`]): it never produces more steps
-/// than the greedy pair fuser ([`fuse_passes_greedy`]), returns the
-/// greedy plan verbatim when the step counts tie, and finds
-/// re-associations pair fusion misses (e.g. `MLD;MRC;MLD`).
+/// Fuses a pass plan at boundaries `b = lg B`, `m = lg M` by interval
+/// dynamic programming over the whole sequence (see *The DP fuser* in
+/// the module docs for the gather-split legality rule). Guarantees:
+///
+/// * never more steps than [`fuse_passes_greedy`];
+/// * when the step counts tie, the greedy plan is returned verbatim —
+///   placement, I/O, and message counts stay bit-identical everywhere
+///   greedy was already optimal;
+/// * strictly fewer steps where a re-association exists (e.g. the
+///   `MLD;MRC;MLD` case of `tests/planner.rs`).
 ///
 /// ```
 /// use bmmc::{catalog, fusion::fuse_passes, plan_passes};
@@ -247,7 +280,61 @@ impl FusedPlan {
 /// assert_eq!(plan.num_steps(), 1); // MRC∘MRC always fuses
 /// ```
 pub fn fuse_passes(passes: &[Pass], b: usize, m: usize) -> FusedPlan {
-    crate::plan::fuse_passes_dp(passes, b, m)
+    let greedy = fuse_passes_greedy(passes, b, m);
+    let l = passes.len();
+    if l <= 1 {
+        return greedy;
+    }
+
+    // comp[i][j]: composition A_j ⋯ A_i of passes i..=j (affine).
+    let mut comp: Vec<Vec<Option<Bmmc>>> = vec![vec![None; l]; l];
+    for i in 0..l {
+        comp[i][i] = Some(passes[i].as_bmmc());
+        for j in i + 1..l {
+            let prefix = comp[i][j - 1].clone().expect("filled above");
+            comp[i][j] = Some(passes[j].as_bmmc().compose(&prefix));
+        }
+    }
+    // step[i][j]: the cheapest one-step execution of interval [i, j],
+    // if any split makes it legal.
+    let mut step: Vec<Vec<Option<FusedPass>>> = vec![vec![None; l]; l];
+    for i in 0..l {
+        for j in i..l {
+            step[i][j] = interval_step(passes, &comp, i, j, b, m);
+        }
+    }
+
+    // Prefix DP: dp[k] = fewest steps covering passes[0..k].
+    let mut dp = vec![usize::MAX; l + 1];
+    let mut back = vec![0usize; l + 1];
+    dp[0] = 0;
+    for j in 0..l {
+        for i in 0..=j {
+            if step[i][j].is_some() && dp[i] != usize::MAX && dp[i] + 1 < dp[j + 1] {
+                dp[j + 1] = dp[i] + 1;
+                back[j + 1] = i;
+            }
+        }
+    }
+
+    // Tie-break: greedy groups are always legal intervals, so
+    // dp[l] ≤ greedy; on equality keep greedy's exact plan.
+    if dp[l] == usize::MAX || dp[l] >= greedy.num_steps() {
+        return greedy;
+    }
+    let mut cut = l;
+    let mut steps_rev = Vec::with_capacity(dp[l]);
+    while cut > 0 {
+        let i = back[cut];
+        steps_rev.push(
+            step[i][cut - 1]
+                .take()
+                .expect("backtracked interval is legal"),
+        );
+        cut = i;
+    }
+    steps_rev.reverse();
+    FusedPlan { steps: steps_rev }
 }
 
 /// The original greedy left-to-right pair fuser: absorbs each pass
@@ -306,20 +393,8 @@ fn try_absorb(group: &mut FusedPass, next: &Pass, b: usize, m: usize) -> bool {
 /// Executes one fused step on a caller-provided engine, moving all `N`
 /// records from portion `src` to portion `dst`. Costs exactly `2N/BD`
 /// parallel I/Os regardless of how many original passes the step
-/// replaces.
-pub fn execute_fused_with<R: Record>(
-    engine: &mut PassEngine<R>,
-    sys: &mut DiskSystem<R>,
-    src: usize,
-    dst: usize,
-    step: &FusedPass,
-) -> Result<()> {
-    execute_fused_with_strategy(engine, sys, src, dst, step, EvalStrategy::default())
-}
-
-/// [`execute_fused_with`] with an explicit address-evaluation strategy
-/// (see [`EvalStrategy`]); placement and I/O accounting are identical
-/// across strategies.
+/// replaces. Placement and I/O accounting are identical across
+/// address-evaluation strategies (see [`EvalStrategy`]).
 pub fn execute_fused_with_strategy<R: Record>(
     engine: &mut PassEngine<R>,
     sys: &mut DiskSystem<R>,
@@ -355,6 +430,74 @@ pub fn execute_fused_with_strategy<R: Record>(
             passes::execute_gather_scatter(engine, sys, src, dst, &ev, &inv_ev, strategy)
         }
     }
+}
+
+/// The cheapest legal one-step execution of passes `i..=j`, trying
+/// every gather split `s`: prefix `G = A_{s-1} ⋯ A_i` (empty when
+/// `s = i`) must be in MLD⁻¹, suffix `W = A_j ⋯ A_s` (identity when
+/// `s = j+1`) in MLD (striped writes when it is MRC). Preference
+/// order: fewest random-access sides, then the shortest gather prefix.
+fn interval_step(
+    passes: &[Pass],
+    comp: &[Vec<Option<Bmmc>>],
+    i: usize,
+    j: usize,
+    b: usize,
+    m: usize,
+) -> Option<FusedPass> {
+    let composed = |x: usize, y: usize| comp[x][y].as_ref().expect("interval composed");
+    let c = composed(i, j);
+    let mut best: Option<(u32, FusedPass)> = None;
+    for s in i..=j + 1 {
+        let gather = if s == i {
+            None
+        } else {
+            let g = composed(i, s - 1);
+            if !is_mld_inverse(g.matrix(), b, m) {
+                continue;
+            }
+            Some(g.clone())
+        };
+        let striped_write = if s == j + 1 {
+            true // empty suffix: the gather map is the whole step
+        } else {
+            let w = composed(s, j);
+            if is_mrc(w.matrix(), m) {
+                true
+            } else if is_mld(w.matrix(), b, m) {
+                false
+            } else {
+                continue;
+            }
+        };
+        let write = if striped_write {
+            WriteDiscipline::Striped
+        } else {
+            WriteDiscipline::Scatter
+        };
+        let random_sides = u32::from(gather.is_some()) + u32::from(!striped_write);
+        if best.as_ref().is_some_and(|(c0, _)| *c0 <= random_sides) {
+            continue;
+        }
+        let fused = FusedPass {
+            matrix: c.matrix().clone(),
+            complement: c.complement().clone(),
+            gather,
+            write,
+            replaced: passes[i..=j].iter().map(|p| p.kind).collect(),
+        };
+        let done = random_sides == 0;
+        best = Some((random_sides, fused));
+        if done {
+            break;
+        }
+    }
+    // Defensive: a lone pass always executes as itself even if its
+    // matrix defies its planner label.
+    if best.is_none() && i == j {
+        return Some(FusedPass::from_single(&passes[i]));
+    }
+    best.map(|(_, f)| f)
 }
 
 #[cfg(test)]
@@ -397,7 +540,15 @@ mod tests {
         let mut src = 0;
         for step in &plan.steps {
             let dst = 1 - src;
-            execute_fused_with(&mut engine, &mut sys, src, dst, step).unwrap();
+            execute_fused_with_strategy(
+                &mut engine,
+                &mut sys,
+                src,
+                dst,
+                step,
+                EvalStrategy::default(),
+            )
+            .unwrap();
             src = dst;
         }
         let expect = reference_permute(&input, |x| composed.target(x));

@@ -30,10 +30,11 @@
 //!   pass structure of the earlier algorithm of Cormen \[4\], for the
 //!   old-vs-new comparisons;
 //! * the **unified plan IR** ([`plan`]): typed [`plan::Plan`] values
-//!   every planner produces and every executor consumes, fused by
-//!   whole-plan dynamic programming ([`plan::fuse_passes_dp`]) and
-//!   costed both in exact parallel I/Os and seek-aware modeled
-//!   wall-clock — the machinery behind the CLI's `--algorithm auto`.
+//!   every planner produces, fused by whole-plan dynamic programming
+//!   ([`fusion::fuse_passes`]), costed both in exact parallel I/Os and
+//!   seek-aware modeled wall-clock — the machinery behind the CLI's
+//!   `--algorithm auto` — and run, BMMC or sort route alike, by the one
+//!   executor [`plan::Plan::execute`].
 //!
 //! ```
 //! use bmmc::{catalog, algorithm::perform_bmmc};
@@ -75,10 +76,7 @@ pub mod spec;
 pub mod verify;
 
 pub use crate::bmmc::Bmmc;
-pub use algorithm::{
-    execute_fused_plan, execute_fused_plan_strategy, execute_passes, execute_passes_strategy,
-    execute_passes_unfused, execute_plan_ir, perform_bmmc, plan_passes, BmmcReport, StepStats,
-};
+pub use algorithm::{execute_passes_unfused, perform_bmmc, plan_passes};
 pub use classes::{classify, is_bmmc, is_bpc, is_mld, is_mld_inverse, is_mrc, ClassFlags};
 pub use detect::{detect_bmmc, Detection};
 pub use error::{BmmcError, Result};
@@ -87,4 +85,4 @@ pub use extensions::perform_mld_pair;
 pub use factoring::{factor, factor_chunked, Factorization, Pass, PassKind};
 pub use fusion::{fuse_passes, fuse_passes_greedy, FusedPass, FusedPlan};
 pub use passes::EvalStrategy;
-pub use plan::{candidates, choose, fuse_passes_dp, CandidateKind, Plan, PlanStep};
+pub use plan::{candidates, choose, CandidateKind, Plan, PlanStep, RunReport};

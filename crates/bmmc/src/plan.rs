@@ -1,24 +1,22 @@
 //! The unified plan IR: one `Plan` value that every planner produces
-//! and every executor consumes, plus the dynamic-programming whole-plan
-//! fuser and the two-sided cost model behind `--algorithm auto`.
+//! and one executor ([`Plan::execute`]) runs, plus the two-sided cost
+//! model behind `--algorithm auto`.
 //!
 //! The paper's Theorem 17 argument is a *planning* argument — choose
-//! the factorization whose pass sequence minimizes I/O — but until this
-//! module the repo planned in three disconnected layers:
-//! [`crate::factoring`] emitted pass lists, [`crate::fusion`] fused
-//! adjacent pairs greedily left-to-right, and the BMMC-vs-sort choice
-//! was a hardcoded heuristic. A [`Plan`] is a sequence of typed
-//! [`PlanStep`]s — classic or fused BMMC passes
-//! ([`crate::fusion::FusedPass`]) and external-sort passes
-//! ([`SortPass`], mirroring `extsort`'s schedule exactly via
-//! [`crate::bounds::merge_sort_levels`]) — each of which knows its
-//! exact parallel-I/O count and its access patterns, so a plan can be
-//! costed two ways:
+//! the factorization whose pass sequence minimizes I/O. A [`Plan`] is a
+//! sequence of typed [`PlanStep`]s — classic or fused BMMC passes
+//! ([`crate::fusion::FusedPass`], fused by the whole-plan DP of
+//! [`crate::fusion::fuse_passes`]) and external-sort passes
+//! ([`SortPass`], replaying `extsort`'s schedule exactly via
+//! [`extsort::merge_sort_levels`]) — each of which knows its exact
+//! parallel-I/O count and its access patterns, so a plan can be costed
+//! two ways:
 //!
 //! * **exact parallel I/Os** ([`Plan::parallel_ios`]): the paper's cost
 //!   metric, `2N/BD` per BMMC round-trip and the replayed merge
-//!   schedule for sort passes — these counts are *exact*, matched
-//!   operation-for-operation by the executors and gated in the bench;
+//!   schedule for sort passes — these counts are *exact*:
+//!   [`Plan::execute`] checks them against every run, and the bench
+//!   gates them;
 //! * **modeled wall-clock** ([`Plan::modeled_ms`]): a seek-aware
 //!   estimate under a [`pdm::TimingModel`], charging each pass side by
 //!   its [`AccessPattern`] — striped sides run mostly sequential (one
@@ -33,53 +31,20 @@
 //! route under each merge strategy — and [`choose`] picks the cheapest
 //! by modeled wall-clock (exact I/Os as tie-break). The CLI's
 //! `--algorithm auto` and the `engine_sweep` `planner` crossover table
-//! are both this pair of calls.
-//!
-//! # The DP fuser
-//!
-//! [`fuse_passes_dp`] replaces greedy left-to-right pair absorption
-//! ([`crate::fusion::fuse_passes_greedy`]) with an interval dynamic
-//! program over the whole pass sequence. Its legality rule generalizes
-//! both greedy rules: a contiguous interval of passes with composed
-//! map `C = A_j ⋯ A_i` is one-step executable iff some *gather split*
-//! exists — a prefix `G = A_s ⋯ A_i` (possibly empty) with `G` in
-//! MLD⁻¹ and the remaining suffix `W = C·G⁻¹` in MLD:
-//!
-//! * `G ∈ MLD⁻¹` means `G⁻¹` disperses memoryloads onto whole blocks
-//!   spread evenly across the disks (Lemma 13), so the iteration units
-//!   `{x : G(x) ∈ memoryload u}` = `G⁻¹(memoryload u)` are gatherable
-//!   in `M/BD` parallel reads (striped reads when the prefix is empty);
-//! * `W ∈ MLD` means each gathered unit lands on whole target blocks
-//!   evenly spread — scatterable in `M/BD` parallel writes, striped
-//!   when `W` is in fact MRC (Lemma 12).
-//!
-//! Every greedy group satisfies this rule (discipline-rule chains have
-//! `W` a composition of striped readers, which stays in MLD because
-//! MLD∘MRC ⊆ MLD and MRC∘MRC ⊆ MRC; rank-rule groups are the empty or
-//! full split), so the DP **never produces more steps than greedy**;
-//! when the step counts tie, [`fuse_passes_dp`] returns the greedy
-//! plan verbatim, so behavior is bit-for-bit identical everywhere
-//! greedy was already optimal. Where greedy was *not* optimal the DP
-//! finds re-associations pair fusion cannot see. The closure lemmas
-//! pin down exactly when: because MLD∘MRC ⊆ MLD and right-composition
-//! with an MRC preserves the MLD kernel condition, any split whose
-//! gather prefix is a *proper* prefix of a three-pass `MLD;MRC;MLD`
-//! chain is visible to greedy's rank rule too — so the DP wins
-//! precisely when the **full** composition classifies while the pair
-//! seam does not. [`reassociation_case`] commits such a chain: greedy
-//! is stuck at two steps — `[p₁]`, `[p₂+p₃]` — while the whole product
-//! telescopes into MLD⁻¹ and the full-gather split executes all three
-//! passes in one round-trip (`tests/planner.rs`, and the `reassoc` row
-//! of the bench `planner` section).
+//! are both this pair of calls; `auto` then executes the plan it
+//! printed.
 
 use crate::algorithm::plan_passes;
 use crate::bmmc::Bmmc;
-use crate::bounds::{self, MergeStrategy};
 use crate::classes::{is_mld, is_mld_inverse, is_mrc};
-use crate::error::Result;
+use crate::error::{BmmcError, Result};
 use crate::factoring::Pass;
-use crate::fusion::{fuse_passes_greedy, FusedPass, FusedPlan, WriteDiscipline};
-use pdm::{Geometry, TimingModel};
+use crate::fusion::{
+    execute_fused_with_strategy, fuse_passes, FusedPass, FusedPlan, WriteDiscipline,
+};
+use crate::passes::EvalStrategy;
+use extsort::{MergeStrategy, SortConfig};
+use pdm::{DiskSystem, Geometry, IoStats, MsgStats, PassEngine, Record, TimingModel};
 
 /// How one side (read or write) of a plan step touches the disks —
 /// the distinction the wall-clock model charges for and the paper's
@@ -159,9 +124,9 @@ pub enum SortPassKind {
 }
 
 /// One external-sort pass placed on a plan — the `extsort` schedule
-/// mirrored step-for-step (run sizes, `chunks(fan_in)` grouping, the
-/// leftover-singleton rule) via [`crate::bounds::merge_sort_levels`],
-/// so the planned counts replay the measured ones exactly.
+/// replayed step-for-step (run sizes, `chunks(fan_in)` grouping, the
+/// leftover-singleton rule) via [`extsort::merge_sort_levels`], so the
+/// planned counts equal the measured ones exactly.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SortPass {
     /// What this pass does.
@@ -240,25 +205,44 @@ pub enum CandidateKind {
 }
 
 impl CandidateKind {
-    /// Stable short name: `"bmmc"`, `"sort-single"`, `"sort-double"`,
-    /// `"sort-forecast"` — the labels the CLI candidate table and the
-    /// bench `planner` section use.
+    /// Stable short name: `"bmmc"`, `"sort-single"`, `"sort-forecast"`
+    /// — the labels the CLI candidate table and the bench `planner`
+    /// section use.
     pub fn name(&self) -> &'static str {
         match self {
             CandidateKind::Bmmc => "bmmc",
             CandidateKind::Sort(MergeStrategy::SingleBuffered) => "sort-single",
-            CandidateKind::Sort(MergeStrategy::DoubleBuffered) => "sort-double",
             CandidateKind::Sort(MergeStrategy::Forecast) => "sort-forecast",
         }
     }
 }
 
+/// What executing a [`Plan`] measured, on either route.
+#[derive(Clone, Copy, Debug)]
+pub struct RunReport {
+    /// Total I/O across all steps.
+    pub total: IoStats,
+    /// Transport messages and wire bytes moved by all steps —
+    /// identically zero when the disk system is served in process
+    /// (channels move buffers, not messages).
+    pub msgs: MsgStats,
+    /// Executed steps: disk round-trips or sort passes.
+    pub(crate) steps: usize,
+    /// The portion (0 or 1) holding the permuted data afterwards.
+    pub final_portion: usize,
+}
+
+impl RunReport {
+    /// Number of executed steps (disk round-trips or sort passes).
+    pub fn num_passes(&self) -> usize {
+        self.steps
+    }
+}
+
 /// An executable plan: a typed step sequence with exact per-step I/O
 /// counts and a modeled wall-clock. Produced by [`Plan::bmmc`],
-/// [`Plan::from_passes`], and [`Plan::sort`]; consumed by
-/// [`crate::algorithm::execute_plan_ir`] (BMMC route) and — because
-/// `extsort` is a sibling crate — by the CLI/bench layers for the sort
-/// route, which exact-check the measured counts against the plan.
+/// [`Plan::from_passes`], [`Plan::sort`], and from a [`FusedPlan`];
+/// run by [`Plan::execute`].
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// Which route this plan takes.
@@ -269,26 +253,23 @@ pub struct Plan {
 
 impl Plan {
     /// The BMMC-route plan for `perm` on `geom`: the one-pass fast
-    /// paths or the Section 5 factoring, fused by [`fuse_passes_dp`].
+    /// paths or the Section 5 factoring, fused by [`fuse_passes`].
     pub fn bmmc(perm: &Bmmc, geom: &Geometry) -> Result<Plan> {
+        check_width(perm, geom)?;
         let passes = plan_passes(perm, geom.b(), geom.m())?;
         Ok(Plan::from_passes(&passes, geom.b(), geom.m()))
     }
 
     /// Places an explicit pass list on the IR, DP-fused.
     pub fn from_passes(passes: &[Pass], b: usize, m: usize) -> Plan {
-        let fused = fuse_passes_dp(passes, b, m);
-        Plan {
-            candidate: CandidateKind::Bmmc,
-            steps: fused.steps.into_iter().map(PlanStep::Bmmc).collect(),
-        }
+        fuse_passes(passes, b, m).into()
     }
 
     /// The general-permutation plan on `geom` under `strategy`:
     /// run formation plus the exact merge-level schedule. `None` when
     /// memory is too small to merge (fan-in < 2).
     pub fn sort(geom: &Geometry, strategy: MergeStrategy) -> Option<Plan> {
-        let levels = bounds::merge_sort_levels(geom, strategy)?;
+        let levels = extsort::merge_sort_levels(geom, strategy)?;
         let stripes = geom.stripes() as u64;
         let mut steps = vec![PlanStep::Sort(SortPass {
             kind: SortPassKind::RunFormation,
@@ -330,7 +311,7 @@ impl Plan {
 
     /// Exact total parallel I/Os of the plan on `geom`. For the BMMC
     /// route this is `num_steps · 2N/BD`; for the sort route it equals
-    /// [`crate::bounds::merge_sort_ios`] exactly.
+    /// [`extsort::merge_sort_ios`] exactly.
     pub fn parallel_ios(&self, geom: &Geometry) -> u64 {
         self.steps.iter().map(|s| s.io(geom).parallel_ios()).sum()
     }
@@ -345,17 +326,88 @@ impl Plan {
             .sum()
     }
 
-    /// The BMMC steps as a [`FusedPlan`] for the fused executors;
-    /// `None` for sort-route plans.
-    pub fn fused_plan(&self) -> Option<FusedPlan> {
-        let mut steps = Vec::with_capacity(self.steps.len());
-        for step in &self.steps {
-            match step {
-                PlanStep::Bmmc(fp) => steps.push(fp.clone()),
-                PlanStep::Sort(_) => return None,
+    /// Disk round-trips pass fusion saved: planned one-pass
+    /// permutations minus executed steps (zero on the sort route).
+    pub fn passes_saved(&self) -> usize {
+        self.steps
+            .iter()
+            .map(|s| match s {
+                PlanStep::Bmmc(step) => step.num_replaced() - 1,
+                PlanStep::Sort(_) => 0,
+            })
+            .sum()
+    }
+
+    /// Executes the plan on the records in portion 0 of `sys`,
+    /// performing `perm`, and checks the run against the plan: the
+    /// measured parallel I/Os and steps must equal
+    /// [`Plan::parallel_ios`] and [`Plan::num_steps`] exactly, or the
+    /// run fails with [`BmmcError::PlanMismatch`].
+    ///
+    /// * **BMMC route**: each [`PlanStep::Bmmc`] runs in place through
+    ///   the fused executor ([`execute_fused_with_strategy`]) on one
+    ///   [`PassEngine`], ping-ponging between portions 0 and 1. The
+    ///   steps already encode `perm`; records are never read.
+    /// * **Sort route**: [`extsort::general_permute_with`] under the
+    ///   plan's merge strategy. Records are opaque, so `key_of` must
+    ///   recover each record's source address (e.g. `|&r| r` for `u64`
+    ///   records loaded as their own index, `|r| r.key` for
+    ///   [`pdm::TaggedRecord`]); the sort orders records by
+    ///   `perm.target(key_of(record))`.
+    ///
+    /// # Panics
+    ///
+    /// On a BMMC-route plan holding a sort step, and on a system with
+    /// fewer than two portions.
+    pub fn execute<R: Record>(
+        &self,
+        sys: &mut DiskSystem<R>,
+        perm: &Bmmc,
+        key_of: impl Fn(&R) -> u64 + Copy,
+    ) -> Result<RunReport> {
+        let geom = sys.geometry();
+        check_width(perm, &geom)?;
+        let before = sys.stats();
+        let msgs_before = sys.message_stats();
+        let (steps, final_portion) = match self.candidate {
+            CandidateKind::Bmmc => {
+                assert!(
+                    sys.portions() >= 2,
+                    "plan execution needs a source and a target portion"
+                );
+                let mut engine = PassEngine::new(geom);
+                let strategy = EvalStrategy::default();
+                let mut src = 0;
+                for step in &self.steps {
+                    let PlanStep::Bmmc(step) = step else {
+                        panic!("a BMMC-route plan holds a sort step: {}", self.describe());
+                    };
+                    execute_fused_with_strategy(&mut engine, sys, src, 1 - src, step, strategy)?;
+                    src = 1 - src;
+                }
+                (self.steps.len(), src)
             }
+            CandidateKind::Sort(merge) => {
+                let target = |x| perm.target(x);
+                let r = extsort::general_permute_with(sys, key_of, target, SortConfig { merge })?;
+                (r.passes, r.final_portion)
+            }
+        };
+        let report = RunReport {
+            total: sys.stats().since(&before),
+            msgs: sys.message_stats().since(&msgs_before),
+            steps,
+            final_portion,
+        };
+        let predicted = (self.parallel_ios(&geom), self.num_steps());
+        let measured = (report.total.parallel_ios(), steps);
+        if measured != predicted {
+            return Err(BmmcError::PlanMismatch {
+                predicted,
+                measured,
+            });
         }
-        Some(FusedPlan { steps })
+        Ok(report)
     }
 
     /// One-line description: candidate name plus the step labels.
@@ -365,26 +417,36 @@ impl Plan {
     }
 }
 
-/// Every executable candidate plan for performing `perm` on `geom`:
-/// the DP-fused BMMC route (when `perm` factors — it always does for a
-/// nonsingular matrix) followed by the three external-sort routes
-/// (when the geometry can merge). Order is stable; [`choose`] breaks
-/// cost ties by this order.
-pub fn candidates(perm: &Bmmc, geom: &Geometry) -> Vec<Plan> {
-    let mut out = Vec::new();
-    if let Ok(plan) = Plan::bmmc(perm, geom) {
-        out.push(plan);
-    }
-    for strategy in [
-        MergeStrategy::SingleBuffered,
-        MergeStrategy::DoubleBuffered,
-        MergeStrategy::Forecast,
-    ] {
-        if let Some(plan) = Plan::sort(geom, strategy) {
-            out.push(plan);
+impl From<FusedPlan> for Plan {
+    fn from(fused: FusedPlan) -> Plan {
+        Plan {
+            candidate: CandidateKind::Bmmc,
+            steps: fused.steps.into_iter().map(PlanStep::Bmmc).collect(),
         }
     }
-    out
+}
+
+fn check_width(perm: &Bmmc, geom: &Geometry) -> Result<()> {
+    if perm.bits() != geom.n() {
+        return Err(BmmcError::GeometryMismatch {
+            perm_bits: perm.bits(),
+            system_bits: geom.n(),
+        });
+    }
+    Ok(())
+}
+
+/// Every executable candidate plan for performing `perm` on `geom`:
+/// the DP-fused BMMC route (when `perm` factors — it always does for a
+/// nonsingular matrix) followed by the external-sort route under each
+/// of [`MergeStrategy::ALL`] (when the geometry can merge). Order is
+/// stable; [`choose`] breaks cost ties by this order.
+pub fn candidates(perm: &Bmmc, geom: &Geometry) -> Vec<Plan> {
+    let bmmc = Plan::bmmc(perm, geom).ok();
+    let sorts = MergeStrategy::ALL
+        .into_iter()
+        .filter_map(|s| Plan::sort(geom, s));
+    bmmc.into_iter().chain(sorts).collect()
 }
 
 /// Picks the cheapest candidate: minimal modeled wall-clock under
@@ -397,74 +459,6 @@ pub fn choose<'a>(plans: &'a [Plan], geom: &Geometry, timing: &TimingModel) -> O
             .expect("modeled costs are finite")
             .then(a.parallel_ios(geom).cmp(&b.parallel_ios(geom)))
     })
-}
-
-/// Fuses a pass plan by interval dynamic programming over the whole
-/// sequence (see the module docs for the gather-split legality rule).
-/// Guarantees:
-///
-/// * never more steps than [`fuse_passes_greedy`];
-/// * when the step counts tie, the greedy plan is returned verbatim —
-///   placement, I/O, and message counts stay bit-identical everywhere
-///   greedy was already optimal;
-/// * strictly fewer steps where a re-association exists (e.g. the
-///   `MLD;MRC;MLD` case of `tests/planner.rs`).
-pub fn fuse_passes_dp(passes: &[Pass], b: usize, m: usize) -> FusedPlan {
-    let greedy = fuse_passes_greedy(passes, b, m);
-    let l = passes.len();
-    if l <= 1 {
-        return greedy;
-    }
-
-    // comp[i][j]: composition A_j ⋯ A_i of passes i..=j (affine).
-    let mut comp: Vec<Vec<Option<Bmmc>>> = vec![vec![None; l]; l];
-    for i in 0..l {
-        comp[i][i] = Some(passes[i].as_bmmc());
-        for j in i + 1..l {
-            let prefix = comp[i][j - 1].clone().expect("filled above");
-            comp[i][j] = Some(passes[j].as_bmmc().compose(&prefix));
-        }
-    }
-    // step[i][j]: the cheapest one-step execution of interval [i, j],
-    // if any split makes it legal.
-    let mut step: Vec<Vec<Option<FusedPass>>> = vec![vec![None; l]; l];
-    for i in 0..l {
-        for j in i..l {
-            step[i][j] = interval_step(passes, &comp, i, j, b, m);
-        }
-    }
-
-    // Prefix DP: dp[k] = fewest steps covering passes[0..k].
-    let mut dp = vec![usize::MAX; l + 1];
-    let mut back = vec![0usize; l + 1];
-    dp[0] = 0;
-    for j in 0..l {
-        for i in 0..=j {
-            if step[i][j].is_some() && dp[i] != usize::MAX && dp[i] + 1 < dp[j + 1] {
-                dp[j + 1] = dp[i] + 1;
-                back[j + 1] = i;
-            }
-        }
-    }
-
-    // Tie-break: greedy groups are always legal intervals, so
-    // dp[l] ≤ greedy; on equality keep greedy's exact plan.
-    if dp[l] == usize::MAX || dp[l] >= greedy.num_steps() {
-        return greedy;
-    }
-    let mut cut = l;
-    let mut steps_rev = Vec::with_capacity(dp[l]);
-    while cut > 0 {
-        let i = back[cut];
-        steps_rev.push(
-            step[i][cut - 1]
-                .take()
-                .expect("backtracked interval is legal"),
-        );
-        cut = i;
-    }
-    steps_rev.reverse();
-    FusedPlan { steps: steps_rev }
 }
 
 /// The committed `MLD;MRC;MLD` re-association workload (the DP
@@ -530,79 +524,12 @@ pub fn reassociation_case(n: usize, b: usize, m: usize) -> Vec<Pass> {
     ]
 }
 
-/// The cheapest legal one-step execution of passes `i..=j`, trying
-/// every gather split `s`: prefix `G = A_{s-1} ⋯ A_i` (empty when
-/// `s = i`) must be in MLD⁻¹, suffix `W = A_j ⋯ A_s` (identity when
-/// `s = j+1`) in MLD (striped writes when it is MRC). Preference
-/// order: fewest random-access sides, then the shortest gather prefix.
-fn interval_step(
-    passes: &[Pass],
-    comp: &[Vec<Option<Bmmc>>],
-    i: usize,
-    j: usize,
-    b: usize,
-    m: usize,
-) -> Option<FusedPass> {
-    let composed = |x: usize, y: usize| comp[x][y].as_ref().expect("interval composed");
-    let c = composed(i, j);
-    let mut best: Option<(u32, FusedPass)> = None;
-    for s in i..=j + 1 {
-        let gather = if s == i {
-            None
-        } else {
-            let g = composed(i, s - 1);
-            if !is_mld_inverse(g.matrix(), b, m) {
-                continue;
-            }
-            Some(g.clone())
-        };
-        let striped_write = if s == j + 1 {
-            true // empty suffix: the gather map is the whole step
-        } else {
-            let w = composed(s, j);
-            if is_mrc(w.matrix(), m) {
-                true
-            } else if is_mld(w.matrix(), b, m) {
-                false
-            } else {
-                continue;
-            }
-        };
-        let write = if striped_write {
-            WriteDiscipline::Striped
-        } else {
-            WriteDiscipline::Scatter
-        };
-        let random_sides = u32::from(gather.is_some()) + u32::from(!striped_write);
-        if best.as_ref().is_some_and(|(c0, _)| *c0 <= random_sides) {
-            continue;
-        }
-        let fused = FusedPass {
-            matrix: c.matrix().clone(),
-            complement: c.complement().clone(),
-            gather,
-            write,
-            replaced: passes[i..=j].iter().map(|p| p.kind).collect(),
-        };
-        let done = random_sides == 0;
-        best = Some((random_sides, fused));
-        if done {
-            break;
-        }
-    }
-    // Defensive: a lone pass always executes as itself even if its
-    // matrix defies its planner label.
-    if best.is_none() && i == j {
-        return Some(FusedPass::from_single(&passes[i]));
-    }
-    best.map(|(_, f)| f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog;
     use crate::factoring::PassKind;
+    use crate::fusion::fuse_passes_greedy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -627,7 +554,7 @@ mod tests {
             vec![PassKind::Mld, PassKind::Mrc, PassKind::Mld]
         );
         let greedy = fuse_passes_greedy(&passes, g.b(), g.m());
-        let dp = fuse_passes_dp(&passes, g.b(), g.m());
+        let dp = fuse_passes(&passes, g.b(), g.m());
         assert_eq!(greedy.num_steps(), 2, "greedy must be stuck at two steps");
         assert_eq!(dp.num_steps(), 1, "DP must find the re-association");
         assert!(dp.predicted_ios(&g) < greedy.predicted_ios(&g));
@@ -635,6 +562,7 @@ mod tests {
         for p in &passes {
             composed = p.as_bmmc().compose(&composed);
         }
+        assert!(is_mld_inverse(composed.matrix(), g.b(), g.m()));
         assert!(dp.verify(&composed), "DP plan must recompose the product");
         let step = &dp.steps[0];
         assert!(
@@ -652,7 +580,7 @@ mod tests {
             let perm = catalog::random_bmmc(&mut rng, g.n());
             let passes = plan_passes(&perm, g.b(), g.m()).unwrap();
             let greedy = fuse_passes_greedy(&passes, g.b(), g.m());
-            let dp = fuse_passes_dp(&passes, g.b(), g.m());
+            let dp = fuse_passes(&passes, g.b(), g.m());
             assert!(dp.num_steps() <= greedy.num_steps());
             if dp.num_steps() == greedy.num_steps() {
                 for (a, b2) in dp.steps.iter().zip(&greedy.steps) {
@@ -670,22 +598,18 @@ mod tests {
     }
 
     #[test]
-    fn sort_plan_replays_the_bounds_schedule_exactly() {
-        for strategy in [
-            MergeStrategy::SingleBuffered,
-            MergeStrategy::DoubleBuffered,
-            MergeStrategy::Forecast,
-        ] {
+    fn sort_plan_replays_the_extsort_schedule_exactly() {
+        for strategy in MergeStrategy::ALL {
             let g = Geometry::new(1 << 17, 1 << 3, 1 << 4, 1 << 12).unwrap();
             let plan = Plan::sort(&g, strategy).expect("geometry merges");
             assert_eq!(
                 plan.parallel_ios(&g),
-                bounds::merge_sort_ios(&g, strategy).unwrap(),
+                extsort::merge_sort_ios(&g, strategy).unwrap(),
                 "{strategy:?}"
             );
             assert_eq!(
                 plan.num_steps(),
-                bounds::merge_sort_passes(&g, strategy).unwrap()
+                extsort::merge_sort_passes(&g, strategy).unwrap()
             );
         }
     }
@@ -700,7 +624,22 @@ mod tests {
             plan.parallel_ios(&g),
             (plan.num_steps() * g.ios_per_pass()) as u64
         );
-        assert!(plan.fused_plan().is_some());
+    }
+
+    #[test]
+    fn execute_rejects_a_plan_costed_for_another_geometry() {
+        // A sort plan for M = 2^6 run on an M = 2^5 system merges in
+        // more passes than the plan holds: a typed mismatch, not a
+        // silently different run.
+        let g = geom();
+        let small = Geometry::new(1 << 10, 1 << 2, 1 << 1, 1 << 5).unwrap();
+        let plan = Plan::sort(&g, MergeStrategy::SingleBuffered).unwrap();
+        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(small, 2);
+        sys.load_records(0, &(0..small.records() as u64).collect::<Vec<_>>());
+        let err = plan
+            .execute(&mut sys, &catalog::bit_reversal(g.n()), |&r| r)
+            .unwrap_err();
+        assert!(matches!(err, BmmcError::PlanMismatch { .. }), "{err}");
     }
 
     #[test]

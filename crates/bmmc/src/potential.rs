@@ -19,10 +19,9 @@
 //! the Section 7 open question asks whether a pass can always gain
 //! `Ω((N/BD)·Δ_max)`.
 
-use crate::algorithm::BmmcReport;
 use crate::error::Result;
 use crate::factoring::Factorization;
-use crate::passes::execute_pass;
+use crate::passes::{execute_pass, PassStats};
 use pdm::{BlockRef, DiskSystem, Record};
 use std::collections::HashMap;
 
@@ -92,36 +91,26 @@ pub fn delta_max(block: usize, disks: usize, lg_mb: usize) -> f64 {
 /// source address via `key_of`, and `target` is the overall
 /// permutation being performed.
 ///
-/// Returns the report and the potential trajectory
+/// Returns each pass's kind and I/O, and the potential trajectory
 /// (`trajectory.len() == passes + 1`).
 pub fn trace_potential<R: Record>(
     sys: &mut DiskSystem<R>,
     fac: &Factorization,
     key_of: impl Fn(&R) -> u64 + Copy,
     target: impl Fn(u64) -> u64 + Copy,
-) -> Result<(BmmcReport, Vec<f64>)> {
+) -> Result<(Vec<PassStats>, Vec<f64>)> {
     let b = sys.geometry().b();
     let group = move |rec: &R| target(key_of(rec)) >> b;
     let mut trajectory = vec![potential(sys, 0, group)];
-    let before = sys.stats();
-    let msgs_before = sys.message_stats();
     let mut stats = Vec::with_capacity(fac.passes.len());
     let mut src = 0usize;
     for pass in &fac.passes {
         let dst = 1 - src;
-        stats.push(execute_pass(sys, src, dst, pass)?.into());
+        stats.push(execute_pass(sys, src, dst, pass)?);
         src = dst;
         trajectory.push(potential(sys, src, group));
     }
-    Ok((
-        BmmcReport {
-            passes: stats,
-            total: sys.stats().since(&before),
-            msgs: sys.message_stats().since(&msgs_before),
-            final_portion: src,
-        },
-        trajectory,
-    ))
+    Ok((stats, trajectory))
 }
 
 #[cfg(test)]
@@ -195,14 +184,14 @@ mod tests {
         let perm = catalog::random_bmmc(&mut rng, g.n());
         let fac = factor(&perm, g.b(), g.m()).unwrap();
         let mut sys = loaded_system(g);
-        let (report, traj) = trace_potential(
+        let (passes, traj) = trace_potential(
             &mut sys,
             &fac,
             |rec: &TaggedRecord| rec.key,
             |x| perm.target(x),
         )
         .unwrap();
-        assert_eq!(traj.len(), report.num_passes() + 1);
+        assert_eq!(traj.len(), passes.len() + 1);
         let fin = final_potential(g.records(), g.b());
         assert!(
             (traj.last().unwrap() - fin).abs() < 1e-6,
@@ -224,7 +213,7 @@ mod tests {
         let perm = catalog::random_bmmc(&mut rng, g.n());
         let fac = factor(&perm, g.b(), g.m()).unwrap();
         let mut sys = loaded_system(g);
-        let (report, traj) = trace_potential(
+        let (passes, traj) = trace_potential(
             &mut sys,
             &fac,
             |rec: &TaggedRecord| rec.key,
@@ -234,7 +223,7 @@ mod tests {
         let dmax = delta_max(g.block(), g.disks(), g.lg_mb());
         for (i, w) in traj.windows(2).enumerate() {
             let gain = w[1] - w[0];
-            let ios = report.passes[i].ios.parallel_ios() as f64;
+            let ios = passes[i].ios.parallel_ios() as f64;
             assert!(
                 gain <= dmax * ios + 1e-6,
                 "pass {i} gained {gain} over {ios} I/Os (Δ_max = {dmax})"

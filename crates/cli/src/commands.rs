@@ -2,15 +2,14 @@
 
 use crate::args::{parse_geometry, parse_pow2, Args};
 use crate::builtins;
-use bmmc::algorithm::{execute_passes, execute_passes_unfused, BmmcReport};
 use bmmc::bpc_baseline::bpc_baseline_plan;
 use bmmc::detect::{detect_bmmc, Detection};
-use bmmc::fusion::fuse_passes;
+use bmmc::fusion::{fuse_passes, FusedPass, FusedPlan};
 use bmmc::verify::{verify_permutation, VerifyOutcome};
 use bmmc::{
-    bounds, candidates, choose, classify, factor_chunked, plan_passes, spec, Bmmc, CandidateKind,
-    PassKind, Plan,
+    bounds, candidates, choose, classify, factor_chunked, spec, Bmmc, Pass, PassKind, Plan,
 };
+use extsort::MergeStrategy;
 use gf2::elim::rank;
 use gf2::perm::bpc_cross_rank;
 use pdm::{Backend, DiskSystem, Geometry, TempDir, TimingModel, TransportConfig};
@@ -121,15 +120,6 @@ fn costing_timing(a: &Args) -> Result<TimingModel, String> {
     }
 }
 
-/// Maps a planner merge strategy onto the `extsort` executor's.
-fn extsort_strategy(s: bounds::MergeStrategy) -> extsort::MergeStrategy {
-    match s {
-        bounds::MergeStrategy::SingleBuffered => extsort::MergeStrategy::SingleBuffered,
-        bounds::MergeStrategy::DoubleBuffered => extsort::MergeStrategy::DoubleBuffered,
-        bounds::MergeStrategy::Forecast => extsort::MergeStrategy::Forecast,
-    }
-}
-
 /// Prints the full candidate table — steps, exact predicted parallel
 /// I/Os, seek-aware modeled wall-clock, and which plan `auto` picks —
 /// and returns the pick.
@@ -209,7 +199,26 @@ pub fn info(a: &Args) -> Result<(), String> {
         bounds::h_function(&geom)
     );
     let (per_rec, sort, min) = bounds::general_permutation_bound(&geom);
-    println!("general perm  min({per_rec}, {sort}) = {min} parallel I/Os (sorting baseline)");
+    println!(
+        "general perm  min({per_rec}, {sort}) = {min} parallel I/Os (Vitter–Shriver, fan-in M/B)"
+    );
+    for merge in MergeStrategy::ALL {
+        match (
+            bounds::merge_sort_ios(&geom, merge),
+            bounds::merge_sort_passes(&geom, merge),
+        ) {
+            (Some(ios), Some(passes)) => println!(
+                "extsort {:<9} {ios} parallel I/Os exactly ({passes} passes, fan-in {})",
+                merge.as_str(),
+                merge.fan_in(&geom)
+            ),
+            _ => println!(
+                "extsort {:<9} cannot merge (fan-in {} < 2)",
+                merge.as_str(),
+                merge.fan_in(&geom)
+            ),
+        }
+    }
     println!(
         "detection     {} parallel reads (Section 6)",
         bounds::detection_reads(&geom)
@@ -289,10 +298,59 @@ pub fn factor(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `bmmc-cli run`: perform the permutation and report costs.
+/// The BMMC-route plan for an explicit pass list: DP-fused, or one
+/// step per pass under `--no-fuse`.
+fn pass_plan(passes: &[Pass], geom: &Geometry, fuse: bool) -> Plan {
+    if fuse {
+        Plan::from_passes(passes, geom.b(), geom.m())
+    } else {
+        FusedPlan {
+            steps: passes.iter().map(FusedPass::from_single).collect(),
+        }
+        .into()
+    }
+}
+
+/// `bmmc-cli run`: plan the permutation, perform it with
+/// [`Plan::execute`], and report costs.
 pub fn run(a: &Args) -> Result<(), String> {
     let geom = geometry(a)?;
     let perm = load_perm(a, &geom)?;
+    let fuse = !a.has("no-fuse");
+    let plan = match a.get("algorithm").unwrap_or("auto") {
+        "auto" if !fuse => {
+            return Err(
+                "--no-fuse cannot be combined with --algorithm auto, which runs the \
+                 fused plan it costs; use --algorithm factor or bpc"
+                    .to_string(),
+            )
+        }
+        "auto" => print_candidates(&perm, &geom, &costing_timing(a)?)?,
+        "factor" => {
+            let chunk = match a.get("chunk") {
+                Some(s) => parse_pow2(s)?,
+                None => geom.lg_mb(),
+            };
+            let fac =
+                factor_chunked(&perm, geom.b(), geom.m(), chunk).map_err(|e| e.to_string())?;
+            pass_plan(&fac.passes, &geom, fuse)
+        }
+        "bpc" => {
+            let bpc = bpc_baseline_plan(&perm, geom.b(), geom.m()).map_err(|e| e.to_string())?;
+            pass_plan(&bpc.passes, &geom, fuse)
+        }
+        "sort" => {
+            let merge: MergeStrategy = a.get("merge").unwrap_or("single").parse()?;
+            Plan::sort(&geom, merge).ok_or_else(|| {
+                format!(
+                    "the {} merge cannot sort at this geometry (fan-in {} < 2)",
+                    merge.as_str(),
+                    merge.fan_in(&geom)
+                )
+            })?
+        }
+        other => return Err(format!("unknown algorithm {other:?}")),
+    };
     // Keeps an implicit file-backend scratch dir alive (and removed on
     // exit, even an early error return) for the whole command.
     let mut scratch: Option<TempDir> = None;
@@ -305,71 +363,23 @@ pub fn run(a: &Args) -> Result<(), String> {
     }
     sys.load_records(0, &(0..geom.records() as u64).collect::<Vec<_>>());
 
-    let algorithm = a.get("algorithm").unwrap_or("auto");
-    let fuse = !a.has("no-fuse");
-    let execute =
-        |sys: &mut DiskSystem<u64>, passes: &[bmmc::Pass]| -> Result<BmmcReport, String> {
-            if fuse {
-                execute_passes(sys, passes).map_err(|e| e.to_string())
-            } else {
-                execute_passes_unfused(sys, passes).map_err(|e| e.to_string())
-            }
-        };
-    let report = match algorithm {
-        "auto" => {
-            let timing = costing_timing(a)?;
-            let chosen = print_candidates(&perm, &geom, &timing)?;
-            match chosen.candidate {
-                CandidateKind::Bmmc => {
-                    let passes =
-                        plan_passes(&perm, geom.b(), geom.m()).map_err(|e| e.to_string())?;
-                    execute(&mut sys, &passes)?
-                }
-                CandidateKind::Sort(strategy) => {
-                    return run_sort_route(
-                        a,
-                        &mut sys,
-                        &perm,
-                        extsort_strategy(strategy),
-                        Some((&chosen, &geom)),
-                    );
-                }
-            }
-        }
-        "factor" => {
-            let chunk = match a.get("chunk") {
-                Some(s) => parse_pow2(s)?,
-                None => geom.lg_mb(),
-            };
-            let fac =
-                factor_chunked(&perm, geom.b(), geom.m(), chunk).map_err(|e| e.to_string())?;
-            execute(&mut sys, &fac.passes)?
-        }
-        "bpc" => {
-            let plan = bpc_baseline_plan(&perm, geom.b(), geom.m()).map_err(|e| e.to_string())?;
-            execute(&mut sys, &plan.passes)?
-        }
-        "sort" => {
-            let merge: extsort::MergeStrategy = a.get("merge").unwrap_or("single").parse()?;
-            return run_sort_route(a, &mut sys, &perm, merge, None);
-        }
-        other => return Err(format!("unknown algorithm {other:?}")),
-    };
-    let kinds: Vec<String> = report.passes.iter().map(|p| p.label()).collect();
+    println!("plan {}", plan.describe());
+    let report = plan
+        .execute(&mut sys, &perm, |&x| x)
+        .map_err(|e| e.to_string())?;
     println!(
-        "{} pass(es) {:?}: {}",
+        "{} step(s): {} — exactly as planned",
         report.num_passes(),
-        kinds,
         report.total
     );
     print_transport_costs(&report.msgs, &sys);
     print_recovery(&sys);
-    if report.passes_saved() > 0 {
+    if plan.passes_saved() > 0 {
         println!(
             "pass fusion saved {} disk round-trip(s): {} planned passes ran as {} steps",
-            report.passes_saved(),
-            report.planned_passes(),
-            report.num_passes()
+            plan.passes_saved(),
+            plan.num_steps() + plan.passes_saved(),
+            plan.num_steps()
         );
     }
     if let Some(t) = sys.timing() {
@@ -382,57 +392,6 @@ pub fn run(a: &Args) -> Result<(), String> {
     }
     if a.has("verify") {
         verify_and_report(&mut sys, report.final_portion, &perm)?;
-    }
-    Ok(())
-}
-
-/// The sort route of `bmmc-cli run`: external merge sort on target
-/// addresses. When `auto` routed here, `predicted` carries the chosen
-/// [`Plan`] and the measured parallel I/Os are exact-checked against
-/// the planner's count.
-fn run_sort_route(
-    a: &Args,
-    sys: &mut DiskSystem<u64>,
-    perm: &Bmmc,
-    merge: extsort::MergeStrategy,
-    predicted: Option<(&Plan, &Geometry)>,
-) -> Result<(), String> {
-    let rep = extsort::general_permute_with(
-        sys,
-        |&x| x,
-        |x| perm.target(x),
-        extsort::SortConfig { merge },
-    )
-    .map_err(|e| e.to_string())?;
-    println!(
-        "sort baseline ({} merge, fan-in {}): {} passes, {}",
-        rep.strategy.as_str(),
-        rep.fan_in,
-        rep.passes,
-        rep.total
-    );
-    if let Some((plan, geom)) = predicted {
-        let planned = plan.parallel_ios(geom);
-        let measured = rep.total.parallel_ios();
-        if planned != measured {
-            return Err(format!(
-                "internal error: planner predicted {planned} parallel I/Os, executor measured \
-                 {measured}"
-            ));
-        }
-        println!("planner check: measured I/Os match the plan exactly ({planned})");
-    }
-    print_transport_costs(&rep.msgs, sys);
-    print_recovery(sys);
-    if a.has("verify") {
-        verify_and_report(sys, rep.final_portion, perm)?;
-    }
-    if let Some(t) = sys.timing() {
-        println!(
-            "simulated time: {:.2} s ({} seeks)",
-            t.elapsed_ms() / 1000.0,
-            t.seeks()
-        );
     }
     Ok(())
 }

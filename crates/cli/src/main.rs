@@ -29,7 +29,8 @@ COMMANDS:
   factor   print the Section 5 factoring, the fused pass plan, and the
            full candidate table (predicted I/Os, modeled wall-clock,
            and which route auto picks)
-  run      perform the permutation on the simulated disk array
+  run      plan the permutation, perform it on the simulated disk
+           array, and check the measured I/Os against the plan
   detect   run Section 6 detection on a vector of target addresses
   spec     print a permutation in the spec file format
   submit   send a job to a running pdm-served instance
@@ -45,14 +46,13 @@ COMMON FLAGS:
 RUN FLAGS:
   --algorithm WHICH     auto (default) | factor | sort | bpc. auto
                         costs every candidate plan (DP-fused BMMC
-                        route and all three sort strategies) with the
+                        route and both sort strategies) with the
                         seek-aware wall-clock model (--timing, default
                         hdd), prints the table, and runs the cheapest
-  --merge WHICH         sort merge strategy: single (default, striped,
-                        fan-in M/BD−1) | double (split-phase stripe
-                        prefetch, halved fan-in) | forecast (block-
-                        granular Vitter–Shriver forecasting, fan-in
-                        M/B−D−1)
+  --merge WHICH         sort merge strategy: single | forecast. single
+                        (default) is striped, fan-in M/BD−1; forecast
+                        is block-granular Vitter–Shriver forecasting,
+                        fan-in M/B−D−1
   --backend WHICH       mem (default) | file — file runs every pass
                         against one real file per disk (positional I/O)
   --dir PATH            file backend: directory for the per-disk files
@@ -79,8 +79,9 @@ RUN FLAGS:
                         --retries to watch it recover)
   --chunk K             swap/erase chunk-size override (ablation)
   --verify              scan the output and confirm every placement
-  --no-fuse             disable pass-pair fusion (one round-trip per
-                        planned pass, for differential comparison)
+  --no-fuse             factor | bpc: disable pass fusion (one
+                        round-trip per planned pass, for differential
+                        comparison); auto rejects it
 
 SERVICE FLAGS (submit / status / cancel):
   --socket PATH         the pdm-served Unix socket (required)

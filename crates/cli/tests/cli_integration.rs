@@ -40,6 +40,9 @@ fn info_prints_bounds() {
     assert!(text.contains("Theorem 3"));
     assert!(text.contains("Theorem 21"));
     assert!(text.contains("BPC=true"));
+    // The exact extsort costs sit beside the Vitter–Shriver expression.
+    assert!(text.contains("extsort single"), "{text}");
+    assert!(text.contains("extsort forecast"), "{text}");
 }
 
 #[test]
@@ -67,13 +70,15 @@ fn run_sort_algorithm() {
         "sort",
         "--verify",
     ]);
-    assert!(text.contains("sort baseline"));
+    assert!(text.contains("plan sort-single:"), "{text}");
+    assert!(text.contains("exactly as planned"), "{text}");
     assert!(text.contains("verified"));
 }
 
 #[test]
 fn run_sort_with_forecast_merge() {
-    // GEOM has M/B = 32, D = 4: forecast fan-in 27 vs single 31.
+    // GEOM has M/B = 32, D = 4: forecast fan-in 27 merges the 32 runs
+    // in two groups; single-buffered fan-in 31 would hold one back.
     let text = run_ok(&[
         "run",
         "--builtin",
@@ -87,15 +92,15 @@ fn run_sort_with_forecast_merge() {
         "--verify",
     ]);
     assert!(
-        text.contains("sort baseline (forecast merge, fan-in 27)"),
+        text.contains("plan sort-forecast: run-formation; merge(2 groups); merge(1 groups)"),
         "{text}"
     );
     assert!(text.contains("verified"));
 }
 
 #[test]
-fn run_sort_rejects_unknown_merge_strategy() {
-    let err = run_err(&[
+fn run_and_submit_reject_the_double_merge() {
+    let run = run_err(&[
         "run",
         "--builtin",
         "gray",
@@ -104,9 +109,42 @@ fn run_sort_rejects_unknown_merge_strategy() {
         "--algorithm",
         "sort",
         "--merge",
-        "triple",
+        "double",
     ]);
-    assert!(err.contains("unknown merge strategy"), "{err}");
+    // The strategy is parsed before any connection is attempted.
+    let submit = run_err(&[
+        "submit",
+        "--socket",
+        "/nonexistent/pdm.sock",
+        "--job",
+        "sort",
+        "--records",
+        "2^10",
+        "--memory",
+        "2^6",
+        "--merge",
+        "double",
+    ]);
+    for err in [run, submit] {
+        assert!(err.contains("unknown merge strategy"), "{err}");
+        assert!(err.contains("single | forecast"), "{err}");
+    }
+}
+
+#[test]
+fn auto_rejects_no_fuse() {
+    let err = run_err(&[
+        "run",
+        "--builtin",
+        "random:3",
+        "--geometry",
+        GEOM,
+        "--no-fuse",
+    ]);
+    assert!(
+        err.contains("--no-fuse cannot be combined with --algorithm auto"),
+        "{err}"
+    );
 }
 
 #[test]

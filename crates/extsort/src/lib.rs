@@ -8,7 +8,7 @@
 //! target address with an external merge sort, which *is* the
 //! permutation once the keys are `0..N`.
 //!
-//! The merge comes in three strategies (see [`MergeStrategy`] and
+//! The merge comes in two strategies (see [`MergeStrategy`] and
 //! DESIGN.md for the cost table). The default is stripe-granular:
 //! every buffer holds one stripe (`B·D` records), so every read and
 //! write is a striped parallel I/O and each full pass costs exactly
@@ -20,6 +20,12 @@
 //! reaching fan-in `M/B − D − 1 = Θ(M/B)` — the bound's own fan-in —
 //! and strictly fewer merge passes whenever the default needs more
 //! than one, at the price of independent single-block refill reads.
+//!
+//! This crate owns the merge-strategy decision: the strategy list
+//! ([`MergeStrategy::ALL`]), each strategy's fan-in and read cost, and
+//! the exact replay of the merge schedule ([`merge_sort_levels`],
+//! [`merge_sort_ios`], [`merge_sort_passes`]) that `bmmc::plan` costs
+//! the sort route with.
 //!
 //! ```
 //! use extsort::general_permute;
@@ -42,5 +48,8 @@ pub mod keys;
 pub mod merge;
 pub mod permute;
 
-pub use merge::{sort_by_key, sort_by_key_with, MergeStrategy, SortConfig, SortReport};
+pub use merge::{
+    merge_sort_ios, merge_sort_levels, merge_sort_passes, sort_by_key, sort_by_key_with,
+    MergeLevel, MergeStrategy, SortConfig, SortReport,
+};
 pub use permute::{general_permute, general_permute_with};

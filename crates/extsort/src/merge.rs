@@ -1,5 +1,7 @@
-//! External merge sort on the parallel disk model, in three merge
-//! flavours (see DESIGN.md for the full cost table).
+//! External merge sort on the parallel disk model, in two merge
+//! flavours (see DESIGN.md for the full cost table), and the exact
+//! replay of its merge schedule ([`merge_sort_levels`]) that the
+//! planner costs the sort route with.
 //!
 //! 1. **Run formation**: each memoryload streams through the shared
 //!    [`PassEngine`] — striped reads, in-memory sort,
@@ -21,13 +23,6 @@
 //!   `F₁ = M/BD − 1`. Every transfer is a striped parallel I/O through
 //!   a reusable stripe buffer ([`pdm::DiskSystem::read_stripe_into`]);
 //!   a full merge pass costs exactly `2N/BD`.
-//! * [`MergeStrategy::DoubleBuffered`]: each cursor holds *two* stripe
-//!   buffers and prefetches its next stripe split-phase
-//!   ([`pdm::DiskSystem::begin_read`]) while the heap drains the
-//!   current one, so in [`pdm::ServiceMode::Threaded`] the refill
-//!   latency hides behind the comparisons. To stay inside `M` records
-//!   the fan-in is halved — `F₂ = (M/BD − 1)/2` — which *raises* the
-//!   pass count.
 //! * [`MergeStrategy::Forecast`]: the Vitter–Shriver forecasting
 //!   merge at *block* granularity. Each run buffers a single block
 //!   (`B` records) and carries a **forecasting key** — the key of the
@@ -36,16 +31,15 @@
 //!   whose buffer empties next; its next block is prefetched
 //!   split-phase into one shared landing block while the heap drains.
 //!   Memory holds `F` run blocks, the landing block, and the output
-//!   stripe: `F₃ = M/B − D − 1 = Θ(M/B)` — a factor ~`D` more fan-in
+//!   stripe: `F₂ = M/B − D − 1 = Θ(M/B)` — a factor ~`D` more fan-in
 //!   than `F₁`, hence strictly fewer merge passes whenever the
 //!   single-buffered sort needs more than one. The price is the read
 //!   discipline: refills are independent single-block parallel I/Os
 //!   (`D` read operations per stripe instead of one striped read), so
 //!   a forecast merge pass charges `(D+1)·N/BD` parallel I/Os against
-//!   the single-buffered `2N/BD`. Fewer passes, cheaper passes for the
-//!   striped strategies — `bmmc::bounds::merge_sort_ios` computes both
-//!   sides exactly and the `engine_sweep` extsort section measures
-//!   them.
+//!   the single-buffered `2N/BD`. Fewer passes, or cheaper passes:
+//!   [`merge_sort_ios`] computes both sides exactly and the
+//!   `engine_sweep` extsort section measures them.
 
 use pdm::engine::{ReadPlan, WritePlan};
 use pdm::{
@@ -55,42 +49,49 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// How the merge passes buffer their runs. See the module docs for the
-/// cost trade-offs; `bmmc::bounds` mirrors the fan-in and cost
-/// formulas.
+/// cost trade-offs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MergeStrategy {
     /// One stripe buffer per run, striped I/O only, fan-in
     /// `M/BD − 1`. The memory-model-faithful default.
     #[default]
     SingleBuffered,
-    /// Two stripe buffers per run with split-phase prefetch, fan-in
-    /// `(M/BD − 1)/2`.
-    DoubleBuffered,
     /// One *block* buffer per run plus a forecasting key driving a
     /// single split-phase block prefetch, fan-in `M/B − D − 1`.
     Forecast,
 }
 
 impl MergeStrategy {
+    /// Every strategy, in the order the planner lists its candidates
+    /// (and breaks cost ties).
+    pub const ALL: [MergeStrategy; 2] = [MergeStrategy::SingleBuffered, MergeStrategy::Forecast];
+
     /// The merge fan-in this strategy reaches on `geom` (may be < 2,
     /// in which case [`sort_by_key_with`] rejects the geometry).
     pub fn fan_in(&self, geom: &Geometry) -> usize {
-        let stripes_in_memory = geom.stripes_per_memoryload();
         match self {
-            MergeStrategy::SingleBuffered => stripes_in_memory.saturating_sub(1),
-            MergeStrategy::DoubleBuffered => stripes_in_memory.saturating_sub(1) / 2,
+            MergeStrategy::SingleBuffered => geom.stripes_per_memoryload().saturating_sub(1),
             MergeStrategy::Forecast => geom
                 .blocks_per_memoryload()
                 .saturating_sub(geom.disks() + 1),
         }
     }
 
-    /// Stable lower-case label (`single`, `double`, `forecast`) used
-    /// by the CLI flag and the bench row keys.
+    /// Parallel *read* operations charged per merged stripe: the
+    /// single-buffered merge reads one stripe per operation, the
+    /// forecasting merge one block.
+    fn reads_per_stripe(&self, geom: &Geometry) -> u64 {
+        match self {
+            MergeStrategy::SingleBuffered => 1,
+            MergeStrategy::Forecast => geom.disks() as u64,
+        }
+    }
+
+    /// Stable lower-case label (`single`, `forecast`) used by the CLI
+    /// flag and the bench row keys.
     pub fn as_str(&self) -> &'static str {
         match self {
             MergeStrategy::SingleBuffered => "single",
-            MergeStrategy::DoubleBuffered => "double",
             MergeStrategy::Forecast => "forecast",
         }
     }
@@ -100,15 +101,84 @@ impl std::str::FromStr for MergeStrategy {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "single" => Ok(MergeStrategy::SingleBuffered),
-            "double" => Ok(MergeStrategy::DoubleBuffered),
-            "forecast" => Ok(MergeStrategy::Forecast),
-            other => Err(format!(
-                "unknown merge strategy {other:?} (expected single, double, or forecast)"
-            )),
-        }
+        MergeStrategy::ALL
+            .into_iter()
+            .find(|m| m.as_str() == s)
+            .ok_or_else(|| format!("unknown merge strategy {s:?} (expected single | forecast)"))
     }
+}
+
+/// One merge level of the sort's schedule, as replayed by
+/// [`merge_sort_levels`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MergeLevel {
+    /// Groups of ≥ 2 runs actually merged on this level.
+    pub merged_groups: usize,
+    /// Leftover groups of one run, left in place at zero I/O.
+    pub singleton_groups: usize,
+    /// Total stripes flowing through the merged groups: each costs
+    /// `reads_per_stripe` parallel reads plus one striped write.
+    pub merged_stripes: u64,
+    /// Exact parallel I/Os of this level,
+    /// `merged_stripes · (reads_per_stripe + 1)`.
+    pub parallel_ios: u64,
+}
+
+/// Replays the merge schedule of [`sort_by_key_with`] exactly — run
+/// sizes, `chunks(fan_in)` grouping, and the leftover-singleton rule (a
+/// group of one run stays in place, zero I/O) — returning one
+/// [`MergeLevel`] per merge pass (run formation excluded). `None` when
+/// memory is too small to merge (fan-in < 2).
+pub fn merge_sort_levels(geom: &Geometry, strategy: MergeStrategy) -> Option<Vec<MergeLevel>> {
+    let fan_in = strategy.fan_in(geom);
+    if fan_in < 2 {
+        return None;
+    }
+    let reads_per_stripe = strategy.reads_per_stripe(geom);
+    let mut levels = Vec::new();
+    // Run sizes in stripes.
+    let mut runs: Vec<usize> = vec![geom.stripes_per_memoryload(); geom.memoryloads()];
+    while runs.len() > 1 {
+        let mut level = MergeLevel {
+            merged_groups: 0,
+            singleton_groups: 0,
+            merged_stripes: 0,
+            parallel_ios: 0,
+        };
+        let mut next = Vec::with_capacity(runs.len().div_ceil(fan_in));
+        for group in runs.chunks(fan_in) {
+            if group.len() == 1 {
+                level.singleton_groups += 1;
+                next.push(group[0]);
+                continue;
+            }
+            let stripes: u64 = group.iter().map(|&s| s as u64).sum();
+            level.merged_groups += 1;
+            level.merged_stripes += stripes;
+            level.parallel_ios += stripes * (reads_per_stripe + 1);
+            next.push(group.iter().sum());
+        }
+        runs = next;
+        levels.push(level);
+    }
+    Some(levels)
+}
+
+/// The exact parallel-I/O count of [`sort_by_key_with`] under
+/// `strategy`: run formation (`2N/BD`) plus, per merge pass, the
+/// reads and one striped write per stripe of every *merged* group —
+/// leftover singleton groups stay in place and charge nothing. `None`
+/// when memory is too small to merge (fan-in < 2).
+pub fn merge_sort_ios(geom: &Geometry, strategy: MergeStrategy) -> Option<u64> {
+    let levels = merge_sort_levels(geom, strategy)?;
+    Some(geom.ios_per_pass() as u64 + levels.iter().map(|l| l.parallel_ios).sum::<u64>())
+}
+
+/// The exact pass count (run formation + merge passes) of
+/// [`sort_by_key_with`] under `strategy`; `None` when memory is too
+/// small to merge.
+pub fn merge_sort_passes(geom: &Geometry, strategy: MergeStrategy) -> Option<usize> {
+    merge_sort_levels(geom, strategy).map(|levels| 1 + levels.len())
 }
 
 /// Configuration for [`sort_by_key_with`].
@@ -126,7 +196,7 @@ pub struct SortReport {
     pub passes: usize,
     /// The merge fan-in actually used — the strategy's own value
     /// ([`MergeStrategy::fan_in`]): `M/BD − 1` single-buffered,
-    /// `(M/BD − 1)/2` double-buffered, `M/B − D − 1` forecasting.
+    /// `M/B − D − 1` forecasting.
     pub fan_in: usize,
     /// The merge strategy that produced this report (so benches and
     /// the CLI can label rows).
@@ -291,7 +361,6 @@ pub fn sort_by_key_with<R: Record>(
             }
             match cfg.merge {
                 MergeStrategy::SingleBuffered => merge_group(sys, target, group, key, &mut out)?,
-                MergeStrategy::DoubleBuffered => merge_group_db(sys, target, group, key, &mut out)?,
                 MergeStrategy::Forecast => merge_group_fc(sys, target, group, key, &mut out)?,
             }
             next_runs.push(Run {
@@ -357,165 +426,6 @@ fn merge_group<R: Record>(
     }
     debug_assert!(out.is_empty(), "runs are stripe-aligned");
     debug_assert!(cursors.iter().all(Cursor::exhausted));
-    Ok(())
-}
-
-/// One run being consumed by the double-buffered merge: two stripe
-/// buffers, the active one draining while the other's refill is in
-/// flight split-phase.
-struct DbCursor<R: Record> {
-    run: Run,
-    base: usize,
-    /// Next stripe to *submit* (not yet issued).
-    next_stripe: usize,
-    bufs: [Vec<R>; 2],
-    /// Which buffer the heap is draining.
-    cur: usize,
-    filled: usize,
-    pos: usize,
-    /// In-flight refill of `bufs[1 - cur]`.
-    pending: Option<ReadTicket<R>>,
-}
-
-impl<R: Record> DbCursor<R> {
-    fn new(run: Run, base: usize, stripe_len: usize) -> Self {
-        DbCursor {
-            run,
-            base,
-            next_stripe: run.start,
-            bufs: [
-                vec![R::default(); stripe_len],
-                vec![R::default(); stripe_len],
-            ],
-            cur: 0,
-            filled: 0,
-            pos: 0,
-            pending: None,
-        }
-    }
-
-    /// Submits the next stripe read split-phase, if any remain and
-    /// none is in flight. `refs` is a reusable scratch.
-    fn prefetch(
-        &mut self,
-        sys: &mut DiskSystem<R>,
-        refs: &mut Vec<BlockRef>,
-    ) -> Result<(), PdmError> {
-        if self.pending.is_some() || self.next_stripe >= self.run.end {
-            return Ok(());
-        }
-        let slot = self.base + self.next_stripe;
-        refs.clear();
-        refs.extend((0..sys.geometry().disks()).map(|disk| BlockRef { disk, slot }));
-        self.pending = Some(sys.begin_read(refs)?);
-        self.next_stripe += 1;
-        Ok(())
-    }
-
-    /// Makes the next record available, completing the in-flight
-    /// refill and chaining the next prefetch; false when the run is
-    /// done.
-    fn ensure(
-        &mut self,
-        sys: &mut DiskSystem<R>,
-        refs: &mut Vec<BlockRef>,
-    ) -> Result<bool, PdmError> {
-        if self.pos < self.filled {
-            return Ok(true);
-        }
-        let Some(ticket) = self.pending.take() else {
-            return Ok(false);
-        };
-        let other = 1 - self.cur;
-        let len = self.bufs[other].len();
-        sys.finish_read(ticket, &mut self.bufs[other][..])?;
-        self.cur = other;
-        self.filled = len;
-        self.pos = 0;
-        // Start refilling the buffer just drained.
-        self.prefetch(sys, refs).map(|()| true)
-    }
-
-    fn peek(&self) -> &R {
-        &self.bufs[self.cur][self.pos]
-    }
-
-    fn pop(&mut self) -> R {
-        let r = self.bufs[self.cur][self.pos];
-        self.pos += 1;
-        r
-    }
-}
-
-/// Merges a group of consecutive runs with double-buffered cursors
-/// (split-phase prefetch). I/O *counts* are identical to
-/// [`merge_group`] — every stripe is still read exactly once — but in
-/// threaded mode the refills overlap the heap work.
-fn merge_group_db<R: Record>(
-    sys: &mut DiskSystem<R>,
-    dst: usize,
-    group: &[Run],
-    key: impl Fn(&R) -> u64 + Copy,
-    out: &mut Vec<R>,
-) -> Result<(), PdmError> {
-    let geom = sys.geometry();
-    let stripe_len = geom.block() * geom.disks();
-    let mut cursors: Vec<DbCursor<R>> = group
-        .iter()
-        .map(|&run| DbCursor::new(run, sys.portion_base(run.portion), stripe_len))
-        .collect();
-    let mut refs: Vec<BlockRef> = Vec::with_capacity(geom.disks());
-    let result = merge_group_db_inner(sys, dst, group, &mut cursors, &mut refs, key, out);
-    if result.is_err() {
-        // Abort path: reclaim every in-flight prefetch so no pooled
-        // buffers are stranded.
-        for c in &mut cursors {
-            if let Some(t) = c.pending.take() {
-                sys.discard_read(t);
-            }
-        }
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn merge_group_db_inner<R: Record>(
-    sys: &mut DiskSystem<R>,
-    dst: usize,
-    group: &[Run],
-    cursors: &mut [DbCursor<R>],
-    refs: &mut Vec<BlockRef>,
-    key: impl Fn(&R) -> u64 + Copy,
-    out: &mut Vec<R>,
-) -> Result<(), PdmError> {
-    let geom = sys.geometry();
-    let dst_base = sys.portion_base(dst);
-    let stripe_len = geom.block() * geom.disks();
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        c.prefetch(sys, refs)?;
-        if c.ensure(sys, refs)? {
-            heap.push(Reverse((key(c.peek()), i)));
-        }
-    }
-    out.clear();
-    let mut out_stripe = group[0].start;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let rec = cursors[i].pop();
-        out.push(rec);
-        if out.len() == stripe_len {
-            sys.write_stripe(dst_base + out_stripe, out)?;
-            out_stripe += 1;
-            out.clear();
-        }
-        if cursors[i].ensure(sys, refs)? {
-            heap.push(Reverse((key(cursors[i].peek()), i)));
-        }
-    }
-    debug_assert!(out.is_empty(), "runs are stripe-aligned");
-    debug_assert!(cursors
-        .iter()
-        .all(|c| c.pending.is_none() && c.pos >= c.filled));
     Ok(())
 }
 
@@ -841,11 +751,7 @@ mod tests {
         let g = Geometry::new(1 << 8, 1 << 2, 1 << 2, 1 << 4).unwrap();
         let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
         sys.load_records(0, &(0..256u64).collect::<Vec<_>>());
-        for strategy in [
-            MergeStrategy::SingleBuffered,
-            MergeStrategy::DoubleBuffered,
-            MergeStrategy::Forecast,
-        ] {
+        for strategy in MergeStrategy::ALL {
             assert!(matches!(
                 sort_by_key_with(&mut sys, |&r| r, cfg(strategy)),
                 Err(PdmError::Config(_))
@@ -880,15 +786,14 @@ mod tests {
     }
 
     /// Geometry with M/BD = 8 stripes in memory: single-buffered
-    /// fan-in 7, double-buffered fan-in 3, forecast fan-in
-    /// M/B − D − 1 = 16 − 3 = 13.
-    fn db_geom() -> Geometry {
+    /// fan-in 7, forecast fan-in M/B − D − 1 = 16 − 3 = 13.
+    fn wide_geom() -> Geometry {
         Geometry::new(1 << 10, 1 << 1, 1 << 1, 1 << 5).unwrap()
     }
 
     #[test]
     fn all_strategies_sort_identically() {
-        let g = db_geom();
+        let g = wide_geom();
         let mut rng = StdRng::seed_from_u64(104);
         let mut records: Vec<u64> = (0..g.records() as u64).collect();
         records.shuffle(&mut rng);
@@ -907,10 +812,8 @@ mod tests {
         let expect: Vec<u64> = (0..g.records() as u64).collect();
         for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
             let (sr, sout) = run(cfg(MergeStrategy::SingleBuffered), mode);
-            let (dr, dout) = run(cfg(MergeStrategy::DoubleBuffered), mode);
             let (fr, fout) = run(cfg(MergeStrategy::Forecast), mode);
             assert_eq!(sout, expect, "single-buffered missorted in {mode:?}");
-            assert_eq!(dout, expect, "double-buffered missorted in {mode:?}");
             assert_eq!(fout, expect, "forecast missorted in {mode:?}");
             // 32 runs of 8 stripes each; N/BD = 256 stripes total.
             // Single (fan-in 7): 32 → 5 → 1, no singletons, 3 passes of
@@ -918,11 +821,6 @@ mod tests {
             assert_eq!(sr.fan_in, 7);
             assert_eq!(sr.passes, 3);
             assert_eq!(sr.total.parallel_ios(), 3 * 512);
-            // Double (fan-in 3): 32 → 11 → 4 → 2 → 1; merge pass 3
-            // leaves a 40-stripe singleton in place (saving 80).
-            assert_eq!(dr.fan_in, 3);
-            assert_eq!(dr.passes, 5);
-            assert_eq!(dr.total.parallel_ios(), 5 * 512 - 80);
             // Forecast (fan-in 13): 32 → 3 → 1 — this geometry is too
             // small for the fan-in gain to drop a pass (strictly fewer
             // passes needs >F₁ runs; see tests/merge_strategies.rs) —
@@ -932,10 +830,8 @@ mod tests {
             assert_eq!(fr.passes, 3);
             assert!(fr.passes <= sr.passes);
             assert_eq!(fr.total.parallel_ios(), 512 + 2 * (2 * 256 + 256));
-            for r in [&sr, &dr] {
-                assert_eq!(r.total.striped_reads, r.total.parallel_reads);
-                assert_eq!(r.total.striped_writes, r.total.parallel_writes);
-            }
+            assert_eq!(sr.total.striped_reads, sr.total.parallel_reads);
+            assert_eq!(sr.total.striped_writes, sr.total.parallel_writes);
             // Forecast: writes stay striped, merge reads are
             // independent single-block operations (formation reads are
             // striped).
@@ -947,33 +843,10 @@ mod tests {
     }
 
     #[test]
-    fn double_buffered_pass_count_matches_halved_fan_in_formula() {
-        let g = db_geom();
-        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
-        sys.load_records(0, &(0..g.records() as u64).rev().collect::<Vec<_>>());
-        let report =
-            sort_by_key_with(&mut sys, |&r| r, cfg(MergeStrategy::DoubleBuffered)).unwrap();
-        // N/M = 32 runs at fan-in 3: 32 → 11 → 4 → 2 → 1, so 4 merge
-        // passes + run formation.
-        assert_eq!(report.passes, 5);
-    }
-
-    #[test]
-    fn double_buffered_rejects_too_small_memory() {
-        // M/BD = 4: single-buffered fan-in 3 works, double-buffered
-        // fan-in 1 must be rejected.
-        let g = geom();
-        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
-        sys.load_records(0, &(0..g.records() as u64).collect::<Vec<_>>());
-        assert!(sort_by_key_with(&mut sys, |&r| r, cfg(MergeStrategy::DoubleBuffered)).is_err());
-        assert!(sort_by_key(&mut sys, |&r| r).is_ok());
-    }
-
-    #[test]
     fn forecast_merge_sorts_with_duplicate_keys() {
         // Duplicate keys stress the forecast tie-break: the prediction
         // orders runs by (fkey, index) exactly like the merge heap.
-        let g = db_geom();
+        let g = wide_geom();
         let mut rng = StdRng::seed_from_u64(105);
         let mut records: Vec<u64> = (0..g.records() as u64).map(|i| i % 5).collect();
         records.shuffle(&mut rng);
@@ -1013,7 +886,7 @@ mod tests {
         // A fault mid-merge must surface as an error (not a panic) and
         // leave zero pooled buffers outstanding — the in-flight
         // forecast prefetch is discarded on the abort path.
-        let g = db_geom();
+        let g = wide_geom();
         let mut rng = StdRng::seed_from_u64(107);
         let mut records: Vec<u64> = (0..g.records() as u64).collect();
         records.shuffle(&mut rng);
@@ -1046,14 +919,11 @@ mod tests {
 
     #[test]
     fn merge_strategy_labels_round_trip() {
-        for s in [
-            MergeStrategy::SingleBuffered,
-            MergeStrategy::DoubleBuffered,
-            MergeStrategy::Forecast,
-        ] {
+        for s in MergeStrategy::ALL {
             assert_eq!(s.as_str().parse::<MergeStrategy>().unwrap(), s);
         }
-        assert!("fancy".parse::<MergeStrategy>().is_err());
+        let err = "double".parse::<MergeStrategy>().unwrap_err();
+        assert!(err.contains("single | forecast"), "{err}");
     }
 
     #[test]
@@ -1066,5 +936,74 @@ mod tests {
         let out = sys.dump_records(report.final_portion);
         let expect: Vec<u64> = (0..g.records() as u64).rev().collect();
         assert_eq!(out, expect);
+    }
+
+    fn g(n_exp: u32, b_exp: u32, d_exp: u32, m_exp: u32) -> Geometry {
+        Geometry::new(1 << n_exp, 1 << b_exp, 1 << d_exp, 1 << m_exp).unwrap()
+    }
+
+    #[test]
+    fn merge_sort_ios_formula() {
+        // N=2^10, B=2^2, D=2^2, M=2^6: fan-in 3, 16 runs → 4 passes,
+        // and merge pass 1 (16 = 5·3 + 1) leaves a 4-stripe singleton
+        // in place: 4·128 − 2·4.
+        let geom = geom();
+        let single = MergeStrategy::SingleBuffered;
+        assert_eq!(merge_sort_ios(&geom, single), Some(4 * 128 - 8));
+        assert_eq!(merge_sort_passes(&geom, single), Some(4));
+        // M = BD: no strategy can merge.
+        for s in MergeStrategy::ALL {
+            assert_eq!(merge_sort_ios(&g(8, 2, 2, 4), s), None, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn merge_strategy_fan_ins_at_bench_geometry() {
+        // The engine_sweep extsort geometry: B=2^3, D=2^4, M=2^12.
+        let geom = g(18, 3, 4, 12);
+        let single = MergeStrategy::SingleBuffered.fan_in(&geom);
+        let forecast = MergeStrategy::Forecast.fan_in(&geom);
+        assert_eq!(single, 31); // M/BD − 1
+        assert_eq!(forecast, 495); // M/B − D − 1
+        assert!(
+            forecast >= 8 * single,
+            "forecasting must close the D× fan-in gap: {forecast} vs {single}"
+        );
+    }
+
+    #[test]
+    fn forecast_passes_strictly_fewer_when_single_needs_two_merges() {
+        // Same B, D, M at N=2^17: 32 runs. Single-buffered (fan-in 31)
+        // needs two merge passes (32 → 2 → 1, with a singleton left in
+        // place in pass 1); forecasting (fan-in 495) merges all 32 at
+        // once.
+        let geom = g(17, 3, 4, 12);
+        let (single, forecast) = (MergeStrategy::SingleBuffered, MergeStrategy::Forecast);
+        assert_eq!(merge_sort_passes(&geom, single), Some(3));
+        assert_eq!(merge_sort_passes(&geom, forecast), Some(2));
+        // Exact I/Os: single = 2048 + (992·2) + 2048; forecast =
+        // 2048 + 1024·(D+1) — fewer passes, but block-granular reads.
+        assert_eq!(merge_sort_ios(&geom, single), Some(6080));
+        assert_eq!(merge_sort_ios(&geom, forecast), Some(19456));
+    }
+
+    #[test]
+    fn forecast_passes_never_exceed_single_buffered() {
+        for (n, b, d, m) in [
+            (10, 2, 2, 6),
+            (12, 3, 2, 8),
+            (14, 4, 3, 9),
+            (17, 3, 4, 12),
+            (20, 3, 0, 13),
+        ] {
+            let geom = g(n, b, d, m);
+            let (Some(fc), Some(sb)) = (
+                merge_sort_passes(&geom, MergeStrategy::Forecast),
+                merge_sort_passes(&geom, MergeStrategy::SingleBuffered),
+            ) else {
+                panic!("both strategies must fit N=2^{n}");
+            };
+            assert!(fc <= sb, "forecast {fc} passes vs single {sb} at N=2^{n}");
+        }
     }
 }

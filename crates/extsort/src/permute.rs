@@ -10,8 +10,8 @@
 //! [`pdm::PassEngine`] pass, so with
 //! [`pdm::ServiceMode::Threaded`] the per-disk service threads
 //! prefetch the next memoryload while the current one is sorted. The
-//! merge strategy (single-buffered, double-buffered, or forecasting —
-//! see [`crate::MergeStrategy`]) is selectable via
+//! merge strategy (single-buffered or forecasting — see
+//! [`crate::MergeStrategy`]) is selectable via
 //! [`general_permute_with`].
 
 use crate::merge::{sort_by_key_with, SortConfig, SortReport};

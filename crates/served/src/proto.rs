@@ -131,10 +131,12 @@ pub enum Request {
     },
 }
 
+// Merge strategy codes inside SUBMIT. Code 1 (the retired
+// double-buffered merge) stays unassigned, so an old client's request
+// for it is rejected rather than reinterpreted.
 fn merge_code(m: MergeStrategy) -> u8 {
     match m {
         MergeStrategy::SingleBuffered => 0,
-        MergeStrategy::DoubleBuffered => 1,
         MergeStrategy::Forecast => 2,
     }
 }
@@ -142,7 +144,6 @@ fn merge_code(m: MergeStrategy) -> u8 {
 fn merge_from_code(c: u8) -> Result<MergeStrategy> {
     Ok(match c {
         0 => MergeStrategy::SingleBuffered,
-        1 => MergeStrategy::DoubleBuffered,
         2 => MergeStrategy::Forecast,
         _ => return Err(bad(&format!("unknown merge strategy code {c}"))),
     })
@@ -495,6 +496,28 @@ mod tests {
             Request::Submit(got) => assert_eq!(got, plain),
             other => panic!("decoded {other:?}"),
         }
+    }
+
+    #[test]
+    fn merge_codes_round_trip_and_code_1_is_rejected() {
+        for (merge, code) in [
+            (MergeStrategy::SingleBuffered, 0),
+            (MergeStrategy::Forecast, 2),
+        ] {
+            assert_eq!(merge_code(merge), code);
+            assert_eq!(merge_from_code(code).unwrap(), merge);
+        }
+        let mut f = Vec::new();
+        encode_submit(&mut f, &JobSpec::new(JobKind::Sort, 1 << 10, 1 << 6, 1));
+        // Body layout: tag, kind, records, memory, seed, then the code.
+        let mut b = body(&f).to_vec();
+        b[2 + 3 * 8] = 1;
+        let err = decode_request(&b).unwrap_err();
+        assert!(matches!(err, PdmError::Io(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("unknown merge strategy code 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests: fused execution ≡ unfused execution. For any pass
-//! plan, `bmmc::execute_passes` (pass fusion on, the default) and
+//! plan, `Plan::execute` on the DP-fused plan and the reference
 //! `bmmc::execute_passes_unfused` must place every record — key *and*
 //! payload — identically, across the five engine-equivalence
 //! geometries in both serial and threaded service modes. The I/O
@@ -8,15 +8,13 @@
 //! and `N/B` blocks in each direction, so the fused `IoStats` equal
 //! the unfused totals minus the skipped passes.
 
-use bmmc::algorithm::{
-    execute_passes, execute_passes_strategy, execute_passes_unfused, BmmcReport,
-};
+use bmmc::algorithm::execute_passes_unfused;
 use bmmc::bpc_baseline::bpc_baseline_plan;
 use bmmc::factoring::{Pass, PassKind};
-use bmmc::fusion::fuse_passes;
+use bmmc::fusion::{execute_fused_with_strategy, fuse_passes};
 use bmmc::passes::EvalStrategy;
-use bmmc::{catalog, plan_passes, Bmmc};
-use pdm::{DiskSystem, Geometry, ServiceMode, TaggedRecord};
+use bmmc::{catalog, plan_passes, Bmmc, Plan, RunReport};
+use pdm::{DiskSystem, Geometry, PassEngine, ServiceMode, TaggedRecord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,13 +54,18 @@ fn assert_fused_equals_unfused(
     g: Geometry,
     passes: &[Pass],
     mode: ServiceMode,
-) -> Result<(BmmcReport, BmmcReport), TestCaseError> {
+) -> Result<(RunReport, RunReport), TestCaseError> {
     let input: Vec<TaggedRecord> = (0..g.records() as u64).map(TaggedRecord::new).collect();
+    let composed = passes
+        .iter()
+        .fold(Bmmc::identity(g.n()), |c, p| p.as_bmmc().compose(&c));
 
     let mut fused_sys: DiskSystem<TaggedRecord> = DiskSystem::new_mem(g, 2);
     fused_sys.set_service_mode(mode);
     fused_sys.load_records(0, &input);
-    let fused = execute_passes(&mut fused_sys, passes).expect("fused execution");
+    let fused = Plan::from_passes(passes, g.b(), g.m())
+        .execute(&mut fused_sys, &composed, |r| r.key)
+        .expect("fused execution");
 
     let mut plain_sys: DiskSystem<TaggedRecord> = DiskSystem::new_mem(g, 2);
     plain_sys.set_service_mode(mode);
@@ -83,7 +86,7 @@ fn assert_fused_equals_unfused(
     // The plan arithmetic: the planner and the executed report agree.
     let plan = fuse_passes(passes, g.b(), g.m());
     prop_assert_eq!(fused.num_passes(), plan.num_steps());
-    prop_assert_eq!(fused.planned_passes(), passes.len());
+    prop_assert_eq!(plan.planned_passes(), passes.len());
     prop_assert_eq!(unfused.num_passes(), passes.len());
 
     // Exact stats: each skipped pass removes one full round-trip.
@@ -168,10 +171,10 @@ proptest! {
         }
     }
 
-    /// Fused execution under the block-run evaluator (the default)
-    /// and the per-address evaluator: byte-identical placement, the
-    /// same step structure, and *exactly* equal total `IoStats` and
-    /// message counts — the gather/scatter batches the fused executors
+    /// The same fused steps under the block-run evaluator (the
+    /// default) and the per-address evaluator: byte-identical placement
+    /// and *exactly* equal total `IoStats` and message counts — the
+    /// gather/scatter batches the fused executors
     /// build from target runs must be observationally indistinguishable
     /// from the per-address ones, serial and threaded.
     #[test]
@@ -187,22 +190,28 @@ proptest! {
         let input: Vec<TaggedRecord> =
             (0..g.records() as u64).map(TaggedRecord::new).collect();
 
+        let plan = fuse_passes(&passes, g.b(), g.m());
+        // The BMMC-route loop of `Plan::execute`, with the strategy
+        // chosen here.
         let run = |strategy: EvalStrategy| {
             let mut sys: DiskSystem<TaggedRecord> = DiskSystem::new_mem(g, 2);
             sys.set_service_mode(mode_of(threaded));
             sys.load_records(0, &input);
-            let report =
-                execute_passes_strategy(&mut sys, &passes, strategy).expect("fused execution");
-            let out = sys.dump_records(report.final_portion);
-            (out, report, sys.message_stats())
+            let mut engine = PassEngine::new(g);
+            let mut src = 0;
+            for step in &plan.steps {
+                execute_fused_with_strategy(&mut engine, &mut sys, src, 1 - src, step, strategy)
+                    .expect("fused execution");
+                src = 1 - src;
+            }
+            (sys.dump_records(src), sys.stats(), sys.message_stats())
         };
-        let (block_out, block_report, block_msgs) = run(EvalStrategy::BlockRun);
-        let (addr_out, addr_report, addr_msgs) = run(EvalStrategy::PerAddress);
+        let (block_out, block_total, block_msgs) = run(EvalStrategy::BlockRun);
+        let (addr_out, addr_total, addr_msgs) = run(EvalStrategy::PerAddress);
         prop_assert_eq!(block_out, addr_out, "placements diverged across strategies");
-        prop_assert_eq!(block_report.num_passes(), addr_report.num_passes());
         prop_assert_eq!(
-            block_report.total,
-            addr_report.total,
+            block_total,
+            addr_total,
             "total I/O diverged across strategies"
         );
         prop_assert_eq!(

@@ -1,6 +1,7 @@
 //! Forecast vs single-buffered merge: placement equivalence
 //! (proptest), exact predicted-vs-measured costs for every strategy
-//! (against `bmmc::bounds`), and the PR acceptance criterion at the
+//! (against the schedule replay `extsort::merge_sort_*`, re-exported
+//! by `bmmc::bounds`), and the PR acceptance criterion at the
 //! `engine_sweep` extsort geometry.
 
 use bmmc::bounds;
@@ -10,20 +11,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// The strategy zoo, paired across the crate boundary (extsort
-/// executes, bmmc::bounds predicts).
-const STRATEGIES: [(MergeStrategy, bounds::MergeStrategy); 3] = [
-    (
-        MergeStrategy::SingleBuffered,
-        bounds::MergeStrategy::SingleBuffered,
-    ),
-    (
-        MergeStrategy::DoubleBuffered,
-        bounds::MergeStrategy::DoubleBuffered,
-    ),
-    (MergeStrategy::Forecast, bounds::MergeStrategy::Forecast),
-];
 
 /// Geometries where both the single-buffered and the forecasting merge
 /// fit, including D = 1 and the minimum-memory corner. (The issue's
@@ -85,8 +72,8 @@ proptest! {
             prop_assert_eq!(&fout, &sout, "placements diverged ({:?})", mode);
             // Exact cost agreement with the bounds-side replay.
             for (report, strategy) in [
-                (&sr, bounds::MergeStrategy::SingleBuffered),
-                (&fr, bounds::MergeStrategy::Forecast),
+                (&sr, MergeStrategy::SingleBuffered),
+                (&fr, MergeStrategy::Forecast),
             ] {
                 prop_assert_eq!(
                     Some(report.passes),
@@ -101,8 +88,8 @@ proptest! {
     }
 
     /// The adversarial key catalogs ([`extsort::keys`]): duplicate-
-    /// heavy and skewed inputs sort correctly under *all three*
-    /// strategies, with identical multisets across them.
+    /// heavy and skewed inputs sort correctly under every strategy,
+    /// with identical multisets across them.
     #[test]
     fn adversarial_key_catalogs_sort_under_every_strategy(
         seed in any::<u64>(),
@@ -118,10 +105,7 @@ proptest! {
         for input in &catalogs {
             let mut reference = input.clone();
             reference.sort_unstable();
-            for (merge, predicted) in STRATEGIES {
-                if predicted.fan_in(&g) < 2 {
-                    continue; // double-buffered may not fit the corner cases
-                }
+            for merge in MergeStrategy::ALL {
                 let (_, out) = run_sort(g, input, merge, ServiceMode::Serial);
                 // Records are their own keys here, so "sorted with the
                 // right multiset" pins the full output vector.
@@ -157,31 +141,27 @@ proptest! {
 }
 
 /// Every strategy's measured pass count and parallel-I/O count equals
-/// the `bmmc::bounds` prediction on every geometry — the two enums (and
-/// the leftover-singleton tightening) stay in lock-step across the
-/// crate boundary.
+/// the schedule replay on every geometry — the executor and the replay
+/// (including the leftover-singleton tightening) stay in lock-step.
 #[test]
 fn measured_costs_match_bounds_for_every_strategy() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
     for g in geometries() {
         let mut input: Vec<u64> = (0..g.records() as u64).collect();
         input.shuffle(&mut rng);
-        for (merge, predicted) in STRATEGIES {
-            if predicted.fan_in(&g) < 2 {
-                continue; // double-buffered may not fit the corner cases
-            }
+        for merge in MergeStrategy::ALL {
             let (report, out) = run_sort(g, &input, merge, ServiceMode::Serial);
             assert!(out.windows(2).all(|w| w[0] <= w[1]), "{merge:?} on {g:?}");
-            assert_eq!(report.fan_in, predicted.fan_in(&g), "{merge:?} on {g:?}");
+            assert_eq!(report.fan_in, merge.fan_in(&g), "{merge:?} on {g:?}");
             assert_eq!(
                 Some(report.passes),
-                bounds::merge_sort_passes(&g, predicted),
-                "pass count drifted from bounds ({merge:?} on {g:?})"
+                bounds::merge_sort_passes(&g, merge),
+                "pass count drifted from the replay ({merge:?} on {g:?})"
             );
             assert_eq!(
                 Some(report.total.parallel_ios()),
-                bounds::merge_sort_ios(&g, predicted),
-                "parallel I/Os drifted from bounds ({merge:?} on {g:?})"
+                bounds::merge_sort_ios(&g, merge),
+                "parallel I/Os drifted from the replay ({merge:?} on {g:?})"
             );
         }
     }
@@ -228,11 +208,11 @@ fn acceptance_forecast_closes_fan_in_gap_at_bench_geometry() {
     assert_eq!(fr.total.parallel_ios(), 19456);
     assert_eq!(
         Some(sr.total.parallel_ios()),
-        bounds::merge_sort_ios(&g, bounds::MergeStrategy::SingleBuffered)
+        bounds::merge_sort_ios(&g, MergeStrategy::SingleBuffered)
     );
     assert_eq!(
         Some(fr.total.parallel_ios()),
-        bounds::merge_sort_ios(&g, bounds::MergeStrategy::Forecast)
+        bounds::merge_sort_ios(&g, MergeStrategy::Forecast)
     );
     // Forecast write discipline stays striped; merge reads are
     // independent single-block operations.

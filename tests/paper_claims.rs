@@ -132,10 +132,10 @@ fn potential_endpoints_match_paper() {
             "eq. (9) violated at rank {r}"
         );
         let fac = factor(&perm, g.b(), g.m()).unwrap();
-        let (report, traj) =
+        let (passes, traj) =
             trace_potential(&mut sys, &fac, |rec| rec.key, |x| perm.target(x)).unwrap();
         assert!((traj.last().unwrap() - final_potential(g.records(), g.b())).abs() < 1e-6);
-        assert_eq!(traj.len(), report.num_passes() + 1);
+        assert_eq!(traj.len(), passes.len() + 1);
     }
 }
 
