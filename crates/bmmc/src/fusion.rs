@@ -228,11 +228,6 @@ impl FusedPlan {
         self.steps.iter().map(FusedPass::num_replaced).sum()
     }
 
-    /// Disk round-trips saved by fusion.
-    pub fn passes_saved(&self) -> usize {
-        self.planned_passes() - self.num_steps()
-    }
-
     /// Predicted parallel I/Os for the fused execution (`2N/BD` per
     /// step).
     pub fn predicted_ios(&self, geom: &Geometry) -> usize {
@@ -566,7 +561,7 @@ mod tests {
         for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
             let (plan, ios) = run_fused(g, &chain, mode);
             assert_eq!(plan.num_steps(), 1, "MRC chain must fully fuse");
-            assert_eq!(plan.passes_saved(), 3);
+            assert_eq!(plan.planned_passes(), 4);
             assert_eq!(ios.parallel_ios() as usize, g.ios_per_pass());
             assert_eq!(ios.striped_writes, ios.parallel_writes);
         }
@@ -717,7 +712,7 @@ mod tests {
         ];
         let (plan, ios) = run_fused(g, &plan_passes, ServiceMode::Threaded);
         assert_eq!(plan.num_steps(), 1, "whole chain must fuse");
-        assert_eq!(plan.passes_saved(), 3);
+        assert_eq!(plan.planned_passes(), 4);
         assert_eq!(plan.steps[0].label(), "MldInverse+Mrc+Mrc+Mld");
         assert_eq!(ios.parallel_ios() as usize, g.ios_per_pass());
     }
@@ -748,7 +743,7 @@ mod tests {
         );
         let plan = fuse_passes(std::slice::from_ref(&p), g.b(), g.m());
         assert_eq!(plan.num_steps(), 1);
-        assert_eq!(plan.passes_saved(), 0);
+        assert_eq!(plan.planned_passes(), 1);
         assert!(!plan.steps[0].is_fused());
     }
 

@@ -289,7 +289,7 @@ pub fn factor(a: &Args) -> Result<(), String> {
         "predicted I/O: {} parallel I/Os fused vs {} unfused ({} round-trip(s) saved)",
         fused.predicted_ios(&geom),
         fused.unfused_ios(&geom),
-        fused.passes_saved()
+        Plan::from(fused).passes_saved()
     );
 
     // The planner's view: every candidate route costed both ways.

@@ -84,9 +84,9 @@ fn assert_fused_equals_unfused(
     );
 
     // The plan arithmetic: the planner and the executed report agree.
-    let plan = fuse_passes(passes, g.b(), g.m());
+    let plan = Plan::from_passes(passes, g.b(), g.m());
     prop_assert_eq!(fused.num_passes(), plan.num_steps());
-    prop_assert_eq!(plan.planned_passes(), passes.len());
+    prop_assert_eq!(plan.num_steps() + plan.passes_saved(), passes.len());
     prop_assert_eq!(unfused.num_passes(), passes.len());
 
     // Exact stats: each skipped pass removes one full round-trip.
