@@ -1,25 +1,20 @@
-//! Old loop vs. streaming engine, across disk counts and service
-//! disciplines — the bench behind `BENCH_PR2.json` and the CI
-//! `bench-smoke` perf gate.
+//! The streaming engine across disk counts and service modes — the
+//! bench behind the committed `BENCH_PR*.json` files and the CI
+//! `bench-smoke` gate.
 //!
 //! For each `D` the sweep performs the same seeded one-pass MLD
 //! permutation (striped reads + independent writes, the paper's
-//! Theorem 15 discipline) four ways:
+//! Theorem 15 discipline) through the [`pdm::PassEngine`] two ways:
 //!
-//! * `legacy`/`serial`   — the superseded per-call-site loop
-//!   (`bmmc::passes::reference`) with serial disk servicing;
-//! * `legacy`/`threaded` — the same loop with the old
-//!   spawn-one-thread-per-disk-per-I/O servicing
-//!   ([`ServiceMode::SpawnPerOp`]);
-//! * `engine`/`serial`   — the [`pdm::PassEngine`] streaming loop,
-//!   serial servicing (buffer reuse only);
-//! * `engine`/`threaded` — the engine on the persistent per-disk
-//!   service threads ([`ServiceMode::Threaded`]), overlapping the
-//!   reads of memoryload *k+1* with the permute of memoryload *k*.
+//! * `serial`   — serial servicing in the caller's thread;
+//! * `threaded` — the persistent per-disk service threads
+//!   ([`ServiceMode::Threaded`]), overlapping the reads of memoryload
+//!   *k+1* with the permute of memoryload *k*.
 //!
-//! Every configuration is verified against the reference permutation
-//! and must charge the *identical* number of parallel I/Os — the model
-//! cost may not change, only the wall clock.
+//! Both are verified against the reference permutation and must charge
+//! the *identical* number of parallel I/Os — the service mode may only
+//! move the wall clock. The sweep records `threaded_over_serial` per
+//! `D`; it is reported, not gated.
 //!
 //! Since PR 3 the document also carries a **fusion** section (multi-
 //! pass plans executed fused vs. unfused — the fused runs must charge
@@ -36,12 +31,12 @@
 //! to Vitter–Shriver) across serial/threaded service and mem/file
 //! backends, asserting every row's pass count and parallel-I/O count
 //! equals the `extsort::merge_sort_*` replay and that the forecast rows
-//! reach ≥8× the single-buffered fan-in in strictly fewer passes. Since PR 4 a **file** section runs the same engine
-//! pass on MemDisk vs. `FileDisk` (real positional file I/O) under the
-//! serial / spawn-per-op / persistent-DiskPool disciplines: placement
-//! must be byte-identical and the charged parallel-I/O counts
-//! identical — only the wall clock may move. Since PR 6 a **transport**
-//! section serves the same engine pass in-process, over per-disk
+//! reach ≥8× the single-buffered fan-in in strictly fewer passes.
+//! Since PR 4 a **file** section runs the same engine pass on MemDisk
+//! vs. `FileDisk` (real positional file I/O) in both service modes:
+//! placement must be byte-identical and the charged parallel-I/O
+//! counts identical — only the wall clock may move. Since PR 6 a
+//! **transport** section serves the same engine pass in-process, over per-disk
 //! `pdm-diskd` worker processes (Unix-domain sockets), and over the
 //! deterministic simulated network: placement and parallel-I/O counts
 //! identical, in-process rows move zero messages, and the sim rows'
@@ -75,6 +70,8 @@
 //!                    "addr_eval", "planner", "transport", and "file"
 //!                    sections
 //!   --baseline       run full + quick and insist on the acceptance ratios
+//!                    of the service, recovery, addr_eval and transport
+//!                    sections
 //!   --file-dir DIR   parent directory for the file section's per-disk
 //!                    files (e.g. a tmpfs mount); default: a
 //!                    self-cleaning temp dir
@@ -83,14 +80,11 @@
 //!                    section, restricted to {inproc, X} — the CI UDS
 //!                    smoke step (needs the pdm-diskd binary for X=uds)
 //!   --out FILE       write the JSON document to FILE
-//!   --check FILE     compare this run's quick/fusion/extsort/service/
-//!                    recovery/addr_eval/planner/file/transport
-//!                    sections against FILE's; exit 1 if the
-//!                    engine regressed >20% vs. the recorded speedup
-//!                    (rows whose recorded ratio is below the 1.5x
-//!                    acceptance bar are noise and not time-gated) or
-//!                    any parallel-I/O or transport message count moved
-//!                    at all
+//!   --check FILE     compare this run's sections against FILE's; exit 1
+//!                    if any gated exact counter (parallel I/Os,
+//!                    transport messages, retries, planner steps) moved
+//!                    at all or a recorded row is missing. Timings are
+//!                    recorded, never gated.
 //!   --check-latest   like --check, against the newest BENCH_PR*.json in
 //!                    the working directory (per-PR bench trajectory)
 //! ```
@@ -100,7 +94,7 @@ use bmmc::bpc_baseline::bpc_baseline_plan;
 use bmmc::catalog;
 use bmmc::factoring::{Pass, PassKind};
 use bmmc::fusion::{execute_fused_with_strategy, fuse_passes};
-use bmmc::passes::{execute_pass, reference, reference_permute, EvalStrategy};
+use bmmc::passes::{execute_pass, reference_permute, EvalStrategy};
 use bmmc::plan::reassociation_case;
 use bmmc::{candidates, choose, fuse_passes_greedy, AffineEvaluator, BlockEvaluator, Bmmc, Plan};
 use bmmc_bench::json::Json;
@@ -120,8 +114,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug)]
 struct Row {
     disks: usize,
-    mode: &'static str,  // "serial" | "threaded"
-    impl_: &'static str, // "legacy" | "engine"
+    mode: &'static str, // "serial" | "threaded"
     records_per_sec: f64,
     elapsed_ms: f64,
     parallel_ios: u64,
@@ -133,7 +126,9 @@ impl Row {
         Json::obj(vec![
             ("disks", Json::Num(self.disks as f64)),
             ("mode", Json::Str(self.mode.into())),
-            ("impl", Json::Str(self.impl_.into())),
+            // Part of the row key, so baselines that also carried
+            // other implementations' rows still match these.
+            ("impl", Json::Str("engine".into())),
             (
                 "records_per_sec",
                 Json::Num((self.records_per_sec * 10.0).round() / 10.0),
@@ -176,43 +171,30 @@ const QUICK: SweepSpec = SweepSpec {
     reps: 5,
 };
 
-fn service_mode(mode: &str, use_engine: bool) -> ServiceMode {
-    match (mode, use_engine) {
-        ("serial", _) => ServiceMode::Serial,
-        // "threaded" means each implementation's own threading story:
-        // the old loop only ever had spawn-per-op servicing.
-        ("threaded", false) => ServiceMode::SpawnPerOp,
-        ("threaded", true) => ServiceMode::Threaded,
-        _ => unreachable!("unknown mode {mode}"),
-    }
-}
+/// The sweeps' two service modes, by row name.
+const MODES: [(&str, ServiceMode); 2] = [
+    ("serial", ServiceMode::Serial),
+    ("threaded", ServiceMode::Threaded),
+];
 
 fn run_config(
     geom: Geometry,
     pass: &Pass,
     expect: &[u64],
-    mode: &'static str,
-    impl_: &'static str,
+    (mode, service): (&'static str, ServiceMode),
     reps: usize,
 ) -> Row {
-    let use_engine = impl_ == "engine";
     let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
-    sys.set_service_mode(service_mode(mode, use_engine));
+    sys.set_service_mode(service);
     let input: Vec<u64> = (0..geom.records() as u64).collect();
     sys.load_records(0, &input);
-    let execute = |sys: &mut DiskSystem<u64>| {
-        if use_engine {
-            execute_pass(sys, 0, 1, pass).expect("engine pass failed")
-        } else {
-            reference::execute_pass(sys, 0, 1, pass).expect("reference pass failed")
-        }
-    };
+    let execute = |sys: &mut DiskSystem<u64>| execute_pass(sys, 0, 1, pass).expect("engine pass");
     // Warm-up rep doubles as the correctness check.
     let stats = execute(&mut sys);
     assert_eq!(
         sys.dump_records(1),
         expect,
-        "{impl_}/{mode} D={} produced a wrong permutation",
+        "{mode} D={} produced a wrong permutation",
         geom.disks()
     );
     let mut best = f64::INFINITY;
@@ -230,7 +212,6 @@ fn run_config(
     Row {
         disks: geom.disks(),
         mode,
-        impl_,
         records_per_sec: geom.records() as f64 / best,
         elapsed_ms: best * 1e3,
         parallel_ios: stats.ios.parallel_ios(),
@@ -238,8 +219,9 @@ fn run_config(
     }
 }
 
-fn run_sweep(spec: &SweepSpec) -> (Vec<Row>, Json) {
+fn run_sweep(spec: &SweepSpec) -> Json {
     let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     eprintln!(
         "== {} sweep: N=2^{}, B=2^{}, M=2^{}, best of {} reps",
         spec.name, spec.lg_records, spec.lg_block, spec.lg_memory, spec.reps
@@ -252,8 +234,8 @@ fn run_sweep(spec: &SweepSpec) -> (Vec<Row>, Json) {
             1 << spec.lg_memory,
         )
         .expect("sweep geometry is valid");
-        // One seeded MLD permutation per geometry so every
-        // implementation performs the identical data movement.
+        // One seeded MLD permutation per geometry so both service
+        // modes perform the identical data movement.
         let mut rng = StdRng::seed_from_u64(0xB44C + d as u64);
         let perm = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
         let pass = Pass {
@@ -263,44 +245,29 @@ fn run_sweep(spec: &SweepSpec) -> (Vec<Row>, Json) {
         };
         let input: Vec<u64> = (0..geom.records() as u64).collect();
         let expect = reference_permute(&input, |x| perm.target(x));
-        for mode in ["serial", "threaded"] {
-            let mut ios = None;
-            for impl_ in ["legacy", "engine"] {
-                let row = run_config(geom, &pass, &expect, mode, impl_, spec.reps);
-                eprintln!(
-                    "   D={:<3} {:<8} {:<6} {:>12.0} rec/s  {:>8.2} ms  {} parallel I/Os",
-                    row.disks, mode, impl_, row.records_per_sec, row.elapsed_ms, row.parallel_ios
-                );
-                if let Some(prev) = ios {
-                    assert_eq!(
-                        prev, row.parallel_ios,
-                        "engine changed the charged I/O count at D={d} {mode}"
-                    );
-                }
-                ios = Some(row.parallel_ios);
-                rows.push(row);
-            }
-        }
+        let [serial, threaded] = MODES.map(|mode| {
+            let row = run_config(geom, &pass, &expect, mode, spec.reps);
+            eprintln!(
+                "   D={:<3} {:<8} {:>12.0} rec/s  {:>8.2} ms  {} parallel I/Os",
+                row.disks, row.mode, row.records_per_sec, row.elapsed_ms, row.parallel_ios
+            );
+            row
+        });
+        assert_eq!(
+            serial.parallel_ios, threaded.parallel_ios,
+            "the service mode changed the charged I/O count at D={d}"
+        );
+        let ratio = threaded.records_per_sec / serial.records_per_sec;
+        speedups.push(Json::obj(vec![
+            ("disks", Json::Num(d as f64)),
+            (
+                "threaded_over_serial",
+                Json::Num((ratio * 1000.0).round() / 1000.0),
+            ),
+        ]));
+        rows.extend([serial, threaded]);
     }
-    let rows_ref = &rows;
-    let speedups: Vec<Json> = spec
-        .disk_counts
-        .iter()
-        .flat_map(|&d| {
-            ["serial", "threaded"].into_iter().map(move |mode| {
-                let s = speedup(rows_ref, d, mode).expect("both impls present");
-                Json::obj(vec![
-                    ("disks", Json::Num(d as f64)),
-                    ("mode", Json::Str(mode.into())),
-                    (
-                        "engine_over_legacy",
-                        Json::Num((s * 1000.0).round() / 1000.0),
-                    ),
-                ])
-            })
-        })
-        .collect();
-    let section = Json::obj(vec![
+    Json::obj(vec![
         (
             "geometry",
             Json::obj(vec![
@@ -315,8 +282,7 @@ fn run_sweep(spec: &SweepSpec) -> (Vec<Row>, Json) {
             Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
         ),
         ("speedups", Json::Arr(speedups)),
-    ]);
-    (rows, section)
+    ])
 }
 
 /// One fusion workload: a named multi-pass plan on a geometry.
@@ -999,7 +965,7 @@ fn run_planner_sweep() -> Json {
     ])
 }
 
-/// MemDisk vs. FileDisk under the engine, across service disciplines.
+/// MemDisk vs. FileDisk under the engine, in both service modes.
 ///
 /// Every row performs the identical seeded one-pass MLD permutation
 /// through the [`pdm::PassEngine`]; the placement must be
@@ -1007,8 +973,8 @@ fn run_planner_sweep() -> Json {
 /// parallel-I/O count identical across **all** rows — backends may
 /// only move the wall clock. The interesting comparison is
 /// `file`/`threaded` (persistent `DiskPool` workers issuing positional
-/// reads/writes, split-phase overlap) against `file`/`spawn` (the
-/// legacy spawn-per-operation servicing) on the same files.
+/// reads/writes, split-phase overlap) against `file`/`serial` on the
+/// same files, recorded as `threaded_over_serial`.
 fn run_file_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
     let geom = Geometry::new(1 << lg_records, 1 << 3, 1 << 4, 1 << 12).expect("file geometry");
     eprintln!(
@@ -1025,16 +991,11 @@ fn run_file_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
     };
     let input: Vec<u64> = (0..geom.records() as u64).collect();
     let expect = reference_permute(&input, |x| perm.target(x));
-    let modes = [
-        ("serial", ServiceMode::Serial),
-        ("spawn", ServiceMode::SpawnPerOp),
-        ("threaded", ServiceMode::Threaded),
-    ];
     let mut rows: Vec<Json> = Vec::new();
     let mut rps: Vec<(&str, &str, f64)> = Vec::new();
     let mut ios: Option<u64> = None;
     for backend in ["mem", "file"] {
-        for (mode_name, mode) in modes {
+        for (mode_name, mode) in MODES {
             let scratch = parent.join(format!("{backend}-{mode_name}"));
             let mut sys: DiskSystem<u64> = if backend == "file" {
                 DiskSystem::new_file(geom, 2, &scratch).expect("file-backed system")
@@ -1095,14 +1056,14 @@ fn run_file_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
             ]));
         }
     }
-    let ratio = |backend: &str, num: &str, den: &str| {
+    let threaded_over_serial = |backend: &str| {
         let get = |mode: &str| {
             rps.iter()
                 .find(|(b, m, _)| *b == backend && *m == mode)
                 .map(|(_, _, r)| *r)
                 .expect("row measured")
         };
-        get(num) / get(den)
+        get("threaded") / get("serial")
     };
     let speedups: Vec<Json> = ["mem", "file"]
         .into_iter()
@@ -1110,20 +1071,15 @@ fn run_file_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
             Json::obj(vec![
                 ("backend", Json::Str(backend.into())),
                 (
-                    "threaded_over_spawn",
-                    Json::Num((ratio(backend, "threaded", "spawn") * 1000.0).round() / 1000.0),
-                ),
-                (
                     "threaded_over_serial",
-                    Json::Num((ratio(backend, "threaded", "serial") * 1000.0).round() / 1000.0),
+                    Json::Num((threaded_over_serial(backend) * 1000.0).round() / 1000.0),
                 ),
             ])
         })
         .collect();
     eprintln!(
-        "   file threaded/spawn: {:.2}x, file threaded/serial: {:.2}x",
-        ratio("file", "threaded", "spawn"),
-        ratio("file", "threaded", "serial")
+        "   file threaded/serial: {:.2}x",
+        threaded_over_serial("file")
     );
     Json::obj(vec![
         (
@@ -1597,10 +1553,7 @@ fn run_transport_sweep(
             continue;
         }
         let config = transport_config(transport);
-        for (mode_name, mode) in [
-            ("serial", ServiceMode::Serial),
-            ("threaded", ServiceMode::Threaded),
-        ] {
+        for (mode_name, mode) in MODES {
             let mut sys: DiskSystem<u64> =
                 DiskSystem::new_with_transport(geom, 2, &Backend::Mem, &config)
                     .expect("transport system");
@@ -1735,10 +1688,7 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
     input.shuffle(&mut rng);
     let mut rows: Vec<Json> = Vec::new();
     for backend in ["mem", "file"] {
-        for (mode_name, mode) in [
-            ("serial", ServiceMode::Serial),
-            ("threaded", ServiceMode::Threaded),
-        ] {
+        for (mode_name, mode) in MODES {
             for merge in MergeStrategy::ALL {
                 let variant = merge.as_str();
                 let scratch = parent.join(format!("extsort-{backend}-{mode_name}-{variant}"));
@@ -1907,42 +1857,8 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
     ])
 }
 
-fn speedup(rows: &[Row], disks: usize, mode: &str) -> Option<f64> {
-    let rps = |impl_: &str| {
-        rows.iter()
-            .find(|r| r.disks == disks && r.mode == mode && r.impl_ == impl_)
-            .map(|r| r.records_per_sec)
-    };
-    Some(rps("engine")? / rps("legacy")?)
-}
-
-/// Extracts `(disks, mode) → (engine_over_legacy, engine parallel_ios)`
-/// from a document's section.
-fn section_metrics(doc: &Json, section: &str) -> Vec<(u64, String, f64, u64)> {
-    let Some(sec) = doc.get(section) else {
-        return Vec::new();
-    };
-    let speedups = sec.get("speedups").and_then(Json::as_array).unwrap_or(&[]);
-    let rows = sec.get("rows").and_then(Json::as_array).unwrap_or(&[]);
-    speedups
-        .iter()
-        .filter_map(|s| {
-            let disks = s.get("disks")?.as_u64()?;
-            let mode = s.get("mode")?.as_str()?.to_string();
-            let ratio = s.get("engine_over_legacy")?.as_f64()?;
-            let ios = rows.iter().find_map(|r| {
-                (r.get("disks")?.as_u64()? == disks
-                    && r.get("mode")?.as_str()? == mode
-                    && r.get("impl")?.as_str()? == "engine")
-                    .then(|| r.get("parallel_ios")?.as_u64())?
-            })?;
-            Some((disks, mode, ratio, ios))
-        })
-        .collect()
-}
-
 /// Extracts `(label, field value)` pairs from a section's rows, keyed
-/// by the row's identifying fields.
+/// by the row's identifying fields (strings or counts).
 fn counter_rows(doc: &Json, section: &str, key_fields: &[&str], field: &str) -> Vec<(String, u64)> {
     let Some(rows) = doc
         .get(section)
@@ -1955,7 +1871,10 @@ fn counter_rows(doc: &Json, section: &str, key_fields: &[&str], field: &str) -> 
         .filter_map(|r| {
             let label = key_fields
                 .iter()
-                .map(|f| r.get(f).and_then(Json::as_str).unwrap_or("?").to_string())
+                .map(|f| match r.get(f) {
+                    Some(Json::Num(n)) => n.to_string(),
+                    v => v.and_then(Json::as_str).unwrap_or("?").to_string(),
+                })
                 .collect::<Vec<_>>()
                 .join("/");
             Some((label, r.get(field)?.as_u64()?))
@@ -1963,20 +1882,23 @@ fn counter_rows(doc: &Json, section: &str, key_fields: &[&str], field: &str) -> 
         .collect()
 }
 
-/// Legacy shorthand: the `parallel_ios` column of a section.
+/// Shorthand: the `parallel_ios` column of a section.
 fn io_rows(doc: &Json, section: &str, key_fields: &[&str]) -> Vec<(String, u64)> {
     counter_rows(doc, section, key_fields, "parallel_ios")
 }
 
-/// The CI gate: compares this run's quick section with the checked-in
-/// baseline. Fails on a >20% speedup regression or any change in the
-/// charged parallel-I/O counts — including the fusion, extsort, file,
-/// and transport sections' counts (and the transport rows' message
-/// counts), which are fully deterministic. With `file_only` set (the
-/// tmpfs file-backend smoke step), only the file section's I/O counts
-/// are compared. With `transport_only` set (the UDS smoke step), only
-/// the transport rows this restricted run produced are compared — the
-/// baseline's other transports are not required to be present.
+/// The CI gate: compares this run's exact counters with the checked-in
+/// baseline's — the charged parallel-I/O counts of every section (the
+/// quick/full sweeps this run produced, fusion, extsort, file,
+/// transport, service, recovery, addr_eval, planner), the transport
+/// rows' message counts, the recovery rows' retries, and the planner
+/// rows' steps. All are deterministic, so any change is a failure, and
+/// so is a baseline row this run does not produce. Timings are
+/// recorded, never gated. With `file_only` set (the tmpfs file-backend
+/// smoke step), only the file section's I/O counts are compared. With
+/// `transport_only` set (the UDS smoke step), only the transport rows
+/// this restricted run produced are compared — the baseline's other
+/// transports are not required to be present.
 fn check_against_baseline(
     current: &Json,
     baseline_path: &str,
@@ -1987,11 +1909,12 @@ fn check_against_baseline(
         std::fs::read_to_string(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
     let baseline = Json::parse(&text).map_err(|e| format!("parse {baseline_path}: {e}"))?;
     let mut failures = Vec::new();
+    const SWEEP_KEYS: &[&str] = &["disks", "mode", "impl"];
     const TRANSPORT_KEYS: &[&str] = &["transport", "mode"];
     // The pick sits in the key: a flipped crossover decision surfaces
     // as a missing row, never as a silently re-baselined count.
     const PLANNER_KEYS: &[&str] = &["workload", "geometry", "timing", "pick"];
-    let gated: &[(&str, &[&str], &str)] = if file_only {
+    let gated: Vec<(&str, &[&str], &str)> = if file_only {
         // The dedicated file gate must never pass vacuously: a
         // baseline without file rows means there is nothing it could
         // be checking, which is itself a failure.
@@ -2001,7 +1924,7 @@ fn check_against_baseline(
                  regenerate it with a post-PR4 engine_sweep"
             ));
         }
-        &[("file", &["backend", "mode"], "parallel_ios")]
+        vec![("file", &["backend", "mode"], "parallel_ios")]
     } else if transport_only {
         // Same vacuity rule for the dedicated transport gate.
         if io_rows(&baseline, "transport", TRANSPORT_KEYS).is_empty() {
@@ -2010,30 +1933,38 @@ fn check_against_baseline(
                  regenerate it with a post-PR6 engine_sweep"
             ));
         }
-        &[
+        vec![
             ("transport", TRANSPORT_KEYS, "parallel_ios"),
             ("transport", TRANSPORT_KEYS, "messages"),
         ]
     } else {
-        &[
-            ("fusion", &["workload", "impl"], "parallel_ios"),
-            (
-                "extsort",
-                &["variant", "input", "backend", "mode"],
-                "parallel_ios",
-            ),
-            ("file", &["backend", "mode"], "parallel_ios"),
-            ("transport", TRANSPORT_KEYS, "parallel_ios"),
-            ("transport", TRANSPORT_KEYS, "messages"),
-            ("service", &["scenario", "job"], "parallel_ios"),
-            ("recovery", &["run"], "parallel_ios"),
-            ("recovery", &["run"], "retries"),
-            ("addr_eval", &["kind", "impl"], "parallel_ios"),
-            ("planner", PLANNER_KEYS, "parallel_ios"),
-            ("planner", PLANNER_KEYS, "steps"),
-        ]
+        // A run produces the quick sweep, the full sweep, or both; gate
+        // whichever it produced.
+        let sweeps = ["quick", "full"]
+            .into_iter()
+            .filter(|s| current.get(s).is_some())
+            .map(|s| (s, SWEEP_KEYS, "parallel_ios"));
+        sweeps
+            .chain([
+                ("fusion", &["workload", "impl"][..], "parallel_ios"),
+                (
+                    "extsort",
+                    &["variant", "input", "backend", "mode"],
+                    "parallel_ios",
+                ),
+                ("file", &["backend", "mode"], "parallel_ios"),
+                ("transport", TRANSPORT_KEYS, "parallel_ios"),
+                ("transport", TRANSPORT_KEYS, "messages"),
+                ("service", &["scenario", "job"], "parallel_ios"),
+                ("recovery", &["run"], "parallel_ios"),
+                ("recovery", &["run"], "retries"),
+                ("addr_eval", &["kind", "impl"], "parallel_ios"),
+                ("planner", PLANNER_KEYS, "parallel_ios"),
+                ("planner", PLANNER_KEYS, "steps"),
+            ])
+            .collect()
     };
-    for &(section, keys, field) in gated {
+    for (section, keys, field) in gated {
         let base_rows = counter_rows(&baseline, section, keys, field);
         let cur_rows = counter_rows(current, section, keys, field);
         // A restricted transport run carries fewer rows than the full
@@ -2064,58 +1995,6 @@ fn check_against_baseline(
             }
         }
     }
-    if !failures.is_empty() {
-        return Err(failures.join("\n"));
-    }
-    if file_only || transport_only {
-        return Ok(());
-    }
-    let base = section_metrics(&baseline, "quick");
-    let cur = section_metrics(current, "quick");
-    if base.is_empty() {
-        return Err(format!("{baseline_path} has no quick section to compare"));
-    }
-    for (disks, mode, base_ratio, base_ios) in &base {
-        let Some((_, _, cur_ratio, cur_ios)) =
-            cur.iter().find(|(d, m, _, _)| d == disks && m == mode)
-        else {
-            failures.push(format!("D={disks} {mode}: missing from current run"));
-            continue;
-        };
-        if cur_ios != base_ios {
-            failures.push(format!(
-                "D={disks} {mode}: parallel I/Os changed {base_ios} → {cur_ios} \
-                 (the engine may not change the model cost)"
-            ));
-        }
-        // "Regressed >20% vs. the checked-in baseline" — applied only
-        // to rows whose recorded ratio clears the 1.5x acceptance bar
-        // (the serial rows sit at ~1.0x ± noise; gating noise would
-        // flake). The parallel-I/O check above stays exact for every
-        // row. If the CI fleet's hardware proves systematically
-        // different from the machine that recorded BENCH_PR2.json,
-        // the remedy is regenerating the baseline there
-        // (`engine_sweep --baseline --out BENCH_PR2.json`), not
-        // loosening this rule.
-        if *base_ratio < 1.5 {
-            eprintln!(
-                "check D={disks} {mode}: recorded ratio {base_ratio:.2}x is noise-level, \
-                 timing not gated (I/O counts still exact)"
-            );
-            continue;
-        }
-        let floor = 0.8 * base_ratio;
-        if *cur_ratio < floor {
-            failures.push(format!(
-                "D={disks} {mode}: engine speedup {cur_ratio:.2}x regressed >20% below \
-                 the recorded {base_ratio:.2}x (floor {floor:.2}x)"
-            ));
-        } else {
-            eprintln!(
-                "check D={disks} {mode}: speedup {cur_ratio:.2}x vs recorded {base_ratio:.2}x — ok"
-            );
-        }
-    }
     if failures.is_empty() {
         Ok(())
     } else {
@@ -2132,11 +2011,11 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    // --baseline always runs the full sweep (it must enforce the
-    // acceptance ratios), so it overrides --quick. --file-only runs
-    // just the file section (the CI file-backend smoke step);
-    // --transport X runs just the transport section restricted to
-    // {inproc, X} (the CI UDS smoke step).
+    // --baseline always runs the full sweep as well as the quick one
+    // (and enforces the acceptance ratios), so it overrides --quick.
+    // --file-only runs just the file section (the CI file-backend
+    // smoke step); --transport X runs just the transport section
+    // restricted to {inproc, X} (the CI UDS smoke step).
     let baseline_mode = has("--baseline");
     let transport_flag = value_of("--transport");
     let file_only = has("--file-only") && !baseline_mode;
@@ -2161,118 +2040,95 @@ fn main() {
     };
 
     let mut sections: Vec<(&str, Json)> = Vec::new();
-    let mut full_rows = Vec::new();
-    let mut fusion_section = None;
-    let mut extsort_section = None;
-    let mut service_section = None;
-    let mut recovery_section = None;
-    let mut addr_eval_section = None;
-    let mut planner_section = None;
     if !file_only && !transport_only {
         if !quick_only {
-            let (rows, section) = run_sweep(&FULL);
-            full_rows = rows;
-            sections.push(("full", section));
+            sections.push(("full", run_sweep(&FULL)));
         }
         if quick_only || baseline_mode {
-            let (_, section) = run_sweep(&QUICK);
-            sections.push(("quick", section));
+            sections.push(("quick", run_sweep(&QUICK)));
         }
         // The fusion and extsort sections run at the quick size in
         // every mode: their parallel-I/O counts are deterministic (and
         // exactly gated by --check), their timings cheap.
-        let fusion = run_fusion_sweep(QUICK.lg_records, QUICK.reps);
-        sections.push(("fusion", fusion.clone()));
-        fusion_section = Some(fusion);
-        let extsort = run_extsort_sweep(QUICK.lg_records, QUICK.reps, &file_parent);
-        sections.push(("extsort", extsort.clone()));
-        extsort_section = Some(extsort);
-        let service = run_service_sweep(QUICK.reps.min(3), baseline_mode);
-        sections.push(("service", service.clone()));
-        service_section = Some(service);
-        let recovery = run_recovery_sweep(QUICK.lg_records, QUICK.reps.min(3), baseline_mode);
-        sections.push(("recovery", recovery.clone()));
-        recovery_section = Some(recovery);
-        let addr_eval = run_addr_eval_sweep(QUICK.lg_records, QUICK.reps, baseline_mode);
-        sections.push(("addr_eval", addr_eval.clone()));
-        addr_eval_section = Some(addr_eval);
+        sections.push(("fusion", run_fusion_sweep(QUICK.lg_records, QUICK.reps)));
+        sections.push((
+            "extsort",
+            run_extsort_sweep(QUICK.lg_records, QUICK.reps, &file_parent),
+        ));
+        sections.push((
+            "service",
+            run_service_sweep(QUICK.reps.min(3), baseline_mode),
+        ));
+        sections.push((
+            "recovery",
+            run_recovery_sweep(QUICK.lg_records, QUICK.reps.min(3), baseline_mode),
+        ));
+        sections.push((
+            "addr_eval",
+            run_addr_eval_sweep(QUICK.lg_records, QUICK.reps, baseline_mode),
+        ));
         // The planner section is purely analytic — every row is a
         // deterministic function of the cost model, so it runs (and is
         // exact-gated) in every non-restricted mode.
-        let planner = run_planner_sweep();
-        sections.push(("planner", planner.clone()));
-        planner_section = Some(planner);
+        sections.push(("planner", run_planner_sweep()));
     }
     // The transport section runs at the quick size in every mode but
     // --file-only: the same engine pass over in-process channels, UDS
     // worker processes, and the simulated network.
-    let mut transport_section = None;
     if !file_only {
         let only = if baseline_mode {
             None
         } else {
             transport_flag.as_deref()
         };
-        let t = run_transport_sweep(QUICK.lg_records, QUICK.reps, only, baseline_mode);
-        sections.push(("transport", t.clone()));
-        transport_section = Some(t);
+        sections.push((
+            "transport",
+            run_transport_sweep(QUICK.lg_records, QUICK.reps, only, baseline_mode),
+        ));
     }
     // The file section likewise runs at the quick size in every mode
-    // but --transport: MemDisk vs. FileDisk under the engine, all
-    // service disciplines.
-    let mut file_section = None;
+    // but --transport: MemDisk vs. FileDisk under the engine, in both
+    // service modes.
     if !transport_only {
-        let f = run_file_sweep(QUICK.lg_records, QUICK.reps, &file_parent);
-        sections.push(("file", f.clone()));
-        file_section = Some(f);
+        sections.push((
+            "file",
+            run_file_sweep(QUICK.lg_records, QUICK.reps, &file_parent),
+        ));
     }
 
     let mut doc_pairs = vec![
         ("bench", Json::Str("engine_sweep".into())),
-        ("version", Json::Num(7.0)),
+        ("version", Json::Num(8.0)),
         (
             "acceptance",
             Json::Str(
-                "engine >= 1.5x legacy records/s at D=16 threaded, identical parallel_ios; \
+                "engine serial and threaded identical parallel_ios at every D; \
                  fused execution strictly fewer parallel I/Os than unfused (2x on \
                  fully-fusable chains), identical placement; file backend byte-identical \
-                 to mem with identical parallel_ios, threaded (DiskPool) file >= spawn-per-op \
-                 file records/s; every transport byte-identical with identical parallel_ios, \
-                 inproc moves zero messages, sim message/byte counts equal uds exactly, \
-                 threaded uds >= 0.5x inproc records/s; service: governor charges identical \
-                 parallel_ios to the direct path, served single-job throughput >= 0.9x direct, \
-                 K=4 identical tenants charged exactly equally with completion spread <= 25% \
-                 of mean; recovery: a ~1%-transient-fault run places byte-identically with \
-                 identical charged parallel_ios and exactly one retry per injected firing, \
-                 recovered throughput >= 0.8x clean; addr_eval: block-run kernel >= 4x \
-                 per-address addresses/s, block-run end-to-end >= 1.2x per-address records/s \
-                 on the threaded bpc bit-reversal config, identical placement and parallel_ios, \
-                 and the flat residual table >= the byte-sliced fallback addresses/s at every \
-                 multi-byte width (the RESIDUAL_TABLE_MAX_BITS tuning evidence); planner: \
-                 every crossover pick, step count, and predicted parallel-I/O count is a pure \
-                 function of the cost model (pick-in-key exact gate), and the DP fuser executes \
-                 the committed MLD;MRC;MLD re-association chain in one pass where greedy pair \
-                 fusion needs two; extsort adversarial inputs (duplicate-heavy, skewed) sort \
-                 exactly under every strategy with the input-independent schedule"
+                 to mem with identical parallel_ios; every transport byte-identical with \
+                 identical parallel_ios, inproc moves zero messages, sim message/byte counts \
+                 equal uds exactly, threaded uds >= 0.5x inproc records/s; service: governor \
+                 charges identical parallel_ios to the direct path, served single-job \
+                 throughput >= 0.9x direct, K=4 identical tenants charged exactly equally with \
+                 completion spread <= 25% of mean; recovery: a ~1%-transient-fault run places \
+                 byte-identically with identical charged parallel_ios and exactly one retry per \
+                 injected firing, recovered throughput >= 0.8x clean; addr_eval: block-run \
+                 kernel >= 4x per-address addresses/s, block-run end-to-end >= 1.2x per-address \
+                 records/s on the threaded bpc bit-reversal config, identical placement and \
+                 parallel_ios, and the flat residual table >= the byte-sliced fallback \
+                 addresses/s at every multi-byte width (the RESIDUAL_TABLE_MAX_BITS tuning \
+                 evidence); planner: every crossover pick, step count, and predicted \
+                 parallel-I/O count is a pure function of the cost model (pick-in-key exact \
+                 gate), and the DP fuser executes the committed MLD;MRC;MLD re-association \
+                 chain in one pass where greedy pair fusion needs two; extsort adversarial \
+                 inputs (duplicate-heavy, skewed) sort exactly under every strategy with the \
+                 input-independent schedule"
                     .into(),
             ),
         ),
     ];
-    for (name, section) in sections {
-        doc_pairs.push((name, section));
-    }
+    doc_pairs.extend(sections);
     let doc = Json::obj(doc_pairs);
-
-    if !full_rows.is_empty() {
-        let s = speedup(&full_rows, 16, "threaded").expect("D=16 threaded measured");
-        eprintln!("D=16 threaded engine speedup: {s:.2}x");
-        if baseline_mode {
-            assert!(
-                s >= 1.5,
-                "acceptance criterion failed: engine only {s:.2}x at D=16 threaded"
-            );
-        }
-    }
 
     if let Some(path) = value_of("--out") {
         std::fs::write(&path, doc.to_pretty()).expect("write --out file");
@@ -2294,46 +2150,13 @@ fn main() {
     });
     if let Some(baseline) = check_target {
         eprintln!("bench-smoke gate: checking against {baseline}");
-        match check_against_baseline(&doc, &baseline, file_only, transport_only) {
-            Ok(()) => eprintln!("bench-smoke gate: PASS"),
-            Err(msg) if file_only || transport_only => {
-                // These restricted gates compare deterministic I/O and
-                // message counts exclusively — a failure is real
-                // drift, not timing noise, so there is nothing to
-                // retry.
-                eprintln!("bench-smoke gate: FAIL\n{msg}");
-                std::process::exit(1);
-            }
-            Err(msg) => {
-                // Timing on a loaded host is noisy even best-of-N (the
-                // legacy spawn-per-op side swings the most); a single
-                // clean retry separates real regressions from flakes.
-                // The --out artifact keeps the first attempt's numbers.
-                // The fusion/extsort/file/transport counts are
-                // deterministic, so the first run's sections are
-                // reused verbatim.
-                eprintln!("bench-smoke gate: first attempt failed:\n{msg}\nretrying once…");
-                let (_, retry_section) = run_sweep(&QUICK);
-                let retry_doc = Json::obj(vec![
-                    ("quick", retry_section),
-                    ("fusion", fusion_section.expect("fusion ran")),
-                    ("extsort", extsort_section.expect("extsort ran")),
-                    ("file", file_section.expect("file ran")),
-                    ("transport", transport_section.expect("transport ran")),
-                    ("service", service_section.expect("service ran")),
-                    ("recovery", recovery_section.expect("recovery ran")),
-                    ("addr_eval", addr_eval_section.expect("addr_eval ran")),
-                    ("planner", planner_section.expect("planner ran")),
-                ]);
-                match check_against_baseline(&retry_doc, &baseline, false, false) {
-                    Ok(()) => eprintln!("bench-smoke gate: PASS (on retry)"),
-                    Err(msg) => {
-                        eprintln!("bench-smoke gate: FAIL (twice)\n{msg}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+        // Every gated value is a deterministic count, so a failure is
+        // real drift, never timing noise: there is nothing to retry.
+        if let Err(msg) = check_against_baseline(&doc, &baseline, file_only, transport_only) {
+            eprintln!("bench-smoke gate: FAIL\n{msg}");
+            std::process::exit(1);
         }
+        eprintln!("bench-smoke gate: PASS");
     }
 }
 

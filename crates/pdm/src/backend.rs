@@ -14,9 +14,8 @@
 //!
 //! A unit does not know its position in the disk array; out-of-range
 //! errors therefore carry a `usize::MAX` placeholder disk index that
-//! the [`crate::system::DiskSystem`] (or the spawn-per-op helpers in
-//! [`crate::parallel`]) patches via [`PdmError::with_disk`] before the
-//! error reaches a caller.
+//! the [`crate::system::DiskSystem`] patches via
+//! [`PdmError::with_disk`] before the error reaches a caller.
 
 use crate::error::{PdmError, Result};
 use crate::record::ByteRecord;

@@ -31,9 +31,9 @@
 //! memoryloads and passes: the gather/scatter batch buffers, the
 //! striped-plan reference scratch, and the write-ticket list. After
 //! the first memoryload of the first pass, the engine's hot loop
-//! performs **no heap allocation** in the synchronous service modes
+//! performs **no heap allocation** in serial mode on local disks
 //! (`crates/pdm/tests/engine_alloc.rs` asserts this with a counting
-//! global allocator; the threaded mode's channel machinery is exempt).
+//! global allocator; the pool's per-operation channels are exempt).
 //!
 //! # Overlap
 //!
@@ -46,8 +46,8 @@
 //! ([`crate::system::Backend::File`]) each worker issues real
 //! positional system calls against its disk's file, so the pipeline
 //! hides genuine I/O latency rather than simulated copies
-//! (`engine_sweep`'s `file` section measures exactly this). In the synchronous service
-//! modes the engine degenerates to exactly the classic loop — same
+//! (`engine_sweep`'s `file` section measures exactly this). In
+//! [`ServiceMode::Serial`] the engine degenerates to exactly the classic loop — same
 //! operations, same order, same operation numbering for
 //! [fault plans](crate::FaultPlan). (With overlap enabled the *set* of
 //! operations is identical but reads are issued one memoryload early,
@@ -312,7 +312,7 @@ pub struct PassEngine<R: Record> {
 /// The reads for one memoryload, in whichever phase the service mode
 /// dictates: split-phase tickets already in flight (Threaded overlap),
 /// or a plan to execute directly into the memoryload buffer when its
-/// turn comes (synchronous modes — one copy, no staging buffers).
+/// turn comes (serial mode — one copy, no staging buffers).
 enum PendingLoad<R: Record> {
     /// One ticket per parallel I/O, each tagged with its destination
     /// offset (in records) in the memoryload buffer.
@@ -422,7 +422,7 @@ impl<R: Record> PassEngine<R> {
         self.write_tickets.clear();
         // Overlap only pays (and only changes operation ordering) when
         // the service threads can run transfers behind the CPU. In the
-        // synchronous modes the engine degenerates to the classic loop:
+        // serial mode the engine degenerates to the classic loop:
         // plans execute directly into the memoryload buffer, in the
         // classic operation order.
         let overlap = sys.service_mode() == ServiceMode::Threaded;
@@ -477,7 +477,7 @@ impl<R: Record> PassEngine<R> {
                 &mut self.write_tickets,
             )?;
             if !overlap && t + 1 < loads {
-                // Synchronous modes: keep the classic loop's operation
+                // Serial mode: keep the classic loop's operation
                 // order (write memoryload t, then read t+1).
                 Self::drain_writes(sys, &mut self.write_tickets)?;
                 *pending_read = Some(PendingLoad::Plan(reads(t + 1, &mut self.gather)));
@@ -566,7 +566,7 @@ impl<R: Record> PassEngine<R> {
     }
 
     /// Collects one memoryload into `out`: waits out in-flight tickets,
-    /// or executes a deferred plan directly (synchronous modes).
+    /// or executes a deferred plan directly (serial mode).
     #[allow(clippy::too_many_arguments)]
     fn collect_reads(
         sys: &mut DiskSystem<R>,
@@ -698,11 +698,7 @@ mod tests {
 
     #[test]
     fn identity_pass_costs_one_pass_every_mode() {
-        for mode in [
-            ServiceMode::Serial,
-            ServiceMode::SpawnPerOp,
-            ServiceMode::Threaded,
-        ] {
+        for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
             let g = geom();
             let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
             sys.set_service_mode(mode);

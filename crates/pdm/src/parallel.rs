@@ -6,34 +6,36 @@
 //! request/reply protocol ([`Cmd`] / [`Completion`]) is the same
 //! whether the worker is a thread in this process, a `pdm-diskd`
 //! process behind a Unix-domain socket, or a deterministic simulated
-//! network (see [`crate::transport`]). Three disciplines exist:
+//! network (see [`crate::transport`]).
 //!
-//! * [`DiskPool`] — **persistent** workers, one per disk, fed through
-//!   transports. Commands carry owned block buffers (recycled by the
-//!   caller's buffer pool), so an in-process transfer costs one channel
-//!   round-trip instead of a thread spawn. Because submission and
-//!   completion are decoupled, a caller can keep an operation in
-//!   flight while it computes — this is what the [`crate::engine`]
-//!   pipeline uses to overlap the permute of memoryload *k* with the
-//!   reads of memoryload *k+1*, and the overlap survives remoteness:
-//!   over a socket the requests pipeline the same way.
-//! * [`threaded_read`] / [`threaded_write`] — the legacy
-//!   spawn-per-operation discipline retained as
-//!   [`crate::system::ServiceMode::SpawnPerOp`] for comparison
-//!   benchmarks (`engine_sweep`): every parallel I/O pays `D` thread
-//!   spawns and joins.
+//! [`DiskPool`] holds one **persistent** worker per disk, fed through
+//! transports. Commands carry owned block buffers (recycled by the
+//! caller's buffer pool), so an in-process transfer costs one channel
+//! round-trip. Because submission and completion are decoupled, a
+//! caller can keep an operation in flight while it computes — this is
+//! what the [`crate::engine`] pipeline uses to overlap the permute of
+//! memoryload *k* with the reads of memoryload *k+1*, and the overlap
+//! survives remoteness: over a socket the requests pipeline the same
+//! way. [`serve_disk`] is the one worker loop; [`InProcTransport`]'s
+//! service thread runs it, and so does the job service's shared disk
+//! farm.
 //!
-//! For [`crate::backend::MemDisk`] threading is pure overhead either
-//! way, but for [`crate::backend::FileDisk`] it overlaps real system
-//! calls exactly the way a hardware disk array would. The `DiskSystem`
-//! chooses the discipline via
-//! [`crate::system::DiskSystem::set_service_mode`].
+//! The [`crate::system::DiskSystem`] drives the pool in one of two
+//! disciplines chosen by
+//! [`crate::system::DiskSystem::set_service_mode`]: *pipelined*
+//! ([`crate::system::ServiceMode::Threaded`]), or *lockstep* — each
+//! command's completion collected before the next is sent — which is
+//! [`crate::system::ServiceMode::Serial`] on disks behind remote
+//! transports. Local disks in serial mode bypass the pool and are
+//! serviced in the caller's thread. For [`crate::backend::MemDisk`]
+//! the pool's threads are pure overhead, but for
+//! [`crate::backend::FileDisk`] they overlap real system calls exactly
+//! the way a hardware disk array would.
 
 use crate::backend::DiskUnit;
 use crate::error::{PdmError, Result};
 use crate::record::Record;
 use crate::stats::MsgStats;
-use parking_lot::Mutex;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -162,12 +164,47 @@ pub fn fail_disconnected<R: Record>(cmd: Cmd<R>, disk: usize) {
     }
 }
 
+/// The disk worker loop: services the commands arriving on `rx`
+/// against `unit` — reads into or writes from the command's buffer,
+/// then sends the buffer back on the command's `done` channel — until
+/// [`Cmd::Stop`] arrives or every sender is gone.
+pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, rx: &Receiver<Cmd<R>>) {
+    while let Ok(cmd) = rx.recv() {
+        let (buf, idx, done, result) = match cmd {
+            Cmd::Read {
+                slot,
+                mut buf,
+                idx,
+                done,
+            } => {
+                let result = unit.read(slot, &mut buf);
+                (buf, idx, done, result)
+            }
+            Cmd::Write {
+                slot,
+                buf,
+                idx,
+                done,
+            } => {
+                let result = unit.write(slot, &buf);
+                (buf, idx, done, result)
+            }
+            Cmd::Stop => break,
+        };
+        let _ = done.send(Completion {
+            idx,
+            disk,
+            buf,
+            result,
+        });
+    }
+}
+
 /// The in-process transport: a persistent service thread that owns its
-/// [`DiskUnit`] and receives commands over a channel — buffers cross
+/// [`DiskUnit`] and runs [`serve_disk`] over a channel — buffers cross
 /// by ownership transfer, no bytes are serialized, and
 /// [`Transport::message_stats`] stays zero. This is the default
-/// transport and preserves the pre-transport `DiskPool` behaviour
-/// exactly.
+/// transport.
 pub struct InProcTransport<R: Record> {
     disk: usize,
     tx: Sender<Cmd<R>>,
@@ -178,43 +215,11 @@ pub struct InProcTransport<R: Record> {
 impl<R: Record> InProcTransport<R> {
     /// Spawns the service thread for `disk` over `unit`.
     pub fn new(disk: usize, mut unit: Box<dyn DiskUnit<R>>) -> Self {
-        let (tx, rx): (Sender<Cmd<R>>, Receiver<Cmd<R>>) = channel();
+        let (tx, rx) = channel();
         let join = std::thread::Builder::new()
             .name(format!("pdm-disk-{disk}"))
             .spawn(move || {
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        Cmd::Read {
-                            slot,
-                            mut buf,
-                            idx,
-                            done,
-                        } => {
-                            let result = unit.read(slot, &mut buf);
-                            let _ = done.send(Completion {
-                                idx,
-                                disk,
-                                buf,
-                                result,
-                            });
-                        }
-                        Cmd::Write {
-                            slot,
-                            buf,
-                            idx,
-                            done,
-                        } => {
-                            let result = unit.write(slot, &buf);
-                            let _ = done.send(Completion {
-                                idx,
-                                disk,
-                                buf,
-                                result,
-                            });
-                        }
-                        Cmd::Stop => break,
-                    }
-                }
+                serve_disk(disk, unit.as_mut(), &rx);
                 unit
             })
             .expect("failed to spawn disk service thread");
@@ -372,73 +377,6 @@ impl<R: Record> DiskPool<R> {
     }
 }
 
-/// Reads one block from each `(disk, slot)` pair concurrently by
-/// spawning one short-lived thread per request (the legacy
-/// spawn-per-operation discipline). `outs[i]` receives the block for
-/// request `i`; requests must address distinct disks.
-pub fn threaded_read<R: Record>(
-    units: &mut [Box<dyn DiskUnit<R>>],
-    reqs: &[(usize, usize)],
-    outs: Vec<&mut [R]>,
-) -> Result<()> {
-    debug_assert_eq!(reqs.len(), outs.len());
-    // Scatter the per-request output buffers into disk-indexed slots so
-    // each spawned thread gets a disjoint `&mut`.
-    let mut by_disk: Vec<Option<(usize, &mut [R])>> = (0..units.len()).map(|_| None).collect();
-    for (&(disk, slot), out) in reqs.iter().zip(outs) {
-        by_disk[disk] = Some((slot, out));
-    }
-    let errors: Mutex<Vec<PdmError>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for (disk, (unit, job)) in units.iter_mut().zip(by_disk).enumerate() {
-            if let Some((slot, out)) = job {
-                let errors = &errors;
-                s.spawn(move || {
-                    if let Err(e) = unit.read(slot, out) {
-                        // Units report a placeholder disk index; patch
-                        // in the real one while we still know it.
-                        errors.lock().push(e.with_disk(disk));
-                    }
-                });
-            }
-        }
-    });
-    match errors.into_inner().pop() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Writes one block to each `(disk, slot)` pair concurrently with one
-/// short-lived thread per request (legacy discipline). Requests must
-/// address distinct disks.
-pub fn threaded_write<R: Record>(
-    units: &mut [Box<dyn DiskUnit<R>>],
-    writes: &[(usize, usize, &[R])],
-) -> Result<()> {
-    let mut by_disk: Vec<Option<(usize, &[R])>> = (0..units.len()).map(|_| None).collect();
-    for &(disk, slot, data) in writes {
-        by_disk[disk] = Some((slot, data));
-    }
-    let errors: Mutex<Vec<PdmError>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for (disk, (unit, job)) in units.iter_mut().zip(by_disk).enumerate() {
-            if let Some((slot, data)) = job {
-                let errors = &errors;
-                s.spawn(move || {
-                    if let Err(e) = unit.write(slot, data) {
-                        errors.lock().push(e.with_disk(disk));
-                    }
-                });
-            }
-        }
-    });
-    match errors.into_inner().pop() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,45 +386,6 @@ mod tests {
         (0..disks)
             .map(|_| Box::new(MemDisk::<u64>::new(block, slots)) as Box<dyn DiskUnit<u64>>)
             .collect()
-    }
-
-    #[test]
-    fn threaded_round_trip() {
-        let mut u = units(2, 4, 4);
-        let data: Vec<Vec<u64>> = (0..4u64).map(|d| vec![d * 10, d * 10 + 1]).collect();
-        let writes: Vec<(usize, usize, &[u64])> = data
-            .iter()
-            .enumerate()
-            .map(|(d, v)| (d, d % 4, v.as_slice()))
-            .collect();
-        threaded_write(&mut u, &writes).unwrap();
-
-        let reqs: Vec<(usize, usize)> = (0..4).map(|d| (d, d % 4)).collect();
-        let mut flat = [0u64; 8];
-        threaded_read(&mut u, &reqs, flat.chunks_exact_mut(2).collect()).unwrap();
-        let got: Vec<Vec<u64>> = flat.chunks_exact(2).map(|c| c.to_vec()).collect();
-        assert_eq!(got, data);
-    }
-
-    #[test]
-    fn threaded_read_propagates_errors_naming_the_disk() {
-        let mut u = units(2, 2, 2);
-        let reqs = [(1usize, 5usize)]; // out of range on disk 1
-        let mut out = vec![0u64; 2];
-        let err = threaded_read(&mut u, &reqs, vec![out.as_mut_slice()]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PdmError::OutOfRange {
-                    disk: 1,
-                    slot: 5,
-                    ..
-                }
-            ),
-            "diagnostic must name the failing disk, got {err}"
-        );
-        let err = threaded_write(&mut u, &[(1, 5, &[0u64, 0][..])]).unwrap_err();
-        assert!(matches!(err, PdmError::OutOfRange { disk: 1, .. }));
     }
 
     #[test]

@@ -23,9 +23,15 @@
 //! # Service modes and the streaming fast path
 //!
 //! How a parallel I/O is physically serviced is orthogonal to how it is
-//! charged; [`ServiceMode`] selects among a serial loop, the legacy
-//! spawn-per-operation threads, and persistent per-disk service threads
-//! ([`crate::parallel::DiskPool`]). In [`ServiceMode::Threaded`] the
+//! charged. [`ServiceMode`] selects one of two disciplines. Serial local
+//! disks are serviced one block after another in the caller's thread.
+//! Everything else goes through persistent per-disk service threads
+//! ([`crate::parallel::DiskPool`]): pipelined in
+//! [`ServiceMode::Threaded`], and in *lockstep* — each command's
+//! completion collected before the next is sent — when disks behind
+//! remote transports run in [`ServiceMode::Serial`]. Every pool
+//! operation takes one path: one submit, one drain (recovery, first
+//! error, buffer return). In [`ServiceMode::Threaded`] the
 //! system additionally supports *split-phase* operations
 //! ([`DiskSystem::begin_read`] / [`DiskSystem::finish_read`] and the
 //! write duals): the operation is validated, charged, and submitted to
@@ -42,7 +48,7 @@ use crate::config::Geometry;
 use crate::error::{PdmError, Result};
 use crate::fault::FaultPlan;
 use crate::layout::Layout;
-use crate::parallel::{threaded_read, threaded_write, Cmd, Completion, DiskPool, Transport};
+use crate::parallel::{Cmd, Completion, DiskPool, Transport};
 use crate::record::{ByteRecord, Record};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::sched::SchedHandle;
@@ -86,82 +92,28 @@ pub struct BlockRef {
 }
 
 /// How parallel I/O operations are physically serviced. The charged
-/// cost ([`IoStats`]) is identical in every mode.
+/// cost ([`IoStats`]) is identical in both modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServiceMode {
-    /// One thread services all participating disks in sequence.
+    /// An operation's blocks are serviced one after another: in the
+    /// caller's thread on local disks, in lockstep over remote
+    /// transports.
     #[default]
     Serial,
-    /// Legacy threading: spawn one short-lived thread per disk per
-    /// operation. Retained for comparison benchmarks; superseded by
-    /// [`ServiceMode::Threaded`].
-    SpawnPerOp,
     /// Persistent per-disk service threads with asynchronous
     /// submission; enables the split-phase
     /// [`DiskSystem::begin_read`]/[`DiskSystem::begin_write`] overlap.
     Threaded,
 }
 
-/// The physical host of the disk units, per service mode.
+/// The physical host of the disks.
 enum Service<R: Record> {
+    /// Local units, serviced in the caller's thread.
     Serial(Vec<Box<dyn DiskUnit<R>>>),
-    SpawnPerOp(Vec<Box<dyn DiskUnit<R>>>),
-    Pooled(DiskPool<R>),
-    /// A transport pool driven in lockstep: each command's completion
-    /// is collected before the next is submitted. This is the serial
-    /// discipline over a *remote* transport (whose disks live behind a
-    /// [`Transport`] rather than as local units), so
-    /// [`ServiceMode::Serial`] keeps its meaning on remote systems.
-    Lockstep(DiskPool<R>),
-}
-
-impl<R: Record> Service<R> {
-    fn mode(&self) -> ServiceMode {
-        match self {
-            Service::Serial(_) | Service::Lockstep(_) => ServiceMode::Serial,
-            Service::SpawnPerOp(_) => ServiceMode::SpawnPerOp,
-            Service::Pooled(_) => ServiceMode::Threaded,
-        }
-    }
-
-    fn into_units(self) -> Vec<Box<dyn DiskUnit<R>>> {
-        match self {
-            Service::Serial(u) | Service::SpawnPerOp(u) => u,
-            Service::Pooled(pool) | Service::Lockstep(pool) => pool.into_units(),
-        }
-    }
-}
-
-/// Resolves one read completion: data into `out`, buffer back to the
-/// pool on every path, first error retained.
-fn absorb_read_completion<R: Record>(
-    pool: &mut BlockPool<R>,
-    c: Completion<R>,
-    out: &mut [R],
-    block: usize,
-    first_err: &mut Option<PdmError>,
-) {
-    match c.result {
-        Ok(()) => out[c.idx * block..(c.idx + 1) * block].copy_from_slice(&c.buf),
-        Err(e) if first_err.is_none() => *first_err = Some(e.with_disk(c.disk)),
-        Err(_) => {}
-    }
-    pool.put(c.buf);
-}
-
-/// Resolves one write completion: buffer back to the pool, first error
-/// retained.
-fn absorb_write_completion<R: Record>(
-    pool: &mut BlockPool<R>,
-    c: Completion<R>,
-    first_err: &mut Option<PdmError>,
-) {
-    if let Err(e) = c.result {
-        if first_err.is_none() {
-            *first_err = Some(e.with_disk(c.disk));
-        }
-    }
-    pool.put(c.buf);
+    /// Per-disk workers behind transports. `lockstep` keeps one command
+    /// in flight: the serial discipline for remote disks, which cannot
+    /// come home as local units.
+    Pooled { pool: DiskPool<R>, lockstep: bool },
 }
 
 /// Pool-accounting snapshot (see [`DiskSystem::buffer_pool_stats`]).
@@ -221,34 +173,113 @@ impl<R: Record> BlockPool<R> {
     }
 }
 
+/// Where a drained read's blocks go.
+enum Sink<'a, R> {
+    /// Block `i` of the request into `out[i*B .. (i+1)*B]`.
+    Out(&'a mut [R]),
+    /// Kept on the operation for a later drain: a lockstep split-phase
+    /// read has its data before `finish_read` is called.
+    Keep,
+    /// Straight back to the pool: writes, and the abort path.
+    Discard,
+}
+
+/// Copies block `idx` of a request into its place in `out`.
+fn place<R: Record>(out: &mut [R], idx: usize, buf: &[R]) {
+    out[idx * buf.len()..(idx + 1) * buf.len()].copy_from_slice(buf);
+}
+
+/// Where one operation's completions arrive.
+type CompletionChannel<R> = (Sender<Completion<R>>, Receiver<Completion<R>>);
+
+/// One parallel I/O between its submission and its drain: the state
+/// behind a [`ReadTicket`] or [`WriteTicket`].
+struct InFlight<R: Record> {
+    /// Reads, or else writes.
+    read: bool,
+    /// The request, kept so recovery can resubmit a command.
+    refs: Vec<BlockRef>,
+    /// The completion channel, opened at submission; the sender is kept
+    /// so a resubmitted command reports to the same drain.
+    chan: Option<CompletionChannel<R>>,
+    /// Per-command recovery attempts spent (allocated on first use).
+    attempts: Vec<u32>,
+    /// Completions not yet received.
+    pending: usize,
+    /// Read blocks already transferred, with their request indices.
+    landed: Vec<(usize, Vec<R>)>,
+    /// The first transfer error.
+    err: Option<PdmError>,
+}
+
+impl<R: Record> InFlight<R> {
+    fn new(read: bool, refs: Vec<BlockRef>) -> Self {
+        InFlight {
+            read,
+            refs,
+            chan: None,
+            attempts: Vec::new(),
+            pending: 0,
+            landed: Vec::new(),
+            err: None,
+        }
+    }
+
+    /// The command that moves block `idx` of the request in `buf`.
+    fn command(&self, idx: usize, buf: Vec<R>) -> Cmd<R> {
+        let slot = self.refs[idx].slot;
+        let done = self.chan.as_ref().expect("submitted operation").0.clone();
+        if self.read {
+            Cmd::Read {
+                slot,
+                buf,
+                idx,
+                done,
+            }
+        } else {
+            Cmd::Write {
+                slot,
+                buf,
+                idx,
+                done,
+            }
+        }
+    }
+
+    /// Resolves one completion: a read's block goes to `sink`, every
+    /// other buffer back to the pool, and the first error is kept.
+    fn absorb(&mut self, pool: &mut BlockPool<R>, c: Completion<R>, sink: &mut Sink<'_, R>) {
+        let Completion {
+            idx,
+            disk,
+            buf,
+            result,
+        } = c;
+        match (result, sink) {
+            (Err(e), _) => {
+                if self.err.is_none() {
+                    self.err = Some(e.with_disk(disk));
+                }
+            }
+            (Ok(()), Sink::Out(out)) => place(out, idx, &buf),
+            (Ok(()), Sink::Keep) => return self.landed.push((idx, buf)),
+            (Ok(()), Sink::Discard) => {}
+        }
+        pool.put(buf);
+    }
+}
+
 /// A split-phase parallel read in flight (see
 /// [`DiskSystem::begin_read`]). Must be resolved with
 /// [`DiskSystem::finish_read`] or [`DiskSystem::discard_read`]; simply
 /// dropping the ticket strands its pooled buffers.
 #[must_use = "resolve with finish_read/discard_read or the pooled buffers are stranded"]
-pub struct ReadTicket<R: Record> {
-    /// Completion channel (Threaded mode); `None` when the transfer
-    /// completed synchronously at `begin_read`.
-    rx: Option<Receiver<Completion<R>>>,
-    /// Completion return address, retained so `finish_read` can
-    /// resubmit a recovered command (retry/respawn) to the same drain.
-    tx: Option<Sender<Completion<R>>>,
-    /// The request, retained for recovery resubmission.
-    refs: Vec<BlockRef>,
-    /// Per-command recovery attempts already spent.
-    attempts: Vec<u32>,
-    /// Outstanding completions on `rx`.
-    pending: usize,
-    /// Buffers already filled in request order (synchronous modes).
-    sync: Vec<Vec<R>>,
-    /// Number of requested blocks (one per disk).
-    count: usize,
-}
+pub struct ReadTicket<R: Record>(InFlight<R>);
 
 impl<R: Record> ReadTicket<R> {
     /// Records transferred by this operation.
     pub fn records(&self, block: usize) -> usize {
-        self.count * block
+        self.0.refs.len() * block
     }
 }
 
@@ -256,16 +287,7 @@ impl<R: Record> ReadTicket<R> {
 /// [`DiskSystem::begin_write`]). Must be resolved with
 /// [`DiskSystem::finish_write`].
 #[must_use = "resolve with finish_write or the staging buffers are stranded"]
-pub struct WriteTicket<R: Record> {
-    rx: Option<Receiver<Completion<R>>>,
-    /// Completion return address for recovery resubmission.
-    tx: Option<Sender<Completion<R>>>,
-    /// The request, retained for recovery resubmission.
-    refs: Vec<BlockRef>,
-    /// Per-command recovery attempts already spent.
-    attempts: Vec<u32>,
-    pending: usize,
-}
+pub struct WriteTicket<R: Record>(InFlight<R>);
 
 /// A simulated parallel disk system storing records of type `R`.
 pub struct DiskSystem<R: Record> {
@@ -281,7 +303,8 @@ pub struct DiskSystem<R: Record> {
     striped_only: bool,
     /// True when the disks live behind remote transports (UDS workers
     /// or the simulated network) instead of local units. Remote
-    /// systems map [`ServiceMode::Serial`] onto [`Service::Lockstep`].
+    /// systems keep their transport pool in [`ServiceMode::Serial`]
+    /// and drive it in lockstep.
     remote: bool,
     /// Simulated network time accrued by a SimNet transport
     /// ([`DiskSystem::network_ms`]).
@@ -308,15 +331,19 @@ pub struct DiskSystem<R: Record> {
 }
 
 impl<R: Record> DiskSystem<R> {
-    /// A system over pre-built disk units (one per disk, each sized
-    /// `portions × N/BD` block slots).
-    fn from_units(geom: Geometry, portions: usize, units: Vec<Box<dyn DiskUnit<R>>>) -> Self {
+    /// The one initializer: local units start serial, remote transports
+    /// start in lockstep (the serial discipline on a pool).
+    fn from_service(geom: Geometry, portions: usize, service: Service<R>) -> Self {
         assert!(portions >= 1, "need at least one portion");
-        assert_eq!(units.len(), geom.disks(), "one unit per disk");
+        let (disks, remote) = match &service {
+            Service::Serial(units) => (units.len(), false),
+            Service::Pooled { pool, .. } => (pool.disks(), true),
+        };
+        assert_eq!(disks, geom.disks(), "one unit or transport per disk");
         DiskSystem {
             geom,
             layout: Layout::new(&geom),
-            service: Service::Serial(units),
+            service,
             pool: BlockPool::new(geom.block()),
             portions,
             stats: IoStats::default(),
@@ -324,34 +351,7 @@ impl<R: Record> DiskSystem<R> {
             op_counter: 0,
             timing: None,
             striped_only: false,
-            remote: false,
-            governor: None,
-            retry: RetryPolicy::default(),
-            retry_stats: RetryStats::default(),
-            timeout_fired: None,
-            net_ms: 0.0,
-            seen_disks: vec![false; geom.disks()],
-            stripe_scratch: Vec::with_capacity(geom.disks()),
-        }
-    }
-
-    /// A system whose disks live behind remote transports. Starts in
-    /// lockstep (the serial discipline; see [`Service::Lockstep`]).
-    fn from_remote(geom: Geometry, portions: usize, pool: DiskPool<R>) -> Self {
-        assert!(portions >= 1, "need at least one portion");
-        assert_eq!(pool.disks(), geom.disks(), "one transport per disk");
-        DiskSystem {
-            geom,
-            layout: Layout::new(&geom),
-            service: Service::Lockstep(pool),
-            pool: BlockPool::new(geom.block()),
-            portions,
-            stats: IoStats::default(),
-            faults: FaultPlan::new(),
-            op_counter: 0,
-            timing: None,
-            striped_only: false,
-            remote: true,
+            remote,
             governor: None,
             retry: RetryPolicy::default(),
             retry_stats: RetryStats::default(),
@@ -380,7 +380,15 @@ impl<R: Record> DiskSystem<R> {
         portions: usize,
         transports: Vec<Box<dyn Transport<R>>>,
     ) -> Self {
-        Self::from_remote(geom, portions, DiskPool::from_transports(transports))
+        let pool = DiskPool::from_transports(transports);
+        Self::from_service(
+            geom,
+            portions,
+            Service::Pooled {
+                pool,
+                lockstep: true,
+            },
+        )
     }
 
     /// A memory-backed system with `portions` address spaces of `N/BD`
@@ -391,7 +399,7 @@ impl<R: Record> DiskSystem<R> {
         let units = (0..geom.disks())
             .map(|_| Box::new(MemDisk::<R>::new(geom.block(), slots)) as Box<dyn DiskUnit<R>>)
             .collect();
-        Self::from_units(geom, portions, units)
+        Self::from_service(geom, portions, Service::Serial(units))
     }
 
     /// The geometry this system was built with.
@@ -443,45 +451,35 @@ impl<R: Record> DiskSystem<R> {
     }
 
     /// Selects how parallel I/Os are physically serviced. Charged costs
-    /// are identical in every mode; only wall-clock behaviour differs.
-    /// Switching modes drains any service threads first.
+    /// are identical in both modes; only wall-clock behaviour differs.
+    /// Switching modes drains any service threads first. Remote disks
+    /// stay on their transports either way: serial mode drives them in
+    /// lockstep.
     pub fn set_service_mode(&mut self, mode: ServiceMode) {
-        if self.remote {
-            // Remote disks cannot be hosted as local units; the pool of
-            // transports *moves* between disciplines. Serial maps onto
-            // lockstep; SpawnPerOp has no remote analogue and gets the
-            // pipelined pool (the closest in spirit: per-op concurrency).
-            let want_lockstep = matches!(mode, ServiceMode::Serial);
-            if want_lockstep == matches!(self.service, Service::Lockstep(_)) {
-                return;
-            }
-            let placeholder = Service::Serial(Vec::new());
-            let pool = match std::mem::replace(&mut self.service, placeholder) {
-                Service::Pooled(pool) | Service::Lockstep(pool) => pool,
-                _ => unreachable!("remote systems always hold a transport pool"),
-            };
-            self.service = if want_lockstep {
-                Service::Lockstep(pool)
-            } else {
-                Service::Pooled(pool)
-            };
-            return;
-        }
-        if self.service.mode() == mode {
-            return;
-        }
+        let threaded = mode == ServiceMode::Threaded;
         let placeholder = Service::Serial(Vec::new());
-        let units = std::mem::replace(&mut self.service, placeholder).into_units();
-        self.service = match mode {
-            ServiceMode::Serial => Service::Serial(units),
-            ServiceMode::SpawnPerOp => Service::SpawnPerOp(units),
-            ServiceMode::Threaded => Service::Pooled(DiskPool::new(units)),
+        self.service = match std::mem::replace(&mut self.service, placeholder) {
+            Service::Pooled { pool, .. } if self.remote => Service::Pooled {
+                pool,
+                lockstep: !threaded,
+            },
+            Service::Pooled { pool, .. } if !threaded => Service::Serial(pool.into_units()),
+            Service::Serial(units) if threaded => Service::Pooled {
+                pool: DiskPool::new(units),
+                lockstep: false,
+            },
+            unchanged => unchanged,
         };
     }
 
     /// The current service mode.
     pub fn service_mode(&self) -> ServiceMode {
-        self.service.mode()
+        match self.service {
+            Service::Pooled {
+                lockstep: false, ..
+            } => ServiceMode::Threaded,
+            _ => ServiceMode::Serial,
+        }
     }
 
     /// Enables or disables threaded (one thread per disk) servicing of
@@ -507,17 +505,17 @@ impl<R: Record> DiskSystem<R> {
     /// channels move buffers, not messages.
     pub fn message_stats(&self) -> MsgStats {
         match &self.service {
-            Service::Pooled(pool) | Service::Lockstep(pool) => pool.message_stats(),
-            _ => MsgStats::default(),
+            Service::Pooled { pool, .. } => pool.message_stats(),
+            Service::Serial(_) => MsgStats::default(),
         }
     }
 
-    /// Per-disk transport message counters (empty on non-pooled
-    /// services).
+    /// Per-disk transport message counters (empty on serial local
+    /// units).
     pub fn message_stats_per_disk(&self) -> Vec<MsgStats> {
         match &self.service {
-            Service::Pooled(pool) | Service::Lockstep(pool) => pool.message_stats_per_disk(),
-            _ => Vec::new(),
+            Service::Pooled { pool, .. } => pool.message_stats_per_disk(),
+            Service::Serial(_) => Vec::new(),
         }
     }
 
@@ -532,8 +530,8 @@ impl<R: Record> DiskSystem<R> {
     /// the last call (SimNet charges synchronously inside submission).
     fn absorb_network_time(&mut self) {
         let ms = match &mut self.service {
-            Service::Pooled(pool) | Service::Lockstep(pool) => pool.take_sim_ms(),
-            _ => 0.0,
+            Service::Pooled { pool, .. } => pool.take_sim_ms(),
+            Service::Serial(_) => 0.0,
         };
         if ms > 0.0 {
             self.net_ms += ms;
@@ -615,55 +613,80 @@ impl<R: Record> DiskSystem<R> {
         }
     }
 
-    /// Books one admission-level recovery attempt if the policy allows
-    /// a retry: counts it, sleeps and charges its backoff, and reports
-    /// whether the failure was absorbed. Injected transient faults and
-    /// oversized delays are one-shot per operation
-    /// ([`crate::fault::FaultPlan`]), so a single retry resolves them.
-    fn absorb_retryable_failure(&mut self) -> bool {
-        if !self.retry.retries_enabled() {
-            return false;
-        }
+    /// Books one recovery attempt (the `attempt`-th retry of its
+    /// command): counts it, then sleeps and charges its backoff.
+    fn count_retry(&mut self, attempt: u32) {
         self.retry_stats.retries += 1;
         self.retry_stats.attempts += 1;
-        let backoff = self.retry.backoff_ms(1);
+        let backoff = self.retry.backoff_ms(attempt);
         if backoff > 0 {
             self.retry_stats.backoff_ms += backoff;
             std::thread::sleep(Duration::from_millis(backoff));
             self.charge_stall_ms(backoff as f64);
         }
+    }
+
+    /// Books one admission-level recovery attempt if the policy allows
+    /// a retry, and reports whether the failure was absorbed. Injected
+    /// transient faults and oversized delays are one-shot per
+    /// operation ([`crate::fault::FaultPlan`]), so a single retry
+    /// resolves them.
+    fn absorb_retryable_failure(&mut self) -> bool {
+        if !self.retry.retries_enabled() {
+            return false;
+        }
+        self.count_retry(1);
         true
     }
 
-    /// Submits one command to the transport pool. Callers are the
-    /// pooled/lockstep paths only.
-    fn submit_cmd(&mut self, disk: usize, cmd: Cmd<R>) {
+    /// The transport pool. Only pool operations ask for it.
+    fn disk_pool(&mut self) -> &mut DiskPool<R> {
         match &mut self.service {
-            Service::Pooled(pool) | Service::Lockstep(pool) => pool.submit(disk, cmd),
-            _ => unreachable!("submit_cmd on a unit-backed service"),
+            Service::Pooled { pool, .. } => pool,
+            Service::Serial(_) => unreachable!("pool operation on serial units"),
         }
     }
 
-    /// Severs the transport link to `disk`, if there is one.
-    fn sever_disk(&mut self, disk: usize) {
-        if let Service::Pooled(pool) | Service::Lockstep(pool) = &mut self.service {
-            pool.inject_disconnect(disk);
+    /// Sends one command per block of `op` to the pool, staging write
+    /// data with `fill(i, buf)`. In lockstep each command's completion
+    /// is received and absorbed into `sink` before the next is sent,
+    /// and the operation is settled here, so an error surfaces now;
+    /// pipelined, the completions wait for [`Self::drain`]. `recover`
+    /// engages the retry layer ([`Self::receive`]).
+    ///
+    /// Kept out of line, like [`Self::drain`]: the public operations'
+    /// serial arms share a function with these calls, and inlining the
+    /// pool path into them measurably slowed the serial loop.
+    #[inline(never)]
+    fn submit(
+        &mut self,
+        op: &mut InFlight<R>,
+        fill: impl Fn(usize, &mut [R]),
+        mut sink: Sink<'_, R>,
+        recover: bool,
+    ) -> Result<()> {
+        let lockstep = matches!(self.service, Service::Pooled { lockstep: true, .. });
+        op.chan = Some(channel());
+        for idx in 0..op.refs.len() {
+            let mut buf = self.pool.take();
+            fill(idx, &mut buf);
+            let cmd = op.command(idx, buf);
+            self.disk_pool().submit(op.refs[idx].disk, cmd);
+            op.pending += 1;
+            if lockstep {
+                let c = self.receive(op, recover);
+                op.absorb(&mut self.pool, c, &mut sink);
+            }
         }
+        if lockstep {
+            return self.drain(op, sink, recover);
+        }
+        self.absorb_network_time();
+        Ok(())
     }
 
-    /// Attempts to revive the transport link to `disk`
-    /// ([`Transport::respawn`]).
-    fn respawn_disk(&mut self, disk: usize) -> Result<bool> {
-        match &mut self.service {
-            Service::Pooled(pool) | Service::Lockstep(pool) => pool.respawn(disk),
-            _ => Err(PdmError::Io(format!(
-                "disk {disk}: unit-backed service has no link to respawn"
-            ))),
-        }
-    }
-
-    /// Receives one completion from a transport drain, absorbing
-    /// recoverable failures within policy before handing it back:
+    /// Receives one of `op`'s completions. With `recover`, failures the
+    /// policy can absorb never reach the caller:
     ///
     /// * a `Disconnected` completion with respawn budget revives the
     ///   link ([`Transport::respawn`]) and resubmits the same command
@@ -673,99 +696,86 @@ impl<R: Record> DiskSystem<R> {
     /// * a completion that outwaits `op_timeout_ms` severs the stuck
     ///   op's links so every in-flight buffer comes home as
     ///   `Disconnected` — which the respawn arm may then recover, and
-    ///   which [`DiskSystem::finalize_err`] otherwise surfaces as
+    ///   which [`Self::drain`] otherwise reports as
     ///   [`PdmError::Timeout`].
-    ///
-    /// Returns only completions the caller must resolve (data landed,
-    /// buffer to recycle, or an unrecoverable error).
-    fn recv_resolved(
-        &mut self,
-        rx: &Receiver<Completion<R>>,
-        tx: &Sender<Completion<R>>,
-        refs: &[BlockRef],
-        attempts: &mut [u32],
-        is_read: bool,
-    ) -> Completion<R> {
+    fn receive(&mut self, op: &mut InFlight<R>, recover: bool) -> Completion<R> {
+        let budget = self.retry.op_timeout_ms.filter(|_| recover);
         let mut severed = false;
         loop {
-            let c = if let Some(budget) = self.retry.op_timeout_ms {
-                loop {
-                    match rx.recv_timeout(Duration::from_millis(budget)) {
-                        Ok(c) => break c,
-                        Err(RecvTimeoutError::Timeout) => {
-                            if !severed {
-                                severed = true;
-                                self.retry_stats.timeouts += 1;
-                                self.timeout_fired = Some(budget);
-                                // Sever the whole op: stuck links
-                                // answer their in-flight commands with
-                                // `Disconnected`, bringing the buffers
-                                // home.
-                                for r in refs {
-                                    self.sever_disk(r.disk);
-                                }
+            let rx = &op.chan.as_ref().expect("submitted operation").1;
+            let c = match budget {
+                None => rx.recv().expect("disk service thread hung up"),
+                Some(ms) => match rx.recv_timeout(Duration::from_millis(ms)) {
+                    Ok(c) => c,
+                    Err(RecvTimeoutError::Timeout) => {
+                        if !severed {
+                            severed = true;
+                            self.retry_stats.timeouts += 1;
+                            self.timeout_fired = Some(ms);
+                            // Sever the whole op: stuck links answer
+                            // their in-flight commands with
+                            // `Disconnected`, bringing the buffers home.
+                            for r in &op.refs {
+                                self.disk_pool().inject_disconnect(r.disk);
                             }
                         }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            panic!("disk service thread hung up")
-                        }
+                        continue;
                     }
-                }
-            } else {
-                rx.recv().expect("disk service thread hung up")
+                    Err(RecvTimeoutError::Disconnected) => panic!("disk service thread hung up"),
+                },
             };
-            let recoverable = matches!(c.result, Err(PdmError::Disconnected { .. }))
+            let spent = op.attempts.get(c.idx).copied().unwrap_or(0);
+            let recoverable = recover
+                && matches!(c.result, Err(PdmError::Disconnected { .. }))
                 && self.retry.respawn
-                && attempts[c.idx] + 1 < self.retry.max_attempts;
+                && spent + 1 < self.retry.max_attempts;
             if recoverable {
-                if let Ok(revived) = self.respawn_disk(c.disk) {
-                    attempts[c.idx] += 1;
-                    self.retry_stats.retries += 1;
-                    self.retry_stats.attempts += 1;
+                if let Ok(revived) = self.disk_pool().respawn(c.disk) {
+                    op.attempts.resize(op.refs.len(), 0);
+                    op.attempts[c.idx] = spent + 1;
                     self.retry_stats.respawns += revived as u64;
-                    let backoff = self.retry.backoff_ms(attempts[c.idx]);
-                    if backoff > 0 {
-                        self.retry_stats.backoff_ms += backoff;
-                        std::thread::sleep(Duration::from_millis(backoff));
-                        self.charge_stall_ms(backoff as f64);
-                    }
-                    let Completion { idx, disk, buf, .. } = c;
-                    let cmd = if is_read {
-                        Cmd::Read {
-                            slot: refs[idx].slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        }
-                    } else {
-                        Cmd::Write {
-                            slot: refs[idx].slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        }
-                    };
-                    self.submit_cmd(disk, cmd);
+                    self.count_retry(spent + 1);
+                    let cmd = op.command(c.idx, c.buf);
+                    self.disk_pool().submit(c.disk, cmd);
                     continue;
                 }
             }
+            op.pending -= 1;
             return c;
         }
     }
 
-    /// Final error classification for one drained operation: when a
-    /// per-op timeout fired and the survivors still failed with
-    /// `Disconnected`, the caller-facing error is the timeout.
-    fn finalize_err(&mut self, e: PdmError) -> PdmError {
-        match (self.timeout_fired.take(), e) {
-            (Some(ms), PdmError::Disconnected { disk }) => PdmError::Timeout {
+    /// Receives everything `op` still has in flight and settles it:
+    /// read blocks go to `sink`, every buffer back to the pool, and the
+    /// first error wins — reported as [`PdmError::Timeout`] when a
+    /// per-op timeout fired and the survivors came home
+    /// `Disconnected`. A failed operation recycles its kept blocks too.
+    #[inline(never)]
+    fn drain(&mut self, op: &mut InFlight<R>, mut sink: Sink<'_, R>, recover: bool) -> Result<()> {
+        while op.pending > 0 {
+            let c = self.receive(op, recover);
+            op.absorb(&mut self.pool, c, &mut sink);
+        }
+        self.absorb_network_time();
+        let result = match (op.err.take(), self.timeout_fired.take()) {
+            (None, _) => Ok(()),
+            (Some(PdmError::Disconnected { disk }), Some(ms)) => Err(PdmError::Timeout {
                 disk,
                 op: self.op_counter.saturating_sub(1),
                 attempt: 0,
                 ms,
-            },
-            (_, e) => e,
+            }),
+            (Some(e), _) => Err(e),
+        };
+        if result.is_err() || !matches!(sink, Sink::Keep) {
+            for (idx, buf) in op.landed.drain(..) {
+                if let Sink::Out(out) = &mut sink {
+                    place(out, idx, &buf);
+                }
+                self.pool.put(buf);
+            }
         }
+        result
     }
 
     fn validate(&mut self, refs: impl Iterator<Item = BlockRef>) -> Result<()> {
@@ -856,10 +866,10 @@ impl<R: Record> DiskSystem<R> {
                 // operation proceed: the disconnect surfaces through
                 // the completion path mid-operation (the realistic
                 // failure), with every buffer still recycled.
-                Service::Pooled(pool) | Service::Lockstep(pool) => pool.inject_disconnect(disk),
-                // Unit-backed services have no link to sever; fail the
+                Service::Pooled { pool, .. } => pool.inject_disconnect(disk),
+                // Local units have no link to sever; fail the
                 // operation up front.
-                _ => return Err(PdmError::Disconnected { disk }),
+                Service::Serial(_) => return Err(PdmError::Disconnected { disk }),
             }
         }
         Ok(())
@@ -889,7 +899,7 @@ impl<R: Record> DiskSystem<R> {
     /// requested block (at most one per disk) into
     /// `out[i*B .. (i+1)*B]` in request order, with no allocation on
     /// the serial path. Counts one parallel I/O (zero if `refs` is
-    /// empty).
+    /// empty) once it has succeeded.
     pub fn read_blocks_into(&mut self, refs: &[BlockRef], out: &mut [R]) -> Result<()> {
         if refs.is_empty() {
             assert!(out.is_empty(), "output buffer for an empty request");
@@ -911,51 +921,13 @@ impl<R: Record> DiskSystem<R> {
                         .map_err(|e| e.with_disk(r.disk))?;
                 }
             }
-            Service::SpawnPerOp(units) => {
-                let reqs: Vec<(usize, usize)> = refs.iter().map(|r| (r.disk, r.slot)).collect();
-                threaded_read(units, &reqs, out.chunks_exact_mut(block).collect())?;
-            }
-            Service::Pooled(_) | Service::Lockstep(_) => {
-                let lockstep = matches!(self.service, Service::Lockstep(_));
-                let (tx, rx) = channel();
-                let mut first_err = None;
-                let mut attempts = vec![0u32; refs.len()];
-                let mut pending = 0;
-                for (idx, r) in refs.iter().enumerate() {
-                    let buf = self.pool.take();
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Read {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                    pending += 1;
-                    if lockstep {
-                        // Serial discipline: one command in flight.
-                        let c = self.recv_resolved(&rx, &tx, refs, &mut attempts, true);
-                        absorb_read_completion(&mut self.pool, c, out, block, &mut first_err);
-                        pending -= 1;
-                    }
-                }
-                for _ in 0..pending {
-                    let c = self.recv_resolved(&rx, &tx, refs, &mut attempts, true);
-                    // Pool hygiene: the buffer comes back on every path.
-                    absorb_read_completion(&mut self.pool, c, out, block, &mut first_err);
-                }
-                drop(tx);
-                if let Some(e) = first_err {
-                    let e = self.finalize_err(e);
-                    self.absorb_network_time();
-                    return Err(e);
-                }
-                self.timeout_fired = None;
+            Service::Pooled { .. } => {
+                let mut op = InFlight::new(true, refs.to_vec());
+                self.submit(&mut op, |_, _| {}, Sink::Out(&mut *out), true)?;
+                self.drain(&mut op, Sink::Out(out), true)?;
             }
         }
         self.charge(refs, true);
-        self.absorb_network_time();
         Ok(())
     }
 
@@ -975,7 +947,7 @@ impl<R: Record> DiskSystem<R> {
 
     /// One parallel write: stores each block (at most one per disk).
     /// Every block must be exactly `B` records. Counts one parallel I/O
-    /// (zero if `writes` is empty).
+    /// (zero if `writes` is empty) once it has succeeded.
     pub fn write_blocks(&mut self, writes: &[(BlockRef, &[R])]) -> Result<()> {
         if writes.is_empty() {
             return Ok(());
@@ -998,53 +970,14 @@ impl<R: Record> DiskSystem<R> {
                         .map_err(|e| e.with_disk(r.disk))?;
                 }
             }
-            Service::SpawnPerOp(units) => {
-                let reqs: Vec<(usize, usize, &[R])> = writes
-                    .iter()
-                    .map(|(r, data)| (r.disk, r.slot, *data))
-                    .collect();
-                threaded_write(units, &reqs)?;
-            }
-            Service::Pooled(_) | Service::Lockstep(_) => {
-                let lockstep = matches!(self.service, Service::Lockstep(_));
-                let (tx, rx) = channel();
-                let mut first_err = None;
-                let mut attempts = vec![0u32; refs.len()];
-                let mut pending = 0;
-                for (idx, (r, data)) in writes.iter().enumerate() {
-                    let mut buf = self.pool.take();
-                    buf.copy_from_slice(data);
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Write {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                    pending += 1;
-                    if lockstep {
-                        let c = self.recv_resolved(&rx, &tx, &refs, &mut attempts, false);
-                        absorb_write_completion(&mut self.pool, c, &mut first_err);
-                        pending -= 1;
-                    }
-                }
-                for _ in 0..pending {
-                    let c = self.recv_resolved(&rx, &tx, &refs, &mut attempts, false);
-                    absorb_write_completion(&mut self.pool, c, &mut first_err);
-                }
-                drop(tx);
-                if let Some(e) = first_err {
-                    let e = self.finalize_err(e);
-                    self.absorb_network_time();
-                    return Err(e);
-                }
-                self.timeout_fired = None;
+            Service::Pooled { .. } => {
+                let mut op = InFlight::new(false, refs.clone());
+                let fill = |i: usize, buf: &mut [R]| buf.copy_from_slice(writes[i].1);
+                self.submit(&mut op, fill, Sink::Discard, true)?;
+                self.drain(&mut op, Sink::Discard, true)?;
             }
         }
         self.charge(&refs, false);
-        self.absorb_network_time();
         Ok(())
     }
 
@@ -1062,136 +995,41 @@ impl<R: Record> DiskSystem<R> {
     /// Begins one parallel read. The operation is validated, charged,
     /// and submitted immediately; in [`ServiceMode::Threaded`] the
     /// transfer proceeds on the service threads while the caller
-    /// computes, in the synchronous modes it completes before this
-    /// returns. Resolve with [`DiskSystem::finish_read`] (or
-    /// [`DiskSystem::discard_read`] on an abort path).
+    /// computes, in [`ServiceMode::Serial`] it completes (and any
+    /// transfer error surfaces) before this returns. Resolve with
+    /// [`DiskSystem::finish_read`] (or [`DiskSystem::discard_read`] on
+    /// an abort path).
     ///
     /// Unlike the all-at-once operations, a split-phase operation is
     /// charged at submission: a transfer that later fails has still
     /// been issued against the model.
     pub fn begin_read(&mut self, refs: &[BlockRef]) -> Result<ReadTicket<R>> {
-        let block = self.geom.block();
+        let mut op = InFlight::new(true, refs.to_vec());
         if refs.is_empty() {
-            return Ok(ReadTicket {
-                rx: None,
-                tx: None,
-                refs: Vec::new(),
-                attempts: Vec::new(),
-                pending: 0,
-                sync: Vec::new(),
-                count: 0,
-            });
+            return Ok(ReadTicket(op));
         }
         self.admit(refs, true)?;
         self.charge(refs, true);
-        let count = refs.len();
         match &mut self.service {
-            Service::Pooled(_) => {
-                let (tx, rx) = channel();
+            // Synchronous: transfer now into pooled buffers;
+            // `finish_read` just copies out.
+            Service::Serial(units) => {
                 for (idx, r) in refs.iter().enumerate() {
-                    let buf = self.pool.take();
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Read {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                }
-                self.absorb_network_time();
-                Ok(ReadTicket {
-                    rx: Some(rx),
-                    tx: Some(tx),
-                    refs: refs.to_vec(),
-                    attempts: vec![0; refs.len()],
-                    pending: refs.len(),
-                    sync: Vec::new(),
-                    count,
-                })
-            }
-            Service::Lockstep(_) => {
-                // Serial discipline over the transport: each block's
-                // completion is collected before the next submission;
-                // `finish_read` just copies out of the filled buffers.
-                let (tx, rx) = channel();
-                let mut attempts = vec![0u32; refs.len()];
-                let mut sync = Vec::with_capacity(refs.len());
-                let mut first_err = None;
-                for (idx, r) in refs.iter().enumerate() {
-                    let buf = self.pool.take();
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Read {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                    let c = self.recv_resolved(&rx, &tx, refs, &mut attempts, true);
-                    match c.result {
-                        Ok(()) => sync.push(c.buf),
-                        Err(e) => {
-                            // Pool hygiene on the error path.
-                            self.pool.put(c.buf);
-                            if first_err.is_none() {
-                                first_err = Some(e.with_disk(c.disk));
-                            }
-                        }
-                    }
-                }
-                if let Some(e) = first_err {
-                    for b in sync {
-                        self.pool.put(b);
-                    }
-                    let e = self.finalize_err(e);
-                    self.absorb_network_time();
-                    return Err(e);
-                }
-                self.timeout_fired = None;
-                self.absorb_network_time();
-                Ok(ReadTicket {
-                    rx: None,
-                    tx: None,
-                    refs: Vec::new(),
-                    attempts: Vec::new(),
-                    pending: 0,
-                    sync,
-                    count,
-                })
-            }
-            Service::Serial(units) | Service::SpawnPerOp(units) => {
-                // Synchronous fallback: transfer now into pooled
-                // buffers; `finish_read` just copies out.
-                let mut sync = Vec::with_capacity(refs.len());
-                for r in refs {
                     let mut buf = self.pool.take();
-                    match units[r.disk].read(r.slot, &mut buf) {
-                        Ok(()) => sync.push(buf),
-                        Err(e) => {
-                            // Pool hygiene on the error path.
-                            self.pool.put(buf);
-                            for b in sync {
-                                self.pool.put(b);
-                            }
-                            return Err(e.with_disk(r.disk));
+                    if let Err(e) = units[r.disk].read(r.slot, &mut buf) {
+                        // Pool hygiene on the error path.
+                        self.pool.put(buf);
+                        for (_, b) in op.landed {
+                            self.pool.put(b);
                         }
+                        return Err(e.with_disk(r.disk));
                     }
+                    op.landed.push((idx, buf));
                 }
-                debug_assert_eq!(block, sync[0].len());
-                Ok(ReadTicket {
-                    rx: None,
-                    tx: None,
-                    refs: Vec::new(),
-                    attempts: Vec::new(),
-                    pending: 0,
-                    sync,
-                    count,
-                })
             }
+            Service::Pooled { .. } => self.submit(&mut op, |_, _| {}, Sink::Keep, true)?,
         }
+        Ok(ReadTicket(op))
     }
 
     /// Begins a split-phase read of a single block (see
@@ -1204,70 +1042,22 @@ impl<R: Record> DiskSystem<R> {
     /// Completes a split-phase read, copying block `i` of the request
     /// into `out[i*B .. (i+1)*B]` and recycling the transfer buffers.
     /// On error every buffer is still reclaimed.
-    pub fn finish_read(&mut self, ticket: ReadTicket<R>, out: &mut [R]) -> Result<()> {
-        let block = self.geom.block();
+    pub fn finish_read(&mut self, mut ticket: ReadTicket<R>, out: &mut [R]) -> Result<()> {
+        let want = ticket.records(self.geom.block());
         assert_eq!(
             out.len(),
-            ticket.count * block,
-            "finish_read requires {} records of output space",
-            ticket.count * block
+            want,
+            "finish_read requires {want} records of output space"
         );
-        let ReadTicket {
-            rx,
-            tx,
-            refs,
-            mut attempts,
-            pending,
-            sync,
-            ..
-        } = ticket;
-        let mut first_err = None;
-        if let Some(rx) = rx {
-            let tx = tx.expect("pipelined ticket retains its sender");
-            for _ in 0..pending {
-                let c = self.recv_resolved(&rx, &tx, &refs, &mut attempts, true);
-                match c.result {
-                    Ok(()) => out[c.idx * block..(c.idx + 1) * block].copy_from_slice(&c.buf),
-                    Err(e) if first_err.is_none() => {
-                        first_err = Some(e.with_disk(c.disk));
-                    }
-                    Err(_) => {}
-                }
-                self.pool.put(c.buf);
-            }
-        } else {
-            for (i, buf) in sync.into_iter().enumerate() {
-                out[i * block..(i + 1) * block].copy_from_slice(&buf);
-                self.pool.put(buf);
-            }
-        }
-        match first_err {
-            Some(e) => Err(self.finalize_err(e)),
-            None => {
-                self.timeout_fired = None;
-                Ok(())
-            }
-        }
+        self.drain(&mut ticket.0, Sink::Out(out), true)
     }
 
     /// Abandons a split-phase read (abort path): waits out the
     /// transfers, discards the data, and reclaims every buffer.
-    pub fn discard_read(&mut self, ticket: ReadTicket<R>) {
+    pub fn discard_read(&mut self, mut ticket: ReadTicket<R>) {
         // No recovery on the abort path: the data is unwanted, so a
         // failed completion just recycles its buffer.
-        let ReadTicket {
-            rx, pending, sync, ..
-        } = ticket;
-        if let Some(rx) = rx {
-            for _ in 0..pending {
-                let c = rx.recv().expect("disk service thread hung up");
-                self.pool.put(c.buf);
-            }
-        } else {
-            for buf in sync {
-                self.pool.put(buf);
-            }
-        }
+        let _ = self.drain(&mut ticket.0, Sink::Discard, false);
     }
 
     /// Begins one parallel write from a contiguous buffer: block `i` of
@@ -1276,16 +1066,11 @@ impl<R: Record> DiskSystem<R> {
     /// this returns. Charged at submission; resolve with
     /// [`DiskSystem::finish_write`].
     pub fn begin_write(&mut self, refs: &[BlockRef], data: &[R]) -> Result<WriteTicket<R>> {
-        let block = self.geom.block();
+        let mut op = InFlight::new(false, Vec::new());
         if refs.is_empty() {
-            return Ok(WriteTicket {
-                rx: None,
-                tx: None,
-                refs: Vec::new(),
-                attempts: Vec::new(),
-                pending: 0,
-            });
+            return Ok(WriteTicket(op));
         }
+        let block = self.geom.block();
         assert_eq!(
             data.len(),
             refs.len() * block,
@@ -1295,126 +1080,28 @@ impl<R: Record> DiskSystem<R> {
         self.admit(refs, false)?;
         self.charge(refs, false);
         match &mut self.service {
-            Service::Pooled(_) => {
-                let (tx, rx) = channel();
-                for (idx, r) in refs.iter().enumerate() {
-                    let mut buf = self.pool.take();
-                    buf.copy_from_slice(&data[idx * block..(idx + 1) * block]);
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Write {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                }
-                self.absorb_network_time();
-                Ok(WriteTicket {
-                    rx: Some(rx),
-                    tx: Some(tx),
-                    refs: refs.to_vec(),
-                    attempts: vec![0; refs.len()],
-                    pending: refs.len(),
-                })
-            }
-            Service::Lockstep(_) => {
-                let (tx, rx) = channel();
-                let mut attempts = vec![0u32; refs.len()];
-                let mut first_err = None;
-                for (idx, r) in refs.iter().enumerate() {
-                    let mut buf = self.pool.take();
-                    buf.copy_from_slice(&data[idx * block..(idx + 1) * block]);
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Write {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                    let c = self.recv_resolved(&rx, &tx, refs, &mut attempts, false);
-                    absorb_write_completion(&mut self.pool, c, &mut first_err);
-                }
-                self.absorb_network_time();
-                match first_err {
-                    Some(e) => Err(self.finalize_err(e)),
-                    None => {
-                        self.timeout_fired = None;
-                        Ok(WriteTicket {
-                            rx: None,
-                            tx: None,
-                            refs: Vec::new(),
-                            attempts: Vec::new(),
-                            pending: 0,
-                        })
-                    }
-                }
-            }
             Service::Serial(units) => {
                 for (i, r) in refs.iter().enumerate() {
                     units[r.disk]
                         .write(r.slot, &data[i * block..(i + 1) * block])
                         .map_err(|e| e.with_disk(r.disk))?;
                 }
-                Ok(WriteTicket {
-                    rx: None,
-                    tx: None,
-                    refs: Vec::new(),
-                    attempts: Vec::new(),
-                    pending: 0,
-                })
             }
-            Service::SpawnPerOp(units) => {
-                let reqs: Vec<(usize, usize, &[R])> = refs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.disk, r.slot, &data[i * block..(i + 1) * block]))
-                    .collect();
-                threaded_write(units, &reqs)?;
-                Ok(WriteTicket {
-                    rx: None,
-                    tx: None,
-                    refs: Vec::new(),
-                    attempts: Vec::new(),
-                    pending: 0,
-                })
+            Service::Pooled { .. } => {
+                op.refs = refs.to_vec();
+                let fill = |i: usize, buf: &mut [R]| {
+                    buf.copy_from_slice(&data[i * block..(i + 1) * block]);
+                };
+                self.submit(&mut op, fill, Sink::Discard, true)?;
             }
         }
+        Ok(WriteTicket(op))
     }
 
     /// Completes a split-phase write, reclaiming the staging buffers
     /// and surfacing any transfer error.
-    pub fn finish_write(&mut self, ticket: WriteTicket<R>) -> Result<()> {
-        let WriteTicket {
-            rx,
-            tx,
-            refs,
-            mut attempts,
-            pending,
-        } = ticket;
-        let mut first_err = None;
-        if let Some(rx) = rx {
-            let tx = tx.expect("pipelined ticket retains its sender");
-            for _ in 0..pending {
-                let c = self.recv_resolved(&rx, &tx, &refs, &mut attempts, false);
-                if let Err(e) = c.result {
-                    if first_err.is_none() {
-                        first_err = Some(e.with_disk(c.disk));
-                    }
-                }
-                self.pool.put(c.buf);
-            }
-        }
-        match first_err {
-            Some(e) => Err(self.finalize_err(e)),
-            None => {
-                self.timeout_fired = None;
-                Ok(())
-            }
-        }
+    pub fn finish_write(&mut self, mut ticket: WriteTicket<R>) -> Result<()> {
+        self.drain(&mut ticket.0, Sink::Discard, true)
     }
 
     // ------------------------------------------------------------------
@@ -1519,58 +1206,23 @@ impl<R: Record> DiskSystem<R> {
 
     /// Reads one block directly, bypassing the model (no I/O charged).
     fn unit_read(&mut self, disk: usize, slot: usize, out: &mut [R]) -> Result<()> {
-        match &mut self.service {
-            Service::Serial(units) | Service::SpawnPerOp(units) => {
-                units[disk].read(slot, out).map_err(|e| e.with_disk(disk))
-            }
-            Service::Pooled(pool) | Service::Lockstep(pool) => {
-                let buf = self.pool.take();
-                let (tx, rx) = channel();
-                pool.submit(
-                    disk,
-                    Cmd::Read {
-                        slot,
-                        buf,
-                        idx: 0,
-                        done: tx,
-                    },
-                );
-                let c = rx.recv().expect("disk service thread hung up");
-                if c.result.is_ok() {
-                    out.copy_from_slice(&c.buf);
-                }
-                self.pool.put(c.buf);
-                self.absorb_network_time();
-                c.result.map_err(|e| e.with_disk(disk))
-            }
+        if let Service::Serial(units) = &mut self.service {
+            return units[disk].read(slot, out).map_err(|e| e.with_disk(disk));
         }
+        let mut op = InFlight::new(true, vec![BlockRef { disk, slot }]);
+        self.submit(&mut op, |_, _| {}, Sink::Out(&mut *out), false)?;
+        self.drain(&mut op, Sink::Out(out), false)
     }
 
     /// Writes one block directly, bypassing the model (no I/O charged).
     fn unit_write(&mut self, disk: usize, slot: usize, data: &[R]) -> Result<()> {
-        match &mut self.service {
-            Service::Serial(units) | Service::SpawnPerOp(units) => {
-                units[disk].write(slot, data).map_err(|e| e.with_disk(disk))
-            }
-            Service::Pooled(pool) | Service::Lockstep(pool) => {
-                let mut buf = self.pool.take();
-                buf.copy_from_slice(data);
-                let (tx, rx) = channel();
-                pool.submit(
-                    disk,
-                    Cmd::Write {
-                        slot,
-                        buf,
-                        idx: 0,
-                        done: tx,
-                    },
-                );
-                let c = rx.recv().expect("disk service thread hung up");
-                self.pool.put(c.buf);
-                self.absorb_network_time();
-                c.result.map_err(|e| e.with_disk(disk))
-            }
+        if let Service::Serial(units) = &mut self.service {
+            return units[disk].write(slot, data).map_err(|e| e.with_disk(disk));
         }
+        let mut op = InFlight::new(false, vec![BlockRef { disk, slot }]);
+        let fill = |_: usize, buf: &mut [R]| buf.copy_from_slice(data);
+        self.submit(&mut op, fill, Sink::Discard, false)?;
+        self.drain(&mut op, Sink::Discard, false)
     }
 
     /// Translates a record address within a portion to its block
@@ -1643,7 +1295,7 @@ impl<R: Record + ByteRecord> DiskSystem<R> {
             let path = dir.join(format!("disk{d:03}.bin"));
             units.push(Box::new(FileDisk::create::<R>(&path, geom.block(), slots)?));
         }
-        Ok(Self::from_units(geom, portions, units))
+        Ok(Self::from_service(geom, portions, Service::Serial(units)))
     }
 
     /// Backend-generic constructor: builds [`DiskSystem::new_mem`] or
@@ -1705,17 +1357,12 @@ impl<R: Record + ByteRecord> DiskSystem<R> {
                         }
                     }
                 }
-                Ok(Self::from_remote(
-                    geom,
-                    portions,
-                    DiskPool::from_transports(transports),
-                ))
+                Ok(Self::new_from_transports(geom, portions, transports))
             }
             TransportConfig::Uds(cfg) => {
                 let transports =
                     spawn_uds_workers::<R>(geom.disks(), geom.block(), slots, backend, cfg)?;
-                let mut sys =
-                    Self::from_remote(geom, portions, DiskPool::from_transports(transports));
+                let mut sys = Self::new_from_transports(geom, portions, transports);
                 sys.set_retry_policy(cfg.retry);
                 Ok(sys)
             }
@@ -2068,20 +1715,17 @@ mod tests {
         let records: Vec<u64> = (0..256).collect();
         let mut serial = DiskSystem::<u64>::new_mem(g, 1);
         serial.load_records(0, &records);
-        for mode in [ServiceMode::SpawnPerOp, ServiceMode::Threaded] {
-            let mut threaded = DiskSystem::<u64>::new_mem(g, 1);
-            threaded.set_service_mode(mode);
-            assert_eq!(threaded.service_mode(), mode);
-            threaded.load_records(0, &records);
-            serial.reset_stats();
-            for slot in 0..g.stripes() {
-                assert_eq!(
-                    serial.read_stripe(slot).unwrap(),
-                    threaded.read_stripe(slot).unwrap()
-                );
-            }
-            assert_eq!(serial.stats(), threaded.stats());
+        let mut threaded = DiskSystem::<u64>::new_mem(g, 1);
+        threaded.set_service_mode(ServiceMode::Threaded);
+        assert_eq!(threaded.service_mode(), ServiceMode::Threaded);
+        threaded.load_records(0, &records);
+        for slot in 0..g.stripes() {
+            assert_eq!(
+                serial.read_stripe(slot).unwrap(),
+                threaded.read_stripe(slot).unwrap()
+            );
         }
+        assert_eq!(serial.stats(), threaded.stats());
     }
 
     #[test]
@@ -2090,8 +1734,6 @@ mod tests {
         let records: Vec<u64> = (0..64).map(|i| i * 7).collect();
         sys.load_records(0, &records);
         sys.set_service_mode(ServiceMode::Threaded);
-        assert_eq!(sys.dump_records(0), records);
-        sys.set_service_mode(ServiceMode::SpawnPerOp);
         assert_eq!(sys.dump_records(0), records);
         sys.set_service_mode(ServiceMode::Serial);
         assert_eq!(sys.dump_records(0), records);
@@ -2111,11 +1753,7 @@ mod tests {
 
     #[test]
     fn split_phase_round_trip_all_modes() {
-        for mode in [
-            ServiceMode::Serial,
-            ServiceMode::SpawnPerOp,
-            ServiceMode::Threaded,
-        ] {
+        for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
             let mut sys = small();
             sys.set_service_mode(mode);
             let records: Vec<u64> = (0..64).collect();
@@ -2200,11 +1838,7 @@ mod tests {
         // The block-granular merge path: one block per parallel I/O,
         // synchronous and split-phase, classified independent for
         // D > 1.
-        for mode in [
-            ServiceMode::Serial,
-            ServiceMode::SpawnPerOp,
-            ServiceMode::Threaded,
-        ] {
+        for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
             let mut sys = small();
             sys.set_service_mode(mode);
             let records: Vec<u64> = (0..64).collect();
@@ -2361,6 +1995,9 @@ mod tests {
     /// An injected transport disconnect surfaces mid-operation as
     /// [`PdmError::Disconnected`] naming the disk, recycles every
     /// pooled buffer, and leaves the link dead for later operations.
+    /// It also pins the charging rule on the failure path: a failed
+    /// all-at-once call is admitted but not charged, while a failed
+    /// split-phase call is charged once, at submission.
     #[test]
     fn transport_disconnect_surfaces_and_preserves_pool_hygiene() {
         use crate::transport::{SimNetModel, TransportConfig};
@@ -2387,6 +2024,7 @@ mod tests {
             assert_eq!(warm.outstanding, 0);
             // Ops 2.. : disk 2's link drops during op 2.
             sim.set_faults(FaultPlan::new().disconnect_at(2, 2));
+            let charged = sim.stats();
             let err = sim.read_stripe_into(0, &mut buf).unwrap_err();
             assert!(
                 matches!(err, PdmError::Disconnected { disk: 2 }),
@@ -2395,11 +2033,13 @@ mod tests {
             // The link stays dead: later ops touching disk 2 fail too.
             let err = sim.read_stripe_into(1, &mut buf).unwrap_err();
             assert!(matches!(err, PdmError::Disconnected { disk: 2 }));
+            assert_eq!(sim.stats(), charged, "mode {mode:?}: failed ops charged");
             // Ops avoiding disk 2 still work.
             sim.read_blocks_into(&[BlockRef { disk: 0, slot: 0 }], &mut buf[..2])
                 .unwrap();
             // Split-phase paths also fail cleanly: lockstep surfaces
             // the error at begin, pipelined at finish.
+            let (io0, retry0) = (sim.stats(), sim.retry_stats());
             match sim.begin_read(&sim.stripe_refs(0)) {
                 Ok(t) => {
                     let mut out = vec![0u64; 8];
@@ -2408,6 +2048,10 @@ mod tests {
                 }
                 Err(e) => assert!(matches!(e, PdmError::Disconnected { disk: 2 })),
             }
+            let io = sim.stats().since(&io0);
+            let retry = sim.retry_stats().since(&retry0);
+            assert_eq!(io.parallel_ios(), 1, "mode {mode:?}: charged once");
+            assert_eq!(retry.attempts, io.parallel_ios() + retry.retries);
             let after = sim.buffer_pool_stats();
             assert_eq!(after.outstanding, 0, "buffers leaked in mode {mode:?}");
             assert_eq!(
@@ -2483,7 +2127,7 @@ mod tests {
                 UdsTransport::<u64>::connect(d, &path, g.block(), slots, None, None).unwrap(),
             ));
         }
-        let mut sys = DiskSystem::from_remote(g, 2, DiskPool::from_transports(transports));
+        let mut sys = DiskSystem::new_from_transports(g, 2, transports);
         let records: Vec<u64> = (0..64).map(|i| i * 5).collect();
         sys.load_records(0, &records);
         assert_eq!(sys.dump_records(0), records);
@@ -2529,11 +2173,7 @@ mod tests {
     #[test]
     fn file_backend_split_phase_all_modes() {
         let g = Geometry::new(64, 2, 4, 16).unwrap();
-        for mode in [
-            ServiceMode::Serial,
-            ServiceMode::SpawnPerOp,
-            ServiceMode::Threaded,
-        ] {
+        for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
             let dir = crate::tempdir::TempDir::new("pdm-sys-split");
             let mut sys: DiskSystem<u64> = DiskSystem::new_file(g, 2, dir.path()).unwrap();
             sys.set_service_mode(mode);

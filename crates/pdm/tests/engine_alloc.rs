@@ -13,30 +13,45 @@
 //!
 //! Verified the blunt way: a counting `#[global_allocator]` wraps the
 //! system allocator, and the second pass must leave the counter
-//! untouched. This file holds only these tests so no other test's
-//! allocations can interfere.
+//! untouched. The count is per thread — a serial pass runs entirely on
+//! the calling thread — so tests running in parallel cannot count each
+//! other's allocations.
 
 use pdm::engine::{PassEngine, ReadPlan, WritePlan};
 use pdm::{BlockRef, DiskSystem, Geometry, ServiceMode};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches no heap.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
+        // SAFETY: the caller's `layout` guarantees are passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
+        // SAFETY: as for `dealloc`; the caller's size rules pass through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// N=512, B=2, D=4, M=64: 8 memoryloads of 8 stripes each.

@@ -2,9 +2,9 @@
 //! physical disk, many tenant [`DiskSystem`]s.
 //!
 //! A [`DiskFarm`] owns `D` memory-backed disk workers, each a thread
-//! looping over a command channel exactly like
-//! [`pdm::parallel::InProcTransport`]'s service loop — except that
-//! *many* clients hold senders to the same worker. Each admitted job
+//! running [`pdm::parallel::serve_disk`] over a command channel, like
+//! [`pdm::parallel::InProcTransport`] — except that *many* clients
+//! hold senders to the same worker. Each admitted job
 //! leases a contiguous range of block slots on every disk
 //! ([`DiskFarm::lease_system`]) and gets its own
 //! [`DiskSystem`] whose per-disk `FarmTransport`s translate the
@@ -17,7 +17,7 @@
 //! is *submitted* next.
 
 use pdm::backend::{DiskUnit, MemDisk};
-use pdm::parallel::{fail_disconnected, Cmd};
+use pdm::parallel::{fail_disconnected, serve_disk, Cmd};
 use pdm::record::{ByteRecord, Record};
 use pdm::{DiskSystem, Geometry, MsgStats, PdmError, RemoteDisk, RespawnSpec, Result, Transport};
 use std::path::PathBuf;
@@ -162,8 +162,8 @@ impl<R: Record> DiskFarm<R> {
         Self::from_units(block, slots, units, Vec::new(), Arc::default(), None)
     }
 
-    /// Spawns one worker thread per unit, each looping over its
-    /// command channel.
+    /// Spawns one worker thread per unit, each serving its command
+    /// channel.
     fn from_units(
         block: usize,
         slots: usize,
@@ -179,45 +179,7 @@ impl<R: Record> DiskFarm<R> {
             let (tx, rx) = channel::<Cmd<R>>();
             let handle = std::thread::Builder::new()
                 .name(format!("pdm-farm-{d}"))
-                .spawn(move || {
-                    while let Ok(cmd) = rx.recv() {
-                        match cmd {
-                            Cmd::Read {
-                                slot,
-                                mut buf,
-                                idx,
-                                done,
-                            } => {
-                                let result = unit.read(slot, &mut buf);
-                                let _ = done.send(pdm::parallel::Completion {
-                                    idx,
-                                    disk: d,
-                                    buf,
-                                    result,
-                                });
-                            }
-                            Cmd::Write {
-                                slot,
-                                buf,
-                                idx,
-                                done,
-                            } => {
-                                let result = unit.write(slot, &buf);
-                                let _ = done.send(pdm::parallel::Completion {
-                                    idx,
-                                    disk: d,
-                                    buf,
-                                    result,
-                                });
-                            }
-                            // A farm worker serves many tenants: one
-                            // tenant's stop must not kill the disk.
-                            // (FarmTransport never forwards Stop; this
-                            // is defense in depth.)
-                            Cmd::Stop => {}
-                        }
-                    }
-                })
+                .spawn(move || serve_disk(d, unit.as_mut(), &rx))
                 .expect("spawn farm worker");
             senders.push(tx);
             workers.push(handle);
