@@ -1,95 +1,35 @@
-//! The streaming engine across disk counts and service modes — the
-//! bench behind the committed `BENCH_PR*.json` files and the CI
-//! `bench-smoke` gate.
+//! The streaming engine and everything built on it, measured in one
+//! run — the bench behind the committed `BENCH_PR*.json` files and the
+//! CI `bench-smoke` gate.
 //!
-//! For each `D` the sweep performs the same seeded one-pass MLD
-//! permutation (striped reads + independent writes, the paper's
-//! Theorem 15 discipline) through the [`pdm::PassEngine`] two ways:
-//!
-//! * `serial`   — serial servicing in the caller's thread;
-//! * `threaded` — the persistent per-disk service threads
-//!   ([`ServiceMode::Threaded`]), overlapping the reads of memoryload
-//!   *k+1* with the permute of memoryload *k*.
-//!
-//! Both are verified against the reference permutation and must charge
-//! the *identical* number of parallel I/Os — the service mode may only
-//! move the wall clock. The sweep records `threaded_over_serial` per
-//! `D`; it is reported, not gated.
-//!
-//! Since PR 3 the document also carries a **fusion** section (multi-
-//! pass plans executed fused vs. unfused — the fused runs must charge
-//! strictly fewer parallel I/Os, exactly 2× fewer on fully-fusable
-//! chains, with identical final placement) and an **extsort** section.
-//! Since PR 8 a **recovery** section runs the same seeded BMMC
-//! permutation clean and under a ~1%-transient-fault plan with the
-//! retry layer engaged: placement, charged parallel I/Os, and the
-//! retry ledger are exact-gated, and `--baseline` requires recovered
-//! throughput ≥ 0.8× clean.
-//! The extsort section sweeps every merge strategy in
-//! `extsort::MergeStrategy::ALL` (single-buffered, and the forecasting
-//! block-granular merge whose fan-in `M/B − D − 1` closes the D× gap
-//! to Vitter–Shriver) across serial/threaded service and mem/file
-//! backends, asserting every row's pass count and parallel-I/O count
-//! equals the `extsort::merge_sort_*` replay and that the forecast rows
-//! reach ≥8× the single-buffered fan-in in strictly fewer passes.
-//! Since PR 4 a **file** section runs the same engine pass on MemDisk
-//! vs. `FileDisk` (real positional file I/O) in both service modes:
-//! placement must be byte-identical and the charged parallel-I/O
-//! counts identical — only the wall clock may move. Since PR 6 a
-//! **transport** section serves the same engine pass in-process, over per-disk
-//! `pdm-diskd` worker processes (Unix-domain sockets), and over the
-//! deterministic simulated network: placement and parallel-I/O counts
-//! identical, in-process rows move zero messages, and the sim rows'
-//! message/byte counts equal the real socket rows' exactly.
-//! Since PR 9 an **addr_eval** section measures the block-run address
-//! evaluator against the per-address one, both as an isolated kernel
-//! (addresses/s over ~2^22 sequential addresses, no I/O) and end to
-//! end on the bpc-baseline bit-reversal workload run per strategy:
-//! placement and parallel-I/O counts are exact-gated, and `--baseline`
-//! requires the block-run kernel ≥ 4× and the block-run end-to-end
-//! ≥ 1.2× their per-address counterparts.
-//! Since PR 10 a **planner** section emits the `--algorithm auto`
-//! crossover table: for each named workload × geometry × timing model,
-//! `bmmc::plan::candidates` + `choose` pick among the DP-fused BMMC
-//! route and the external-sort route per merge strategy, and the pick itself is
-//! part of the row *key* — a code change that flips any crossover
-//! decision fails the `--check` gate as a missing row rather than
-//! silently re-baselining. The section also carries the committed
-//! `MLD;MRC;MLD` re-association chain (greedy pair fusion stuck at two
-//! steps, the DP whole-plan fuser at one); the addr_eval section gains
-//! a residual-table **cap sweep** (flat table vs byte-sliced fallback
-//! per width — the tuning evidence behind `RESIDUAL_TABLE_MAX_BITS`);
-//! and the extsort section gains adversarial-input rows
-//! (duplicate-heavy and skewed key catalogs from `extsort::keys`),
-//! whose schedules must stay input-independent.
+//! Every section is declared once in [`SECTIONS`]: its name, the fields
+//! that identify a row, the exact counters `--check` gates, and the
+//! runner that produces it. Rows are [`Row`]s, which round every timing
+//! and print the stderr log line. Each runner asserts its own
+//! invariants as it goes (placement equal to the reference, counts
+//! equal across service modes, backends and transports, …) and panics
+//! on a violation; `--baseline` also holds the timed ratios to
+//! [`FLOORS`].
 //!
 //! ```text
 //! cargo run --release -p bmmc-bench --bin engine_sweep -- [FLAGS]
-//!   --quick          small sizes (CI smoke); emits the "quick",
-//!                    "fusion", "extsort", "service", "recovery",
-//!                    "addr_eval", "planner", "transport", and "file"
-//!                    sections
-//!   --baseline       run full + quick and insist on the acceptance ratios
-//!                    of the service, recovery, addr_eval and transport
-//!                    sections
-//!   --file-dir DIR   parent directory for the file section's per-disk
-//!                    files (e.g. a tmpfs mount); default: a
+//!   --quick          run the quick disk sweep instead of the full one
+//!                    (what CI runs); every other section runs always
+//!   --baseline       run both disk sweeps and exit 1 unless every
+//!                    acceptance floor in FLOORS holds
+//!   --file-dir DIR   parent directory for the file-backed systems'
+//!                    per-disk files (e.g. a tmpfs mount); default: a
 //!                    self-cleaning temp dir
-//!   --file-only      run (and with --check, gate) only the file section
-//!   --transport X    run (and with --check, gate) only the transport
-//!                    section, restricted to {inproc, X} — the CI UDS
-//!                    smoke step (needs the pdm-diskd binary for X=uds)
-//!   --out FILE       write the JSON document to FILE
-//!   --check FILE     compare this run's sections against FILE's; exit 1
-//!                    if any gated exact counter (parallel I/Os,
-//!                    transport messages, retries, planner steps) moved
-//!                    at all or a recorded row is missing. Timings are
+//!   --out FILE       write the JSON document to FILE (default: stdout)
+//!   --check FILE     exit 1 if a gated counter differs from FILE's, a
+//!                    row of FILE is missing from this run, or a section
+//!                    this run produced has no rows in FILE. Timings are
 //!                    recorded, never gated.
-//!   --check-latest   like --check, against the newest BENCH_PR*.json in
-//!                    the working directory (per-PR bench trajectory)
+//!   --check-latest   like --check, against the newest BENCH_PR<k>.json
+//!                    in the working directory (the per-PR trajectory)
 //! ```
 
-use bmmc::algorithm::execute_passes_unfused;
+use bmmc::algorithm::{execute_passes_unfused, perform_bmmc};
 use bmmc::bpc_baseline::bpc_baseline_plan;
 use bmmc::catalog;
 use bmmc::factoring::{Pass, PassKind};
@@ -97,608 +37,741 @@ use bmmc::fusion::{execute_fused_with_strategy, fuse_passes};
 use bmmc::passes::{execute_pass, reference_permute, EvalStrategy};
 use bmmc::plan::reassociation_case;
 use bmmc::{candidates, choose, fuse_passes_greedy, AffineEvaluator, BlockEvaluator, Bmmc, Plan};
+use bmmc_bench::geom_label;
 use bmmc_bench::json::Json;
 use extsort::{
     keys, merge_sort_ios, merge_sort_passes, sort_by_key_with, MergeStrategy, SortConfig,
 };
 use pdm::{
-    Backend, DiskSystem, FaultPlan, Geometry, MsgStats, PassEngine, RetryPolicy, ServiceMode,
-    TimingModel, TransportConfig,
+    Backend, DiskSystem, FaultPlan, Geometry, PassEngine, RetryPolicy, ServiceMode, TimingModel,
+    TransportConfig,
 };
+use pdm_served::core::{JobState, ServiceConfig, ServiceCore};
+use pdm_served::job::{run_job, JobKind, JobSpec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::path::Path;
-use std::time::Instant;
+use std::fmt::{Debug, Display};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
-#[derive(Clone, Copy, Debug)]
-struct Row {
-    disks: usize,
-    mode: &'static str, // "serial" | "threaded"
-    records_per_sec: f64,
-    elapsed_ms: f64,
-    parallel_ios: u64,
-    passes: usize,
+/// lg N of every section but the full disk sweep.
+const LG: usize = 18;
+
+/// Timed reps of the engine-pass, fusion and addr_eval runs.
+const REPS: usize = 5;
+
+/// One section of the document: the fields that identify its rows,
+/// the exact counters `--check` gates, and the runner that produces it.
+struct Section {
+    name: &'static str,
+    keys: &'static [&'static str],
+    counters: &'static [&'static str],
+    run: fn(&Ctx) -> Out,
 }
 
-impl Row {
-    fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("disks", Json::Num(self.disks as f64)),
-            ("mode", Json::Str(self.mode.into())),
-            // Part of the row key, so baselines that also carried
-            // other implementations' rows still match these.
-            ("impl", Json::Str("engine".into())),
-            (
-                "records_per_sec",
-                Json::Num((self.records_per_sec * 10.0).round() / 10.0),
-            ),
-            (
-                "elapsed_ms",
-                Json::Num((self.elapsed_ms * 1000.0).round() / 1000.0),
-            ),
-            ("parallel_ios", Json::Num(self.parallel_ios as f64)),
-            ("passes", Json::Num(self.passes as f64)),
-        ])
+const PIO: &[&str] = &["parallel_ios"];
+
+/// Every section, in run order. `quick` runs under `--quick` and
+/// `--baseline`, `full` without `--quick`, the rest always.
+///
+/// * `quick`/`full` — the disk sweep: one seeded one-pass MLD
+///   permutation (striped reads, independent writes: the paper's
+///   Theorem 15 discipline) through the engine at each `D`, serial and
+///   threaded, with `threaded_over_serial` per `D`.
+/// * `fusion` — multi-pass plans fused and unfused: identical placement,
+///   strictly fewer parallel I/Os fused, exactly half on the fully
+///   fusable chains, one pass per step.
+/// * `extsort` — every [`MergeStrategy`] across service modes and
+///   mem/file backends, plus duplicate-heavy and skewed key catalogs
+///   (`extsort::keys`): every row sorts exactly, and its passes and
+///   parallel I/Os equal the input-independent schedule replay; the
+///   forecasting merge reaches ≥ 8× the single-buffered fan-in in fewer
+///   passes.
+/// * `service` — one job direct and through the multi-tenant service
+///   (the governor may not change its charge), K = 4 identical tenants
+///   at once (charged exactly equally), and an open-loop load run.
+/// * `recovery` — one BMMC run clean and under ~1% transient faults:
+///   identical placement and charge, one retry per fired fault.
+/// * `addr_eval` — per-address against block-run address evaluation,
+///   as an isolated kernel and end to end (identical placement and
+///   parallel I/Os), and the flat residual table against the
+///   byte-sliced fallback per block width (the evidence behind
+///   `RESIDUAL_TABLE_MAX_BITS`).
+/// * `planner` — the `--algorithm auto` crossover table. The pick is a
+///   row key, so a flipped decision shows as a missing row. It ends
+///   with the committed `MLD;MRC;MLD` chain, which the DP fuser runs in
+///   one step and greedy pair fusion in two.
+/// * `transport` — the engine pass in process, over `pdm-diskd` worker
+///   processes (Unix-domain sockets) and over the simulated network.
+///   Without the worker binary the uds rows are missing and `--check`
+///   fails.
+/// * `file` — the engine pass on MemDisk and on FileDisk.
+const SECTIONS: [Section; 10] = [
+    Section::new("quick", &["disks", "mode", "impl"], PIO, |_| {
+        disk_sweep(LG, 12, &[1, 4, 16])
+    }),
+    Section::new("full", &["disks", "mode", "impl"], PIO, |_| {
+        disk_sweep(20, 13, &[1, 4, 16, 64])
+    }),
+    Section::new("fusion", &["workload", "impl"], PIO, fusion),
+    Section::new(
+        "extsort",
+        &["variant", "input", "backend", "mode"],
+        PIO,
+        extsort,
+    ),
+    Section::new("service", &["scenario", "job"], PIO, service),
+    Section::new("recovery", &["run"], &["parallel_ios", "retries"], recovery),
+    Section::new("addr_eval", &["kind", "impl"], PIO, addr_eval),
+    Section::new(
+        "planner",
+        &["workload", "geometry", "timing", "pick"],
+        &["parallel_ios", "steps"],
+        planner,
+    ),
+    Section::new(
+        "transport",
+        &["transport", "mode"],
+        &["parallel_ios", "messages", "wire_bytes"],
+        transport,
+    ),
+    Section::new("file", &["backend", "mode"], PIO, file),
+];
+
+impl Section {
+    const fn new(
+        name: &'static str,
+        keys: &'static [&'static str],
+        counters: &'static [&'static str],
+        run: fn(&Ctx) -> Out,
+    ) -> Section {
+        Section {
+            name,
+            keys,
+            counters,
+            run,
+        }
+    }
+
+    /// The section object: `out`'s fields plus its rows, each of which
+    /// must carry every declared key and counter.
+    fn emit(&self, out: &Out) -> Json {
+        for row in &out.rows {
+            for f in self.keys.iter().chain(self.counters) {
+                assert!(row.get(f).is_some(), "row lacks {f}: {}", row.line());
+            }
+        }
+        out.fields.clone().set("rows", array(&out.rows)).to_json()
+    }
+
+    /// This section's rows in `doc`, each labelled by its key fields.
+    fn rows<'a>(&self, doc: &'a Json) -> Vec<(String, &'a Json)> {
+        let rows = doc.get(self.name).and_then(|s| s.get("rows"));
+        let rows = rows.and_then(Json::as_array).unwrap_or_default();
+        let field = |r: &Json, k: &str| match r.get(k) {
+            Some(Json::Num(n)) => n.to_string(),
+            v => v.and_then(Json::as_str).unwrap_or("?").to_string(),
+        };
+        rows.iter()
+            .map(|r| {
+                let label: Vec<String> = self.keys.iter().map(|k| field(r, k)).collect();
+                (label.join("/"), r)
+            })
+            .collect()
     }
 }
 
-/// One sweep (a set of sizes): the geometry template and disk counts.
-struct SweepSpec {
-    name: &'static str,
-    lg_records: usize,
-    lg_block: usize,
-    lg_memory: usize,
-    disk_counts: &'static [usize],
-    reps: usize,
+/// The `--check` gate over every declared section the run produced:
+/// each baseline row must be in the run with every gated counter
+/// equal, and the baseline must have rows for the section. A row only
+/// the run has passes. Returns the passed checks and the failures.
+fn check(run: &Json, baseline: &Json) -> (Vec<String>, Vec<String>) {
+    let (mut passed, mut failed) = (Vec::new(), Vec::new());
+    let show = |v: Option<u64>| v.map_or("nothing".to_string(), |v| v.to_string());
+    for s in SECTIONS.iter().filter(|s| run.get(s.name).is_some()) {
+        let (base, cur) = (s.rows(baseline), s.rows(run));
+        if base.is_empty() {
+            failed.push(format!("{}: no rows in the baseline", s.name));
+        }
+        for (label, b) in &base {
+            let Some((_, c)) = cur.iter().find(|(l, _)| l == label) else {
+                failed.push(format!("{} {label}: missing from this run", s.name));
+                continue;
+            };
+            for field in s.counters {
+                let [was, now] = [b, c].map(|r| r.get(field).and_then(Json::as_u64));
+                let check = format!("{} {label}: {field}", s.name);
+                if was.is_some() && was == now {
+                    passed.push(format!("check {check} {} — ok", show(was)));
+                } else {
+                    failed.push(format!("{check} changed {} → {}", show(was), show(now)));
+                }
+            }
+        }
+    }
+    (passed, failed)
 }
 
-const FULL: SweepSpec = SweepSpec {
-    name: "full",
-    lg_records: 20,
-    lg_block: 3,
-    lg_memory: 13,
-    disk_counts: &[1, 4, 16, 64],
-    reps: 5,
-};
+/// One `--baseline` acceptance floor: a ratio a section measures and
+/// records under `name`, and the bound it must meet.
+struct Floor {
+    section: &'static str,
+    name: &'static str,
+    bound: f64,
+    /// The ratio must stay at or below `bound` instead of reaching it.
+    at_most: bool,
+}
 
-const QUICK: SweepSpec = SweepSpec {
-    name: "quick",
-    lg_records: 18,
-    lg_block: 3,
-    lg_memory: 12,
-    disk_counts: &[1, 4, 16],
-    reps: 5,
-};
+impl Floor {
+    const fn min(section: &'static str, name: &'static str, bound: f64) -> Floor {
+        Floor {
+            section,
+            name,
+            bound,
+            at_most: false,
+        }
+    }
 
-/// The sweeps' two service modes, by row name.
+    fn describe(&self) -> String {
+        let op = if self.at_most { "<=" } else { ">=" };
+        format!("{} {} {op} {}", self.section, self.name, self.bound)
+    }
+}
+
+/// The acceptance floors, in order: served single-job records/s over
+/// direct; the fair-share completion spread in % of the mean; recovered
+/// records/s over clean; the block-run kernel's and end-to-end rate
+/// over per-address; the flat residual table over the byte-sliced
+/// fallback at widths 12 and 16; threaded uds records/s over threaded
+/// inproc. They hold timings to bounds, which is noisy on small
+/// machines, so only `--baseline` enforces them.
+const FLOORS: [Floor; 7] = [
+    Floor::min("service", "single_ratio", 0.9),
+    Floor {
+        at_most: true,
+        ..Floor::min("service", "fair_spread_pct", 25.0)
+    },
+    Floor::min("recovery", "recovered_ratio", 0.8),
+    Floor::min("addr_eval", "kernel_block_run_over_per_address", 4.0),
+    Floor::min("addr_eval", "end_to_end_block_run_over_per_address", 1.2),
+    Floor::min("addr_eval", "flat_over_sliced", 1.0),
+    Floor::min("transport", "uds_over_inproc_threaded", 0.5),
+];
+
+/// The floors `measured` misses. A floor measured nowhere is missed.
+fn missed_floors(measured: &[(&str, f64)]) -> Vec<String> {
+    let mut missed = Vec::new();
+    for f in &FLOORS {
+        let values = measured.iter().filter(|(name, _)| *name == f.name);
+        let values: Vec<f64> = values.map(|&(_, x)| x).collect();
+        if values.is_empty() {
+            missed.push(format!("{}: not measured", f.describe()));
+        }
+        for x in values {
+            if (f.at_most && x > f.bound) || (!f.at_most && x < f.bound) {
+                missed.push(format!("{}: measured {x:.3}", f.describe()));
+            }
+        }
+    }
+    missed
+}
+
+/// The document's `acceptance` field, rendered from [`SECTIONS`] and
+/// [`FLOORS`].
+fn acceptance() -> String {
+    let gated = SECTIONS.map(|s| format!("{} {}", s.name, s.counters.join("/")));
+    let (gated, floors) = (gated.join(", "), FLOORS.map(|f| f.describe()).join("; "));
+    format!("exact under --check: {gated}; floors under --baseline: {floors}")
+}
+
+/// An ordered list of named JSON fields: one row of a section (key
+/// fields, exact counters, timings) or a section's own fields. Its
+/// setters do all of the document's rounding.
+#[derive(Clone, Debug, Default)]
+struct Row(Vec<(&'static str, Json)>);
+
+impl Row {
+    fn set(mut self, name: &'static str, value: Json) -> Self {
+        self.0.push((name, value));
+        self
+    }
+
+    /// A string field, such as a row key.
+    fn key(self, name: &'static str, value: impl Display) -> Self {
+        self.set(name, Json::Str(value.to_string()))
+    }
+
+    /// An exact count.
+    fn count(self, name: &'static str, value: impl TryInto<u64>) -> Self {
+        let value = value.try_into().ok().expect("counts fit in u64");
+        self.set(name, Json::Num(value as f64))
+    }
+
+    /// A rate per second, to 0.1.
+    fn rate(self, name: &'static str, per_sec: f64) -> Self {
+        self.set(name, Json::Num((per_sec * 10.0).round() / 10.0))
+    }
+
+    /// Milliseconds or a ratio, to 0.001.
+    fn real(self, name: &'static str, x: f64) -> Self {
+        self.set(name, Json::Num((x * 1000.0).round() / 1000.0))
+    }
+
+    /// `records_per_sec` and `elapsed_ms` for `records` moved in `secs`.
+    fn throughput(self, records: usize, secs: f64) -> Self {
+        self.rate("records_per_sec", records as f64 / secs)
+            .real("elapsed_ms", secs * 1e3)
+    }
+
+    fn get(&self, name: &str) -> Option<&Json> {
+        self.0.iter().find(|(k, _)| *k == name).map(|(_, v)| v)
+    }
+
+    fn is(&self, name: &str, value: &str) -> bool {
+        self.get(name).and_then(Json::as_str) == Some(value)
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj(self.0.clone())
+    }
+
+    /// The stderr log line: every scalar field as `name=value`.
+    fn line(&self) -> String {
+        let fields: Vec<String> = self
+            .0
+            .iter()
+            .filter_map(|(k, v)| match v {
+                Json::Str(s) => Some(format!("{k}={s}")),
+                Json::Num(x) => Some(format!("{k}={x}")),
+                _ => None,
+            })
+            .collect();
+        fields.join(" ")
+    }
+}
+
+/// Rows as a JSON array.
+fn array(rows: &[Row]) -> Json {
+    Json::Arr(rows.iter().map(Row::to_json).collect())
+}
+
+/// What the runners take from the command line.
+struct Ctx {
+    baseline: bool,
+    file_dir: PathBuf,
+}
+
+/// What a section runner returns: its rows, the section's own fields,
+/// and the [`FLOORS`] ratios it measured.
+#[derive(Default)]
+struct Out {
+    rows: Vec<Row>,
+    fields: Row,
+    floors: Vec<(&'static str, f64)>,
+}
+
+/// Runs `run` `reps` times (at least once). Every rep must count
+/// exactly what the first counted; returns that count and the best
+/// time of each of the rep's timed parts.
+fn best_of<T: PartialEq + Debug, const K: usize>(
+    reps: usize,
+    mut run: impl FnMut() -> (T, [f64; K]),
+) -> (T, [f64; K]) {
+    let (first, mut best) = run();
+    for _ in 1..reps {
+        let (again, secs) = run();
+        assert_eq!(again, first, "the counted outcome changed between reps");
+        for (b, s) in best.iter_mut().zip(secs) {
+            *b = b.min(s);
+        }
+    }
+    (first, best)
+}
+
+/// Runs `f` once, timing it in seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, [f64; 1]) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, [t0.elapsed().as_secs_f64()])
+}
+
+fn geometry(lg_n: usize, lg_b: usize, lg_d: usize, lg_m: usize) -> Geometry {
+    Geometry::new(1 << lg_n, 1 << lg_b, 1 << lg_d, 1 << lg_m).expect("bench geometry")
+}
+
+/// The geometry of the transport, file, recovery and extsort sections.
+fn bench_geometry() -> Geometry {
+    geometry(LG, 3, 4, 12)
+}
+
+/// Identity-tagged records `0..N`.
+fn identity(geom: &Geometry) -> Vec<u64> {
+    (0..geom.records() as u64).collect()
+}
+
+fn pass_of(perm: &Bmmc, kind: PassKind) -> Pass {
+    Pass {
+        matrix: perm.matrix().clone(),
+        complement: perm.complement().clone(),
+        kind,
+    }
+}
+
+/// The two service disciplines every timed configuration runs under.
 const MODES: [(&str, ServiceMode); 2] = [
     ("serial", ServiceMode::Serial),
     ("threaded", ServiceMode::Threaded),
 ];
 
-fn run_config(
-    geom: Geometry,
-    pass: &Pass,
-    expect: &[u64],
-    (mode, service): (&'static str, ServiceMode),
-    reps: usize,
-) -> Row {
-    let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
-    sys.set_service_mode(service);
-    let input: Vec<u64> = (0..geom.records() as u64).collect();
-    sys.load_records(0, &input);
-    let execute = |sys: &mut DiskSystem<u64>| execute_pass(sys, 0, 1, pass).expect("engine pass");
-    // Warm-up rep doubles as the correctness check.
-    let stats = execute(&mut sys);
-    assert_eq!(
-        sys.dump_records(1),
-        expect,
-        "{mode} D={} produced a wrong permutation",
-        geom.disks()
-    );
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let s = execute(&mut sys);
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            s.ios.parallel_ios(),
-            stats.ios.parallel_ios(),
-            "parallel I/O count changed between reps"
-        );
-        best = best.min(dt);
-    }
-    Row {
-        disks: geom.disks(),
-        mode,
-        records_per_sec: geom.records() as f64 / best,
-        elapsed_ms: best * 1e3,
-        parallel_ios: stats.ios.parallel_ios(),
-        passes: 1,
-    }
+/// One way to serve an engine-pass section's disks: the row key fields
+/// naming it, and the backend and transport its systems use.
+struct Variant {
+    keys: Row,
+    backend: Backend,
+    transport: TransportConfig,
 }
 
-fn run_sweep(spec: &SweepSpec) -> Json {
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    eprintln!(
-        "== {} sweep: N=2^{}, B=2^{}, M=2^{}, best of {} reps",
-        spec.name, spec.lg_records, spec.lg_block, spec.lg_memory, spec.reps
-    );
-    for &d in spec.disk_counts {
-        let geom = Geometry::new(
-            1 << spec.lg_records,
-            1 << spec.lg_block,
-            d,
-            1 << spec.lg_memory,
-        )
-        .expect("sweep geometry is valid");
-        // One seeded MLD permutation per geometry so both service
-        // modes perform the identical data movement.
-        let mut rng = StdRng::seed_from_u64(0xB44C + d as u64);
-        let perm = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
-        let pass = Pass {
-            matrix: perm.matrix().clone(),
-            complement: perm.complement().clone(),
-            kind: PassKind::Mld,
-        };
-        let input: Vec<u64> = (0..geom.records() as u64).collect();
-        let expect = reference_permute(&input, |x| perm.target(x));
-        let [serial, threaded] = MODES.map(|mode| {
-            let row = run_config(geom, &pass, &expect, mode, spec.reps);
-            eprintln!(
-                "   D={:<3} {:<8} {:>12.0} rec/s  {:>8.2} ms  {} parallel I/Os",
-                row.disks, row.mode, row.records_per_sec, row.elapsed_ms, row.parallel_ios
-            );
-            row
-        });
-        assert_eq!(
-            serial.parallel_ios, threaded.parallel_ios,
-            "the service mode changed the charged I/O count at D={d}"
-        );
-        let ratio = threaded.records_per_sec / serial.records_per_sec;
-        speedups.push(Json::obj(vec![
-            ("disks", Json::Num(d as f64)),
-            (
-                "threaded_over_serial",
-                Json::Num((ratio * 1000.0).round() / 1000.0),
-            ),
-        ]));
-        rows.extend([serial, threaded]);
-    }
-    Json::obj(vec![
-        (
-            "geometry",
-            Json::obj(vec![
-                ("lg_records", Json::Num(spec.lg_records as f64)),
-                ("lg_block", Json::Num(spec.lg_block as f64)),
-                ("lg_memory", Json::Num(spec.lg_memory as f64)),
-            ]),
-        ),
-        ("reps", Json::Num(spec.reps as f64)),
-        (
-            "rows",
-            Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-        ),
-        ("speedups", Json::Arr(speedups)),
-    ])
-}
-
-/// One fusion workload: a named multi-pass plan on a geometry.
-struct FusionCase {
-    workload: &'static str,
-    geom: Geometry,
-    passes: Vec<Pass>,
-    /// The permutation the passes compose to.
-    perm: Bmmc,
-    expect: Vec<u64>,
-    /// True when the whole chain must fuse pairwise (exactly 2× fewer
-    /// I/Os).
-    fully_fusable: bool,
-}
-
-fn fusion_cases(lg_records: usize) -> Vec<FusionCase> {
-    let mut cases = Vec::new();
-    let pass_of = |perm: &Bmmc, kind: PassKind| Pass {
-        matrix: perm.matrix().clone(),
-        complement: perm.complement().clone(),
-        kind,
-    };
-
-    // Workload 1: the BPC baseline plan for bit reversal at a geometry
-    // with a narrow middle section (m − b = 3), so the exchange needs
-    // several chunks: 2k+1 planned passes fuse to k+1 steps.
-    {
-        let geom = Geometry::new(1 << lg_records, 1 << 6, 1 << 2, 1 << 9).expect("bpc geometry");
-        let perm = catalog::bit_reversal(geom.n());
-        let passes = bpc_baseline_plan(&perm, geom.b(), geom.m())
-            .expect("bit reversal is BPC")
-            .passes;
-        assert!(passes.len() >= 5, "want a multi-chunk baseline plan");
-        let input: Vec<u64> = (0..geom.records() as u64).collect();
-        let expect = reference_permute(&input, |x| perm.target(x));
-        cases.push(FusionCase {
-            workload: "bpc-baseline",
-            geom,
-            passes,
-            perm,
-            expect,
-            fully_fusable: false,
-        });
-    }
-
-    // Workload 2: an alternating MRC/MLD chain — every pair fuses by
-    // the discipline rule, so the fused run must charge exactly half.
-    {
-        let geom = Geometry::new(1 << lg_records, 1 << 3, 1 << 2, 1 << 12).expect("alt geometry");
-        let mut rng = StdRng::seed_from_u64(0xF05E);
-        let mut passes = Vec::new();
-        let mut composed = Bmmc::identity(geom.n());
-        for _ in 0..3 {
-            let mrc = catalog::random_mrc(&mut rng, geom.n(), geom.m());
-            let mld = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
-            passes.push(pass_of(&mrc, PassKind::Mrc));
-            passes.push(pass_of(&mld, PassKind::Mld));
-            composed = mld.compose(&mrc.compose(&composed));
-        }
-        let input: Vec<u64> = (0..geom.records() as u64).collect();
-        let expect = reference_permute(&input, |x| composed.target(x));
-        cases.push(FusionCase {
-            workload: "alternating-chain",
-            geom,
-            passes,
-            perm: composed,
-            expect,
-            fully_fusable: true,
-        });
-    }
-
-    // Workload 3: the Section 7 MLD⁻¹;MLD pair — gathered reads,
-    // scattered writes, one round-trip instead of two.
-    {
-        let geom = Geometry::new(1 << lg_records, 1 << 3, 1 << 2, 1 << 12).expect("pair geometry");
-        let mut rng = StdRng::seed_from_u64(0xF19A);
-        let z = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
-        let y = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
-        let passes = vec![
-            pass_of(&z.inverse(), PassKind::MldInverse),
-            pass_of(&y, PassKind::Mld),
-        ];
-        let composed = y.compose(&z.inverse());
-        let input: Vec<u64> = (0..geom.records() as u64).collect();
-        let expect = reference_permute(&input, |x| composed.target(x));
-        cases.push(FusionCase {
-            workload: "mld-pair",
-            geom,
-            passes,
-            perm: composed,
-            expect,
-            fully_fusable: true,
-        });
-    }
-    cases
-}
-
-/// Fused vs. unfused execution of multi-pass plans. Verifies identical
-/// placement and strictly fewer parallel I/Os fused (exactly 2× on the
-/// fully-fusable chains) — the PR 3 acceptance criterion — and reports
-/// the timings.
-fn run_fusion_sweep(lg_records: usize, reps: usize) -> Json {
-    eprintln!("== fusion sweep: N=2^{lg_records}, threaded, best of {reps} reps");
-    let mut rows: Vec<Json> = Vec::new();
-    for case in fusion_cases(lg_records) {
-        let geom = case.geom;
-        let plan = Plan::from_passes(&case.passes, geom.b(), geom.m());
-        let mut ios = [0u64; 2]; // [unfused, fused]
-        for (fi, fused) in [false, true].into_iter().enumerate() {
-            let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
-            sys.set_service_mode(ServiceMode::Threaded);
-            let input: Vec<u64> = (0..geom.records() as u64).collect();
-            sys.load_records(0, &input);
-            let execute = |sys: &mut DiskSystem<u64>| {
-                if fused {
-                    plan.execute(sys, &case.perm, |&r| r).expect("fused run")
-                } else {
-                    execute_passes_unfused(sys, &case.passes).expect("unfused run")
-                }
-            };
-            let report = execute(&mut sys);
-            assert_eq!(
-                sys.dump_records(report.final_portion),
-                case.expect,
-                "{} ({}) produced a wrong permutation",
-                case.workload,
-                if fused { "fused" } else { "unfused" }
-            );
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let r = execute(&mut sys);
-                best = best.min(t0.elapsed().as_secs_f64());
-                assert_eq!(r.total.parallel_ios(), report.total.parallel_ios());
-            }
-            ios[fi] = report.total.parallel_ios();
-            eprintln!(
-                "   {:<18} {:<8} {:>2} pass(es) for {:>2} planned  {:>7} parallel I/Os  {:>8.2} ms",
-                case.workload,
-                if fused { "fused" } else { "unfused" },
-                report.num_passes(),
-                case.passes.len(),
-                report.total.parallel_ios(),
-                best * 1e3,
-            );
-            rows.push(Json::obj(vec![
-                ("workload", Json::Str(case.workload.into())),
-                (
-                    "impl",
-                    Json::Str(if fused { "fused" } else { "unfused" }.into()),
-                ),
-                ("planned_passes", Json::Num(case.passes.len() as f64)),
-                ("executed_passes", Json::Num(report.num_passes() as f64)),
-                (
-                    "parallel_ios",
-                    Json::Num(report.total.parallel_ios() as f64),
-                ),
-                (
-                    "records_per_sec",
-                    Json::Num(((geom.records() as f64 / best) * 10.0).round() / 10.0),
-                ),
-                (
-                    "elapsed_ms",
-                    Json::Num((best * 1e3 * 1000.0).round() / 1000.0),
-                ),
-            ]));
-        }
-        // The acceptance criterion: strictly fewer parallel I/Os with
-        // identical placement; exactly 2× on fully-fusable chains.
-        assert!(
-            ios[1] < ios[0],
-            "{}: fused {} parallel I/Os not strictly below unfused {}",
-            case.workload,
-            ios[1],
-            ios[0]
-        );
-        assert_eq!(
-            ios[1] as usize,
-            plan.num_steps() * geom.ios_per_pass(),
-            "{}: fused cost must be one pass per step",
-            case.workload
-        );
-        if case.fully_fusable {
-            assert_eq!(
-                2 * ios[1],
-                ios[0],
-                "{}: fully-fusable chain must halve the I/O count",
-                case.workload
-            );
-        }
-    }
-    Json::obj(vec![
-        ("mode", Json::Str("threaded".into())),
-        ("lg_records", Json::Num(lg_records as f64)),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// The PR 9 address-evaluation sweep: per-address vs. block-hoisted
-/// target computation, measured twice.
+/// The runner of the disk sweep, `file` and `transport`: one seeded
+/// one-pass MLD permutation timed through [`execute_pass`] on every
+/// variant × service mode (a file backend's directory is removed after
+/// each mode).
 ///
-/// * **kernel** rows isolate the address math from all I/O: for the
-///   bit-reversal matrix at the bpc-baseline geometry, evaluate ~2^22
-///   consecutive addresses with a full [`AffineEvaluator::eval`] walk
-///   per address, then block-hoisted (one
-///   [`BlockEvaluator::block_base`] per `B`-record block plus a
-///   residual-table lookup per record). Both kernels fold their
-///   targets into a wrapping sum — compared for equality, and fed to
-///   [`std::hint::black_box`] so neither loop can be dead-code
-///   eliminated. Under `--baseline` the block-run kernel must clear
-///   ≥ 4× the per-address addresses/s.
-/// * **end_to_end** rows run the fusion sweep's bpc-baseline workload
-///   (BPC bit reversal, `B = 2^6`, `D = 2^2`, `M = 2^9`, threaded
-///   MemDisk), its fused steps run by [`execute_fused_with_strategy`]
-///   with [`EvalStrategy::PerAddress`] vs. [`EvalStrategy::BlockRun`]:
-///   placement must be byte-identical and the charged parallel-I/O
-///   counts equal (exact-gated by `--check`); under `--baseline` the
-///   block-run execution must clear ≥ 1.2× the per-address records/s.
-fn run_addr_eval_sweep(lg_records: usize, reps: usize, baseline_mode: bool) -> Json {
-    let geom = Geometry::new(1 << lg_records, 1 << 6, 1 << 2, 1 << 9).expect("addr_eval geometry");
-    let (n, b) = (geom.n(), geom.b());
-    let perm = catalog::bit_reversal(n);
-    let records = geom.records() as u64;
-    // ---- Kernel: raw addresses/s over ~2^22 sequential addresses.
-    let rounds = ((1u64 << 22) / records).max(1);
-    let total = rounds * records;
-    eprintln!(
-        "== addr_eval sweep: N=2^{lg_records}, B=2^{b}, bit reversal, \
-         {total} kernel addresses, best of {reps} reps"
-    );
-    let aff = AffineEvaluator::new(&perm);
-    let bev = BlockEvaluator::new(&perm, b as u32);
-    let rtab = bev
-        .residual_table()
-        .expect("b = 6 is within the residual-table cap");
-    let blocks = records >> b;
-    let mut rows: Vec<Json> = Vec::new();
-    let mut kernel_rates = [0.0f64; 2]; // [per_address, block_run]
-    let mut sums = [0u64; 2];
-    for (ki, kimpl) in ["per_address", "block_run"].into_iter().enumerate() {
-        let mut best = f64::INFINITY;
-        let mut sum = 0u64;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let mut acc = 0u64;
-            for _ in 0..rounds {
-                if ki == 0 {
-                    for x in 0..records {
-                        acc = acc.wrapping_add(aff.eval(x));
-                    }
-                } else {
-                    for blk in 0..blocks {
-                        let ybase = bev.block_base(blk);
-                        for &r in rtab {
-                            acc = acc.wrapping_add(ybase ^ r);
-                        }
-                    }
-                }
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-            sum = std::hint::black_box(acc);
-        }
-        sums[ki] = sum;
-        kernel_rates[ki] = total as f64 / best;
-        eprintln!(
-            "   kernel     {:<11} {:>13.0} addresses/s  {:>8.3} ms",
-            kimpl,
-            kernel_rates[ki],
-            best * 1e3
-        );
-        rows.push(Json::obj(vec![
-            ("kind", Json::Str("kernel".into())),
-            ("impl", Json::Str(kimpl.into())),
-            (
-                "addresses_per_sec",
-                Json::Num((kernel_rates[ki] * 10.0).round() / 10.0),
-            ),
-            (
-                "elapsed_ms",
-                Json::Num((best * 1e3 * 1000.0).round() / 1000.0),
-            ),
-            ("parallel_ios", Json::Num(0.0)),
-        ]));
-    }
-    assert_eq!(
-        sums[0], sums[1],
-        "kernels disagree: hoisted evaluation diverged from per-address"
-    );
-    let kernel_speedup = kernel_rates[1] / kernel_rates[0];
-    eprintln!("   kernel block-run speedup: {kernel_speedup:.2}x");
-    if baseline_mode {
-        assert!(
-            kernel_speedup >= 4.0,
-            "acceptance criterion failed: block-run kernel only {kernel_speedup:.2}x per-address"
-        );
-    }
-    // ---- Cap sweep (PR 10): the flat residual table against the
-    // byte-sliced fallback at each plausible block width — the tuning
-    // evidence behind `bmmc::eval::RESIDUAL_TABLE_MAX_BITS`. The tuned
-    // cap must admit the table at every swept width; both paths must
-    // produce identical target checksums; and under --baseline the
-    // flat table must win wherever the fallback pays more than one
-    // byte lookup per record.
-    let sweep_bits = 22u32;
-    let wperm = catalog::bit_reversal(sweep_bits as usize);
-    let sweep_total = 1u64 << sweep_bits;
-    let mut cap_ratios: Vec<Json> = Vec::new();
-    for width in [6u32, 12, 16] {
-        let mut rates = [0.0f64; 2]; // [flat, sliced]
-        let mut csums = [0u64; 2];
-        for (vi, vname) in ["flat", "sliced"].into_iter().enumerate() {
-            let bev = if vi == 0 {
-                let ev = BlockEvaluator::new(&wperm, width);
-                assert!(
-                    ev.residual_table().is_some(),
-                    "the tuned cap must admit a width-{width} residual table"
-                );
-                ev
-            } else {
-                BlockEvaluator::with_table_cap(&wperm, width, 0)
-            };
-            let blocks = sweep_total >> width;
-            let offsets = 1u64 << width;
-            let mut best = f64::INFINITY;
-            let mut sum = 0u64;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let mut acc = 0u64;
-                if let Some(rtab) = bev.residual_table() {
-                    for blk in 0..blocks {
-                        let ybase = bev.block_base(blk);
-                        for &r in rtab {
-                            acc = acc.wrapping_add(ybase ^ r);
-                        }
-                    }
-                } else {
-                    for blk in 0..blocks {
-                        let ybase = bev.block_base(blk);
-                        for off in 0..offsets {
-                            acc = acc.wrapping_add(ybase ^ bev.residual(off));
-                        }
-                    }
-                }
-                best = best.min(t0.elapsed().as_secs_f64());
-                sum = std::hint::black_box(acc);
-            }
-            csums[vi] = sum;
-            rates[vi] = sweep_total as f64 / best;
-            eprintln!(
-                "   cap_sweep  b={width:<2} {vname:<7} {:>13.0} addresses/s  {:>8.3} ms",
-                rates[vi],
-                best * 1e3
-            );
-            rows.push(Json::obj(vec![
-                ("kind", Json::Str("cap_sweep".into())),
-                ("impl", Json::Str(format!("b{width}-{vname}"))),
-                (
-                    "addresses_per_sec",
-                    Json::Num((rates[vi] * 10.0).round() / 10.0),
-                ),
-                (
-                    "elapsed_ms",
-                    Json::Num((best * 1e3 * 1000.0).round() / 1000.0),
-                ),
-                ("parallel_ios", Json::Num(0.0)),
-            ]));
-        }
-        assert_eq!(
-            csums[0], csums[1],
-            "width {width}: capped evaluation diverged from the flat table"
-        );
-        let ratio = rates[0] / rates[1];
-        eprintln!("   cap_sweep  b={width:<2} flat/sliced: {ratio:.2}x");
-        if baseline_mode && width > 8 {
-            // At one byte and below both paths are a single table
-            // lookup and the comparison is noise; past that the
-            // fallback pays an extra lookup per record and the flat
-            // table must win.
-            assert!(
-                ratio >= 1.0,
-                "acceptance criterion failed: width-{width} flat residual table only \
-                 {ratio:.2}x the byte-sliced fallback"
-            );
-        }
-        cap_ratios.push(Json::obj(vec![
-            ("width", Json::Num(width as f64)),
-            (
-                "flat_over_sliced",
-                Json::Num((ratio * 1000.0).round() / 1000.0),
-            ),
-        ]));
-    }
-    // ---- End to end: the bpc-baseline fusion workload per strategy.
-    let passes = bpc_baseline_plan(&perm, geom.b(), geom.m())
-        .expect("bit reversal is BPC")
-        .passes;
-    let plan = fuse_passes(&passes, geom.b(), geom.m());
-    let input: Vec<u64> = (0..records).collect();
+/// A warm-up run per configuration checks the placement against
+/// [`reference_permute`], and the timed reps must count what it
+/// counted. Every row must charge the same parallel I/Os. In-process
+/// rows move no messages; every wire transport moves the same message
+/// and byte counts, since all speak `pdm::proto`. Returns the rows and
+/// each variant's `threaded_over_serial`.
+fn engine_pass(geom: Geometry, seed: u64, variants: &[Variant]) -> (Vec<Row>, Vec<Row>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let perm = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
+    let pass = pass_of(&perm, PassKind::Mld);
+    let input = identity(&geom);
     let expect = reference_permute(&input, |x| perm.target(x));
-    let mut e2e_rates = [0.0f64; 2]; // [per_address, block_run]
-    for (si, (simpl, strategy)) in [
-        ("per_address", EvalStrategy::PerAddress),
-        ("block_run", EvalStrategy::BlockRun),
+    let run = |sys: &mut DiskSystem<u64>| {
+        let before = sys.message_stats();
+        let stats = execute_pass(sys, 0, 1, &pass).expect("engine pass");
+        (stats.ios.parallel_ios(), sys.message_stats().since(&before))
+    };
+    let (mut rows, mut speedups, mut ios, mut wire) = (Vec::new(), Vec::new(), None, None);
+    for v in variants {
+        let mut rates = [0.0; 2];
+        for (i, (mode, service)) in MODES.into_iter().enumerate() {
+            let label = format!("{} mode={mode}", v.keys.line());
+            let mut sys = DiskSystem::new_with_transport(geom, 2, &v.backend, &v.transport)
+                .expect("engine-pass system");
+            sys.set_service_mode(service);
+            sys.load_records(0, &input);
+            let warm @ (pios, msgs) = run(&mut sys);
+            assert_eq!(sys.dump_records(1), expect, "{label}: wrong placement");
+            let (again, [secs]) = best_of(REPS, || timed(|| run(&mut sys)));
+            assert_eq!(again, warm, "{label}: the reps counted differently");
+            drop(sys);
+            if let Backend::File { dir } = &v.backend {
+                std::fs::remove_dir_all(dir).ok();
+            }
+            assert_eq!(*ios.get_or_insert(pios), pios, "{label}: parallel I/Os");
+            let wired = !matches!(v.transport, TransportConfig::InProc);
+            assert_eq!(msgs.is_zero(), !wired, "{label}: moved {msgs}");
+            if wired {
+                assert_eq!(*wire.get_or_insert(msgs), msgs, "{label}: wire counts");
+            }
+            rates[i] = geom.records() as f64 / secs;
+            rows.push(
+                (v.keys.clone().key("mode", mode))
+                    .count("parallel_ios", pios)
+                    .count("passes", 1)
+                    .count("messages", msgs.messages())
+                    .count("wire_bytes", msgs.bytes())
+                    .throughput(geom.records(), secs),
+            );
+        }
+        let ratio = rates[1] / rates[0];
+        speedups.push(v.keys.clone().real("threaded_over_serial", ratio));
+    }
+    (rows, speedups)
+}
+
+/// The disk sweep at `N = 2^lg_records`, `B = 2^3`, `M = 2^lg_memory`.
+fn disk_sweep(lg_records: usize, lg_memory: usize, disks: &[usize]) -> Out {
+    let mut out = Out::default();
+    let mut speedups = Vec::new();
+    for &d in disks {
+        let geom =
+            Geometry::new(1 << lg_records, 1 << 3, d, 1 << lg_memory).expect("sweep geometry");
+        let engine = Variant {
+            keys: Row::default().count("disks", d).key("impl", "engine"),
+            backend: Backend::Mem,
+            transport: TransportConfig::InProc,
+        };
+        let (rows, sp) = engine_pass(geom, 0xB44C + d as u64, &[engine]);
+        out.rows.extend(rows);
+        speedups.extend(sp);
+    }
+    let geometry = (Row::default().count("lg_records", lg_records))
+        .count("lg_block", 3)
+        .count("lg_memory", lg_memory);
+    out.fields = (Row::default().set("geometry", geometry.to_json()))
+        .count("reps", REPS)
+        .set("speedups", array(&speedups));
+    out
+}
+
+/// An engine-pass section at the bench geometry: rows, plus the
+/// section fields `geometry`, `reps` and `speedups`.
+fn bench_engine_pass(seed: u64, variants: &[Variant]) -> Out {
+    let geom = bench_geometry();
+    let (rows, speedups) = engine_pass(geom, seed, variants);
+    let fields = (Row::default().count("lg_records", geom.n()))
+        .count("lg_block", geom.b())
+        .count("lg_disks", geom.d())
+        .count("lg_memory", geom.m());
+    let fields = (Row::default().set("geometry", fields.to_json()))
+        .count("reps", REPS)
+        .set("speedups", array(&speedups));
+    Out {
+        rows,
+        fields,
+        floors: Vec::new(),
+    }
+}
+
+fn file(ctx: &Ctx) -> Out {
+    let dir = ctx.file_dir.join("file");
+    let variants = [("mem", Backend::Mem), ("file", Backend::File { dir })];
+    let variants = variants.map(|(name, backend)| Variant {
+        keys: Row::default().key("backend", name),
+        backend,
+        transport: TransportConfig::InProc,
+    });
+    bench_engine_pass(0xF11E + LG as u64, &variants)
+}
+
+fn transport(_: &Ctx) -> Out {
+    let have_diskd = pdm::transport::find_diskd().is_some();
+    if !have_diskd {
+        eprintln!("   WARNING: no pdm-diskd binary, so no uds rows: --check fails");
+    }
+    let variants: Vec<Variant> = [
+        ("inproc", TransportConfig::InProc),
+        ("uds", TransportConfig::Uds(Default::default())),
+        ("sim", TransportConfig::SimNet(Default::default())),
     ]
     .into_iter()
-    .enumerate()
+    .filter(|(name, _)| have_diskd || *name != "uds")
+    .map(|(name, transport)| Variant {
+        keys: Row::default().key("transport", name),
+        backend: Backend::Mem,
+        transport,
+    })
+    .collect();
+    let mut out = bench_engine_pass(0x7BA7 + LG as u64, &variants);
+    let threaded = |t: &str| {
+        let mut rows = out.rows.iter();
+        let row = rows.find(|r| r.is("transport", t) && r.is("mode", "threaded"));
+        row?.get("records_per_sec")?.as_f64()
+    };
+    if let (Some(uds), Some(inproc)) = (threaded("uds"), threaded("inproc")) {
+        out.fields = out.fields.real("uds_over_inproc_threaded", uds / inproc);
+        out.floors.push(("uds_over_inproc_threaded", uds / inproc));
+    }
+    out
+}
+
+/// Multi-pass plans run threaded, unfused and fused (`Plan::execute`):
+/// identical placement, strictly fewer parallel I/Os fused, one pass
+/// per fused step, and exactly half on the fully fusable chains.
+fn fusion(_: &Ctx) -> Out {
+    // The BPC baseline plan for bit reversal with a narrow middle
+    // section (m − b = 3), so the exchange takes several chunks: 2k+1
+    // planned passes fuse to k+1 steps.
+    let bpc_geom = geometry(LG, 6, 2, 9);
+    let reversal = catalog::bit_reversal(bpc_geom.n());
+    let bpc = bpc_baseline_plan(&reversal, bpc_geom.b(), bpc_geom.m());
+    let bpc = bpc.expect("bit reversal is BPC").passes;
+    assert!(bpc.len() >= 5, "want a multi-chunk baseline plan");
+    // An alternating MRC/MLD chain: every pair fuses by the discipline
+    // rule.
+    let geom = geometry(LG, 3, 2, 12);
+    let (n, b, m) = (geom.n(), geom.b(), geom.m());
+    let mut rng = StdRng::seed_from_u64(0xF05E);
+    let (mut chain, mut composed) = (Vec::new(), Bmmc::identity(n));
+    for _ in 0..3 {
+        let mrc = catalog::random_mrc(&mut rng, n, m);
+        let mld = catalog::random_mld(&mut rng, n, b, m);
+        chain.extend([pass_of(&mrc, PassKind::Mrc), pass_of(&mld, PassKind::Mld)]);
+        composed = mld.compose(&mrc.compose(&composed));
+    }
+    // The Section 7 MLD⁻¹;MLD pair: gathered reads, scattered writes,
+    // one round trip instead of two.
+    let mut rng = StdRng::seed_from_u64(0xF19A);
+    let z = catalog::random_mld(&mut rng, n, b, m);
+    let y = catalog::random_mld(&mut rng, n, b, m);
+    let inverse = pass_of(&z.inverse(), PassKind::MldInverse);
+    let pair = vec![inverse, pass_of(&y, PassKind::Mld)];
+    let cases = [
+        ("bpc-baseline", bpc_geom, bpc, reversal, false),
+        ("alternating-chain", geom, chain, composed, true),
+        ("mld-pair", geom, pair, y.compose(&z.inverse()), true),
+    ];
+    let mut out = Out::default();
+    for (w, geom, passes, perm, fully_fusable) in cases {
+        let plan = Plan::from_passes(&passes, geom.b(), geom.m());
+        let input = identity(&geom);
+        let expect = reference_permute(&input, |x| perm.target(x));
+        let mut ios = [0u64; 2];
+        for (i, name) in ["unfused", "fused"].into_iter().enumerate() {
+            let mut sys = DiskSystem::new_mem(geom, 2);
+            sys.set_service_mode(ServiceMode::Threaded);
+            sys.load_records(0, &input);
+            let run = |sys: &mut DiskSystem<u64>| {
+                let r = match i {
+                    0 => execute_passes_unfused(sys, &passes),
+                    _ => plan.execute(sys, &perm, |&r| r),
+                };
+                let r = r.expect("fusion run");
+                (r.total.parallel_ios(), r.num_passes(), r.final_portion)
+            };
+            let (warm, label) = (run(&mut sys), format!("{w} {name}"));
+            assert_eq!(sys.dump_records(warm.2), expect, "{label}: wrong placement");
+            let (again, [secs]) = best_of(REPS, || timed(|| run(&mut sys)));
+            assert_eq!(again, warm, "{label}: the reps counted differently");
+            ios[i] = warm.0;
+            out.rows.push(
+                (Row::default().key("workload", w).key("impl", name))
+                    .count("planned_passes", passes.len())
+                    .count("executed_passes", warm.1)
+                    .count("parallel_ios", warm.0)
+                    .throughput(geom.records(), secs),
+            );
+        }
+        let [unfused, fused] = ios;
+        assert!(fused < unfused, "{w}: fused {fused} vs unfused {unfused}");
+        let per_step = (plan.num_steps() * geom.ios_per_pass()) as u64;
+        assert_eq!(fused, per_step, "{w}: fused cost must be one pass per step");
+        assert!(!fully_fusable || 2 * fused == unfused, "{w}: must halve");
+    }
+    out.fields = (Row::default().key("mode", "threaded")).count("lg_records", LG);
+    out
+}
+
+/// The wrapping sum of the targets of addresses `0 .. blocks << width`,
+/// block-hoisted: one `block_base` per block plus one residual per
+/// record, from the flat table or, without one, the byte-sliced
+/// fallback.
+fn hoisted_sum(bev: &BlockEvaluator, width: u32, blocks: u64) -> u64 {
+    let mut acc = 0u64;
+    if let Some(table) = bev.residual_table() {
+        for blk in 0..blocks {
+            let base = bev.block_base(blk);
+            for &r in table {
+                acc = acc.wrapping_add(base ^ r);
+            }
+        }
+    } else {
+        for blk in 0..blocks {
+            let base = bev.block_base(blk);
+            for off in 0..1u64 << width {
+                acc = acc.wrapping_add(base ^ bev.residual(off));
+            }
+        }
+    }
+    acc
+}
+
+/// Times two address kernels, which must agree on their target
+/// checksum, and pushes an `addresses_per_sec` row for each. Returns
+/// both rates.
+fn kernel_pair(out: &mut Out, kind: &str, kernels: [(String, &dyn Fn() -> u64); 2]) -> [f64; 2] {
+    let (mut sums, mut rates) = ([0u64; 2], [0.0; 2]);
+    for (i, (name, kernel)) in kernels.into_iter().enumerate() {
+        let (sum, [secs]) = best_of(REPS, || timed(|| std::hint::black_box(kernel())));
+        (sums[i], rates[i]) = (sum, (1u64 << 22) as f64 / secs);
+        out.rows.push(
+            (Row::default().key("kind", kind).key("impl", name))
+                .rate("addresses_per_sec", rates[i])
+                .real("elapsed_ms", secs * 1e3)
+                .count("parallel_ios", 0),
+        );
+    }
+    assert_eq!(sums[0], sums[1], "{kind}: the kernels' checksums disagree");
+    rates
+}
+
+/// Per-address against block-hoisted target computation for bit
+/// reversal: as raw kernels over 2^22 sequential addresses at the
+/// bpc-baseline geometry, as the residual-table cap sweep, and end to
+/// end (the fused bpc-baseline plan on threaded MemDisk, run with each
+/// [`EvalStrategy`]).
+fn addr_eval(_: &Ctx) -> Out {
+    let geom = geometry(LG, 6, 2, 9);
+    let (b, records) = (geom.b(), geom.records() as u64);
+    let perm = catalog::bit_reversal(geom.n());
+    let rounds = (1 << 22) / records;
+    let aff = AffineEvaluator::new(&perm);
+    let bev = BlockEvaluator::new(&perm, b as u32);
+    assert!(bev.residual_table().is_some(), "b = 6 is within the cap");
+    let per_address = || {
+        let mut acc = 0u64;
+        for _ in 0..rounds {
+            for x in 0..records {
+                acc = acc.wrapping_add(aff.eval(x));
+            }
+        }
+        acc
+    };
+    let block_run = || {
+        let round = |acc: u64, _| acc.wrapping_add(hoisted_sum(&bev, b as u32, records >> b));
+        (0..rounds).fold(0, round)
+    };
+    let mut out = Out::default();
+    let kernels: [(String, &dyn Fn() -> u64); 2] = [
+        ("per_address".into(), &per_address),
+        ("block_run".into(), &block_run),
+    ];
+    let [per, block] = kernel_pair(&mut out, "kernel", kernels);
+    // The flat residual table against the byte-sliced fallback per
+    // block width. At one byte and below both are a single lookup and
+    // the comparison is noise; past that the fallback pays an extra
+    // lookup per record and the flat table must win.
+    let wide = catalog::bit_reversal(22);
+    let mut cap = Vec::new();
+    for width in [6u32, 12, 16] {
+        let flat = BlockEvaluator::new(&wide, width);
+        assert!(flat.residual_table().is_some(), "cap below {width} bits");
+        let sliced = BlockEvaluator::with_table_cap(&wide, width, 0);
+        let blocks = (1u64 << 22) >> width;
+        let flat_sum = || hoisted_sum(&flat, width, blocks);
+        let sliced_sum = || hoisted_sum(&sliced, width, blocks);
+        let kernels: [(String, &dyn Fn() -> u64); 2] = [
+            (format!("b{width}-flat"), &flat_sum),
+            (format!("b{width}-sliced"), &sliced_sum),
+        ];
+        let [f, s] = kernel_pair(&mut out, "cap_sweep", kernels);
+        if width > 8 {
+            out.floors.push(("flat_over_sliced", f / s));
+        }
+        let ratio = Row::default().count("width", width);
+        cap.push(ratio.real("flat_over_sliced", f / s));
+    }
+    // End to end: `Plan::execute`'s BMMC-route loop with each strategy.
+    let passes = bpc_baseline_plan(&perm, b, geom.m()).expect("bit reversal is BPC");
+    let plan = fuse_passes(&passes.passes, b, geom.m());
+    let input = identity(&geom);
+    let expect = reference_permute(&input, |x| perm.target(x));
+    let mut rates = [0.0; 2];
+    for (i, strategy) in [EvalStrategy::PerAddress, EvalStrategy::BlockRun]
+        .into_iter()
+        .enumerate()
     {
-        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
+        let name = ["per_address", "block_run"][i];
+        let mut sys = DiskSystem::new_mem(geom, 2);
         sys.set_service_mode(ServiceMode::Threaded);
         sys.load_records(0, &input);
-        // `Plan::execute`'s BMMC-route loop, with the strategy under
-        // test. Returns (parallel I/Os, final portion).
-        let execute = |sys: &mut DiskSystem<u64>| {
-            let before = sys.stats();
-            let mut engine = PassEngine::new(geom);
-            let mut src = 0;
+        let run = |sys: &mut DiskSystem<u64>| {
+            let (before, mut engine, mut src) = (sys.stats(), PassEngine::new(geom), 0);
             for step in &plan.steps {
                 execute_fused_with_strategy(&mut engine, sys, src, 1 - src, step, strategy)
                     .expect("bpc-baseline run");
@@ -706,436 +779,124 @@ fn run_addr_eval_sweep(lg_records: usize, reps: usize, baseline_mode: bool) -> J
             }
             (sys.stats().since(&before).parallel_ios(), src)
         };
-        // Warm-up rep doubles as the correctness check.
-        let (ios, portion) = execute(&mut sys);
-        assert_eq!(
-            sys.dump_records(portion),
-            expect,
-            "{simpl} produced a wrong permutation"
-        );
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let (r, _) = execute(&mut sys);
-            best = best.min(t0.elapsed().as_secs_f64());
-            assert_eq!(r, ios);
-        }
-        e2e_rates[si] = records as f64 / best;
-        eprintln!(
-            "   end_to_end {:<11} {:>13.0} records/s    {:>8.3} ms  {:>6} parallel I/Os",
-            simpl,
-            e2e_rates[si],
-            best * 1e3,
-            ios
-        );
-        rows.push(Json::obj(vec![
-            ("kind", Json::Str("end_to_end".into())),
-            ("impl", Json::Str(simpl.into())),
-            ("executed_passes", Json::Num(plan.num_steps() as f64)),
-            ("parallel_ios", Json::Num(ios as f64)),
-            (
-                "records_per_sec",
-                Json::Num((e2e_rates[si] * 10.0).round() / 10.0),
-            ),
-            (
-                "elapsed_ms",
-                Json::Num((best * 1e3 * 1000.0).round() / 1000.0),
-            ),
-        ]));
-    }
-    let e2e_speedup = e2e_rates[1] / e2e_rates[0];
-    eprintln!("   end_to_end block-run speedup: {e2e_speedup:.2}x");
-    if baseline_mode {
-        assert!(
-            e2e_speedup >= 1.2,
-            "acceptance criterion failed: block-run end-to-end only {e2e_speedup:.2}x per-address"
+        let warm = run(&mut sys);
+        assert_eq!(sys.dump_records(warm.1), expect, "{name}: wrong placement");
+        let (again, [secs]) = best_of(REPS, || timed(|| run(&mut sys)));
+        assert_eq!(again, warm, "{name}: the reps counted differently");
+        rates[i] = records as f64 / secs;
+        out.rows.push(
+            (Row::default().key("kind", "end_to_end").key("impl", name))
+                .count("executed_passes", plan.num_steps())
+                .count("parallel_ios", warm.0)
+                .throughput(geom.records(), secs),
         );
     }
-    Json::obj(vec![
-        ("geometry", Json::Str(bmmc_bench::geom_label(&geom))),
-        ("kernel_addresses", Json::Num(total as f64)),
-        ("rows", Json::Arr(rows)),
-        (
-            "kernel_block_run_over_per_address",
-            Json::Num((kernel_speedup * 1000.0).round() / 1000.0),
-        ),
-        (
-            "end_to_end_block_run_over_per_address",
-            Json::Num((e2e_speedup * 1000.0).round() / 1000.0),
-        ),
-        ("cap_sweep_flat_over_sliced", Json::Arr(cap_ratios)),
-    ])
+    let ratios = [
+        ("kernel_block_run_over_per_address", block / per),
+        ("end_to_end_block_run_over_per_address", rates[1] / rates[0]),
+    ];
+    out.floors.extend(ratios);
+    out.fields = (Row::default().key("geometry", geom_label(&geom)))
+        .count("kernel_addresses", 1 << 22)
+        .set("cap_sweep_flat_over_sliced", array(&cap))
+        .real(ratios[0].0, ratios[0].1)
+        .real(ratios[1].0, ratios[1].1);
+    out
 }
 
-/// One planner crossover row. Every field is deterministic — the sweep
-/// is purely analytic (`bmmc::plan::candidates` + `choose` over exact
-/// per-step counts), so `steps` and `parallel_ios` are exact-gated and
-/// the pick string sits in the row *key*.
-fn planner_row(
-    workload: &str,
-    geometry: &str,
-    timing: &str,
-    pick: &str,
-    steps: usize,
-    parallel_ios: u64,
-    modeled_ms: f64,
-) -> Json {
-    Json::obj(vec![
-        ("workload", Json::Str(workload.into())),
-        ("geometry", Json::Str(geometry.into())),
-        ("timing", Json::Str(timing.into())),
-        ("pick", Json::Str(pick.into())),
-        ("steps", Json::Num(steps as f64)),
-        ("parallel_ios", Json::Num(parallel_ios as f64)),
-        (
-            "modeled_ms",
-            Json::Num((modeled_ms * 1000.0).round() / 1000.0),
-        ),
-    ])
-}
-
-/// The PR 10 planner sweep: the `--algorithm auto` crossover table.
-///
-/// For each named workload × geometry × timing model the unified plan
-/// IR enumerates every executable candidate (the DP-fused BMMC route
-/// plus the external-sort route per merge strategy) and `choose` picks the
-/// cheapest by modeled wall-clock, exact parallel I/Os breaking ties.
-/// The table spans the regimes the cost model distinguishes:
-///
-/// * BMMC-structured workloads (transpose, bit reversal, random,
-///   adversarial worst-cross-rank) — where the paper's factoring
-///   usually dominates, but a worst-rank matrix can push the BMMC
-///   route past the sort route's pass count;
-/// * a `shuffle` workload — a general permutation with no BMMC
-///   structure, so the candidates are the merge strategies alone and
-///   the pick is the strategy crossover (seek-heavy models favor the
-///   fewer-operation single-buffered merge; flat models favor
-///   whichever schedule moves fewest blocks);
-/// * the `tiny-mem` geometry — `M = BD`, where no merge fits and the
-///   sort route vanishes exactly where BMMC factoring is costliest;
-/// * the committed `MLD;MRC;MLD` re-association chain
-///   ([`reassociation_case`]) planned both ways: greedy
-///   pair fusion is stuck at two steps, the DP whole-plan fuser
-///   executes it in one — strictly fewer steps and parallel I/Os,
-///   asserted here and exact-gated by `--check`.
-fn run_planner_sweep() -> Json {
+/// The `--algorithm auto` crossover table. For each named workload ×
+/// geometry × timing model, `candidates` enumerates every executable
+/// plan (the DP-fused BMMC route and the sort route per merge strategy)
+/// and `choose` picks the cheapest by modeled time, exact parallel I/Os
+/// breaking ties. Purely analytic, so every row is deterministic.
+fn planner(_: &Ctx) -> Out {
     let geoms = [
-        (
-            "fig2",
-            Geometry::new(1 << 13, 1 << 3, 1 << 4, 1 << 8).expect("fig2 geometry"),
-        ),
-        (
-            "bench",
-            Geometry::new(1 << 18, 1 << 3, 1 << 4, 1 << 12).expect("bench geometry"),
-        ),
-        (
-            "narrow",
-            Geometry::new(1 << 9, 1 << 2, 1 << 1, 1 << 6).expect("narrow geometry"),
-        ),
-        (
-            "tiny-mem",
-            Geometry::new(1 << 13, 1 << 3, 1 << 2, 1 << 5).expect("tiny-mem geometry"),
-        ),
+        ("fig2", geometry(13, 3, 4, 8)),
+        ("bench", geometry(18, 3, 4, 12)),
+        ("narrow", geometry(9, 2, 1, 6)),
+        ("tiny-mem", geometry(13, 3, 2, 5)),
     ];
     let timings = [("hdd", TimingModel::hdd()), ("ssd", TimingModel::ssd())];
-    eprintln!(
-        "== planner sweep: crossover picks over {} geometries x {{hdd,ssd}} (analytic)",
-        geoms.len()
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    for (gi, (gname, g)) in geoms.iter().enumerate() {
+    let mut out = Out::default();
+    let mut push = |w: &str, g: &(&str, Geometry), t: &(&str, TimingModel), pick, plan: &Plan| {
+        out.rows.push(
+            (Row::default().key("workload", w).key("geometry", g.0))
+                .key("timing", t.0)
+                .key("pick", pick)
+                .count("steps", plan.num_steps())
+                .count("parallel_ios", plan.parallel_ios(&g.1))
+                .real("modeled_ms", plan.modeled_ms(&g.1, &t.1)),
+        )
+    };
+    for (gi, named @ (_, g)) in geoms.iter().enumerate() {
+        let n = g.n();
         let mut rng = StdRng::seed_from_u64(0x10AD + gi as u64);
-        let workloads: Vec<(&str, Bmmc)> = vec![
-            ("transpose", catalog::transpose(g.n(), g.n() / 2)),
-            ("bit-reversal", catalog::bit_reversal(g.n())),
-            ("random", catalog::random_bmmc(&mut rng, g.n())),
-            (
-                "worst-rank",
-                catalog::random_worst_rank(&mut rng, g.n(), g.m()),
-            ),
+        let random = catalog::random_bmmc(&mut rng, n);
+        let worst = catalog::random_worst_rank(&mut rng, n, g.m());
+        let sorts = MergeStrategy::ALL.map(|s| Plan::sort(g, s));
+        let workloads = [
+            ("transpose", candidates(&catalog::transpose(n, n / 2), g)),
+            ("bit-reversal", candidates(&catalog::bit_reversal(n), g)),
+            ("random", candidates(&random, g)),
+            ("worst-rank", candidates(&worst, g)),
+            // A general permutation with no BMMC structure: only the
+            // merge strategies compete. At tiny-mem (M = BD) no merge
+            // fits, so the sort route vanishes exactly where BMMC
+            // factoring is costliest.
+            ("shuffle", sorts.into_iter().flatten().collect()),
         ];
-        for (wname, perm) in &workloads {
-            let plans = candidates(perm, g);
-            assert!(!plans.is_empty(), "the BMMC route always applies");
-            for (tname, timing) in &timings {
-                let pick = choose(&plans, g, timing).expect("candidates is nonempty");
-                eprintln!(
-                    "   {:<8} {:<12} {:<3} -> {:<13} {:>2} steps  {:>7} parallel I/Os  \
-                     {:>12.2} modeled ms  ({} candidates)",
-                    gname,
-                    wname,
-                    tname,
-                    pick.candidate.name(),
-                    pick.num_steps(),
-                    pick.parallel_ios(g),
-                    pick.modeled_ms(g, timing),
-                    plans.len()
-                );
-                rows.push(planner_row(
-                    wname,
-                    gname,
-                    tname,
-                    pick.candidate.name(),
-                    pick.num_steps(),
-                    pick.parallel_ios(g),
-                    pick.modeled_ms(g, timing),
-                ));
+        for (workload, plans) in &workloads {
+            for t in &timings {
+                let Some(pick) = choose(plans, g, &t.1) else {
+                    assert_eq!(*workload, "shuffle", "the BMMC route always applies");
+                    continue;
+                };
+                push(workload, named, t, pick.candidate.name(), pick);
             }
         }
-        // The sort-only shuffle workload: a general permutation with no
-        // BMMC structure, so the candidates are the merge strategies
-        // alone and the pick is the pure strategy crossover.
-        let sort_plans: Vec<Plan> = MergeStrategy::ALL
-            .into_iter()
-            .filter_map(|s| Plan::sort(g, s))
-            .collect();
-        if sort_plans.is_empty() {
-            eprintln!(
-                "   {gname:<8} shuffle: no merge fits (fan-in < 2) — the sort route \
-                 vanishes exactly where BMMC factoring is costliest"
-            );
-            continue;
-        }
-        for (tname, timing) in &timings {
-            let pick = choose(&sort_plans, g, timing).expect("sort candidates exist");
-            eprintln!(
-                "   {:<8} {:<12} {:<3} -> {:<13} {:>2} steps  {:>7} parallel I/Os  \
-                 {:>12.2} modeled ms  ({} candidates)",
-                gname,
-                "shuffle",
-                tname,
-                pick.candidate.name(),
-                pick.num_steps(),
-                pick.parallel_ios(g),
-                pick.modeled_ms(g, timing),
-                sort_plans.len()
-            );
-            rows.push(planner_row(
-                "shuffle",
-                gname,
-                tname,
-                pick.candidate.name(),
-                pick.num_steps(),
-                pick.parallel_ios(g),
-                pick.modeled_ms(g, timing),
-            ));
-        }
     }
-    // The committed re-association chain at the fig2 boundaries:
-    // greedy pair fusion closes its first group after p1 (the pair seam
-    // classifies nowhere), but the whole product telescopes into MLD⁻¹
-    // and the DP's full-gather split executes all three passes in one
-    // round-trip.
-    let (gname, g) = &geoms[0];
+    // The committed re-association chain: greedy pair fusion closes its
+    // first group after p1, but the whole product telescopes into MLD⁻¹,
+    // which the DP's full-gather split runs in one round trip.
+    let g = &geoms[0].1;
     let passes = reassociation_case(g.n(), g.b(), g.m());
-    let greedy_plan: Plan = fuse_passes_greedy(&passes, g.b(), g.m()).into();
+    let greedy: Plan = fuse_passes_greedy(&passes, g.b(), g.m()).into();
     let dp = Plan::from_passes(&passes, g.b(), g.m());
     assert!(
-        dp.num_steps() < greedy_plan.num_steps(),
+        dp.num_steps() < greedy.num_steps() && dp.parallel_ios(g) < greedy.parallel_ios(g),
         "the DP fuser must beat greedy on the committed re-association chain"
     );
-    assert!(dp.parallel_ios(g) < greedy_plan.parallel_ios(g));
-    eprintln!(
-        "   {:<8} reassoc: greedy {} steps ({} parallel I/Os), dp {} step(s) ({} parallel I/Os)",
-        gname,
-        greedy_plan.num_steps(),
-        greedy_plan.parallel_ios(g),
-        dp.num_steps(),
-        dp.parallel_ios(g)
-    );
-    for (tname, timing) in &timings {
-        for (fuser, plan) in [("greedy", &greedy_plan), ("dp", &dp)] {
-            rows.push(planner_row(
-                "reassoc",
-                gname,
-                tname,
-                fuser,
-                plan.num_steps(),
-                plan.parallel_ios(g),
-                plan.modeled_ms(g, timing),
-            ));
-        }
+    for t in &timings {
+        push("reassoc", &geoms[0], t, "greedy", &greedy);
+        push("reassoc", &geoms[0], t, "dp", &dp);
     }
-    Json::obj(vec![
-        (
-            "timing_models",
-            Json::Arr(vec![Json::Str("hdd".into()), Json::Str("ssd".into())]),
-        ),
-        ("rows", Json::Arr(rows)),
-    ])
+    let models = timings.map(|(t, _)| Json::Str(t.into()));
+    out.fields = Row::default().set("timing_models", Json::Arr(models.into()));
+    out
 }
 
-/// MemDisk vs. FileDisk under the engine, in both service modes.
-///
-/// Every row performs the identical seeded one-pass MLD permutation
-/// through the [`pdm::PassEngine`]; the placement must be
-/// byte-identical to the reference (hence to MemDisk) and the charged
-/// parallel-I/O count identical across **all** rows — backends may
-/// only move the wall clock. The interesting comparison is
-/// `file`/`threaded` (persistent `DiskPool` workers issuing positional
-/// reads/writes, split-phase overlap) against `file`/`serial` on the
-/// same files, recorded as `threaded_over_serial`.
-fn run_file_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
-    let geom = Geometry::new(1 << lg_records, 1 << 3, 1 << 4, 1 << 12).expect("file geometry");
-    eprintln!(
-        "== file sweep: N=2^{lg_records}, B=2^3, D=2^4, M=2^12, engine, best of {reps} reps \
-         (files under {})",
-        parent.display()
-    );
-    let mut rng = StdRng::seed_from_u64(0xF11E + lg_records as u64);
-    let perm = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
-    let pass = Pass {
-        matrix: perm.matrix().clone(),
-        complement: perm.complement().clone(),
-        kind: PassKind::Mld,
-    };
-    let input: Vec<u64> = (0..geom.records() as u64).collect();
-    let expect = reference_permute(&input, |x| perm.target(x));
-    let mut rows: Vec<Json> = Vec::new();
-    let mut rps: Vec<(&str, &str, f64)> = Vec::new();
-    let mut ios: Option<u64> = None;
-    for backend in ["mem", "file"] {
-        for (mode_name, mode) in MODES {
-            let scratch = parent.join(format!("{backend}-{mode_name}"));
-            let mut sys: DiskSystem<u64> = if backend == "file" {
-                DiskSystem::new_file(geom, 2, &scratch).expect("file-backed system")
-            } else {
-                DiskSystem::new_mem(geom, 2)
-            };
-            sys.set_service_mode(mode);
-            sys.load_records(0, &input);
-            // Warm-up rep doubles as the correctness check: the file
-            // backend must place every record byte-identically.
-            let stats = execute_pass(&mut sys, 0, 1, &pass).expect("engine pass failed");
-            assert_eq!(
-                sys.dump_records(1),
-                expect,
-                "{backend}/{mode_name} produced a wrong permutation"
-            );
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let s = execute_pass(&mut sys, 0, 1, &pass).expect("engine pass failed");
-                best = best.min(t0.elapsed().as_secs_f64());
-                assert_eq!(s.ios.parallel_ios(), stats.ios.parallel_ios());
-            }
-            drop(sys);
-            if backend == "file" {
-                std::fs::remove_dir_all(&scratch).ok();
-            }
-            if let Some(prev) = ios {
-                assert_eq!(
-                    prev,
-                    stats.ios.parallel_ios(),
-                    "{backend}/{mode_name} changed the charged I/O count"
-                );
-            }
-            ios = Some(stats.ios.parallel_ios());
-            let records_per_sec = geom.records() as f64 / best;
-            rps.push((backend, mode_name, records_per_sec));
-            eprintln!(
-                "   {:<5} {:<9} {:>12.0} rec/s  {:>8.2} ms  {} parallel I/Os",
-                backend,
-                mode_name,
-                records_per_sec,
-                best * 1e3,
-                stats.ios.parallel_ios()
-            );
-            rows.push(Json::obj(vec![
-                ("backend", Json::Str(backend.into())),
-                ("mode", Json::Str(mode_name.into())),
-                (
-                    "records_per_sec",
-                    Json::Num((records_per_sec * 10.0).round() / 10.0),
-                ),
-                (
-                    "elapsed_ms",
-                    Json::Num((best * 1e3 * 1000.0).round() / 1000.0),
-                ),
-                ("parallel_ios", Json::Num(stats.ios.parallel_ios() as f64)),
-            ]));
-        }
-    }
-    let threaded_over_serial = |backend: &str| {
-        let get = |mode: &str| {
-            rps.iter()
-                .find(|(b, m, _)| *b == backend && *m == mode)
-                .map(|(_, _, r)| *r)
-                .expect("row measured")
-        };
-        get("threaded") / get("serial")
-    };
-    let speedups: Vec<Json> = ["mem", "file"]
-        .into_iter()
-        .map(|backend| {
-            Json::obj(vec![
-                ("backend", Json::Str(backend.into())),
-                (
-                    "threaded_over_serial",
-                    Json::Num((threaded_over_serial(backend) * 1000.0).round() / 1000.0),
-                ),
-            ])
-        })
-        .collect();
-    eprintln!(
-        "   file threaded/serial: {:.2}x",
-        threaded_over_serial("file")
-    );
-    Json::obj(vec![
-        (
-            "geometry",
-            Json::obj(vec![
-                ("lg_records", Json::Num(lg_records as f64)),
-                ("lg_block", Json::Num(3.0)),
-                ("lg_disks", Json::Num(4.0)),
-                ("lg_memory", Json::Num(12.0)),
-            ]),
-        ),
-        ("reps", Json::Num(reps as f64)),
-        ("rows", Json::Arr(rows)),
-        ("speedups", Json::Arr(speedups)),
-    ])
+/// Submits `spec`, waits for it, and checks that it finished and was
+/// charged exactly its own counters. Returns its id and parallel I/Os.
+fn serve(core: &Arc<ServiceCore>, spec: JobSpec) -> (u64, u64) {
+    let id = core.submit(spec, None).expect("submit");
+    let status = core.wait(id).expect("known id");
+    assert_eq!(status.state, JobState::Done, "job {id}");
+    let report = status.report.expect("a done job has a report");
+    assert_eq!(status.usage.io, report.io, "job {id}: ledger ≠ counters");
+    (id, status.usage.io.parallel_ios())
 }
 
-/// Builds the `TransportConfig` for a transport-sweep row name.
-fn transport_config(name: &str) -> TransportConfig {
-    match name {
-        "inproc" => TransportConfig::InProc,
-        "uds" => TransportConfig::Uds(Default::default()),
-        "sim" => TransportConfig::SimNet(Default::default()),
-        other => unreachable!("unknown transport {other}"),
-    }
-}
-
-/// The service sweep: the multi-tenant job service under three
-/// scenarios, all in-process against one shared [`pdm_served`] disk
-/// farm.
+/// The multi-tenant job service in process:
 ///
-/// * `single` — the same seeded BMMC job run directly on a private
-///   `DiskSystem` and through the service (one tenant, governor
-///   engaged). Both rows must charge identical parallel I/Os — the
-///   scheduler may not change the model cost — and under `--baseline`
-///   the served row must reach ≥ 0.9× the direct records/s.
-/// * `fair` — K=4 *identical* jobs (same seed) submitted at the same
-///   instant by four client threads. Every job's charged ledger must
-///   equal its own disk system's counters exactly, all four charges
-///   must be equal to the operation, and under `--baseline` the
-///   completion-time spread must stay within 25% of the mean — the
-///   deficit round-robin discipline, not FIFO head-of-line blocking.
-/// * `load` — an open-loop generator: jobs submitted on a fixed
-///   arrival clock regardless of completions, reporting aggregate
-///   throughput and p50/p95/p99 job latency.
-///
-/// The per-job parallel-I/O counts (single and fair rows) are
-/// deterministic and exact-gated by `--check`; the latencies are
-/// recorded, not gated.
-fn run_service_sweep(reps: usize, baseline_mode: bool) -> Json {
-    use pdm_served::core::{JobState, ServiceConfig, ServiceCore};
-    use pdm_served::job::{run_job, JobKind, JobSpec};
-    use std::sync::{Arc, Barrier};
-
-    let lg_records = 14;
-    let geom = Geometry::new(1 << lg_records, 1 << 3, 1 << 3, 1 << 10).expect("service geometry");
+/// * `single` — one seeded BMMC job on a private system and through the
+///   service, in interleaved pairs so a drifting machine hits both
+///   alike; the governor may not change the charge.
+/// * `fair` — K = 4 identical jobs submitted at once by four threads:
+///   equal charges, and the completion spread of deficit round robin.
+/// * `load` — jobs on a fixed arrival clock regardless of completions:
+///   throughput and p50/p95/p99 latency.
+fn service(ctx: &Ctx) -> Out {
+    let geom = geometry(14, 3, 3, 10);
     let config = ServiceConfig {
         block: geom.block(),
         disks: geom.disks(),
@@ -1145,1024 +906,296 @@ fn run_service_sweep(reps: usize, baseline_mode: bool) -> Json {
         max_running: 8,
         ..ServiceConfig::default()
     };
-    eprintln!(
-        "== service sweep: N=2^{lg_records}, B=2^3, D=2^3, M=2^10, quantum {} blocks, best of {reps} reps",
-        config.quantum
-    );
     let spec = JobSpec::new(JobKind::Bmmc, geom.records(), geom.memory(), 0xFA1);
-    let mut rows: Vec<Json> = Vec::new();
-
-    // -- single: direct vs served ------------------------------------
-    // Interleaved direct/served pairs (rather than two back-to-back
-    // loops) so a drifting machine hits both paths alike; the baseline
-    // run takes extra reps because it *asserts* on the ratio.
-    let single_reps = if baseline_mode {
-        reps.max(7)
-    } else {
-        reps.max(1)
-    };
-    let mut direct_best = f64::MAX;
-    let mut direct_ios = 0u64;
-    let mut served_best = f64::MAX;
-    let mut served_ios = 0u64;
-    for _ in 0..single_reps {
-        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
+    let mut out = Out::default();
+    // The baseline run takes extra reps because it holds the ratio to a
+    // floor.
+    let reps = if ctx.baseline { 7 } else { 3 };
+    let ((direct_ios, served_ios), [direct, served]) = best_of(reps, || {
+        let mut sys = DiskSystem::new_mem(geom, 2);
         sys.set_threaded(true);
-        let t0 = Instant::now();
-        let report = run_job(&mut sys, &spec).expect("direct job");
-        direct_best = direct_best.min(t0.elapsed().as_secs_f64());
-        direct_ios = report.io.parallel_ios();
-
+        let (report, [d]) = timed(|| run_job(&mut sys, &spec).expect("direct job"));
         let core = ServiceCore::new(config);
-        let t0 = Instant::now();
-        let id = core.submit(spec, None).expect("submit");
-        let status = core.wait(id).expect("known id");
-        served_best = served_best.min(t0.elapsed().as_secs_f64());
-        assert_eq!(status.state, JobState::Done, "served single job");
-        let report = status.report.expect("done job has report");
-        assert_eq!(
-            status.usage.io, report.io,
-            "scheduler ledger equals the job's own counters"
-        );
-        served_ios = status.usage.io.parallel_ios();
+        let ((_, ios), [s]) = timed(|| serve(&core, spec));
         core.shutdown();
-    }
-    assert_eq!(
-        direct_ios, served_ios,
-        "the governor may not change the model cost"
-    );
-    let n = geom.records() as f64;
-    let single_ratio = (n / served_best) / (n / direct_best);
-    eprintln!(
-        "   single: direct {:.1} ms, served {:.1} ms, ratio {single_ratio:.3}",
-        direct_best * 1e3,
-        served_best * 1e3
-    );
-    if baseline_mode {
-        assert!(
-            single_ratio >= 0.9,
-            "acceptance criterion failed: served single-job throughput only \
-             {single_ratio:.3}x of the direct path"
+        ((report.io.parallel_ios(), ios), [d, s])
+    });
+    assert_eq!(direct_ios, served_ios, "the governor changed the charge");
+    for (job, secs) in [("direct", direct), ("served", served)] {
+        out.rows.push(
+            (Row::default().key("scenario", "single").key("job", job))
+                .count("parallel_ios", direct_ios)
+                .throughput(geom.records(), secs),
         );
     }
-    for (job, ios, secs) in [
-        ("direct", direct_ios, direct_best),
-        ("served", served_ios, served_best),
-    ] {
-        rows.push(Json::obj(vec![
-            ("scenario", Json::Str("single".into())),
-            ("job", Json::Str(job.into())),
-            ("parallel_ios", Json::Num(ios as f64)),
-            (
-                "records_per_sec",
-                Json::Num(((n / secs) * 10.0).round() / 10.0),
-            ),
-            (
-                "elapsed_ms",
-                Json::Num((secs * 1e3 * 1000.0).round() / 1000.0),
-            ),
-        ]));
-    }
-
-    // -- fair: K=4 identical tenants ---------------------------------
     const K: usize = 4;
-    let core = ServiceCore::new(config);
-    let barrier = Arc::new(Barrier::new(K));
-    let mut tenants = Vec::new();
-    for _ in 0..K {
-        let core = Arc::clone(&core);
-        let barrier = Arc::clone(&barrier);
-        tenants.push(std::thread::spawn(move || {
+    let (core, barrier) = (ServiceCore::new(config), Barrier::new(K));
+    let mut fair: Vec<_> = std::thread::scope(|s| {
+        let tenant = || {
             barrier.wait();
-            let t0 = Instant::now();
-            let id = core.submit(spec, None).expect("fair submit");
-            let status = core.wait(id).expect("known id");
-            (id, status, t0.elapsed().as_secs_f64())
-        }));
-    }
-    let mut completions = Vec::new();
-    for t in tenants {
-        let (id, status, secs) = t.join().expect("tenant thread");
-        assert_eq!(status.state, JobState::Done, "fair job {id}");
-        let report = status.report.expect("done job has report");
-        assert_eq!(
-            status.usage.io, report.io,
-            "fair job {id}: exact per-job accounting"
-        );
-        completions.push((id, status.usage.io.parallel_ios(), secs));
-    }
+            timed(|| serve(&core, spec))
+        };
+        join_all((0..K).map(|_| s.spawn(tenant)).collect())
+    });
     core.shutdown();
-    completions.sort_by_key(|&(id, _, _)| id);
-    let charges: Vec<u64> = completions.iter().map(|&(_, c, _)| c).collect();
-    assert!(
-        charges.windows(2).all(|w| w[0] == w[1]),
-        "identical jobs must be charged identically: {charges:?}"
-    );
-    let times: Vec<f64> = completions.iter().map(|&(_, _, s)| s).collect();
-    let mean = times.iter().sum::<f64>() / K as f64;
-    let spread = times.iter().cloned().fold(f64::MIN, f64::max)
-        - times.iter().cloned().fold(f64::MAX, f64::min);
-    let spread_pct = 100.0 * spread / mean;
-    eprintln!(
-        "   fair: {K} tenants, {} parallel I/Os each, completions {:?} ms, spread {spread_pct:.1}% of mean",
-        charges[0],
-        times.iter().map(|s| (s * 1e3).round()).collect::<Vec<_>>()
-    );
-    if baseline_mode {
-        assert!(
-            spread_pct <= 25.0,
-            "acceptance criterion failed: fair-share completion spread {spread_pct:.1}% > 25% of mean"
+    fair.sort_by_key(|((id, _), _)| *id);
+    let (mut lo, mut hi, mut sum) = (f64::MAX, f64::MIN, 0.0);
+    for ((id, ios), [secs]) in &fair {
+        assert_eq!(*ios, fair[0].0 .1, "tenants charged unequally");
+        (lo, hi, sum) = (lo.min(*secs), hi.max(*secs), sum + secs);
+        let job = format!("tenant-{id}");
+        out.rows.push(
+            (Row::default().key("scenario", "fair").key("job", job))
+                .count("parallel_ios", *ios)
+                .real("elapsed_ms", secs * 1e3),
         );
     }
-    for &(id, ios, secs) in &completions {
-        rows.push(Json::obj(vec![
-            ("scenario", Json::Str("fair".into())),
-            ("job", Json::Str(format!("tenant-{id}"))),
-            ("parallel_ios", Json::Num(ios as f64)),
-            (
-                "elapsed_ms",
-                Json::Num((secs * 1e3 * 1000.0).round() / 1000.0),
-            ),
-        ]));
-    }
-
-    // -- load: open-loop multi-tenant generator ----------------------
+    let spread_pct = 100.0 * (hi - lo) / (sum / K as f64);
     const JOBS: usize = 24;
-    let interval = std::time::Duration::from_millis(2);
-    let small = JobSpec::new(
-        JobKind::Bmmc,
-        1 << 12,
-        1 << 8,
-        0xBEEF, // same work per job; arrivals, not content, vary
-    );
-    let core = ServiceCore::new(config);
-    let t0 = Instant::now();
-    let mut waiters = Vec::new();
-    for _ in 0..JOBS {
-        let id = core.submit(small, None).expect("load submit");
-        let submitted = Instant::now();
-        let core = Arc::clone(&core);
-        waiters.push(std::thread::spawn(move || {
-            let status = core.wait(id).expect("known id");
-            assert_eq!(status.state, JobState::Done, "load job {id}");
-            submitted.elapsed().as_secs_f64()
-        }));
-        std::thread::sleep(interval); // open loop: the clock, not the
-                                      // completions, paces arrivals
-    }
-    let mut latencies: Vec<f64> = waiters
-        .into_iter()
-        .map(|w| w.join().expect("waiter thread"))
-        .collect();
+    // The same work per job: arrivals, not content, vary.
+    let small = JobSpec::new(JobKind::Bmmc, 1 << 12, 1 << 8, 0xBEEF);
+    let (core, t0) = (ServiceCore::new(config), Instant::now());
+    let mut latencies: Vec<f64> = std::thread::scope(|s| {
+        let waiters: Vec<_> = (0..JOBS)
+            .map(|_| {
+                let (id, submitted) = (core.submit(small, None).expect("submit"), Instant::now());
+                let core = &core;
+                let waiter = s.spawn(move || {
+                    let status = core.wait(id).expect("known id");
+                    assert_eq!(status.state, JobState::Done, "load job {id}");
+                    submitted.elapsed().as_secs_f64()
+                });
+                // Open loop: the clock, not the completions, paces arrivals.
+                std::thread::sleep(Duration::from_millis(2));
+                waiter
+            })
+            .collect();
+        join_all(waiters)
+    });
     let total = t0.elapsed().as_secs_f64();
     core.shutdown();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let pct = |p: f64| latencies[((p * (JOBS - 1) as f64).round() as usize).min(JOBS - 1)];
-    let (p50, p95, p99) = (pct(0.50), pct(0.95), pct(0.99));
-    let throughput = JOBS as f64 / total;
-    eprintln!(
-        "   load: {JOBS} jobs open-loop @ {:?}, {throughput:.1} jobs/s, \
-         p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms",
-        interval,
-        p50 * 1e3,
-        p95 * 1e3,
-        p99 * 1e3
-    );
-
-    Json::obj(vec![
-        ("geometry", Json::Str(bmmc_bench::geom_label(&geom))),
-        ("quantum_blocks", Json::Num(config.quantum as f64)),
-        ("rows", Json::Arr(rows)),
-        (
-            "single_ratio",
-            Json::Num((single_ratio * 1000.0).round() / 1000.0),
-        ),
-        (
-            "fair_spread_pct",
-            Json::Num((spread_pct * 10.0).round() / 10.0),
-        ),
-        (
-            "load",
-            Json::obj(vec![
-                ("jobs", Json::Num(JOBS as f64)),
-                ("arrival_interval_ms", Json::Num(2.0)),
-                (
-                    "throughput_jobs_per_sec",
-                    Json::Num((throughput * 10.0).round() / 10.0),
-                ),
-                ("p50_ms", Json::Num((p50 * 1e3 * 100.0).round() / 100.0)),
-                ("p95_ms", Json::Num((p95 * 1e3 * 100.0).round() / 100.0)),
-                ("p99_ms", Json::Num((p99 * 1e3 * 100.0).round() / 100.0)),
-            ]),
-        ),
-    ])
+    latencies.sort_by(f64::total_cmp);
+    let pct = |p: f64| latencies[(p * (JOBS - 1) as f64).round() as usize] * 1e3;
+    let load = (Row::default().count("jobs", JOBS))
+        .real("arrival_interval_ms", 2.0)
+        .rate("throughput_jobs_per_sec", JOBS as f64 / total)
+        .real("p50_ms", pct(0.50))
+        .real("p95_ms", pct(0.95))
+        .real("p99_ms", pct(0.99));
+    let ratio = direct / served;
+    out.floors = vec![("single_ratio", ratio), ("fair_spread_pct", spread_pct)];
+    out.fields = (Row::default().key("geometry", geom_label(&geom)))
+        .count("quantum_blocks", config.quantum)
+        .real("single_ratio", ratio)
+        .real("fair_spread_pct", spread_pct)
+        .set("load", load.to_json());
+    out
 }
 
-/// The recovery sweep: the same seeded BMMC permutation performed
-/// clean and under a ~1%-of-operations transient-fault plan with a
-/// fault-tolerant retry policy. Recovery must be *invisible* in the
-/// model: byte-identical final placement, exactly equal charged
-/// parallel I/Os (retried operations are charged once), and a ledger
-/// showing exactly one retry per injected firing — both counts are
-/// deterministic and exact-gated by `--check`. Under `--baseline` the
-/// recovered run must keep ≥ 0.8× the clean run's records/s.
-fn run_recovery_sweep(lg_records: usize, reps: usize, baseline_mode: bool) -> Json {
-    use bmmc::algorithm::perform_bmmc;
-    let geom = Geometry::new(1 << lg_records, 1 << 3, 1 << 4, 1 << 12).expect("recovery geometry");
+/// One seeded BMMC permutation run clean and under a fault plan failing
+/// ~1% of operations transiently, with a fault-tolerant retry policy.
+/// Recovery must not show in the model: identical placement and
+/// charged parallel I/Os (a retried operation is charged once), exactly
+/// one retry per fired fault, and no buffer left outstanding.
+fn recovery(_: &Ctx) -> Out {
+    let geom = bench_geometry();
     let perm = catalog::random_bmmc(&mut StdRng::seed_from_u64(0xFA01), geom.n());
-    let input: Vec<u64> = (0..geom.records() as u64).collect();
-    let reps = reps.max(1);
-
-    // One run of the workload under `plan`, returning placement,
-    // charged I/O, the ledger, and the elapsed seconds.
+    let input = identity(&geom);
     let run = |plan: FaultPlan| {
-        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
+        let mut sys = DiskSystem::new_mem(geom, 2);
         sys.set_service_mode(ServiceMode::Threaded);
         sys.set_retry_policy(RetryPolicy::fault_tolerant());
         sys.set_faults(plan);
         sys.load_records(0, &input);
-        let t0 = Instant::now();
-        let report = perform_bmmc(&mut sys, &perm).expect("recovery bmmc run");
-        let secs = t0.elapsed().as_secs_f64();
-        let records = sys.dump_records(report.final_portion);
+        let (report, secs) = timed(|| perform_bmmc(&mut sys, &perm).expect("recovery run"));
         assert_eq!(sys.buffer_pool_stats().outstanding, 0, "buffers stranded");
-        (records, sys.stats(), sys.retry_stats(), secs)
+        let records = sys.dump_records(report.final_portion);
+        ((records, sys.stats(), sys.retry_stats()), secs)
     };
-
-    // The clean run sizes the fault plan: its operation count is
-    // deterministic, so "1% of operations" is a fixed schedule.
-    let (clean_records, clean_ios, clean_retry, mut clean_best) = run(FaultPlan::new());
-    assert!(clean_retry.is_clean(), "clean run has a dirty ledger");
-    let total_ops = clean_ios.parallel_ios();
-    let fault_plan = || {
-        let mut plan = FaultPlan::new();
-        for (i, op) in (0..total_ops).step_by(100).enumerate() {
-            plan = plan.fail_transient_at(op, i % geom.disks());
-        }
-        plan
+    // One fault per 100 operations of the clean run, whose operation
+    // count is deterministic.
+    let faults = |ops: u64| {
+        let faults = (0..ops).step_by(100).enumerate();
+        faults.fold(FaultPlan::new(), |plan, (i, op)| {
+            plan.fail_transient_at(op, i % geom.disks())
+        })
     };
-    let injected = fault_plan().len();
-    eprintln!(
-        "== recovery sweep: N=2^{lg_records}, B=2^3, D=2^4, M=2^12, \
-         {injected} transient faults over {total_ops} ops, best of {reps} reps"
-    );
-
-    let (recovered_records, recovered_ios, recovered_retry, mut recovered_best) = run(fault_plan());
-    assert_eq!(
-        recovered_records, clean_records,
-        "recovered placement diverged from clean"
-    );
-    assert_eq!(
-        recovered_ios, clean_ios,
-        "recovery changed the charged model cost"
-    );
-    assert!(recovered_retry.transient_faults >= 1, "no fault ever fired");
-    assert_eq!(
-        recovered_retry.retries, recovered_retry.transient_faults,
-        "each injected firing costs exactly one retry"
-    );
-    for _ in 1..reps {
-        let (_, _, _, secs) = run(FaultPlan::new());
-        clean_best = clean_best.min(secs);
-        let (_, _, retry, secs) = run(fault_plan());
-        assert_eq!(retry, recovered_retry, "ledger changed between reps");
-        recovered_best = recovered_best.min(secs);
-    }
-
-    let ratio = clean_best / recovered_best;
-    eprintln!(
-        "   clean {:.1} ms, recovered {:.1} ms ({} retries absorbed), ratio {ratio:.3}",
-        clean_best * 1e3,
-        recovered_best * 1e3,
-        recovered_retry.retries
-    );
-    if baseline_mode {
-        assert!(
-            ratio >= 0.8,
-            "acceptance criterion failed: recovered throughput only {ratio:.3}x of clean"
+    let ((clean, recovered), secs) = best_of(3, || {
+        let (clean, [c]) = run(FaultPlan::new());
+        let (recovered, [r]) = run(faults(clean.1.parallel_ios()));
+        ((clean, recovered), [c, r])
+    });
+    let (retry, ops) = (recovered.2, clean.1.parallel_ios());
+    assert!(clean.2.is_clean(), "the clean run has a dirty ledger");
+    assert!(recovered.0 == clean.0, "recovered placement diverged");
+    assert_eq!(recovered.1, clean.1, "recovery changed the charge");
+    assert!(retry.transient_faults >= 1, "no fault ever fired");
+    assert_eq!(retry.retries, retry.transient_faults, "retries ≠ faults");
+    let mut out = Out::default();
+    for (i, name) in ["clean", "recovered"].into_iter().enumerate() {
+        out.rows.push(
+            (Row::default().key("run", name).count("parallel_ios", ops))
+                .count("retries", [0, retry.retries][i])
+                .throughput(geom.records(), secs[i]),
         );
     }
-    let n = geom.records() as f64;
-    let rows: Vec<Json> = [
-        ("clean", clean_ios, 0u64, clean_best),
-        (
-            "recovered",
-            recovered_ios,
-            recovered_retry.retries,
-            recovered_best,
-        ),
-    ]
-    .into_iter()
-    .map(|(label, ios, retries, secs)| {
-        Json::obj(vec![
-            ("run", Json::Str(label.into())),
-            ("parallel_ios", Json::Num(ios.parallel_ios() as f64)),
-            ("retries", Json::Num(retries as f64)),
-            (
-                "records_per_sec",
-                Json::Num(((n / secs) * 10.0).round() / 10.0),
-            ),
-            (
-                "elapsed_ms",
-                Json::Num((secs * 1e3 * 1000.0).round() / 1000.0),
-            ),
-        ])
-    })
-    .collect();
-    Json::obj(vec![
-        ("geometry", Json::Str(bmmc_bench::geom_label(&geom))),
-        ("injected_faults", Json::Num(injected as f64)),
-        (
-            "fired_faults",
-            Json::Num(recovered_retry.transient_faults as f64),
-        ),
-        ("rows", Json::Arr(rows)),
-        (
-            "recovered_ratio",
-            Json::Num((ratio * 1000.0).round() / 1000.0),
-        ),
-    ])
+    let ratio = secs[0] / secs[1];
+    out.floors.push(("recovered_ratio", ratio));
+    out.fields = (Row::default().key("geometry", geom_label(&geom)))
+        .count("injected_faults", faults(ops).len())
+        .count("fired_faults", retry.transient_faults)
+        .real("recovered_ratio", ratio);
+    out
 }
 
-/// The transport sweep: the same seeded engine MLD pass served
-/// in-process, over per-disk `pdm-diskd` worker processes (Unix-domain
-/// sockets), and over the deterministic simulated network.
-///
-/// Placement and the charged parallel-I/O count must be identical
-/// across every transport — the transport may only move the wall
-/// clock. The in-process rows must move **zero** transport messages,
-/// and the sim rows must move exactly the same message and wire-byte
-/// counts as the real socket rows (both sides speak the identical
-/// `pdm::proto` protocol, so the simulation is an exact cost model of
-/// the sockets). Under `--baseline` the threaded UDS row must reach
-/// ≥ 0.5× the threaded in-process records/s.
-///
-/// `only` restricts the sweep to `{inproc, only}` (the CI UDS smoke
-/// step). The UDS rows need the `pdm-diskd` worker binary; a full run
-/// skips them with a loud warning when it is missing, but a restricted
-/// `--transport uds` run fails — that run exists to test the sockets.
-fn run_transport_sweep(
-    lg_records: usize,
-    reps: usize,
-    only: Option<&str>,
-    baseline_mode: bool,
-) -> Json {
-    let geom = Geometry::new(1 << lg_records, 1 << 3, 1 << 4, 1 << 12).expect("transport geometry");
-    eprintln!(
-        "== transport sweep: N=2^{lg_records}, B=2^3, D=2^4, M=2^12, engine, best of {reps} reps"
-    );
-    let mut rng = StdRng::seed_from_u64(0x7BA7 + lg_records as u64);
-    let perm = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
-    let pass = Pass {
-        matrix: perm.matrix().clone(),
-        complement: perm.complement().clone(),
-        kind: PassKind::Mld,
-    };
-    let input: Vec<u64> = (0..geom.records() as u64).collect();
-    let expect = reference_permute(&input, |x| perm.target(x));
-    let transports: Vec<&'static str> = match only {
-        None => vec!["inproc", "uds", "sim"],
-        Some("inproc") => vec!["inproc"],
-        Some("uds") => vec!["inproc", "uds"],
-        Some("sim") => vec!["inproc", "sim"],
-        Some(other) => {
-            eprintln!("unknown --transport {other} (expected inproc, uds, or sim)");
-            std::process::exit(2);
-        }
-    };
-    let have_diskd = pdm::transport::find_diskd().is_some();
-    if !have_diskd && transports.contains(&"uds") {
-        if only.is_some() {
-            eprintln!(
-                "--transport uds: pdm-diskd worker binary not found — build it \
-                 (cargo build --release) or set PDM_DISKD_BIN"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "   WARNING: pdm-diskd worker binary not found (PDM_DISKD_BIN unset, not \
-             beside this executable) — skipping the uds rows"
-        );
-    }
-    let mut rows: Vec<Json> = Vec::new();
-    let mut rps: Vec<(&str, &str, f64)> = Vec::new();
-    let mut ios: Option<u64> = None;
-    let mut wire: Option<(&str, MsgStats)> = None;
-    for transport in transports {
-        if transport == "uds" && !have_diskd {
-            continue;
-        }
-        let config = transport_config(transport);
-        for (mode_name, mode) in MODES {
-            let mut sys: DiskSystem<u64> =
-                DiskSystem::new_with_transport(geom, 2, &Backend::Mem, &config)
-                    .expect("transport system");
-            sys.set_service_mode(mode);
-            sys.load_records(0, &input);
-            let run = |sys: &mut DiskSystem<u64>| {
-                let m0 = sys.message_stats();
-                let t0 = Instant::now();
-                let stats = execute_pass(sys, 0, 1, &pass).expect("engine pass failed");
-                let dt = t0.elapsed().as_secs_f64();
-                (stats, sys.message_stats().since(&m0), dt)
-            };
-            // Warm-up rep doubles as the correctness check.
-            let (stats, msgs, _) = run(&mut sys);
-            assert_eq!(
-                sys.dump_records(1),
-                expect,
-                "{transport}/{mode_name} produced a wrong permutation"
-            );
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let (s, m, dt) = run(&mut sys);
-                best = best.min(dt);
-                assert_eq!(s.ios.parallel_ios(), stats.ios.parallel_ios());
-                assert_eq!(
-                    m, msgs,
-                    "{transport}/{mode_name}: message count not deterministic"
-                );
-            }
-            if let Some(prev) = ios {
-                assert_eq!(
-                    prev,
-                    stats.ios.parallel_ios(),
-                    "{transport}/{mode_name} changed the charged I/O count"
-                );
-            }
-            ios = Some(stats.ios.parallel_ios());
-            if transport == "inproc" {
-                assert!(
-                    msgs.is_zero(),
-                    "in-process rows must move no messages, got {msgs}"
-                );
-            } else {
-                // Both remote transports speak the same wire protocol
-                // over the same op sequence: identical counts, exactly.
-                match &wire {
-                    None => wire = Some((transport, msgs)),
-                    Some((first, m)) => assert_eq!(
-                        *m, msgs,
-                        "{transport}/{mode_name} message counts diverge from {first}"
-                    ),
-                }
-            }
-            let records_per_sec = geom.records() as f64 / best;
-            rps.push((transport, mode_name, records_per_sec));
-            eprintln!(
-                "   {:<6} {:<9} {:>12.0} rec/s  {:>8.2} ms  {} parallel I/Os  \
-                 {} msgs  {} wire bytes",
-                transport,
-                mode_name,
-                records_per_sec,
-                best * 1e3,
-                stats.ios.parallel_ios(),
-                msgs.messages(),
-                msgs.bytes()
-            );
-            rows.push(Json::obj(vec![
-                ("transport", Json::Str(transport.into())),
-                ("mode", Json::Str(mode_name.into())),
-                (
-                    "records_per_sec",
-                    Json::Num((records_per_sec * 10.0).round() / 10.0),
-                ),
-                (
-                    "elapsed_ms",
-                    Json::Num((best * 1e3 * 1000.0).round() / 1000.0),
-                ),
-                ("parallel_ios", Json::Num(stats.ios.parallel_ios() as f64)),
-                ("messages", Json::Num(msgs.messages() as f64)),
-                ("wire_bytes", Json::Num(msgs.bytes() as f64)),
-            ]));
-        }
-    }
-    let get = |transport: &str, mode: &str| {
-        rps.iter()
-            .find(|(t, m, _)| *t == transport && *m == mode)
-            .map(|(_, _, r)| *r)
-    };
-    if let (Some(uds), Some(inproc)) = (get("uds", "threaded"), get("inproc", "threaded")) {
-        let ratio = uds / inproc;
-        eprintln!("   uds/inproc threaded: {ratio:.2}x");
-        if baseline_mode {
-            assert!(
-                ratio >= 0.5,
-                "acceptance criterion failed: threaded uds only {ratio:.2}x of in-process"
-            );
-        }
-    }
-    Json::obj(vec![
-        (
-            "geometry",
-            Json::obj(vec![
-                ("lg_records", Json::Num(lg_records as f64)),
-                ("lg_block", Json::Num(3.0)),
-                ("lg_disks", Json::Num(4.0)),
-                ("lg_memory", Json::Num(12.0)),
-            ]),
-        ),
-        ("reps", Json::Num(reps as f64)),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// The extsort merge-strategy sweep: every [`MergeStrategy`] (single-
-/// buffered and forecasting merge), across serial/threaded service and
-/// mem/file backends. Every row's pass count and parallel-I/O count
-/// must equal the exact schedule replay ([`merge_sort_passes`],
-/// [`merge_sort_ios`]) (service mode and backend may only
-/// move the wall clock), and the forecasting rows must realize the
-/// PR 5 acceptance criterion: fan-in ≥ 8× the single-buffered
-/// `M/BD − 1` and strictly fewer passes at this geometry.
-fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
-    let geom = Geometry::new(1 << lg_records, 1 << 3, 1 << 4, 1 << 12).expect("extsort geometry");
-    // The merge is comparison-bound; 3 reps is plenty for a best-of.
-    let reps = reps.min(3);
-    eprintln!(
-        "== extsort sweep: N=2^{lg_records}, B=2^3, D=2^4, M=2^12, \
-         {{single,forecast}} x {{serial,threaded}} x {{mem,file}}, best of {reps} reps"
-    );
-    let mut rng = StdRng::seed_from_u64(0x50C7);
-    let mut input: Vec<u64> = (0..geom.records() as u64).collect();
-    input.shuffle(&mut rng);
-    let mut rows: Vec<Json> = Vec::new();
-    for backend in ["mem", "file"] {
-        for (mode_name, mode) in MODES {
-            for merge in MergeStrategy::ALL {
-                let variant = merge.as_str();
-                let scratch = parent.join(format!("extsort-{backend}-{mode_name}-{variant}"));
-                let run = |input: &[u64]| {
-                    let mut sys: DiskSystem<u64> = if backend == "file" {
-                        DiskSystem::new_file(geom, 2, &scratch).expect("file-backed system")
-                    } else {
-                        DiskSystem::new_mem(geom, 2)
-                    };
-                    sys.set_service_mode(mode);
-                    sys.load_records(0, input);
-                    let t0 = Instant::now();
-                    let report =
-                        sort_by_key_with(&mut sys, |&r| r, SortConfig { merge }).expect("sort");
-                    let dt = t0.elapsed().as_secs_f64();
-                    let out = sys.dump_records(report.final_portion);
-                    assert!(out.windows(2).all(|w| w[0] <= w[1]), "missorted output");
-                    (report, dt)
-                };
-                let (report, mut best) = run(&input);
-                for _ in 1..reps {
-                    let (r, dt) = run(&input);
-                    assert_eq!(r.total.parallel_ios(), report.total.parallel_ios());
-                    best = best.min(dt);
-                }
-                if backend == "file" {
-                    std::fs::remove_dir_all(&scratch).ok();
-                }
-                // The model cost is a function of the strategy alone:
-                // exactly the schedule replay, on every backend and
-                // service mode.
-                assert_eq!(
-                    Some(report.passes),
-                    merge_sort_passes(&geom, merge),
-                    "{variant}/{backend}/{mode_name}: pass count drifted from the replay"
-                );
-                assert_eq!(
-                    Some(report.total.parallel_ios()),
-                    merge_sort_ios(&geom, merge),
-                    "{variant}/{backend}/{mode_name}: parallel I/Os drifted from the replay"
-                );
-                eprintln!(
-                    "   {:<8} {:<5} {:<9} fan-in {:>3}  {} passes  {:>7} parallel I/Os  \
-                     {:>12.0} rec/s  {:>8.2} ms",
-                    variant,
-                    backend,
-                    mode_name,
-                    report.fan_in,
-                    report.passes,
-                    report.total.parallel_ios(),
-                    geom.records() as f64 / best,
-                    best * 1e3
-                );
-                rows.push(Json::obj(vec![
-                    ("variant", Json::Str(variant.into())),
-                    ("input", Json::Str("perm".into())),
-                    ("backend", Json::Str(backend.into())),
-                    ("mode", Json::Str(mode_name.into())),
-                    ("fan_in", Json::Num(report.fan_in as f64)),
-                    ("passes", Json::Num(report.passes as f64)),
-                    (
-                        "parallel_ios",
-                        Json::Num(report.total.parallel_ios() as f64),
-                    ),
-                    (
-                        "records_per_sec",
-                        Json::Num(((geom.records() as f64 / best) * 10.0).round() / 10.0),
-                    ),
-                    (
-                        "elapsed_ms",
-                        Json::Num((best * 1e3 * 1000.0).round() / 1000.0),
-                    ),
-                ]));
-            }
-        }
-    }
-    // Adversarial key catalogs (PR 10, `extsort::keys`): duplicate-
-    // heavy and log-uniform skewed inputs through every strategy on
-    // mem/serial. The merge schedule is a function of the geometry
-    // alone, so these rows must replay the same counts as the
-    // permutation input — the gate holds the schedule input-
-    // independent — and the outputs must be exactly the sorted input.
+/// Every [`MergeStrategy`] across service modes and mem/file backends
+/// on a shuffled permutation (best of 3), then once on each adversarial
+/// key catalog (`extsort::keys`) in serial on mem. Every row must sort
+/// exactly, with the passes and parallel I/Os of the schedule replay
+/// ([`merge_sort_passes`], [`merge_sort_ios`]).
+fn extsort(ctx: &Ctx) -> Out {
+    let geom = bench_geometry();
     let records = geom.records();
-    let adversarial: [(&str, Vec<u64>); 2] = [
-        ("dup", keys::duplicate_heavy(0xD0B1, records, 4)),
-        ("skew", keys::skewed(0x53E9, records, records as u64 * 4)),
-    ];
-    for (iname, input) in &adversarial {
-        let mut expect = input.clone();
-        expect.sort_unstable();
+    let mut perm = identity(&geom);
+    perm.shuffle(&mut StdRng::seed_from_u64(0x50C7));
+    let dup = keys::duplicate_heavy(0xD0B1, records, 4);
+    let skew = keys::skewed(0x53E9, records, records as u64 * 4);
+    let mut cases = Vec::new();
+    for backend in ["mem", "file"] {
+        for (mode, service) in MODES {
+            cases.push(("perm", &perm, backend, mode, service, 3));
+        }
+    }
+    for (name, data) in [("dup", &dup), ("skew", &skew)] {
+        cases.push((name, data, "mem", "serial", ServiceMode::Serial, 1));
+    }
+    let mut out = Out::default();
+    let replay = |s| (merge_sort_passes(&geom, s), merge_sort_ios(&geom, s));
+    for (input, data, backend, mode, service, reps) in cases {
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
         for merge in MergeStrategy::ALL {
             let variant = merge.as_str();
-            let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
-            sys.set_service_mode(ServiceMode::Serial);
-            sys.load_records(0, input);
-            let t0 = Instant::now();
-            let report = sort_by_key_with(&mut sys, |&r| r, SortConfig { merge }).expect("sort");
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(
-                sys.dump_records(report.final_portion),
-                expect,
-                "{variant}/{iname}: adversarial input missorted"
+            let label = format!("{variant}/{input}/{backend}/{mode}");
+            let dir = format!("extsort-{backend}-{mode}-{variant}");
+            let dir = ctx.file_dir.join(dir);
+            let backend_of = || match backend {
+                "file" => Backend::File { dir: dir.clone() },
+                _ => Backend::Mem,
+            };
+            let ((passes, fan_in, ios), [secs]) = best_of(reps, || {
+                let sys = DiskSystem::new_with_backend(geom, 2, &backend_of());
+                let mut sys = sys.expect("extsort system");
+                sys.set_service_mode(service);
+                sys.load_records(0, data);
+                let config = SortConfig { merge };
+                let (report, secs) = timed(|| sort_by_key_with(&mut sys, |&r| r, config));
+                let report = report.expect("sort");
+                let got = sys.dump_records(report.final_portion);
+                assert!(got == sorted, "{label}: missorted");
+                let counts = (report.passes, report.fan_in, report.total.parallel_ios());
+                (counts, secs)
+            });
+            std::fs::remove_dir_all(&dir).ok();
+            let counted = (Some(passes), Some(ios));
+            assert_eq!(counted, replay(merge), "{label} vs the schedule replay");
+            out.rows.push(
+                (Row::default().key("variant", variant).key("input", input))
+                    .key("backend", backend)
+                    .key("mode", mode)
+                    .count("fan_in", fan_in)
+                    .count("passes", passes)
+                    .count("parallel_ios", ios)
+                    .throughput(records, secs),
             );
-            assert_eq!(
-                Some(report.passes),
-                merge_sort_passes(&geom, merge),
-                "{variant}/{iname}: the merge schedule must be input-independent"
-            );
-            assert_eq!(
-                Some(report.total.parallel_ios()),
-                merge_sort_ios(&geom, merge),
-                "{variant}/{iname}: parallel I/Os drifted from the replay"
-            );
-            eprintln!(
-                "   {:<8} {:<5} {:<9} fan-in {:>3}  {} passes  {:>7} parallel I/Os  \
-                 {:>12.0} rec/s  {:>8.2} ms",
-                variant,
-                iname,
-                "serial",
-                report.fan_in,
-                report.passes,
-                report.total.parallel_ios(),
-                records as f64 / dt,
-                dt * 1e3
-            );
-            rows.push(Json::obj(vec![
-                ("variant", Json::Str(variant.into())),
-                ("input", Json::Str((*iname).into())),
-                ("backend", Json::Str("mem".into())),
-                ("mode", Json::Str("serial".into())),
-                ("fan_in", Json::Num(report.fan_in as f64)),
-                ("passes", Json::Num(report.passes as f64)),
-                (
-                    "parallel_ios",
-                    Json::Num(report.total.parallel_ios() as f64),
-                ),
-                (
-                    "records_per_sec",
-                    Json::Num(((records as f64 / dt) * 10.0).round() / 10.0),
-                ),
-                (
-                    "elapsed_ms",
-                    Json::Num((dt * 1e3 * 1000.0).round() / 1000.0),
-                ),
-            ]));
         }
     }
-    // Acceptance: forecasting closes the D× fan-in gap at this
-    // geometry (M/B − D − 1 ≥ 8·(M/BD − 1)) and needs strictly fewer
-    // passes than the single-buffered merge.
-    let single = MergeStrategy::SingleBuffered;
-    let forecast = MergeStrategy::Forecast;
-    assert!(
-        forecast.fan_in(&geom) >= 8 * single.fan_in(&geom),
-        "forecast fan-in {} below 8x single-buffered {}",
-        forecast.fan_in(&geom),
-        single.fan_in(&geom)
-    );
-    assert!(
-        merge_sort_passes(&geom, forecast) < merge_sort_passes(&geom, single),
-        "forecast must sort in strictly fewer passes at the bench geometry"
-    );
-    Json::obj(vec![
-        ("lg_records", Json::Num(lg_records as f64)),
-        ("rows", Json::Arr(rows)),
-    ])
+    // Forecasting closes the D× fan-in gap at this geometry
+    // (M/B − D − 1 ≥ 8·(M/BD − 1)) in strictly fewer passes.
+    let (single, forecast) = (MergeStrategy::SingleBuffered, MergeStrategy::Forecast);
+    let fan_in = |s: MergeStrategy| s.fan_in(&geom);
+    assert!(fan_in(forecast) >= 8 * fan_in(single), "forecast fan-in");
+    assert!(replay(forecast).0 < replay(single).0, "forecast passes");
+    out.fields = Row::default().count("lg_records", LG);
+    out
 }
 
-/// Extracts `(label, field value)` pairs from a section's rows, keyed
-/// by the row's identifying fields (strings or counts).
-fn counter_rows(doc: &Json, section: &str, key_fields: &[&str], field: &str) -> Vec<(String, u64)> {
-    let Some(rows) = doc
-        .get(section)
-        .and_then(|s| s.get("rows"))
-        .and_then(Json::as_array)
-    else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let label = key_fields
-                .iter()
-                .map(|f| match r.get(f) {
-                    Some(Json::Num(n)) => n.to_string(),
-                    v => v.and_then(Json::as_str).unwrap_or("?").to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join("/");
-            Some((label, r.get(field)?.as_u64()?))
-        })
+/// Joins scoped threads, passing on a panic from any of them.
+fn join_all<T>(threads: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    threads
+        .into_iter()
+        .map(|t| t.join().expect("worker thread"))
         .collect()
 }
 
-/// Shorthand: the `parallel_ios` column of a section.
-fn io_rows(doc: &Json, section: &str, key_fields: &[&str]) -> Vec<(String, u64)> {
-    counter_rows(doc, section, key_fields, "parallel_ios")
-}
-
-/// The CI gate: compares this run's exact counters with the checked-in
-/// baseline's — the charged parallel-I/O counts of every section (the
-/// quick/full sweeps this run produced, fusion, extsort, file,
-/// transport, service, recovery, addr_eval, planner), the transport
-/// rows' message counts, the recovery rows' retries, and the planner
-/// rows' steps. All are deterministic, so any change is a failure, and
-/// so is a baseline row this run does not produce. Timings are
-/// recorded, never gated. With `file_only` set (the tmpfs file-backend
-/// smoke step), only the file section's I/O counts are compared. With
-/// `transport_only` set (the UDS smoke step), only the transport rows
-/// this restricted run produced are compared — the baseline's other
-/// transports are not required to be present.
-fn check_against_baseline(
-    current: &Json,
-    baseline_path: &str,
-    file_only: bool,
-    transport_only: bool,
-) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let baseline = Json::parse(&text).map_err(|e| format!("parse {baseline_path}: {e}"))?;
-    let mut failures = Vec::new();
-    const SWEEP_KEYS: &[&str] = &["disks", "mode", "impl"];
-    const TRANSPORT_KEYS: &[&str] = &["transport", "mode"];
-    // The pick sits in the key: a flipped crossover decision surfaces
-    // as a missing row, never as a silently re-baselined count.
-    const PLANNER_KEYS: &[&str] = &["workload", "geometry", "timing", "pick"];
-    let gated: Vec<(&str, &[&str], &str)> = if file_only {
-        // The dedicated file gate must never pass vacuously: a
-        // baseline without file rows means there is nothing it could
-        // be checking, which is itself a failure.
-        if io_rows(&baseline, "file", &["backend", "mode"]).is_empty() {
-            return Err(format!(
-                "{baseline_path} has no file section to compare — \
-                 regenerate it with a post-PR4 engine_sweep"
-            ));
-        }
-        vec![("file", &["backend", "mode"], "parallel_ios")]
-    } else if transport_only {
-        // Same vacuity rule for the dedicated transport gate.
-        if io_rows(&baseline, "transport", TRANSPORT_KEYS).is_empty() {
-            return Err(format!(
-                "{baseline_path} has no transport section to compare — \
-                 regenerate it with a post-PR6 engine_sweep"
-            ));
-        }
-        vec![
-            ("transport", TRANSPORT_KEYS, "parallel_ios"),
-            ("transport", TRANSPORT_KEYS, "messages"),
-        ]
-    } else {
-        // A run produces the quick sweep, the full sweep, or both; gate
-        // whichever it produced.
-        let sweeps = ["quick", "full"]
-            .into_iter()
-            .filter(|s| current.get(s).is_some())
-            .map(|s| (s, SWEEP_KEYS, "parallel_ios"));
-        sweeps
-            .chain([
-                ("fusion", &["workload", "impl"][..], "parallel_ios"),
-                (
-                    "extsort",
-                    &["variant", "input", "backend", "mode"],
-                    "parallel_ios",
-                ),
-                ("file", &["backend", "mode"], "parallel_ios"),
-                ("transport", TRANSPORT_KEYS, "parallel_ios"),
-                ("transport", TRANSPORT_KEYS, "messages"),
-                ("service", &["scenario", "job"], "parallel_ios"),
-                ("recovery", &["run"], "parallel_ios"),
-                ("recovery", &["run"], "retries"),
-                ("addr_eval", &["kind", "impl"], "parallel_ios"),
-                ("planner", PLANNER_KEYS, "parallel_ios"),
-                ("planner", PLANNER_KEYS, "steps"),
-            ])
-            .collect()
-    };
-    for (section, keys, field) in gated {
-        let base_rows = counter_rows(&baseline, section, keys, field);
-        let cur_rows = counter_rows(current, section, keys, field);
-        // A restricted transport run carries fewer rows than the full
-        // baseline: walk the current rows and look them up in the
-        // baseline. Every other gate walks the baseline, so dropping a
-        // row is a failure.
-        let (from, to, to_name) = if transport_only {
-            (&cur_rows, &base_rows, "baseline")
-        } else {
-            (&base_rows, &cur_rows, "current run")
-        };
-        for (label, from_val) in from {
-            match to.iter().find(|(l, _)| l == label) {
-                Some((_, to_val)) if to_val == from_val => {
-                    eprintln!("check {section} {label}: {field} {from_val} — ok");
-                }
-                Some((_, to_val)) => {
-                    let (base_val, cur_val) = if transport_only {
-                        (to_val, from_val)
-                    } else {
-                        (from_val, to_val)
-                    };
-                    failures.push(format!(
-                        "{section} {label}: {field} changed {base_val} → {cur_val}"
-                    ));
-                }
-                None => failures.push(format!("{section} {label}: missing from {to_name}")),
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
+/// Prints `msg` and exits with status 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let has = |flag: &str| args.iter().any(|a| a == flag);
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let value_of = |flag: &str| Some(args.get(args.iter().position(|a| a == flag)? + 1)?.clone());
+    let (baseline, quick) = (has("--baseline"), has("--quick") && !has("--baseline"));
+    // Removed on exit; the default home of the file-backed systems.
+    let scratch = pdm::TempDir::new("engine-sweep-file");
+    let file_dir = value_of("--file-dir").map_or(scratch.path().to_path_buf(), PathBuf::from);
+    let ctx = Ctx { baseline, file_dir };
+
+    let mut doc = (Row::default().key("bench", "engine_sweep"))
+        .count("version", 9)
+        .key("acceptance", acceptance());
+    let mut floors = Vec::new();
+    for s in &SECTIONS {
+        if (s.name == "quick" && !quick && !baseline) || (s.name == "full" && quick) {
+            continue;
+        }
+        eprintln!("== {}", s.name);
+        let out = (s.run)(&ctx);
+        for row in out.rows.iter().chain([&out.fields]) {
+            eprintln!("   {}", row.line());
+        }
+        floors.extend(out.floors.iter().copied());
+        doc = doc.set(s.name, s.emit(&out));
+    }
+    let doc = doc.to_json();
+    let missed = missed_floors(&floors);
+    if baseline && !missed.is_empty() {
+        fail(&format!("acceptance floors missed:\n{}", missed.join("\n")));
+    }
+    match value_of("--out") {
+        Some(path) => std::fs::write(&path, doc.to_pretty()).expect("write --out file"),
+        None => print!("{}", doc.to_pretty()),
+    }
+
+    // --check-latest follows the per-PR trajectory without CI edits.
+    let latest =
+        || latest_bench_baseline(Path::new(".")).unwrap_or_else(|| fail("no BENCH_PR*.json"));
+    let Some(path) = value_of("--check").or_else(|| has("--check-latest").then(latest)) else {
+        return;
     };
-    // --baseline always runs the full sweep as well as the quick one
-    // (and enforces the acceptance ratios), so it overrides --quick.
-    // --file-only runs just the file section (the CI file-backend
-    // smoke step); --transport X runs just the transport section
-    // restricted to {inproc, X} (the CI UDS smoke step).
-    let baseline_mode = has("--baseline");
-    let transport_flag = value_of("--transport");
-    let file_only = has("--file-only") && !baseline_mode;
-    let transport_only = transport_flag.is_some() && !baseline_mode && !file_only;
-    let quick_only = has("--quick") && !baseline_mode;
-
-    // File-backend scratch space: --file-dir points it at, e.g., a
-    // tmpfs mount; otherwise a self-cleaning temp dir (the guard
-    // removes it on exit).
-    let mut _file_guard: Option<pdm::TempDir> = None;
-    let file_parent: std::path::PathBuf = match value_of("--file-dir") {
-        Some(p) => {
-            std::fs::create_dir_all(&p).expect("create --file-dir");
-            p.into()
-        }
-        None => {
-            let g = pdm::TempDir::new("engine-sweep-file");
-            let p = g.path().to_path_buf();
-            _file_guard = Some(g);
-            p
-        }
-    };
-
-    let mut sections: Vec<(&str, Json)> = Vec::new();
-    if !file_only && !transport_only {
-        if !quick_only {
-            sections.push(("full", run_sweep(&FULL)));
-        }
-        if quick_only || baseline_mode {
-            sections.push(("quick", run_sweep(&QUICK)));
-        }
-        // The fusion and extsort sections run at the quick size in
-        // every mode: their parallel-I/O counts are deterministic (and
-        // exactly gated by --check), their timings cheap.
-        sections.push(("fusion", run_fusion_sweep(QUICK.lg_records, QUICK.reps)));
-        sections.push((
-            "extsort",
-            run_extsort_sweep(QUICK.lg_records, QUICK.reps, &file_parent),
-        ));
-        sections.push((
-            "service",
-            run_service_sweep(QUICK.reps.min(3), baseline_mode),
-        ));
-        sections.push((
-            "recovery",
-            run_recovery_sweep(QUICK.lg_records, QUICK.reps.min(3), baseline_mode),
-        ));
-        sections.push((
-            "addr_eval",
-            run_addr_eval_sweep(QUICK.lg_records, QUICK.reps, baseline_mode),
-        ));
-        // The planner section is purely analytic — every row is a
-        // deterministic function of the cost model, so it runs (and is
-        // exact-gated) in every non-restricted mode.
-        sections.push(("planner", run_planner_sweep()));
+    eprintln!("bench-smoke gate: checking against {path}");
+    let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+    let baseline = text
+        .and_then(|t| Json::parse(&t))
+        .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+    // Every gated value is a deterministic count, so a failure is real
+    // drift, never timing noise: there is nothing to retry.
+    let (passed, failed) = check(&doc, &baseline);
+    for line in &passed {
+        eprintln!("{line}");
     }
-    // The transport section runs at the quick size in every mode but
-    // --file-only: the same engine pass over in-process channels, UDS
-    // worker processes, and the simulated network.
-    if !file_only {
-        let only = if baseline_mode {
-            None
-        } else {
-            transport_flag.as_deref()
-        };
-        sections.push((
-            "transport",
-            run_transport_sweep(QUICK.lg_records, QUICK.reps, only, baseline_mode),
-        ));
+    if !failed.is_empty() {
+        fail(&format!("bench-smoke gate: FAIL\n{}", failed.join("\n")));
     }
-    // The file section likewise runs at the quick size in every mode
-    // but --transport: MemDisk vs. FileDisk under the engine, in both
-    // service modes.
-    if !transport_only {
-        sections.push((
-            "file",
-            run_file_sweep(QUICK.lg_records, QUICK.reps, &file_parent),
-        ));
-    }
-
-    let mut doc_pairs = vec![
-        ("bench", Json::Str("engine_sweep".into())),
-        ("version", Json::Num(8.0)),
-        (
-            "acceptance",
-            Json::Str(
-                "engine serial and threaded identical parallel_ios at every D; \
-                 fused execution strictly fewer parallel I/Os than unfused (2x on \
-                 fully-fusable chains), identical placement; file backend byte-identical \
-                 to mem with identical parallel_ios; every transport byte-identical with \
-                 identical parallel_ios, inproc moves zero messages, sim message/byte counts \
-                 equal uds exactly, threaded uds >= 0.5x inproc records/s; service: governor \
-                 charges identical parallel_ios to the direct path, served single-job \
-                 throughput >= 0.9x direct, K=4 identical tenants charged exactly equally with \
-                 completion spread <= 25% of mean; recovery: a ~1%-transient-fault run places \
-                 byte-identically with identical charged parallel_ios and exactly one retry per \
-                 injected firing, recovered throughput >= 0.8x clean; addr_eval: block-run \
-                 kernel >= 4x per-address addresses/s, block-run end-to-end >= 1.2x per-address \
-                 records/s on the threaded bpc bit-reversal config, identical placement and \
-                 parallel_ios, and the flat residual table >= the byte-sliced fallback \
-                 addresses/s at every multi-byte width (the RESIDUAL_TABLE_MAX_BITS tuning \
-                 evidence); planner: every crossover pick, step count, and predicted \
-                 parallel-I/O count is a pure function of the cost model (pick-in-key exact \
-                 gate), and the DP fuser executes the committed MLD;MRC;MLD re-association \
-                 chain in one pass where greedy pair fusion needs two; extsort adversarial \
-                 inputs (duplicate-heavy, skewed) sort exactly under every strategy with the \
-                 input-independent schedule"
-                    .into(),
-            ),
-        ),
-    ];
-    doc_pairs.extend(sections);
-    let doc = Json::obj(doc_pairs);
-
-    if let Some(path) = value_of("--out") {
-        std::fs::write(&path, doc.to_pretty()).expect("write --out file");
-        eprintln!("wrote {path}");
-    } else {
-        print!("{}", doc.to_pretty());
-    }
-
-    // --check FILE compares against a named baseline; --check-latest
-    // finds the newest BENCH_PR*.json in the working directory, so the
-    // gate follows the per-PR bench trajectory without CI edits.
-    let check_target = value_of("--check").or_else(|| {
-        has("--check-latest").then(|| {
-            latest_bench_baseline(".").unwrap_or_else(|| {
-                eprintln!("--check-latest: no BENCH_PR*.json found");
-                std::process::exit(1);
-            })
-        })
-    });
-    if let Some(baseline) = check_target {
-        eprintln!("bench-smoke gate: checking against {baseline}");
-        // Every gated value is a deterministic count, so a failure is
-        // real drift, never timing noise: there is nothing to retry.
-        if let Err(msg) = check_against_baseline(&doc, &baseline, file_only, transport_only) {
-            eprintln!("bench-smoke gate: FAIL\n{msg}");
-            std::process::exit(1);
-        }
-        eprintln!("bench-smoke gate: PASS");
-    }
+    eprintln!("bench-smoke gate: PASS ({} counters)", passed.len());
 }
 
-/// The newest committed bench baseline: the `BENCH_PR<k>.json` in
-/// `dir` with the highest PR number.
-fn latest_bench_baseline(dir: &str) -> Option<String> {
+/// The newest committed bench baseline: the `BENCH_PR<k>.json` in `dir`
+/// with the highest number `k`.
+fn latest_bench_baseline(dir: &Path) -> Option<String> {
     let mut best: Option<(u64, String)> = None;
     for entry in std::fs::read_dir(dir).ok()? {
         // Skip unreadable or non-UTF-8 entries rather than aborting
@@ -2182,4 +1215,139 @@ fn latest_bench_baseline(dir: &str) -> Option<String> {
         }
     }
     best.map(|(_, name)| name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A document with one `transport` row per `(transport, parallel
+    /// I/Os, messages)`.
+    fn transport_doc(rows: &[(&str, u64, u64)]) -> Json {
+        let rows: Vec<Row> = (rows.iter())
+            .map(|&(t, ios, msgs)| {
+                (Row::default().key("transport", t).key("mode", "serial"))
+                    .count("parallel_ios", ios)
+                    .count("messages", msgs)
+                    .count("wire_bytes", 49 * msgs)
+                    .rate("records_per_sec", 1.5e7)
+            })
+            .collect();
+        let section = Row::default().set("rows", array(&rows));
+        Row::default().set("transport", section.to_json()).to_json()
+    }
+
+    #[test]
+    fn equal_documents_pass_every_gated_counter() {
+        let doc = transport_doc(&[("inproc", 4096, 0), ("sim", 4096, 131072)]);
+        let (passed, failed) = check(&doc, &doc);
+        assert!(failed.is_empty(), "{failed:?}");
+        assert_eq!(passed.len(), 6, "three counters per transport row");
+        assert!(passed.contains(&"check transport sim/serial: wire_bytes 6422528 — ok".into()));
+    }
+
+    #[test]
+    fn a_changed_counter_fails_naming_section_key_and_field() {
+        let baseline = transport_doc(&[("inproc", 4096, 0), ("sim", 4096, 131072)]);
+        let run = transport_doc(&[("inproc", 4096, 0), ("sim", 4096, 131074)]);
+        let (passed, failed) = check(&run, &baseline);
+        assert_eq!(passed.len(), 4);
+        assert_eq!(
+            failed,
+            [
+                "transport sim/serial: messages changed 131072 → 131074",
+                "transport sim/serial: wire_bytes changed 6422528 → 6422626",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_baseline_row_missing_from_the_run_fails() {
+        let baseline = transport_doc(&[("inproc", 4096, 0), ("uds", 4096, 131072)]);
+        let run = transport_doc(&[("inproc", 4096, 0)]);
+        let (_, failed) = check(&run, &baseline);
+        assert_eq!(failed, ["transport uds/serial: missing from this run"]);
+    }
+
+    #[test]
+    fn a_row_only_the_run_has_passes() {
+        let baseline = transport_doc(&[("inproc", 4096, 0)]);
+        let run = transport_doc(&[("inproc", 4096, 0), ("sim", 4096, 131072)]);
+        let (passed, failed) = check(&run, &baseline);
+        assert!(failed.is_empty(), "{failed:?}");
+        assert_eq!(passed.len(), 3);
+    }
+
+    #[test]
+    fn only_sections_the_run_produced_are_gated() {
+        // A quick run carries no `full` section; the baseline's full
+        // rows are not required of it.
+        let full = Row::default().set(
+            "rows",
+            array(&[Row::default()
+                .count("disks", 4)
+                .key("mode", "serial")
+                .key("impl", "engine")
+                .count("parallel_ios", 65536)]),
+        );
+        let mut baseline = transport_doc(&[("inproc", 4096, 0)]);
+        if let Json::Obj(map) = &mut baseline {
+            map.insert("full".into(), full.to_json());
+        }
+        let run = transport_doc(&[("inproc", 4096, 0)]);
+        assert!(check(&run, &baseline).1.is_empty());
+        // The same rows gate a run that produced the section.
+        let (_, failed) = check(&baseline, &run);
+        assert_eq!(failed, ["full: no rows in the baseline"]);
+    }
+
+    #[test]
+    fn a_section_without_baseline_rows_fails() {
+        let run = transport_doc(&[("inproc", 4096, 0)]);
+        let baseline = Row::default().key("bench", "engine_sweep").to_json();
+        let (passed, failed) = check(&run, &baseline);
+        assert!(passed.is_empty());
+        assert_eq!(failed, ["transport: no rows in the baseline"]);
+    }
+
+    #[test]
+    fn every_floor_must_be_measured_and_met() {
+        let bounds: Vec<(&str, f64)> = FLOORS.iter().map(|f| (f.name, f.bound)).collect();
+        assert!(missed_floors(&bounds).is_empty(), "bounds themselves pass");
+        let mut short = bounds.clone();
+        short.retain(|(name, _)| *name != "recovered_ratio");
+        short.push(("flat_over_sliced", 0.99));
+        short.push(("fair_spread_pct", 25.1));
+        assert_eq!(
+            missed_floors(&short),
+            [
+                "service fair_spread_pct <= 25: measured 25.100",
+                "recovery recovered_ratio >= 0.8: not measured",
+                "addr_eval flat_over_sliced >= 1: measured 0.990",
+            ]
+        );
+    }
+
+    #[test]
+    fn latest_baseline_is_the_highest_number_not_the_last_name() {
+        let dir = pdm::TempDir::new("engine-sweep-latest");
+        let names = [
+            "BENCH_PR9.json",
+            "BENCH_PR13.json",
+            "BENCH_PR.quick.json",
+            "BENCH_PR2.json",
+        ];
+        for name in names {
+            std::fs::write(dir.path().join(name), "{}").expect("write a fixture");
+        }
+        let latest = latest_bench_baseline(dir.path());
+        assert_eq!(latest.as_deref(), Some("BENCH_PR13.json"));
+    }
+
+    #[test]
+    fn latest_baseline_skips_the_ci_sweep_output() {
+        let dir = pdm::TempDir::new("engine-sweep-latest");
+        std::fs::write(dir.path().join("BENCH_PR.quick.json"), "{}").expect("write a fixture");
+        assert_eq!(latest_bench_baseline(dir.path()), None);
+    }
 }

@@ -41,6 +41,7 @@ use crate::retry::RetryPolicy;
 use crate::stats::MsgStats;
 use crate::system::Backend;
 use crate::tempdir::TempDir;
+use std::ffi::OsString;
 use std::io::{BufReader, Write};
 use std::marker::PhantomData;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -274,12 +275,18 @@ pub fn diskd_main(args: impl Iterator<Item = String>) -> i32 {
 /// environment variable if set, else next to the current executable
 /// (hopping out of cargo's `deps/` directory for test binaries).
 pub fn find_diskd() -> Option<PathBuf> {
-    if let Some(p) = std::env::var_os("PDM_DISKD_BIN") {
+    let exe = std::env::current_exe().ok();
+    locate_diskd(std::env::var_os("PDM_DISKD_BIN"), exe.as_deref())
+}
+
+/// [`find_diskd`]'s lookup, given the value of `PDM_DISKD_BIN` and the
+/// path of the running executable.
+fn locate_diskd(env_override: Option<OsString>, exe: Option<&Path>) -> Option<PathBuf> {
+    if let Some(p) = env_override {
         let p = PathBuf::from(p);
         return p.is_file().then_some(p);
     }
-    let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?.to_path_buf();
+    let mut dir = exe?.parent()?.to_path_buf();
     for _ in 0..2 {
         let cand = dir.join("pdm-diskd");
         if cand.is_file() {
@@ -1443,10 +1450,29 @@ mod tests {
     }
 
     #[test]
-    fn find_diskd_respects_env_override() {
-        // Missing file → None even when the variable is set.
-        std::env::set_var("PDM_DISKD_BIN", "/definitely/not/a/binary");
-        assert_eq!(find_diskd(), None);
-        std::env::remove_var("PDM_DISKD_BIN");
+    fn diskd_lookup_prefers_the_env_override_then_the_exe_dir() {
+        let dir = TempDir::new("pdm-locate-diskd");
+        let exe = dir.path().join("deps").join("some-test");
+        let beside = dir.path().join("pdm-diskd");
+        let other = dir.path().join("other-diskd");
+        std::fs::create_dir_all(exe.parent().unwrap()).unwrap();
+        for f in [&exe, &beside, &other] {
+            std::fs::write(f, b"").unwrap();
+        }
+        // Without the override: beside the executable, hopping out of
+        // `deps/`; nothing when no worker binary is there.
+        assert_eq!(locate_diskd(None, Some(&exe)), Some(beside.clone()));
+        std::fs::remove_file(&beside).unwrap();
+        assert_eq!(locate_diskd(None, Some(&exe)), None);
+        assert_eq!(locate_diskd(None, None), None);
+        // The override wins when it names a file, and a missing file is
+        // None rather than a fallback to the executable's directory.
+        std::fs::write(&beside, b"").unwrap();
+        assert_eq!(
+            locate_diskd(Some(other.clone().into()), Some(&exe)),
+            Some(other)
+        );
+        let missing = dir.path().join("definitely-not-a-binary");
+        assert_eq!(locate_diskd(Some(missing.into()), Some(&exe)), None);
     }
 }
