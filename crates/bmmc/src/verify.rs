@@ -5,8 +5,10 @@
 //! every record landed where the permutation says. For records that
 //! carry their source address, a full check is a single scan — `N/BD`
 //! striped parallel reads, the same cost as the verification phase of
-//! Section 6 detection. The keys found on disk are data-dependent (no
-//! block structure to hoist), so the in-memory check runs through
+//! Section 6 detection. The scan streams one memoryload at a time
+//! ([`DiskSystem::read_memoryload_into`], one command per disk on a
+//! pooled system). The keys found on disk are data-dependent (no block
+//! structure to hoist), so the in-memory check runs through
 //! [`AffineEvaluator::eval_batch`]: one table-at-a-time sweep per
 //! stripe instead of a full evaluator walk per record.
 
@@ -36,7 +38,10 @@ pub enum VerifyOutcome {
 
 /// Scans `portion` and checks that the record with source key `k`
 /// (extracted by `key_of`) sits at `perm.target(k)` for every record.
-/// Stops at the first misplacement.
+/// The scan reads one memoryload (`M/BD` striped reads) before checking
+/// it, and stops after the first memoryload holding a misplacement: a
+/// full scan costs `N/BD` reads, an early exit at most `M/BD` more than
+/// the memoryloads before the misplaced record.
 pub fn verify_permutation<R: Record>(
     sys: &mut DiskSystem<R>,
     portion: usize,
@@ -51,27 +56,30 @@ pub fn verify_permutation<R: Record>(
         });
     }
     let ev = AffineEvaluator::new(perm);
-    let base = sys.portion_base(portion);
     let stripe_len = geom.block() * geom.disks();
+    let mut records = vec![R::default(); geom.memory()];
     let mut keys = vec![0u64; stripe_len];
     let mut targets = vec![0u64; stripe_len];
     let before = sys.stats();
-    for slot in 0..geom.stripes() {
-        let stripe = sys.read_stripe(base + slot)?;
-        let start = (slot * stripe_len) as u64;
-        for (k, rec) in keys.iter_mut().zip(&stripe) {
-            *k = key_of(rec);
-        }
-        ev.eval_batch(&keys, &mut targets);
-        for (i, (&key, &target)) in keys.iter().zip(&targets).enumerate() {
-            let address = start + i as u64;
-            if target != address {
-                return Ok(VerifyOutcome::Misplaced {
-                    address,
-                    found_key: key,
-                    reads: sys.stats().since(&before).parallel_reads,
-                });
+    let mut start = 0u64;
+    for ml in 0..geom.memoryloads() {
+        sys.read_memoryload_into(portion, ml, &mut records)?;
+        for stripe in records.chunks_exact(stripe_len) {
+            for (k, rec) in keys.iter_mut().zip(stripe) {
+                *k = key_of(rec);
             }
+            ev.eval_batch(&keys, &mut targets);
+            for (i, (&key, &target)) in keys.iter().zip(&targets).enumerate() {
+                let address = start + i as u64;
+                if target != address {
+                    return Ok(VerifyOutcome::Misplaced {
+                        address,
+                        found_key: key,
+                        reads: sys.stats().since(&before).parallel_reads,
+                    });
+                }
+            }
+            start += stripe_len as u64;
         }
     }
     Ok(VerifyOutcome::Correct {
@@ -144,7 +152,10 @@ mod tests {
         sys.load_records(0, &records);
         let id = Bmmc::identity(g.n());
         match verify_permutation(&mut sys, 0, &id, |r| r.key).unwrap() {
-            VerifyOutcome::Misplaced { reads, .. } => assert_eq!(reads, 1),
+            VerifyOutcome::Misplaced { reads, .. } => {
+                assert_eq!(reads, 4, "one memoryload: M/BD striped reads");
+                assert!(reads < 64, "less than a full scan's N/BD reads");
+            }
             VerifyOutcome::Correct { .. } => panic!("swap not detected"),
         }
     }

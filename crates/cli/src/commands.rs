@@ -410,12 +410,17 @@ fn print_transport_costs(msgs: &pdm::MsgStats, sys: &DiskSystem<u64>) {
     println!();
 }
 
-/// Prints the recovery ledger for a run that needed the retry layer;
-/// clean runs (no retries, timeouts, or respawns) print nothing.
+/// Prints the recovery ledger for a run that needed the retry layer,
+/// and its stall time on a line of its own; clean runs (no retries,
+/// timeouts, respawns or stalls) print nothing.
 fn print_recovery(sys: &DiskSystem<u64>) {
     let r = sys.retry_stats();
     if !r.is_clean() {
         println!("recovery: {r}");
+    }
+    let stall = sys.stall_ms();
+    if stall > 0.0 {
+        println!("stalls: {stall:.2} ms of retry backoff and straggler delay");
     }
 }
 

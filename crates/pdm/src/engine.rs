@@ -28,34 +28,39 @@
 //! # Steady-state allocation freedom
 //!
 //! All plan storage is owned by the engine and reused across
-//! memoryloads and passes: the gather/scatter batch buffers, the
-//! striped-plan reference scratch, and the write-ticket list. After
-//! the first memoryload of the first pass, the engine's hot loop
-//! performs **no heap allocation** in serial mode on local disks
-//! (`crates/pdm/tests/engine_alloc.rs` asserts this with a counting
-//! global allocator; the pool's per-operation channels are exempt).
+//! memoryloads and passes: the gather/scatter batch buffers, their
+//! cursor, and the reference scratch; the [`DiskSystem`] recycles its
+//! tickets and run buffers. After the first pass, the engine's hot
+//! loop performs **no heap allocation** on the calling thread in either
+//! service mode (`crates/pdm/tests/engine_alloc.rs` asserts this with
+//! a counting global allocator).
 //!
 //! # Overlap
 //!
 //! In [`ServiceMode::Threaded`] the engine runs split-phase: while the
 //! CPU transforms memoryload *k*, the per-disk service threads are
 //! already reading memoryload *k+1* and still draining the writes of
-//! memoryload *k−1*. Records move through the system's reusable block
-//! buffer pool instead of fresh allocations. The overlap is
+//! memoryload *k−1*. Each memoryload's reads, and its writes, are one
+//! ticket of one command per disk ([`crate::parallel::Cmd`] carries a
+//! run of slots), whatever the plan's shape: the `M/BD` parallel I/Os
+//! are admitted and charged one by one, in order, and only the hop to
+//! the service threads is batched. Records move through the system's
+//! reusable run buffers instead of fresh allocations. The overlap is
 //! backend-agnostic: on a file-backed system
 //! ([`crate::system::Backend::File`]) each worker issues real
 //! positional system calls against its disk's file, so the pipeline
 //! hides genuine I/O latency rather than simulated copies
 //! (`engine_sweep`'s `file` section measures exactly this). In
-//! [`ServiceMode::Serial`] the engine degenerates to exactly the classic loop — same
-//! operations, same order, same operation numbering for
-//! [fault plans](crate::FaultPlan). (With overlap enabled the *set* of
-//! operations is identical but reads are issued one memoryload early,
-//! so fault-plan operation indices differ from the serial order. On
-//! *error* paths one further asymmetry exists in any mode: split-phase
-//! writes are charged at submission, so a pass aborted by a backend
-//! write failure has charged that operation where the classic loop
-//! would not — success-path statistics are always identical.)
+//! [`ServiceMode::Serial`] the engine degenerates to exactly the
+//! classic loop — same operations, same order, same operation
+//! numbering for [fault plans](crate::FaultPlan). (With overlap
+//! enabled the *set* of operations is identical but reads are issued
+//! one memoryload early, so fault-plan operation indices differ from
+//! the serial order. On *error* paths one further asymmetry exists in
+//! any mode: split-phase writes are charged at submission, so a pass
+//! aborted by a backend write failure has charged that operation where
+//! the classic loop would not — success-path statistics are always
+//! identical.)
 //!
 //! ```
 //! use pdm::{DiskSystem, Geometry};
@@ -288,10 +293,10 @@ pub enum WritePlan {
 }
 
 /// The reusable streaming loop. Owns two `M`-record buffers (data and
-/// scratch) plus all plan storage (gather/scatter batches, striped
-/// reference scratch, ticket lists), so a multi-pass algorithm
-/// allocates its working memory once and streams every subsequent
-/// memoryload allocation-free.
+/// scratch) plus all plan storage (gather/scatter batches and the
+/// batch cursor), so a multi-pass algorithm allocates its working
+/// memory once and streams every subsequent memoryload
+/// allocation-free.
 pub struct PassEngine<R: Record> {
     data: Vec<R>,
     scratch: Vec<R>,
@@ -299,28 +304,55 @@ pub struct PassEngine<R: Record> {
     gather: BlockBatches,
     /// Scatter plan storage, refilled by the `transform` callback.
     scatter: BlockBatches,
-    /// Reused block-reference scratch: per-stripe references for
-    /// striped plans, and the materialisation target for run-length
-    /// gather/scatter batches.
-    stripe_refs: Vec<BlockRef>,
+    /// Reused block-reference scratch for serially executed gathers.
+    refs: Vec<BlockRef>,
     /// Reused iteration state for the run-length batch plans.
     cursor: BatchCursor,
-    /// Reused in-flight write tickets (bounded to one memoryload).
-    write_tickets: Vec<WriteTicket<R>>,
 }
 
 /// The reads for one memoryload, in whichever phase the service mode
-/// dictates: split-phase tickets already in flight (Threaded overlap),
+/// dictates: a split-phase ticket already in flight (Threaded overlap),
 /// or a plan to execute directly into the memoryload buffer when its
 /// turn comes (serial mode — one copy, no staging buffers).
 enum PendingLoad<R: Record> {
-    /// One ticket per parallel I/O, each tagged with its destination
-    /// offset (in records) in the memoryload buffer.
-    Tickets(Vec<(usize, ReadTicket<R>)>),
+    /// The memoryload's reads, one command per disk.
+    Ticket(ReadTicket<R>),
     /// Not yet issued; performed synchronously at collection time. A
     /// deferred [`ReadPlan::Gather`] refers to the engine's gather
     /// batches, which stay untouched until the plan executes.
     Plan(ReadPlan),
+}
+
+/// The `M/BD` stripes of the memoryload that starts at stripe `base`,
+/// as an operation source for [`DiskSystem::begin_reads`] and
+/// [`DiskSystem::begin_writes`].
+fn stripe_ops(geom: &Geometry, base: usize) -> impl FnMut(&mut Vec<BlockRef>) -> bool {
+    let disks = geom.disks();
+    let mut slots = base..base + geom.stripes_per_memoryload();
+    move |refs| {
+        let Some(slot) = slots.next() else {
+            return false;
+        };
+        refs.clear();
+        refs.extend((0..disks).map(|disk| BlockRef { disk, slot }));
+        true
+    }
+}
+
+/// The batches of a gather or scatter plan, as an operation source
+/// (see [`stripe_ops`]).
+fn batch_ops<'a>(
+    geom: &Geometry,
+    batches: &'a BlockBatches,
+    cursor: &'a mut BatchCursor,
+) -> impl FnMut(&mut Vec<BlockRef>) -> bool + 'a {
+    assert_eq!(
+        batches.total_blocks() * geom.block(),
+        geom.memory(),
+        "gather and scatter plans must cover exactly one memoryload"
+    );
+    batches.begin(cursor);
+    move |refs| batches.next_batch_into(cursor, refs)
 }
 
 impl<R: Record> PassEngine<R> {
@@ -338,9 +370,8 @@ impl<R: Record> PassEngine<R> {
             scratch: vec![R::default(); geom.memory()],
             gather: BlockBatches::default(),
             scatter: BlockBatches::default(),
-            stripe_refs: Vec::with_capacity(geom.disks()),
+            refs: Vec::with_capacity(geom.disks()),
             cursor: BatchCursor::default(),
-            write_tickets: Vec::with_capacity(geom.stripes_per_memoryload()),
         }
     }
 
@@ -384,18 +415,23 @@ impl<R: Record> PassEngine<R> {
         F: FnMut(usize, &mut BlockBatches) -> ReadPlan,
         G: FnMut(usize, &mut Vec<R>, &mut Vec<R>, &mut BlockBatches) -> WritePlan,
     {
-        let mut pending_read: Option<PendingLoad<R>> = None;
-        let result = self.run_pass_inner(sys, &mut pending_read, &mut reads, &mut transform);
+        let mut pending_read = None;
+        let mut pending_write = None;
+        let result = self.run_pass_inner(
+            sys,
+            &mut pending_read,
+            &mut pending_write,
+            &mut reads,
+            &mut transform,
+        );
         if result.is_err() {
-            if let Some(PendingLoad::Tickets(tickets)) = pending_read.take() {
-                for (_, t) in tickets {
-                    sys.discard_read(t);
-                }
+            if let Some(PendingLoad::Ticket(t)) = pending_read.take() {
+                sys.discard_read(t);
             }
-            for t in self.write_tickets.drain(..) {
+            if let Some(w) = pending_write.take() {
                 // Transfer errors here are masked by the original
                 // error; buffers are reclaimed either way.
-                let _ = sys.finish_write(t);
+                let _ = sys.finish_write(w);
             }
         }
         result
@@ -405,6 +441,7 @@ impl<R: Record> PassEngine<R> {
         &mut self,
         sys: &mut DiskSystem<R>,
         pending_read: &mut Option<PendingLoad<R>>,
+        pending_write: &mut Option<WriteTicket<R>>,
         reads: &mut F,
         transform: &mut G,
     ) -> Result<()>
@@ -419,259 +456,100 @@ impl<R: Record> PassEngine<R> {
             self.data.len() == mem && self.scratch.len() == mem,
             "engine built for a different geometry"
         );
-        self.write_tickets.clear();
         // Overlap only pays (and only changes operation ordering) when
         // the service threads can run transfers behind the CPU. In the
         // serial mode the engine degenerates to the classic loop:
         // plans execute directly into the memoryload buffer, in the
         // classic operation order.
         let overlap = sys.service_mode() == ServiceMode::Threaded;
+        let spm = geom.stripes_per_memoryload();
+        let issue = |engine: &mut Self, sys: &mut DiskSystem<R>, plan| -> Result<_> {
+            if !overlap {
+                return Ok(PendingLoad::Plan(plan));
+            }
+            let ticket = match plan {
+                ReadPlan::Memoryload { portion, ml } => {
+                    let base = sys.portion_base(portion) + ml * spm;
+                    sys.begin_reads(stripe_ops(&geom, base))
+                }
+                ReadPlan::Gather => {
+                    sys.begin_reads(batch_ops(&geom, &engine.gather, &mut engine.cursor))
+                }
+            };
+            Ok(PendingLoad::Ticket(ticket?))
+        };
 
         let first = reads(0, &mut self.gather);
-        *pending_read = Some(if overlap {
-            PendingLoad::Tickets(Self::issue_reads(
-                sys,
-                &geom,
-                first,
-                &self.gather,
-                &mut self.cursor,
-                &mut self.stripe_refs,
-            )?)
-        } else {
-            PendingLoad::Plan(first)
-        });
+        *pending_read = Some(issue(self, sys, first)?);
         for t in 0..loads {
             let current = pending_read.take().expect("read pipeline primed");
-            Self::collect_reads(
-                sys,
-                &geom,
-                current,
-                &self.gather,
-                &mut self.cursor,
-                &mut self.stripe_refs,
-                &mut self.data,
-            )?;
+            self.collect_reads(sys, current)?;
             if overlap && t + 1 < loads {
                 let plan = reads(t + 1, &mut self.gather);
-                *pending_read = Some(PendingLoad::Tickets(Self::issue_reads(
-                    sys,
-                    &geom,
-                    plan,
-                    &self.gather,
-                    &mut self.cursor,
-                    &mut self.stripe_refs,
-                )?));
+                *pending_read = Some(issue(self, sys, plan)?);
             }
             let wp = transform(t, &mut self.data, &mut self.scratch, &mut self.scatter);
             // Bound the write pipeline to one memoryload: drain the
             // previous load's writes before issuing this load's.
-            Self::drain_writes(sys, &mut self.write_tickets)?;
-            Self::issue_writes(
-                sys,
-                &geom,
-                wp,
-                &self.scatter,
-                &self.data,
-                &mut self.cursor,
-                &mut self.stripe_refs,
-                &mut self.write_tickets,
-            )?;
+            if let Some(w) = pending_write.take() {
+                sys.finish_write(w)?;
+            }
+            let ticket = match wp {
+                WritePlan::Memoryload { portion, ml } => {
+                    let base = sys.portion_base(portion) + ml * spm;
+                    sys.begin_writes(stripe_ops(&geom, base), &self.data)
+                }
+                WritePlan::Scatter => sys.begin_writes(
+                    batch_ops(&geom, &self.scatter, &mut self.cursor),
+                    &self.data,
+                ),
+            };
+            *pending_write = Some(ticket?);
             if !overlap && t + 1 < loads {
                 // Serial mode: keep the classic loop's operation
                 // order (write memoryload t, then read t+1).
-                Self::drain_writes(sys, &mut self.write_tickets)?;
-                *pending_read = Some(PendingLoad::Plan(reads(t + 1, &mut self.gather)));
+                if let Some(w) = pending_write.take() {
+                    sys.finish_write(w)?;
+                }
+                let plan = reads(t + 1, &mut self.gather);
+                *pending_read = Some(issue(self, sys, plan)?);
             }
         }
-        Self::drain_writes(sys, &mut self.write_tickets)?;
+        if let Some(w) = pending_write.take() {
+            sys.finish_write(w)?;
+        }
         Ok(())
     }
 
-    /// Finishes every outstanding write ticket — even after one fails —
-    /// so their staging buffers always return to the pool; the first
-    /// error is reported.
-    fn drain_writes(sys: &mut DiskSystem<R>, pending: &mut Vec<WriteTicket<R>>) -> Result<()> {
-        let mut first_err = None;
-        for w in pending.drain(..) {
-            if let Err(e) = sys.finish_write(w) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn issue_reads(
-        sys: &mut DiskSystem<R>,
-        geom: &Geometry,
-        plan: ReadPlan,
-        gather: &BlockBatches,
-        cursor: &mut BatchCursor,
-        stripe_refs: &mut Vec<BlockRef>,
-    ) -> Result<Vec<(usize, ReadTicket<R>)>> {
-        let block = geom.block();
-        let mut tickets = Vec::new();
-        let issue = |sys: &mut DiskSystem<R>,
-                     offset: usize,
-                     refs: &[BlockRef],
-                     tickets: &mut Vec<(usize, ReadTicket<R>)>|
-         -> Result<()> {
-            match sys.begin_read(refs) {
-                Ok(t) => {
-                    tickets.push((offset, t));
-                    Ok(())
-                }
-                Err(e) => {
-                    // Abort: reclaim the tickets issued so far.
-                    for (_, t) in tickets.drain(..) {
-                        sys.discard_read(t);
-                    }
-                    Err(e)
-                }
-            }
-        };
-        match plan {
-            ReadPlan::Memoryload { portion, ml } => {
-                let spm = geom.stripes_per_memoryload();
-                let stripe_len = block * geom.disks();
-                let base = sys.portion_base(portion) + ml * spm;
-                for s in 0..spm {
-                    stripe_refs.clear();
-                    stripe_refs.extend((0..geom.disks()).map(|disk| BlockRef {
-                        disk,
-                        slot: base + s,
-                    }));
-                    issue(sys, s * stripe_len, stripe_refs, &mut tickets)?;
-                }
-            }
-            ReadPlan::Gather => {
-                assert_eq!(
-                    gather.total_blocks() * block,
-                    geom.memory(),
-                    "gather plan must cover exactly one memoryload"
-                );
-                let mut offset = 0;
-                gather.begin(cursor);
-                while gather.next_batch_into(cursor, stripe_refs) {
-                    issue(sys, offset, stripe_refs, &mut tickets)?;
-                    offset += stripe_refs.len() * block;
-                }
-            }
-        }
-        Ok(tickets)
-    }
-
-    /// Collects one memoryload into `out`: waits out in-flight tickets,
-    /// or executes a deferred plan directly (serial mode).
-    #[allow(clippy::too_many_arguments)]
-    fn collect_reads(
-        sys: &mut DiskSystem<R>,
-        geom: &Geometry,
-        load: PendingLoad<R>,
-        gather: &BlockBatches,
-        cursor: &mut BatchCursor,
-        refs_scratch: &mut Vec<BlockRef>,
-        out: &mut [R],
-    ) -> Result<()> {
-        let block = geom.block();
+    /// Collects one memoryload into the data buffer: waits out its
+    /// in-flight ticket, or executes a deferred plan directly (serial
+    /// mode).
+    fn collect_reads(&mut self, sys: &mut DiskSystem<R>, load: PendingLoad<R>) -> Result<()> {
+        let block = sys.geometry().block();
         match load {
-            PendingLoad::Tickets(tickets) => {
-                let mut first_err = None;
-                for (offset, ticket) in tickets {
-                    let len = ticket.records(block);
-                    let r = sys.finish_read(ticket, &mut out[offset..offset + len]);
-                    if let Err(e) = r {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
+            PendingLoad::Ticket(ticket) => sys.finish_read(ticket, &mut self.data),
             PendingLoad::Plan(ReadPlan::Memoryload { portion, ml }) => {
-                sys.read_memoryload_into(portion, ml, out)
+                sys.read_memoryload_into(portion, ml, &mut self.data)
             }
             PendingLoad::Plan(ReadPlan::Gather) => {
                 assert_eq!(
-                    gather.total_blocks() * block,
-                    geom.memory(),
-                    "gather plan must cover exactly one memoryload"
+                    self.gather.total_blocks() * block,
+                    self.data.len(),
+                    "gather and scatter plans must cover exactly one memoryload"
                 );
                 let mut offset = 0;
-                gather.begin(cursor);
-                while gather.next_batch_into(cursor, refs_scratch) {
-                    let len = refs_scratch.len() * block;
-                    sys.read_blocks_into(refs_scratch, &mut out[offset..offset + len])?;
+                self.gather.begin(&mut self.cursor);
+                while self
+                    .gather
+                    .next_batch_into(&mut self.cursor, &mut self.refs)
+                {
+                    let len = self.refs.len() * block;
+                    sys.read_blocks_into(&self.refs, &mut self.data[offset..offset + len])?;
                     offset += len;
                 }
                 Ok(())
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue_writes(
-        sys: &mut DiskSystem<R>,
-        geom: &Geometry,
-        plan: WritePlan,
-        scatter: &BlockBatches,
-        data: &[R],
-        cursor: &mut BatchCursor,
-        stripe_refs: &mut Vec<BlockRef>,
-        tickets: &mut Vec<WriteTicket<R>>,
-    ) -> Result<()> {
-        let block = geom.block();
-        debug_assert!(tickets.is_empty(), "previous load's writes not drained");
-        let abort = |sys: &mut DiskSystem<R>, tickets: &mut Vec<WriteTicket<R>>, e| {
-            for t in tickets.drain(..) {
-                let _ = sys.finish_write(t);
-            }
-            Err(e)
-        };
-        match plan {
-            WritePlan::Memoryload { portion, ml } => {
-                let spm = geom.stripes_per_memoryload();
-                let stripe_len = block * geom.disks();
-                let base = sys.portion_base(portion) + ml * spm;
-                for s in 0..spm {
-                    stripe_refs.clear();
-                    stripe_refs.extend((0..geom.disks()).map(|disk| BlockRef {
-                        disk,
-                        slot: base + s,
-                    }));
-                    match sys.begin_write(stripe_refs, &data[s * stripe_len..(s + 1) * stripe_len])
-                    {
-                        Ok(t) => tickets.push(t),
-                        Err(e) => return abort(sys, tickets, e),
-                    }
-                }
-            }
-            WritePlan::Scatter => {
-                assert_eq!(
-                    scatter.total_blocks() * block,
-                    geom.memory(),
-                    "scatter plan must cover exactly one memoryload"
-                );
-                let mut offset = 0;
-                scatter.begin(cursor);
-                while scatter.next_batch_into(cursor, stripe_refs) {
-                    let len = stripe_refs.len() * block;
-                    match sys.begin_write(stripe_refs, &data[offset..offset + len]) {
-                        Ok(t) => tickets.push(t),
-                        Err(e) => return abort(sys, tickets, e),
-                    }
-                    offset += len;
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -839,12 +717,45 @@ mod tests {
                 )
                 .unwrap_err();
             assert!(matches!(err, PdmError::Fault { .. }), "mode {mode:?}");
+            // Op 7 is refused mid-ticket (memoryload 1's reads when
+            // threaded, memoryload 0's writes serially); the 7 ops
+            // admitted before it stay charged.
+            assert_eq!(sys.stats().parallel_ios(), 7, "mode {mode:?}");
             assert_eq!(
                 sys.buffer_pool_stats().outstanding,
                 0,
                 "engine abort stranded pooled buffers in mode {mode:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_disconnected_run_is_respawned_and_resubmitted_whole() {
+        // N=256, B=2, D=4, M=32: 4 stripes per memoryload. Threaded,
+        // ops 0–3 read memoryload 0, ops 4–7 read memoryload 1, and
+        // ops 8–11 write memoryload 0.
+        let g = geom();
+        let input: Vec<u64> = (0..256u64).map(|i| i.wrapping_mul(7)).collect();
+        let run = |plan: FaultPlan| {
+            let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
+            sys.set_service_mode(ServiceMode::Threaded);
+            sys.set_retry_policy(crate::RetryPolicy::fault_tolerant());
+            sys.load_records(0, &input);
+            sys.set_faults(plan);
+            identity_pass(&mut sys, &mut PassEngine::new(g));
+            assert_eq!(sys.buffer_pool_stats().outstanding, 0);
+            (sys.dump_records(1), sys.stats(), sys.retry_stats())
+        };
+        let (clean_out, clean_io, _) = run(FaultPlan::new());
+        // Disk 2's link drops at op 5: memoryload 1's 4-slot read run on
+        // disk 2 fails, and so does memoryload 0's write run, submitted
+        // before the read ticket drains. Each command is revived and
+        // resubmitted once, whole.
+        let (out, io, retry) = run(FaultPlan::new().disconnect_at(5, 2));
+        assert_eq!(out, clean_out);
+        assert_eq!(io, clean_io, "recovered pass charged once");
+        assert_eq!((retry.respawns, retry.retries), (1, 2));
+        assert_eq!(retry.attempts, io.parallel_ios() + retry.retries);
     }
 
     #[test]

@@ -8,17 +8,22 @@
 //! process behind a Unix-domain socket, or a deterministic simulated
 //! network (see [`crate::transport`]).
 //!
+//! A command carries a *run*: one disk, a list of slots, and one buffer
+//! of `slots × B` records. A single parallel I/O sends one-slot runs;
+//! the [`crate::engine::PassEngine`] sends one run per disk per
+//! memoryload, so a whole memoryload costs each worker one channel hop
+//! while the model still charges `M/BD` parallel I/Os.
+//!
 //! [`DiskPool`] holds one **persistent** worker per disk, fed through
-//! transports. Commands carry owned block buffers (recycled by the
-//! caller's buffer pool), so an in-process transfer costs one channel
-//! round-trip. Because submission and completion are decoupled, a
-//! caller can keep an operation in flight while it computes — this is
-//! what the [`crate::engine`] pipeline uses to overlap the permute of
-//! memoryload *k* with the reads of memoryload *k+1*, and the overlap
-//! survives remoteness: over a socket the requests pipeline the same
-//! way. [`serve_disk`] is the one worker loop; [`InProcTransport`]'s
-//! service thread runs it, and so does the job service's shared disk
-//! farm.
+//! transports. Commands carry owned buffers (recycled by the caller's
+//! buffer pool), so an in-process run costs one channel round-trip.
+//! Because submission and completion are decoupled, a caller can keep
+//! an operation in flight while it computes — this is what the
+//! [`crate::engine`] pipeline uses to overlap the permute of memoryload
+//! *k* with the reads of memoryload *k+1*, and the overlap survives
+//! remoteness: over a socket the requests pipeline the same way.
+//! [`serve_disk`] is the one worker loop; [`InProcTransport`]'s service
+//! thread runs it, and so does the job service's shared disk farm.
 //!
 //! The [`crate::system::DiskSystem`] drives the pool in one of two
 //! disciplines chosen by
@@ -28,57 +33,168 @@
 //! [`crate::system::ServiceMode::Serial`] on disks behind remote
 //! transports. Local disks in serial mode bypass the pool and are
 //! serviced in the caller's thread. For [`crate::backend::MemDisk`]
-//! the pool's threads are pure overhead, but for
-//! [`crate::backend::FileDisk`] they overlap real system calls exactly
-//! the way a hardware disk array would.
+//! the pool's threads overlap block copies with the caller's in-memory
+//! work; for [`crate::backend::FileDisk`] they overlap real system
+//! calls exactly the way a hardware disk array would.
 
 use crate::backend::DiskUnit;
 use crate::error::{PdmError, Result};
 use crate::record::Record;
 use crate::stats::MsgStats;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// A command for one disk's service thread. Buffers travel by value:
-/// the worker fills (read) or drains (write) the buffer and sends it
-/// back in the [`Completion`], so the caller's pool can recycle it.
+/// A command for one disk's service thread: a run of blocks on that
+/// disk. Buffers travel by value: the worker fills (read) or drains
+/// (write) the buffer and sends it back in the [`Completion`], with the
+/// slot list, so the caller's pools can recycle both.
 pub enum Cmd<R: Record> {
-    /// Read block `slot` into `buf` and reply on `done`.
+    /// Read the blocks at `slots` into consecutive blocks of `buf` and
+    /// reply on `done`.
     Read {
-        /// Block slot on this disk.
-        slot: usize,
-        /// Destination buffer, exactly one block long.
+        /// Block slots on this disk, in transfer order. A transport may
+        /// rewrite them in place (the job service's disk farm
+        /// translates them into its lease).
+        slots: Vec<usize>,
+        /// Destination buffer, `slots.len()` blocks long.
         buf: Vec<R>,
         /// Caller's request index, echoed in the completion.
         idx: usize,
-        /// Completion channel.
-        done: Sender<Completion<R>>,
+        /// Where the completion goes.
+        done: CompletionQueue<R>,
     },
-    /// Write `buf` to block `slot` and reply on `done`.
+    /// Write consecutive blocks of `buf` to the blocks at `slots` and
+    /// reply on `done`.
     Write {
-        /// Block slot on this disk.
-        slot: usize,
-        /// Source buffer, exactly one block long.
+        /// Block slots on this disk, in transfer order (see
+        /// [`Cmd::Read`]).
+        slots: Vec<usize>,
+        /// Source buffer, `slots.len()` blocks long.
         buf: Vec<R>,
         /// Caller's request index, echoed in the completion.
         idx: usize,
-        /// Completion channel.
-        done: Sender<Completion<R>>,
+        /// Where the completion goes.
+        done: CompletionQueue<R>,
     },
     /// Shut the worker down (it returns its unit to the joiner).
     Stop,
 }
 
-/// The result of one block transfer, carrying the buffer back for
-/// reuse.
+/// Where commands report: a queue of [`Completion`]s shared by a caller
+/// and the commands it submitted. The caller keeps one handle and waits
+/// on it; every command carries a clone (a reference count, no
+/// allocation). Sending never waits for capacity, so a worker never
+/// blocks on its caller, and receiving never allocates — a std channel's
+/// receiver allocates the first time it blocks — so a recycled queue
+/// keeps the caller's loop allocation-free.
+pub struct CompletionQueue<R>(Arc<Queue<R>>);
+
+struct Queue<R> {
+    state: Mutex<QueueState<R>>,
+    ready: Condvar,
+}
+
+struct QueueState<R> {
+    items: VecDeque<Completion<R>>,
+    /// The receiver is parked on `ready`.
+    waiting: bool,
+}
+
+impl<R> CompletionQueue<R> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        CompletionQueue(Arc::new(Queue {
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                waiting: false,
+            }),
+            ready: Condvar::new(),
+        }))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState<R>> {
+        // Every update is one push or pop, so no panic can leave the
+        // queue half-updated.
+        self.0.state.lock().expect("completion queue poisoned")
+    }
+
+    /// Delivers a completion, waking the receiver if it waits.
+    pub fn send(&self, c: Completion<R>) {
+        let mut state = self.lock();
+        state.items.push_back(c);
+        let wake = state.waiting;
+        drop(state);
+        if wake {
+            self.0.ready.notify_one();
+        }
+    }
+
+    /// The oldest completion, if one has arrived.
+    pub fn try_recv(&self) -> Option<Completion<R>> {
+        self.lock().items.pop_front()
+    }
+
+    /// Waits for the oldest completion.
+    pub fn recv(&self) -> Completion<R> {
+        self.wait(None)
+            .expect("an unbounded wait returns a completion")
+    }
+
+    /// Waits at most `timeout` for the oldest completion.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Completion<R>> {
+        self.wait(Some(Instant::now() + timeout))
+    }
+
+    fn wait(&self, deadline: Option<Instant>) -> Option<Completion<R>> {
+        let poisoned = "completion queue poisoned";
+        let mut state = self.lock();
+        loop {
+            if let Some(c) = state.items.pop_front() {
+                return Some(c);
+            }
+            state.waiting = true;
+            state = match deadline {
+                None => self.0.ready.wait(state).expect(poisoned),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        state.waiting = false;
+                        return None;
+                    }
+                    self.0.ready.wait_timeout(state, left).expect(poisoned).0
+                }
+            };
+            state.waiting = false;
+        }
+    }
+}
+
+impl<R> Clone for CompletionQueue<R> {
+    fn clone(&self) -> Self {
+        CompletionQueue(Arc::clone(&self.0))
+    }
+}
+
+impl<R> Default for CompletionQueue<R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The result of one run, carrying its buffers back for reuse.
 pub struct Completion<R> {
     /// The request index from the [`Cmd`].
     pub idx: usize,
     /// The disk that serviced the request.
     pub disk: usize,
-    /// The block buffer (filled with data for reads).
+    /// The command's slot list, as the transport left it.
+    pub slots: Vec<usize>,
+    /// The run buffer (filled with data for reads).
     pub buf: Vec<R>,
-    /// Transfer outcome.
+    /// Transfer outcome: the first error of the run, if any.
     pub result: Result<()>,
 }
 
@@ -89,14 +205,15 @@ pub struct Completion<R> {
 /// drain-loop transport-agnostic:
 ///
 /// * **Submission never blocks on the reply** (it may block briefly on
-///   a socket write).
-/// * **Every command is answered exactly once**, including after the
-///   link dies: a transport failure surfaces *through the completion*
-///   as [`PdmError::Disconnected`] with the buffer attached, never as
-///   a panic or a silently dropped command. Buffer-pool hygiene is
-///   therefore identical on every path.
+///   a socket write or a full command queue).
+/// * **Every command is answered exactly once**, however many slots it
+///   carries, including after the link dies: a transport failure
+///   surfaces *through the completion* as [`PdmError::Disconnected`]
+///   with the buffer attached, never as a panic or a silently dropped
+///   command. Buffer-pool hygiene is therefore identical on every path.
 /// * Replies may arrive in any order across disks; per disk they
-///   follow submission order.
+///   follow submission order, and a run's blocks are transferred in
+///   slot-list order.
 pub trait Transport<R: Record>: Send {
     /// The disk this transport serves.
     fn disk(&self) -> usize;
@@ -146,16 +263,28 @@ pub trait Transport<R: Record>: Send {
     fn shutdown(&mut self) -> Option<Box<dyn DiskUnit<R>>>;
 }
 
-/// Answers `cmd` with [`PdmError::Disconnected`], returning its buffer
-/// through the completion so the caller's pool can recycle it. Public
-/// so out-of-crate [`Transport`] implementations (the service's disk
-/// farm) can honour the severed-link contract.
+/// Answers `cmd` with [`PdmError::Disconnected`], returning its buffers
+/// through the completion so the caller's pools can recycle them.
+/// Public so out-of-crate [`Transport`] implementations (the service's
+/// disk farm) can honour the severed-link contract.
 pub fn fail_disconnected<R: Record>(cmd: Cmd<R>, disk: usize) {
     match cmd {
-        Cmd::Read { buf, idx, done, .. } | Cmd::Write { buf, idx, done, .. } => {
-            let _ = done.send(Completion {
+        Cmd::Read {
+            slots,
+            buf,
+            idx,
+            done,
+        }
+        | Cmd::Write {
+            slots,
+            buf,
+            idx,
+            done,
+        } => {
+            done.send(Completion {
                 idx,
                 disk,
+                slots,
                 buf,
                 result: Err(PdmError::Disconnected { disk }),
             });
@@ -164,41 +293,72 @@ pub fn fail_disconnected<R: Record>(cmd: Cmd<R>, disk: usize) {
     }
 }
 
+/// Transfers a run against `unit`, block by block in slot order,
+/// stopping at the first error.
+pub(crate) fn transfer_run<R: Record>(
+    unit: &mut dyn DiskUnit<R>,
+    read: bool,
+    slots: &[usize],
+    buf: &mut [R],
+) -> Result<()> {
+    let block = unit.block();
+    if buf.len() != slots.len() * block {
+        return Err(PdmError::Io(format!(
+            "run of {} slots carries {} records, expected {}",
+            slots.len(),
+            buf.len(),
+            slots.len() * block
+        )));
+    }
+    for (&slot, chunk) in slots.iter().zip(buf.chunks_exact_mut(block)) {
+        if read {
+            unit.read(slot, chunk)?;
+        } else {
+            unit.write(slot, chunk)?;
+        }
+    }
+    Ok(())
+}
+
 /// The disk worker loop: services the commands arriving on `rx`
-/// against `unit` — reads into or writes from the command's buffer,
-/// then sends the buffer back on the command's `done` channel — until
-/// [`Cmd::Stop`] arrives or every sender is gone.
+/// against `unit` — reads a run's blocks into, or writes them from, the
+/// command's buffer, then sends the buffers back on the command's
+/// `done` channel, one completion per command — until [`Cmd::Stop`]
+/// arrives or every sender is gone.
 pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, rx: &Receiver<Cmd<R>>) {
     while let Ok(cmd) = rx.recv() {
-        let (buf, idx, done, result) = match cmd {
+        let (read, slots, mut buf, idx, done) = match cmd {
             Cmd::Read {
-                slot,
-                mut buf,
-                idx,
-                done,
-            } => {
-                let result = unit.read(slot, &mut buf);
-                (buf, idx, done, result)
-            }
-            Cmd::Write {
-                slot,
+                slots,
                 buf,
                 idx,
                 done,
-            } => {
-                let result = unit.write(slot, &buf);
-                (buf, idx, done, result)
-            }
+            } => (true, slots, buf, idx, done),
+            Cmd::Write {
+                slots,
+                buf,
+                idx,
+                done,
+            } => (false, slots, buf, idx, done),
             Cmd::Stop => break,
         };
-        let _ = done.send(Completion {
+        let result = transfer_run(unit, read, &slots, &mut buf);
+        done.send(Completion {
             idx,
             disk,
+            slots,
             buf,
             result,
         });
     }
 }
+
+/// Commands an in-process service thread queues before
+/// [`Transport::submit`] waits for it. The queue is bounded so that a
+/// send never allocates (std's unbounded channel allocates a block every
+/// 31 sends on the sending thread); it cannot deadlock, because the
+/// service thread answers on [`CompletionQueue`]s and never blocks.
+const INPROC_QUEUE: usize = 256;
 
 /// The in-process transport: a persistent service thread that owns its
 /// [`DiskUnit`] and runs [`serve_disk`] over a channel — buffers cross
@@ -207,7 +367,7 @@ pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, rx: &Recei
 /// transport.
 pub struct InProcTransport<R: Record> {
     disk: usize,
-    tx: Sender<Cmd<R>>,
+    tx: SyncSender<Cmd<R>>,
     join: Option<JoinHandle<Box<dyn DiskUnit<R>>>>,
     dead: bool,
 }
@@ -215,7 +375,7 @@ pub struct InProcTransport<R: Record> {
 impl<R: Record> InProcTransport<R> {
     /// Spawns the service thread for `disk` over `unit`.
     pub fn new(disk: usize, mut unit: Box<dyn DiskUnit<R>>) -> Self {
-        let (tx, rx) = channel();
+        let (tx, rx) = sync_channel(INPROC_QUEUE);
         let join = std::thread::Builder::new()
             .name(format!("pdm-disk-{disk}"))
             .spawn(move || {
@@ -388,42 +548,50 @@ mod tests {
             .collect()
     }
 
+    fn read(slots: Vec<usize>, block: usize, idx: usize, done: &CompletionQueue<u64>) -> Cmd<u64> {
+        Cmd::Read {
+            buf: vec![0; slots.len() * block],
+            slots,
+            idx,
+            done: done.clone(),
+        }
+    }
+
+    fn write(
+        slots: Vec<usize>,
+        buf: Vec<u64>,
+        idx: usize,
+        done: &CompletionQueue<u64>,
+    ) -> Cmd<u64> {
+        Cmd::Write {
+            slots,
+            buf,
+            idx,
+            done: done.clone(),
+        }
+    }
+
     #[test]
     fn pool_round_trip_and_unit_recovery() {
         let mut pool = DiskPool::new(units(2, 4, 4));
         assert_eq!(pool.disks(), 4);
         // Write a distinct block to each disk, all in flight at once.
-        let (tx, rx) = channel();
+        let q = CompletionQueue::new();
         for d in 0..4usize {
-            pool.submit(
-                d,
-                Cmd::Write {
-                    slot: d,
-                    buf: vec![d as u64 * 10, d as u64 * 10 + 1],
-                    idx: d,
-                    done: tx.clone(),
-                },
-            );
+            let data = vec![d as u64 * 10, d as u64 * 10 + 1];
+            pool.submit(d, write(vec![d], data, d, &q));
         }
         for _ in 0..4 {
-            let c = rx.recv().unwrap();
+            let c = q.recv();
             c.result.unwrap();
         }
         // Read them back concurrently.
         for d in 0..4usize {
-            pool.submit(
-                d,
-                Cmd::Read {
-                    slot: d,
-                    buf: vec![0u64; 2],
-                    idx: d,
-                    done: tx.clone(),
-                },
-            );
+            pool.submit(d, read(vec![d], 2, d, &q));
         }
         let mut got = vec![Vec::new(); 4];
         for _ in 0..4 {
-            let c = rx.recv().unwrap();
+            let c = q.recv();
             c.result.unwrap();
             assert_eq!(c.idx, c.disk);
             got[c.idx] = c.buf;
@@ -439,19 +607,53 @@ mod tests {
     }
 
     #[test]
+    fn serve_disk_answers_a_run_with_one_completion() {
+        let mut pool = DiskPool::new(units(2, 8, 1));
+        let q = CompletionQueue::new();
+        // One 3-slot write run, slots out of address order.
+        pool.submit(0, write(vec![5, 1, 3], vec![50, 51, 10, 11, 30, 31], 7, &q));
+        let c = q.recv();
+        c.result.unwrap();
+        assert_eq!((c.idx, c.disk), (7, 0));
+        assert_eq!(c.slots, vec![5, 1, 3], "the slot list comes home");
+        assert_eq!(c.buf.len(), 6);
+        // One 3-slot read run: the blocks arrive in slot-list order.
+        pool.submit(0, read(vec![3, 5, 1], 2, 8, &q));
+        let c = q.recv();
+        c.result.unwrap();
+        assert_eq!(c.buf, vec![30, 31, 50, 51, 10, 11]);
+        assert!(q.try_recv().is_none(), "one completion per run");
+    }
+
+    #[test]
+    fn serve_disk_fails_a_run_at_its_first_bad_slot() {
+        let mut pool = DiskPool::new(units(2, 4, 1));
+        let q = CompletionQueue::new();
+        for cmd in [
+            read(vec![0, 9, 1], 2, 1, &q),
+            write(vec![2, 9, 3], vec![1, 2, 3, 4, 5, 6], 2, &q),
+        ] {
+            pool.submit(0, cmd);
+            let c = q.recv();
+            assert!(
+                matches!(c.result, Err(PdmError::OutOfRange { slot: 9, .. })),
+                "{:?}",
+                c.result
+            );
+            assert_eq!(c.buf.len(), 6, "the buffer comes home with the error");
+            assert!(q.try_recv().is_none(), "one completion per run");
+        }
+        // The write stopped at the bad slot: slot 2 landed, slot 3 not.
+        pool.submit(0, read(vec![2, 3], 2, 3, &q));
+        assert_eq!(q.recv().buf, vec![1, 2, 0, 0]);
+    }
+
+    #[test]
     fn pool_propagates_unit_errors_with_buffer() {
         let mut pool = DiskPool::new(units(2, 2, 1));
-        let (tx, rx) = channel();
-        pool.submit(
-            0,
-            Cmd::Read {
-                slot: 9, // out of range
-                buf: vec![0u64; 2],
-                idx: 0,
-                done: tx,
-            },
-        );
-        let c = rx.recv().unwrap();
+        let q = CompletionQueue::new();
+        pool.submit(0, read(vec![9], 2, 0, &q)); // out of range
+        let c = q.recv();
         assert!(c.result.is_err());
         assert_eq!(c.buf.len(), 2, "buffer must come back even on error");
     }
@@ -465,17 +667,9 @@ mod tests {
     #[test]
     fn inproc_transport_reports_zero_messages() {
         let mut pool = DiskPool::new(units(2, 2, 2));
-        let (tx, rx) = channel();
-        pool.submit(
-            0,
-            Cmd::Write {
-                slot: 1,
-                buf: vec![7u64, 8],
-                idx: 0,
-                done: tx,
-            },
-        );
-        rx.recv().unwrap().result.unwrap();
+        let q = CompletionQueue::new();
+        pool.submit(0, write(vec![1], vec![7, 8], 0, &q));
+        q.recv().result.unwrap();
         assert!(pool.message_stats().is_zero());
         assert!(pool.message_stats_per_disk().iter().all(MsgStats::is_zero));
         assert_eq!(pool.take_sim_ms(), 0.0);
@@ -485,76 +679,44 @@ mod tests {
     fn injected_disconnect_answers_with_buffer_and_stays_dead() {
         let mut pool = DiskPool::new(units(2, 4, 2));
         pool.inject_disconnect(1);
+        let q = CompletionQueue::new();
         for _ in 0..2 {
-            let (tx, rx) = channel();
-            pool.submit(
-                1,
-                Cmd::Read {
-                    slot: 0,
-                    buf: vec![0u64; 2],
-                    idx: 3,
-                    done: tx,
-                },
-            );
-            let c = rx.recv().unwrap();
+            pool.submit(1, read(vec![0, 1], 2, 3, &q));
+            let c = q.recv();
             assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 1 })));
-            assert_eq!(c.buf.len(), 2, "buffer must come back on disconnect");
+            assert_eq!(c.buf.len(), 4, "buffer must come back on disconnect");
+            assert_eq!(c.slots, vec![0, 1]);
             assert_eq!(c.idx, 3);
         }
         // The other disk is unaffected.
-        let (tx, rx) = channel();
-        pool.submit(
-            0,
-            Cmd::Read {
-                slot: 0,
-                buf: vec![0u64; 2],
-                idx: 0,
-                done: tx,
-            },
-        );
-        rx.recv().unwrap().result.unwrap();
+        pool.submit(0, read(vec![0], 2, 0, &q));
+        q.recv().result.unwrap();
     }
 
     #[test]
     fn respawn_revives_a_severed_inproc_link_with_data_intact() {
         let mut pool = DiskPool::new(units(2, 4, 2));
-        let (tx, rx) = channel();
-        pool.submit(
-            1,
-            Cmd::Write {
-                slot: 0,
-                buf: vec![41u64, 42],
-                idx: 0,
-                done: tx.clone(),
-            },
-        );
-        rx.recv().unwrap().result.unwrap();
+        let q = CompletionQueue::new();
+        pool.submit(1, write(vec![0], vec![41, 42], 0, &q));
+        q.recv().result.unwrap();
         // Healthy link: nothing to revive.
         assert!(!pool.respawn(1).unwrap());
         pool.inject_disconnect(1);
-        pool.submit(
-            1,
-            Cmd::Read {
-                slot: 0,
-                buf: vec![0u64; 2],
-                idx: 0,
-                done: tx.clone(),
-            },
-        );
-        let c = rx.recv().unwrap();
+        pool.submit(1, read(vec![0], 2, 0, &q));
+        let c = q.recv();
         assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 1 })));
         // Revive and re-read: the unit (and its data) survived.
         assert!(pool.respawn(1).unwrap());
         pool.submit(
             1,
             Cmd::Read {
-                slot: 0,
+                slots: c.slots,
                 buf: c.buf,
                 idx: 0,
-                done: tx,
+                done: q.clone(),
             },
         );
-        let c = rx.recv().unwrap();
+        let c = q.recv();
         c.result.unwrap();
         assert_eq!(c.buf, vec![41, 42]);
     }

@@ -29,26 +29,36 @@
 //! ([`crate::parallel::DiskPool`]): pipelined in
 //! [`ServiceMode::Threaded`], and in *lockstep* — each command's
 //! completion collected before the next is sent — when disks behind
-//! remote transports run in [`ServiceMode::Serial`]. Every pool
-//! operation takes one path: one submit, one drain (recovery, first
-//! error, buffer return). In [`ServiceMode::Threaded`] the
-//! system additionally supports *split-phase* operations
-//! ([`DiskSystem::begin_read`] / [`DiskSystem::finish_read`] and the
-//! write duals): the operation is validated, charged, and submitted to
-//! the service threads immediately, and the caller collects the data
-//! later — the [`crate::engine::PassEngine`] uses this to overlap disk
-//! transfers with in-memory permutation. Split-phase operations move
-//! data through a pool of reusable block buffers
-//! ([`DiskSystem::buffer_pool_stats`]) instead of fresh allocations;
-//! every code path, including fault-injection errors, must return its
-//! blocks to the pool.
+//! remote transports run in [`ServiceMode::Serial`].
+//!
+//! Every pool operation takes one path: a *ticket* stages the blocks of
+//! one or more parallel I/Os as one run per disk
+//! ([`crate::parallel::Cmd`] carries a slot list and one buffer), then
+//! one submit and one drain (recovery, first error, buffer return). A
+//! single parallel I/O is the one-slot-per-disk case; the
+//! [`crate::engine::PassEngine`]'s memoryloads, [`DiskSystem::load_records`],
+//! [`DiskSystem::dump_records`] and [`DiskSystem::read_memoryload_into`]
+//! send one command per disk per memoryload. Admission — validation,
+//! the governor, the fault plan, the charge — stays per parallel I/O
+//! and in order, so only the hop to the service threads is batched.
+//! Tickets, their completion queues and their run buffers
+//! ([`DiskSystem::buffer_pool_stats`]) are recycled, so a steady-state
+//! operation allocates nothing; every code path, including
+//! fault-injection errors, must return its buffers to the pool.
+//!
+//! In [`ServiceMode::Threaded`] the system additionally supports
+//! *split-phase* operations ([`DiskSystem::begin_read`] /
+//! [`DiskSystem::finish_read`] and the write duals): the operation is
+//! validated, charged, and submitted to the service threads
+//! immediately, and the caller collects the data later — the engine
+//! uses this to overlap disk transfers with in-memory permutation.
 
 use crate::backend::{DiskUnit, FileDisk, MemDisk};
 use crate::config::Geometry;
 use crate::error::{PdmError, Result};
 use crate::fault::FaultPlan;
 use crate::layout::Layout;
-use crate::parallel::{Cmd, Completion, DiskPool, Transport};
+use crate::parallel::{transfer_run, Cmd, Completion, CompletionQueue, DiskPool, Transport};
 use crate::record::{ByteRecord, Record};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::sched::SchedHandle;
@@ -56,7 +66,6 @@ use crate::stats::{IoStats, MsgStats};
 use crate::timing::{TimingModel, TimingTracker};
 use crate::transport::{spawn_uds_workers, SimNetTransport, TransportConfig};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// Which storage backs the disk units of a [`DiskSystem`].
@@ -119,7 +128,7 @@ enum Service<R: Record> {
 /// Pool-accounting snapshot (see [`DiskSystem::buffer_pool_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufferPoolStats {
-    /// Buffers sitting in the free list.
+    /// Buffers sitting in the free lists.
     pub free: usize,
     /// Buffers currently lent out (in flight or held by a ticket).
     pub outstanding: usize,
@@ -129,10 +138,12 @@ pub struct BufferPoolStats {
     pub allocated: u64,
 }
 
-/// A recycling pool of block-sized record buffers.
+/// A recycling pool of run buffers, kept by size: a run of `n` slots
+/// borrows a buffer of `n` blocks.
 struct BlockPool<R> {
     block: usize,
-    free: Vec<Vec<R>>,
+    /// `free[n - 1]` holds idle buffers of `n` blocks.
+    free: Vec<Vec<Vec<R>>>,
     outstanding: usize,
     allocated: u64,
 }
@@ -147,26 +158,33 @@ impl<R: Record> BlockPool<R> {
         }
     }
 
-    fn take(&mut self) -> Vec<R> {
+    fn take(&mut self, blocks: usize) -> Vec<R> {
         self.outstanding += 1;
-        match self.free.pop() {
+        match self.free.get_mut(blocks - 1).and_then(Vec::pop) {
             Some(buf) => buf,
             None => {
                 self.allocated += 1;
-                vec![R::default(); self.block]
+                vec![R::default(); blocks * self.block]
             }
         }
     }
 
     fn put(&mut self, buf: Vec<R>) {
-        debug_assert_eq!(buf.len(), self.block, "foreign buffer returned to pool");
+        let blocks = buf.len() / self.block;
+        debug_assert!(
+            blocks >= 1 && buf.len() == blocks * self.block,
+            "foreign buffer returned to pool"
+        );
         self.outstanding -= 1;
-        self.free.push(buf);
+        if self.free.len() < blocks {
+            self.free.resize_with(blocks, Vec::new);
+        }
+        self.free[blocks - 1].push(buf);
     }
 
     fn stats(&self) -> BufferPoolStats {
         BufferPoolStats {
-            free: self.free.len(),
+            free: self.free.iter().map(Vec::len).sum(),
             outstanding: self.outstanding,
             allocated: self.allocated,
         }
@@ -175,117 +193,160 @@ impl<R: Record> BlockPool<R> {
 
 /// Where a drained read's blocks go.
 enum Sink<'a, R> {
-    /// Block `i` of the request into `out[i*B .. (i+1)*B]`.
+    /// Each block to its staged offset in `out`.
     Out(&'a mut [R]),
-    /// Kept on the operation for a later drain: a lockstep split-phase
+    /// Kept on the ticket for a later drain: a lockstep split-phase
     /// read has its data before `finish_read` is called.
     Keep,
     /// Straight back to the pool: writes, and the abort path.
     Discard,
 }
 
-/// Copies block `idx` of a request into its place in `out`.
-fn place<R: Record>(out: &mut [R], idx: usize, buf: &[R]) {
-    out[idx * buf.len()..(idx + 1) * buf.len()].copy_from_slice(buf);
+impl<'a, R> Sink<'a, R> {
+    /// Reads land in `out`; without one, blocks are discarded.
+    fn out_or_discard(out: Option<&'a mut [R]>) -> Self {
+        out.map_or(Sink::Discard, Sink::Out)
+    }
 }
 
-/// Where one operation's completions arrive.
-type CompletionChannel<R> = (Sender<Completion<R>>, Receiver<Completion<R>>);
+/// Copies a run's blocks to their offsets in `out`.
+fn place<R: Record>(out: &mut [R], offsets: &[usize], buf: &[R]) {
+    let block = buf.len() / offsets.len();
+    for (&off, chunk) in offsets.iter().zip(buf.chunks_exact(block)) {
+        out[off..off + block].copy_from_slice(chunk);
+    }
+}
 
-/// One parallel I/O between its submission and its drain: the state
-/// behind a [`ReadTicket`] or [`WriteTicket`].
+/// One disk's command within a ticket.
+#[derive(Default)]
+struct Run<R> {
+    /// Slots on the disk, in transfer order. Recovery resubmits from
+    /// this copy, since a transport may rewrite the command's own.
+    slots: Vec<usize>,
+    /// The record offset, in the caller's data, of each slot's block.
+    offsets: Vec<usize>,
+    /// The slot list that travels with the command, recycled.
+    wire: Vec<usize>,
+    /// A read's buffer, kept until the ticket drains.
+    landed: Option<Vec<R>>,
+    /// Recovery attempts spent on this command.
+    attempts: u32,
+}
+
+/// One or more parallel I/Os between submission and drain: the state
+/// behind a [`ReadTicket`] or [`WriteTicket`]. Every block a ticket
+/// moves on one disk travels in that disk's one command, so a single
+/// parallel I/O is the one-slot-per-disk case and a memoryload is
+/// `D` commands. The system recycles tickets, completion queue and
+/// vectors included, so steady-state operations allocate nothing.
 struct InFlight<R: Record> {
     /// Reads, or else writes.
     read: bool,
-    /// The request, kept so recovery can resubmit a command.
-    refs: Vec<BlockRef>,
-    /// The completion channel, opened at submission; the sender is kept
-    /// so a resubmitted command reports to the same drain.
-    chan: Option<CompletionChannel<R>>,
-    /// Per-command recovery attempts spent (allocated on first use).
-    attempts: Vec<u32>,
+    /// One run per disk, indexed by disk; an empty run sends nothing.
+    runs: Vec<Run<R>>,
+    /// Records per block.
+    block: usize,
+    /// Blocks staged; block `i` sits at record offset `i·B`.
+    blocks: usize,
+    /// Where the commands' completions arrive; every command carries a
+    /// handle, so a resubmitted command reports to the same drain.
+    done: CompletionQueue<R>,
     /// Completions not yet received.
     pending: usize,
-    /// Read blocks already transferred, with their request indices.
-    landed: Vec<(usize, Vec<R>)>,
     /// The first transfer error.
     err: Option<PdmError>,
 }
 
 impl<R: Record> InFlight<R> {
-    fn new(read: bool, refs: Vec<BlockRef>) -> Self {
+    fn new(disks: usize, block: usize) -> Self {
         InFlight {
-            read,
-            refs,
-            chan: None,
-            attempts: Vec::new(),
+            read: true,
+            runs: (0..disks).map(|_| Run::default()).collect(),
+            block,
+            blocks: 0,
+            done: CompletionQueue::new(),
             pending: 0,
-            landed: Vec::new(),
             err: None,
         }
     }
 
-    /// The command that moves block `idx` of the request in `buf`.
-    fn command(&self, idx: usize, buf: Vec<R>) -> Cmd<R> {
-        let slot = self.refs[idx].slot;
-        let done = self.chan.as_ref().expect("submitted operation").0.clone();
+    /// Appends one operation's blocks to their disks' runs, right after
+    /// the blocks already staged.
+    fn stage(&mut self, refs: impl IntoIterator<Item = BlockRef>) {
+        for r in refs {
+            let run = &mut self.runs[r.disk];
+            run.slots.push(r.slot);
+            run.offsets.push(self.blocks * self.block);
+            self.blocks += 1;
+        }
+    }
+
+    /// The command that moves `disk`'s run in `buf`.
+    fn command(&mut self, disk: usize, buf: Vec<R>) -> Cmd<R> {
+        let run = &mut self.runs[disk];
+        let mut slots = std::mem::take(&mut run.wire);
+        slots.clear();
+        slots.extend_from_slice(&run.slots);
+        let done = self.done.clone();
         if self.read {
             Cmd::Read {
-                slot,
+                slots,
                 buf,
-                idx,
+                idx: disk,
                 done,
             }
         } else {
             Cmd::Write {
-                slot,
+                slots,
                 buf,
-                idx,
+                idx: disk,
                 done,
             }
         }
     }
 
-    /// Resolves one completion: a read's block goes to `sink`, every
+    /// Resolves one completion: a read's blocks go to `sink`, every
     /// other buffer back to the pool, and the first error is kept.
     fn absorb(&mut self, pool: &mut BlockPool<R>, c: Completion<R>, sink: &mut Sink<'_, R>) {
         let Completion {
             idx,
             disk,
+            slots,
             buf,
             result,
         } = c;
+        let run = &mut self.runs[idx];
+        run.wire = slots;
         match (result, sink) {
             (Err(e), _) => {
                 if self.err.is_none() {
                     self.err = Some(e.with_disk(disk));
                 }
             }
-            (Ok(()), Sink::Out(out)) => place(out, idx, &buf),
-            (Ok(()), Sink::Keep) => return self.landed.push((idx, buf)),
+            (Ok(()), Sink::Out(out)) => place(out, &run.offsets, &buf),
+            (Ok(()), Sink::Keep) => return run.landed = Some(buf),
             (Ok(()), Sink::Discard) => {}
         }
         pool.put(buf);
     }
 }
 
-/// A split-phase parallel read in flight (see
-/// [`DiskSystem::begin_read`]). Must be resolved with
-/// [`DiskSystem::finish_read`] or [`DiskSystem::discard_read`]; simply
-/// dropping the ticket strands its pooled buffers.
+/// A split-phase read in flight (see [`DiskSystem::begin_read`]). Must
+/// be resolved with [`DiskSystem::finish_read`] or
+/// [`DiskSystem::discard_read`]; simply dropping the ticket strands its
+/// pooled buffers.
 #[must_use = "resolve with finish_read/discard_read or the pooled buffers are stranded"]
 pub struct ReadTicket<R: Record>(InFlight<R>);
 
 impl<R: Record> ReadTicket<R> {
-    /// Records transferred by this operation.
+    /// Records transferred by this ticket.
     pub fn records(&self, block: usize) -> usize {
-        self.0.refs.len() * block
+        self.0.blocks * block
     }
 }
 
-/// A split-phase parallel write in flight (see
-/// [`DiskSystem::begin_write`]). Must be resolved with
-/// [`DiskSystem::finish_write`].
+/// A split-phase write in flight (see [`DiskSystem::begin_write`]).
+/// Must be resolved with [`DiskSystem::finish_write`].
 #[must_use = "resolve with finish_write or the staging buffers are stranded"]
 pub struct WriteTicket<R: Record>(InFlight<R>);
 
@@ -309,6 +370,9 @@ pub struct DiskSystem<R: Record> {
     /// Simulated network time accrued by a SimNet transport
     /// ([`DiskSystem::network_ms`]).
     net_ms: f64,
+    /// Retry backoff and straggler delays charged so far
+    /// ([`DiskSystem::stall_ms`]).
+    stall_ms: f64,
     /// When set, every counted operation first acquires a grant from
     /// the fair-share scheduler this handle belongs to
     /// ([`DiskSystem::set_governor`]); the grant is charged to the
@@ -326,8 +390,13 @@ pub struct DiskSystem<R: Record> {
     /// Reused duplicate-disk scratch for per-operation validation, so
     /// the admission path allocates nothing in steady state.
     seen_disks: Vec<bool>,
-    /// Reused stripe-reference scratch for [`Self::read_stripe_into`].
+    /// Reused operation-reference scratch: the stripe of
+    /// [`Self::read_stripe_into`], and each operation of a multi-op
+    /// ticket.
     stripe_scratch: Vec<BlockRef>,
+    /// Idle tickets, recycled so that no operation allocates a
+    /// completion queue or a vector in steady state.
+    tickets: Vec<InFlight<R>>,
 }
 
 impl<R: Record> DiskSystem<R> {
@@ -357,8 +426,10 @@ impl<R: Record> DiskSystem<R> {
             retry_stats: RetryStats::default(),
             timeout_fired: None,
             net_ms: 0.0,
+            stall_ms: 0.0,
             seen_disks: vec![false; geom.disks()],
             stripe_scratch: Vec::with_capacity(geom.disks()),
+            tickets: Vec::new(),
         }
     }
 
@@ -526,6 +597,14 @@ impl<R: Record> DiskSystem<R> {
         self.net_ms
     }
 
+    /// Stall time charged so far: retry backoff and fault-plan
+    /// straggler delays ([`crate::fault::FaultPlan::delay_at`]). Zero
+    /// on a clean run. Also folded into the timing tracker's makespan
+    /// when [`DiskSystem::set_timing`] is active.
+    pub fn stall_ms(&self) -> f64 {
+        self.stall_ms
+    }
+
     /// Collects simulated network time accrued by the transports since
     /// the last call (SimNet charges synchronously inside submission).
     fn absorb_network_time(&mut self) {
@@ -602,13 +681,13 @@ impl<R: Record> DiskSystem<R> {
         self.retry_stats
     }
 
-    /// Charges straggler/backoff stall time into the simulated-time
-    /// accumulator and (when enabled) the timing tracker's makespan.
+    /// Charges straggler/backoff stall time into the stall accumulator
+    /// and (when enabled) the timing tracker's makespan.
     fn charge_stall_ms(&mut self, ms: f64) {
         if ms > 0.0 {
-            self.net_ms += ms;
+            self.stall_ms += ms;
             if let Some(t) = self.timing.as_mut() {
-                t.add_network_ms(ms);
+                t.add_stall_ms(ms);
             }
         }
     }
@@ -647,12 +726,38 @@ impl<R: Record> DiskSystem<R> {
         }
     }
 
-    /// Sends one command per block of `op` to the pool, staging write
-    /// data with `fill(i, buf)`. In lockstep each command's completion
-    /// is received and absorbed into `sink` before the next is sent,
-    /// and the operation is settled here, so an error surfaces now;
-    /// pipelined, the completions wait for [`Self::drain`]. `recover`
-    /// engages the retry layer ([`Self::receive`]).
+    /// An empty ticket, recycled when one is idle.
+    fn ticket(&mut self, read: bool) -> InFlight<R> {
+        let mut op = match self.tickets.pop() {
+            Some(op) => op,
+            None => InFlight::new(self.geom.disks(), self.geom.block()),
+        };
+        op.read = read;
+        op
+    }
+
+    /// Returns a drained ticket to the idle list, emptied but keeping
+    /// its completion queue and the capacity of its vectors.
+    fn recycle(&mut self, mut op: InFlight<R>) {
+        debug_assert_eq!(op.pending, 0, "recycling a ticket in flight");
+        for run in &mut op.runs {
+            debug_assert!(run.landed.is_none(), "recycling landed blocks");
+            run.slots.clear();
+            run.offsets.clear();
+            run.attempts = 0;
+        }
+        op.blocks = 0;
+        op.err = None;
+        self.tickets.push(op);
+    }
+
+    /// Sends one command per disk with staged blocks, filling each
+    /// write block with `fill(offset, block)`. In lockstep each
+    /// command's completion is received and absorbed into `sink` before
+    /// the next is sent, and the ticket is settled here, so an error
+    /// surfaces now; pipelined, the completions wait for
+    /// [`Self::drain`]. `recover` engages the retry layer
+    /// ([`Self::receive`]).
     ///
     /// Kept out of line, like [`Self::drain`]: the public operations'
     /// serial arms share a function with these calls, and inlining the
@@ -666,12 +771,20 @@ impl<R: Record> DiskSystem<R> {
         recover: bool,
     ) -> Result<()> {
         let lockstep = matches!(self.service, Service::Pooled { lockstep: true, .. });
-        op.chan = Some(channel());
-        for idx in 0..op.refs.len() {
-            let mut buf = self.pool.take();
-            fill(idx, &mut buf);
-            let cmd = op.command(idx, buf);
-            self.disk_pool().submit(op.refs[idx].disk, cmd);
+        let block = self.geom.block();
+        for disk in 0..op.runs.len() {
+            let run = &op.runs[disk];
+            if run.slots.is_empty() {
+                continue;
+            }
+            let mut buf = self.pool.take(run.slots.len());
+            if !op.read {
+                for (&off, chunk) in run.offsets.iter().zip(buf.chunks_exact_mut(block)) {
+                    fill(off, chunk);
+                }
+            }
+            let cmd = op.command(disk, buf);
+            self.disk_pool().submit(disk, cmd);
             op.pending += 1;
             if lockstep {
                 let c = self.receive(op, recover);
@@ -690,11 +803,11 @@ impl<R: Record> DiskSystem<R> {
     ///
     /// * a `Disconnected` completion with respawn budget revives the
     ///   link ([`Transport::respawn`]) and resubmits the same command
-    ///   (reads are idempotent; writes are replay-safe because the
+    ///   whole (reads are idempotent; writes are replay-safe because the
     ///   per-disk link is FIFO and the payload rides in the returned
     ///   buffer);
     /// * a completion that outwaits `op_timeout_ms` severs the stuck
-    ///   op's links so every in-flight buffer comes home as
+    ///   ticket's links so every in-flight buffer comes home as
     ///   `Disconnected` — which the respawn arm may then recover, and
     ///   which [`Self::drain`] otherwise reports as
     ///   [`PdmError::Timeout`].
@@ -702,39 +815,39 @@ impl<R: Record> DiskSystem<R> {
         let budget = self.retry.op_timeout_ms.filter(|_| recover);
         let mut severed = false;
         loop {
-            let rx = &op.chan.as_ref().expect("submitted operation").1;
             let c = match budget {
-                None => rx.recv().expect("disk service thread hung up"),
-                Some(ms) => match rx.recv_timeout(Duration::from_millis(ms)) {
-                    Ok(c) => c,
-                    Err(RecvTimeoutError::Timeout) => {
+                None => op.done.recv(),
+                Some(ms) => match op.done.recv_timeout(Duration::from_millis(ms)) {
+                    Some(c) => c,
+                    None => {
                         if !severed {
                             severed = true;
                             self.retry_stats.timeouts += 1;
                             self.timeout_fired = Some(ms);
-                            // Sever the whole op: stuck links answer
+                            // Sever the whole ticket: stuck links answer
                             // their in-flight commands with
                             // `Disconnected`, bringing the buffers home.
-                            for r in &op.refs {
-                                self.disk_pool().inject_disconnect(r.disk);
+                            for disk in 0..op.runs.len() {
+                                if !op.runs[disk].slots.is_empty() {
+                                    self.disk_pool().inject_disconnect(disk);
+                                }
                             }
                         }
                         continue;
                     }
-                    Err(RecvTimeoutError::Disconnected) => panic!("disk service thread hung up"),
                 },
             };
-            let spent = op.attempts.get(c.idx).copied().unwrap_or(0);
+            let spent = op.runs[c.idx].attempts;
             let recoverable = recover
                 && matches!(c.result, Err(PdmError::Disconnected { .. }))
                 && self.retry.respawn
                 && spent + 1 < self.retry.max_attempts;
             if recoverable {
                 if let Ok(revived) = self.disk_pool().respawn(c.disk) {
-                    op.attempts.resize(op.refs.len(), 0);
-                    op.attempts[c.idx] = spent + 1;
+                    op.runs[c.idx].attempts = spent + 1;
                     self.retry_stats.respawns += revived as u64;
                     self.count_retry(spent + 1);
+                    op.runs[c.idx].wire = c.slots;
                     let cmd = op.command(c.idx, c.buf);
                     self.disk_pool().submit(c.disk, cmd);
                     continue;
@@ -749,7 +862,7 @@ impl<R: Record> DiskSystem<R> {
     /// read blocks go to `sink`, every buffer back to the pool, and the
     /// first error wins — reported as [`PdmError::Timeout`] when a
     /// per-op timeout fired and the survivors came home
-    /// `Disconnected`. A failed operation recycles its kept blocks too.
+    /// `Disconnected`. A failed ticket recycles its kept blocks too.
     #[inline(never)]
     fn drain(&mut self, op: &mut InFlight<R>, mut sink: Sink<'_, R>, recover: bool) -> Result<()> {
         while op.pending > 0 {
@@ -768,14 +881,98 @@ impl<R: Record> DiskSystem<R> {
             (Some(e), _) => Err(e),
         };
         if result.is_err() || !matches!(sink, Sink::Keep) {
-            for (idx, buf) in op.landed.drain(..) {
-                if let Sink::Out(out) = &mut sink {
-                    place(out, idx, &buf);
+            for run in &mut op.runs {
+                if let Some(buf) = run.landed.take() {
+                    if let Sink::Out(out) = &mut sink {
+                        place(out, &run.offsets, &buf);
+                    }
+                    self.pool.put(buf);
                 }
-                self.pool.put(buf);
             }
         }
         result
+    }
+
+    /// Drains `op` and recycles it.
+    fn finish(&mut self, mut op: InFlight<R>, sink: Sink<'_, R>, recover: bool) -> Result<()> {
+        let result = self.drain(&mut op, sink, recover);
+        self.recycle(op);
+        result
+    }
+
+    /// Submits a staged ticket and waits for it: read blocks land in
+    /// `out` at their staged offsets (writes pass `None` and stage
+    /// their data with `fill`). The ticket is recycled whatever the
+    /// outcome. Out of line for the reason [`Self::submit`] is.
+    #[inline(never)]
+    fn transfer(
+        &mut self,
+        mut op: InFlight<R>,
+        fill: impl Fn(usize, &mut [R]),
+        mut out: Option<&mut [R]>,
+        recover: bool,
+    ) -> Result<()> {
+        let sent = self.submit(
+            &mut op,
+            fill,
+            Sink::out_or_discard(out.as_deref_mut()),
+            recover,
+        );
+        let drained = self.finish(op, Sink::out_or_discard(out), recover);
+        sent.and(drained)
+    }
+
+    /// Admits the operations `next` yields — each call fills `refs`
+    /// with one operation's blocks, at most one per disk, and returns
+    /// `false` when none are left — and charges each at admission, then
+    /// hands it to `each`. Empty operations are free. Stops at the
+    /// first refused operation, or the first error of `each`, and
+    /// returns that error; the operations before it stay charged.
+    fn admit_ops(
+        &mut self,
+        read: bool,
+        mut next: impl FnMut(&mut Vec<BlockRef>) -> bool,
+        mut each: impl FnMut(&mut Self, &[BlockRef]) -> Result<()>,
+    ) -> Result<()> {
+        let mut refs = std::mem::take(&mut self.stripe_scratch);
+        let mut result = Ok(());
+        while next(&mut refs) {
+            if refs.is_empty() {
+                continue;
+            }
+            result = self.admit(&refs, read).and_then(|()| {
+                self.charge(&refs, read);
+                each(self, &refs)
+            });
+            if result.is_err() {
+                break;
+            }
+        }
+        self.stripe_scratch = refs;
+        result
+    }
+
+    /// Runs `f` on the `D` references of the stripe at `slot`, held in
+    /// the reused scratch.
+    fn with_stripe<T>(&mut self, slot: usize, f: impl FnOnce(&mut Self, &[BlockRef]) -> T) -> T {
+        let mut refs = std::mem::take(&mut self.stripe_scratch);
+        refs.clear();
+        refs.extend((0..self.geom.disks()).map(|disk| BlockRef { disk, slot }));
+        let result = f(self, &refs);
+        self.stripe_scratch = refs;
+        result
+    }
+
+    /// A write ticket (or, with `read`, a read ticket) staging the
+    /// `M/BD` stripes of the memoryload that starts at stripe `slot`,
+    /// in address order. Nothing is admitted: bulk placement.
+    fn memoryload_ticket(&mut self, read: bool, slot: usize) -> InFlight<R> {
+        let mut op = self.ticket(read);
+        let disks = self.geom.disks();
+        for t in slot..slot + self.geom.stripes_per_memoryload() {
+            op.stage((0..disks).map(|disk| BlockRef { disk, slot: t }));
+        }
+        op
     }
 
     fn validate(&mut self, refs: impl Iterator<Item = BlockRef>) -> Result<()> {
@@ -922,9 +1119,9 @@ impl<R: Record> DiskSystem<R> {
                 }
             }
             Service::Pooled { .. } => {
-                let mut op = InFlight::new(true, refs.to_vec());
-                self.submit(&mut op, |_, _| {}, Sink::Out(&mut *out), true)?;
-                self.drain(&mut op, Sink::Out(out), true)?;
+                let mut op = self.ticket(true);
+                op.stage(refs.iter().copied());
+                self.transfer(op, |_, _| {}, Some(out), true)?;
             }
         }
         self.charge(refs, true);
@@ -971,10 +1168,10 @@ impl<R: Record> DiskSystem<R> {
                 }
             }
             Service::Pooled { .. } => {
-                let mut op = InFlight::new(false, refs.clone());
-                let fill = |i: usize, buf: &mut [R]| buf.copy_from_slice(writes[i].1);
-                self.submit(&mut op, fill, Sink::Discard, true)?;
-                self.drain(&mut op, Sink::Discard, true)?;
+                let mut op = self.ticket(false);
+                op.stage(refs.iter().copied());
+                let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(writes[off / block].1);
+                self.transfer(op, fill, None, true)?;
             }
         }
         self.charge(&refs, false);
@@ -1004,32 +1201,38 @@ impl<R: Record> DiskSystem<R> {
     /// charged at submission: a transfer that later fails has still
     /// been issued against the model.
     pub fn begin_read(&mut self, refs: &[BlockRef]) -> Result<ReadTicket<R>> {
-        let mut op = InFlight::new(true, refs.to_vec());
-        if refs.is_empty() {
-            return Ok(ReadTicket(op));
-        }
-        self.admit(refs, true)?;
-        self.charge(refs, true);
-        match &mut self.service {
-            // Synchronous: transfer now into pooled buffers;
-            // `finish_read` just copies out.
-            Service::Serial(units) => {
-                for (idx, r) in refs.iter().enumerate() {
-                    let mut buf = self.pool.take();
-                    if let Err(e) = units[r.disk].read(r.slot, &mut buf) {
-                        // Pool hygiene on the error path.
-                        self.pool.put(buf);
-                        for (_, b) in op.landed {
-                            self.pool.put(b);
-                        }
-                        return Err(e.with_disk(r.disk));
-                    }
-                    op.landed.push((idx, buf));
-                }
+        self.begin_reads(one_op(refs))
+    }
+
+    /// Begins the parallel reads that `next` yields as one ticket: each
+    /// call fills `refs` with one operation's blocks (at most one per
+    /// disk) and returns `false` when none are left. Every operation is
+    /// admitted and charged in order, exactly as by
+    /// [`DiskSystem::begin_read`]; then each disk's blocks travel as one
+    /// command. [`DiskSystem::finish_read`] places the blocks one after
+    /// another in operation order. On a refused operation the ones
+    /// before it stay charged, their transfers are waited out and
+    /// discarded, and the error is returned.
+    pub(crate) fn begin_reads(
+        &mut self,
+        next: impl FnMut(&mut Vec<BlockRef>) -> bool,
+    ) -> Result<ReadTicket<R>> {
+        let mut op = self.ticket(true);
+        let admitted = self.admit_ops(true, next, |_, refs| {
+            op.stage(refs.iter().copied());
+            Ok(())
+        });
+        let sent = match &mut self.service {
+            Service::Serial(units) => read_local(units, &mut self.pool, &mut op),
+            Service::Pooled { .. } => self.submit(&mut op, |_, _| {}, Sink::Keep, true),
+        };
+        match admitted.and(sent) {
+            Ok(()) => Ok(ReadTicket(op)),
+            Err(e) => {
+                let _ = self.finish(op, Sink::Discard, false);
+                Err(e)
             }
-            Service::Pooled { .. } => self.submit(&mut op, |_, _| {}, Sink::Keep, true)?,
         }
-        Ok(ReadTicket(op))
     }
 
     /// Begins a split-phase read of a single block (see
@@ -1042,22 +1245,22 @@ impl<R: Record> DiskSystem<R> {
     /// Completes a split-phase read, copying block `i` of the request
     /// into `out[i*B .. (i+1)*B]` and recycling the transfer buffers.
     /// On error every buffer is still reclaimed.
-    pub fn finish_read(&mut self, mut ticket: ReadTicket<R>, out: &mut [R]) -> Result<()> {
+    pub fn finish_read(&mut self, ticket: ReadTicket<R>, out: &mut [R]) -> Result<()> {
         let want = ticket.records(self.geom.block());
         assert_eq!(
             out.len(),
             want,
             "finish_read requires {want} records of output space"
         );
-        self.drain(&mut ticket.0, Sink::Out(out), true)
+        self.finish(ticket.0, Sink::Out(out), true)
     }
 
     /// Abandons a split-phase read (abort path): waits out the
     /// transfers, discards the data, and reclaims every buffer.
-    pub fn discard_read(&mut self, mut ticket: ReadTicket<R>) {
+    pub fn discard_read(&mut self, ticket: ReadTicket<R>) {
         // No recovery on the abort path: the data is unwanted, so a
         // failed completion just recycles its buffer.
-        let _ = self.drain(&mut ticket.0, Sink::Discard, false);
+        let _ = self.finish(ticket.0, Sink::Discard, false);
     }
 
     /// Begins one parallel write from a contiguous buffer: block `i` of
@@ -1066,10 +1269,6 @@ impl<R: Record> DiskSystem<R> {
     /// this returns. Charged at submission; resolve with
     /// [`DiskSystem::finish_write`].
     pub fn begin_write(&mut self, refs: &[BlockRef], data: &[R]) -> Result<WriteTicket<R>> {
-        let mut op = InFlight::new(false, Vec::new());
-        if refs.is_empty() {
-            return Ok(WriteTicket(op));
-        }
         let block = self.geom.block();
         assert_eq!(
             data.len(),
@@ -1077,31 +1276,59 @@ impl<R: Record> DiskSystem<R> {
             "begin_write requires {} records of data",
             refs.len() * block
         );
-        self.admit(refs, false)?;
-        self.charge(refs, false);
-        match &mut self.service {
-            Service::Serial(units) => {
-                for (i, r) in refs.iter().enumerate() {
-                    units[r.disk]
-                        .write(r.slot, &data[i * block..(i + 1) * block])
-                        .map_err(|e| e.with_disk(r.disk))?;
-                }
-            }
-            Service::Pooled { .. } => {
-                op.refs = refs.to_vec();
-                let fill = |i: usize, buf: &mut [R]| {
-                    buf.copy_from_slice(&data[i * block..(i + 1) * block]);
+        self.begin_writes(one_op(refs), data)
+    }
+
+    /// Begins the parallel writes that `next` yields as one ticket (see
+    /// [`DiskSystem::begin_reads`]), taking the blocks one after another
+    /// from `data`. Each operation is admitted and charged in order; on
+    /// serial local disks it is then written at once, elsewhere each
+    /// disk's blocks travel as one command. On a refused operation the
+    /// ones before it stay charged and are still written.
+    pub(crate) fn begin_writes(
+        &mut self,
+        next: impl FnMut(&mut Vec<BlockRef>) -> bool,
+        data: &[R],
+    ) -> Result<WriteTicket<R>> {
+        let block = self.geom.block();
+        let mut op = self.ticket(false);
+        let result = if let Service::Serial(_) = self.service {
+            // The classic loop: each operation is written as soon as it
+            // is admitted, straight from `data`.
+            let mut offset = 0;
+            self.admit_ops(false, next, |sys, refs| {
+                let Service::Serial(units) = &mut sys.service else {
+                    unreachable!("serial units");
                 };
-                self.submit(&mut op, fill, Sink::Discard, true)?;
+                for r in refs {
+                    units[r.disk]
+                        .write(r.slot, &data[offset..offset + block])
+                        .map_err(|e| e.with_disk(r.disk))?;
+                    offset += block;
+                }
+                Ok(())
+            })
+        } else {
+            let admitted = self.admit_ops(false, next, |_, refs| {
+                op.stage(refs.iter().copied());
+                Ok(())
+            });
+            let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(&data[off..off + block]);
+            admitted.and(self.submit(&mut op, fill, Sink::Discard, true))
+        };
+        match result {
+            Ok(()) => Ok(WriteTicket(op)),
+            Err(e) => {
+                let _ = self.finish(op, Sink::Discard, false);
+                Err(e)
             }
         }
-        Ok(WriteTicket(op))
     }
 
     /// Completes a split-phase write, reclaiming the staging buffers
     /// and surfacing any transfer error.
-    pub fn finish_write(&mut self, mut ticket: WriteTicket<R>) -> Result<()> {
-        self.drain(&mut ticket.0, Sink::Discard, true)
+    pub fn finish_write(&mut self, ticket: WriteTicket<R>) -> Result<()> {
+        self.finish(ticket.0, Sink::Discard, true)
     }
 
     // ------------------------------------------------------------------
@@ -1120,12 +1347,7 @@ impl<R: Record> DiskSystem<R> {
     /// in address order), with no allocation at all in steady state
     /// (the reference scratch is a reused field).
     pub fn read_stripe_into(&mut self, slot: usize, out: &mut [R]) -> Result<()> {
-        let mut refs = std::mem::take(&mut self.stripe_scratch);
-        refs.clear();
-        refs.extend((0..self.geom.disks()).map(|disk| BlockRef { disk, slot }));
-        let result = self.read_blocks_into(&refs, out);
-        self.stripe_scratch = refs;
-        result
+        self.with_stripe(slot, |sys, refs| sys.read_blocks_into(refs, out))
     }
 
     /// Striped read of the stripe at `slot`: the `D` blocks at the same
@@ -1156,7 +1378,11 @@ impl<R: Record> DiskSystem<R> {
 
     /// Reads memoryload `ml` of a portion into `out` (`M` records in
     /// address order) with `M/BD` striped reads and no per-block
-    /// allocation.
+    /// allocation. On a pooled system the stripes are admitted in
+    /// order, each disk's blocks travel as one command, and the stripes
+    /// are charged once the memoryload has landed; a refused stripe
+    /// leaves the ones before it read and charged, and a failed
+    /// transfer charges none.
     pub fn read_memoryload_into(&mut self, portion: usize, ml: usize, out: &mut [R]) -> Result<()> {
         assert_eq!(
             out.len(),
@@ -1167,11 +1393,27 @@ impl<R: Record> DiskSystem<R> {
         let spm = self.geom.stripes_per_memoryload();
         let stripe_len = self.geom.block() * self.geom.disks();
         let base = self.portion_base(portion) + ml * spm;
-        for (t, chunk) in out.chunks_exact_mut(stripe_len).enumerate() {
-            self.read_stripe_into(base + t, chunk)?;
-        }
         debug_assert_eq!(spm * stripe_len, self.geom.memory());
-        Ok(())
+        if let Service::Serial(_) = self.service {
+            for (t, chunk) in out.chunks_exact_mut(stripe_len).enumerate() {
+                self.read_stripe_into(base + t, chunk)?;
+            }
+            return Ok(());
+        }
+        let mut op = self.ticket(true);
+        let refused = (base..base + spm).try_for_each(|slot| {
+            self.with_stripe(slot, |sys, refs| {
+                sys.admit(refs, true)?;
+                op.stage(refs.iter().copied());
+                Ok(())
+            })
+        });
+        let admitted = op.blocks / self.geom.disks();
+        self.transfer(op, |_, _| {}, Some(out), true)?;
+        for slot in base..base + admitted {
+            self.with_stripe(slot, |sys, refs| sys.charge(refs, true));
+        }
+        refused
     }
 
     /// Reads memoryload `ml` of a portion: its `M/BD` consecutive
@@ -1204,27 +1446,6 @@ impl<R: Record> DiskSystem<R> {
     // ------------------------------------------------------------------
     // Uncounted direct access (setup / verification / observation).
 
-    /// Reads one block directly, bypassing the model (no I/O charged).
-    fn unit_read(&mut self, disk: usize, slot: usize, out: &mut [R]) -> Result<()> {
-        if let Service::Serial(units) = &mut self.service {
-            return units[disk].read(slot, out).map_err(|e| e.with_disk(disk));
-        }
-        let mut op = InFlight::new(true, vec![BlockRef { disk, slot }]);
-        self.submit(&mut op, |_, _| {}, Sink::Out(&mut *out), false)?;
-        self.drain(&mut op, Sink::Out(out), false)
-    }
-
-    /// Writes one block directly, bypassing the model (no I/O charged).
-    fn unit_write(&mut self, disk: usize, slot: usize, data: &[R]) -> Result<()> {
-        if let Service::Serial(units) = &mut self.service {
-            return units[disk].write(slot, data).map_err(|e| e.with_disk(disk));
-        }
-        let mut op = InFlight::new(false, vec![BlockRef { disk, slot }]);
-        let fill = |_: usize, buf: &mut [R]| buf.copy_from_slice(data);
-        self.submit(&mut op, fill, Sink::Discard, false)?;
-        self.drain(&mut op, Sink::Discard, false)
-    }
-
     /// Translates a record address within a portion to its block
     /// location (Figure 1 layout).
     pub fn locate(&self, portion: usize, address: u64) -> BlockRef {
@@ -1238,7 +1459,8 @@ impl<R: Record> DiskSystem<R> {
 
     /// Fills a portion with `records` in address order **without
     /// counting I/Os** — initial data placement, not part of any
-    /// algorithm's cost.
+    /// algorithm's cost. On a pooled system each memoryload is one
+    /// command per disk.
     pub fn load_records(&mut self, portion: usize, records: &[R]) {
         assert_eq!(
             records.len(),
@@ -1247,28 +1469,44 @@ impl<R: Record> DiskSystem<R> {
             self.geom.records()
         );
         let base = self.portion_base(portion);
-        let stripe_len = self.geom.block() * self.geom.disks();
-        let block = self.geom.block();
-        for (t, stripe) in records.chunks_exact(stripe_len).enumerate() {
-            for (disk, chunk) in stripe.chunks_exact(block).enumerate() {
-                self.unit_write(disk, base + t, chunk)
+        let (block, disks) = (self.geom.block(), self.geom.disks());
+        if let Service::Serial(units) = &mut self.service {
+            for (i, chunk) in records.chunks_exact(block).enumerate() {
+                units[i % disks]
+                    .write(base + i / disks, chunk)
                     .expect("load_records within capacity");
             }
+            return;
+        }
+        let spm = self.geom.stripes_per_memoryload();
+        for (ml, chunk) in records.chunks_exact(self.geom.memory()).enumerate() {
+            let op = self.memoryload_ticket(false, base + ml * spm);
+            let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(&chunk[off..off + block]);
+            self.transfer(op, fill, None, false)
+                .expect("load_records within capacity");
         }
     }
 
     /// Reads a whole portion back in address order **without counting
-    /// I/Os** — for verification at the end of an experiment.
+    /// I/Os** — for verification at the end of an experiment. On a
+    /// pooled system each memoryload is one command per disk.
     pub fn dump_records(&mut self, portion: usize) -> Vec<R> {
         let base = self.portion_base(portion);
-        let mut out = Vec::with_capacity(self.geom.records());
-        let mut buf = vec![R::default(); self.geom.block()];
-        for t in 0..self.geom.stripes() {
-            for disk in 0..self.geom.disks() {
-                self.unit_read(disk, base + t, &mut buf)
+        let (block, disks) = (self.geom.block(), self.geom.disks());
+        let mut out = vec![R::default(); self.geom.records()];
+        if let Service::Serial(units) = &mut self.service {
+            for (i, chunk) in out.chunks_exact_mut(block).enumerate() {
+                units[i % disks]
+                    .read(base + i / disks, chunk)
                     .expect("dump_records within capacity");
-                out.extend_from_slice(&buf);
             }
+            return out;
+        }
+        let spm = self.geom.stripes_per_memoryload();
+        for (ml, chunk) in out.chunks_exact_mut(self.geom.memory()).enumerate() {
+            let op = self.memoryload_ticket(true, base + ml * spm);
+            self.transfer(op, |_, _| {}, Some(chunk), false)
+                .expect("dump_records within capacity");
         }
         out
     }
@@ -1277,10 +1515,53 @@ impl<R: Record> DiskSystem<R> {
     /// potential-function tracker to observe state between operations.
     pub fn peek_block(&mut self, r: BlockRef) -> Vec<R> {
         let mut buf = vec![R::default(); self.geom.block()];
-        self.unit_read(r.disk, r.slot, &mut buf)
-            .expect("peek_block within capacity");
+        let read = match &mut self.service {
+            Service::Serial(units) => units[r.disk].read(r.slot, &mut buf),
+            Service::Pooled { .. } => {
+                let mut op = self.ticket(true);
+                op.stage([r]);
+                self.transfer(op, |_, _| {}, Some(&mut buf), false)
+            }
+        };
+        read.expect("peek_block within capacity");
         buf
     }
+}
+
+/// An operation source (see [`DiskSystem::begin_reads`]) whose one
+/// operation is `refs`.
+fn one_op(refs: &[BlockRef]) -> impl FnMut(&mut Vec<BlockRef>) -> bool + '_ {
+    let mut done = false;
+    move |out| {
+        if std::mem::replace(&mut done, true) {
+            return false;
+        }
+        out.clear();
+        out.extend_from_slice(refs);
+        true
+    }
+}
+
+/// Serves a staged read ticket from local units in the caller's
+/// thread: each disk's blocks into one pooled buffer, kept on the
+/// ticket until it drains.
+fn read_local<R: Record>(
+    units: &mut [Box<dyn DiskUnit<R>>],
+    pool: &mut BlockPool<R>,
+    op: &mut InFlight<R>,
+) -> Result<()> {
+    for (disk, run) in op.runs.iter_mut().enumerate() {
+        if run.slots.is_empty() {
+            continue;
+        }
+        let mut buf = pool.take(run.slots.len());
+        if let Err(e) = transfer_run(units[disk].as_mut(), true, &run.slots, &mut buf) {
+            pool.put(buf);
+            return Err(e.with_disk(disk));
+        }
+        run.landed = Some(buf);
+    }
+    Ok(())
 }
 
 impl<R: Record + ByteRecord> DiskSystem<R> {
@@ -1592,11 +1873,18 @@ mod tests {
         let mut sys = small();
         let records: Vec<u64> = (0..64).collect();
         sys.load_records(0, &records);
+        sys.set_timing(TimingModel::ssd());
         sys.set_faults(FaultPlan::new().delay_at(0, 1, 25).delay_at(0, 3, 40));
-        let before = sys.network_ms();
+        let (stall, net) = (sys.stall_ms(), sys.network_ms());
         sys.read_stripe(0).unwrap();
-        // The op completes when its slowest participant does.
-        assert!((sys.network_ms() - before - 40.0).abs() < 1e-9);
+        // The op completes when its slowest participant does; the wait
+        // is a stall, not network time.
+        assert!((sys.stall_ms() - stall - 40.0).abs() < 1e-9);
+        assert_eq!(sys.network_ms(), net, "no network moved");
+        let t = sys.timing().unwrap();
+        assert!((t.stall_ms() - 40.0).abs() < 1e-9);
+        assert_eq!(t.network_ms(), 0.0);
+        assert!(t.elapsed_ms() > 40.0, "the stall extends the makespan");
         assert!(sys.retry_stats().is_clean(), "a straggler is not a failure");
     }
 

@@ -59,6 +59,7 @@ pub struct TimingTracker {
     seeks: u64,
     sequential: u64,
     network_ms: f64,
+    stall_ms: f64,
 }
 
 impl TimingTracker {
@@ -73,6 +74,7 @@ impl TimingTracker {
             seeks: 0,
             sequential: 0,
             network_ms: 0.0,
+            stall_ms: 0.0,
         }
     }
 
@@ -121,6 +123,19 @@ impl TimingTracker {
     /// transport is in use).
     pub fn network_ms(&self) -> f64 {
         self.network_ms
+    }
+
+    /// Adds stall time to the makespan: retry backoff and straggler
+    /// delays, which hold an operation up without moving data over
+    /// any network.
+    pub fn add_stall_ms(&mut self, ms: f64) {
+        self.stall_ms += ms;
+        self.elapsed_ms += ms;
+    }
+
+    /// Stall time accrued so far (zero on a clean run).
+    pub fn stall_ms(&self) -> f64 {
+        self.stall_ms
     }
 
     /// Simulated elapsed (makespan) time so far.
@@ -218,6 +233,17 @@ mod tests {
         assert!((t.elapsed_ms() - 13.5).abs() < 1e-9);
         // Disk accounting is untouched.
         assert!((t.busy_ms()[0] - 10.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stall_time_extends_the_makespan_apart_from_the_network() {
+        let mut t = TimingTracker::new(model(), 1);
+        t.record([(0, 0)]); // 10.5
+        t.add_stall_ms(4.0);
+        t.add_network_ms(1.0);
+        assert!((t.stall_ms() - 4.0).abs() < 1e-9);
+        assert!((t.network_ms() - 1.0).abs() < 1e-9);
+        assert!((t.elapsed_ms() - 15.5).abs() < 1e-9);
     }
 
     #[test]

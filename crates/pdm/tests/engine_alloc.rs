@@ -2,20 +2,20 @@
 //!
 //! The [`pdm::PassEngine`] owns all its plan storage — the memoryload
 //! buffers, the run-length [`pdm::BlockBatches`] gather/scatter sets
-//! (plus the [`pdm::BatchCursor`] that materialises their batches),
-//! the striped-plan reference scratch, and the write-ticket list — and the
-//! [`pdm::DiskSystem`] admission path reuses its validation scratch.
-//! After a warm-up pass, streaming further passes through the engine
-//! in the serial service mode must perform **zero** heap allocations,
-//! for striped and for gather/scatter plans alike. (The threaded mode
-//! is exempt: its channel machinery allocates per operation by
-//! design.)
+//! (plus the [`pdm::BatchCursor`] that materialises their batches) and
+//! the reference scratch — and the [`pdm::DiskSystem`] reuses its
+//! validation scratch, its run buffers and its tickets (completion
+//! channel included). After a warm-up pass, streaming further passes
+//! through the engine must perform **zero** heap allocations on the
+//! calling thread, for striped and for gather/scatter plans alike, in
+//! the serial and in the threaded service mode.
 //!
 //! Verified the blunt way: a counting `#[global_allocator]` wraps the
 //! system allocator, and the second pass must leave the counter
-//! untouched. The count is per thread — a serial pass runs entirely on
-//! the calling thread — so tests running in parallel cannot count each
-//! other's allocations.
+//! untouched. The count is per thread, so tests running in parallel
+//! cannot count each other's allocations, and a threaded pass's disk
+//! service threads (which answer on unbounded completion channels) do
+//! not count either: the calling thread's submits and drains do.
 
 use pdm::engine::{PassEngine, ReadPlan, WritePlan};
 use pdm::{BlockRef, DiskSystem, Geometry, ServiceMode};
@@ -69,11 +69,12 @@ fn geom() -> Geometry {
     Geometry::new(512, 2, 4, 64).unwrap()
 }
 
-#[test]
-fn striped_pass_is_allocation_free_after_warmup() {
+/// Allocations of one steady-state striped pass in `mode`, after a
+/// warm-up pass.
+fn striped_pass_allocations(mode: ServiceMode) -> u64 {
     let g = geom();
     let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
-    sys.set_service_mode(ServiceMode::Serial);
+    sys.set_service_mode(mode);
     sys.load_records(0, &(0..g.records() as u64).collect::<Vec<_>>());
     let mut engine = PassEngine::new(g);
     let run = |sys: &mut DiskSystem<u64>, engine: &mut PassEngine<u64>, src, dst| {
@@ -91,10 +92,24 @@ fn striped_pass_is_allocation_free_after_warmup() {
     run(&mut sys, &mut engine, 0, 1); // warm-up
     let before = allocations();
     run(&mut sys, &mut engine, 1, 0);
+    allocations() - before
+}
+
+#[test]
+fn striped_pass_is_allocation_free_after_warmup() {
     assert_eq!(
-        allocations() - before,
+        striped_pass_allocations(ServiceMode::Serial),
         0,
         "striped engine pass allocated in steady state"
+    );
+}
+
+#[test]
+fn threaded_striped_pass_is_allocation_free_after_warmup() {
+    assert_eq!(
+        striped_pass_allocations(ServiceMode::Threaded),
+        0,
+        "threaded striped engine pass allocated in steady state"
     );
 }
 
@@ -136,13 +151,14 @@ fn file_backed_striped_pass_is_allocation_free_after_warmup() {
     );
 }
 
-#[test]
-fn gather_scatter_pass_is_allocation_free_after_warmup() {
+/// Allocations of one steady-state gather/scatter pass in `mode`,
+/// after a warm-up pass.
+fn gather_scatter_pass_allocations(mode: ServiceMode) -> u64 {
     let g = geom();
     let spm = g.stripes_per_memoryload();
     let disks = g.disks();
     let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
-    sys.set_service_mode(ServiceMode::Serial);
+    sys.set_service_mode(mode);
     sys.load_records(0, &(0..g.records() as u64).collect::<Vec<_>>());
     let bases = [sys.portion_base(0), sys.portion_base(1)];
     let mut engine = PassEngine::new(g);
@@ -183,13 +199,28 @@ fn gather_scatter_pass_is_allocation_free_after_warmup() {
     run(&mut sys, &mut engine, 0, 1); // warm-up
     let before = allocations();
     run(&mut sys, &mut engine, 1, 0);
-    assert_eq!(
-        allocations() - before,
-        0,
-        "gather/scatter engine pass allocated in steady state"
-    );
+    let allocated = allocations() - before;
     assert_eq!(
         sys.dump_records(0),
         (0..g.records() as u64).collect::<Vec<_>>()
+    );
+    allocated
+}
+
+#[test]
+fn gather_scatter_pass_is_allocation_free_after_warmup() {
+    assert_eq!(
+        gather_scatter_pass_allocations(ServiceMode::Serial),
+        0,
+        "gather/scatter engine pass allocated in steady state"
+    );
+}
+
+#[test]
+fn threaded_gather_scatter_pass_is_allocation_free_after_warmup() {
+    assert_eq!(
+        gather_scatter_pass_allocations(ServiceMode::Threaded),
+        0,
+        "threaded gather/scatter engine pass allocated in steady state"
     );
 }

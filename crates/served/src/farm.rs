@@ -358,7 +358,7 @@ impl<R: Record> Drop for DiskFarm<R> {
 }
 
 /// One disk's transport for one tenant: forwards commands to the
-/// shared worker with the job's slot addresses translated into its
+/// shared worker with every slot of the run translated into the job's
 /// leased range. Message counters stay zero (commands cross by
 /// reference, like the in-process transport); a severed transport
 /// answers everything with [`PdmError::Disconnected`], buffer
@@ -380,37 +380,20 @@ impl<R: Record> Transport<R> for FarmTransport<R> {
         self.disk
     }
 
-    fn submit(&mut self, cmd: Cmd<R>) {
+    fn submit(&mut self, mut cmd: Cmd<R>) {
         if self.dead {
             fail_disconnected(cmd, self.disk);
             return;
         }
-        let cmd = match cmd {
-            Cmd::Read {
-                slot,
-                buf,
-                idx,
-                done,
-            } => Cmd::Read {
-                slot: slot + self.base,
-                buf,
-                idx,
-                done,
-            },
-            Cmd::Write {
-                slot,
-                buf,
-                idx,
-                done,
-            } => Cmd::Write {
-                slot: slot + self.base,
-                buf,
-                idx,
-                done,
-            },
+        match &mut cmd {
+            Cmd::Read { slots, .. } | Cmd::Write { slots, .. } => {
+                for slot in slots {
+                    *slot += self.base;
+                }
+            }
             // The shared worker outlives this tenant; swallow stops.
             Cmd::Stop => return,
-        };
+        }
         if let Err(send_err) = self.tx.send(cmd) {
             self.dead = true;
             fail_disconnected(send_err.0, self.disk);
@@ -484,6 +467,46 @@ mod tests {
         drop(_la);
         drop(_lb);
         assert_eq!(farm.free_slots(), 64);
+    }
+
+    #[test]
+    fn a_run_lands_in_the_leased_slots() {
+        let farm: DiskFarm<u64> = DiskFarm::new(2, 2, 64);
+        // 8 stripes of 4 records; a memoryload is 4 stripes, so bulk
+        // placement sends each disk 4-slot runs.
+        let geom = Geometry::new(32, 2, 2, 16).unwrap();
+        let (mut a, _la) = farm.lease_system(geom, 1).unwrap();
+        let (mut b, lb) = farm.lease_system(geom, 1).unwrap();
+        assert_eq!(
+            lb.base,
+            geom.stripes(),
+            "the second lease starts past the first"
+        );
+        a.set_threaded(true);
+        b.set_threaded(true);
+        a.load_records(0, &(0..32).collect::<Vec<_>>());
+        b.load_records(0, &(100..132).collect::<Vec<_>>());
+        // Disk 0 of the shared array, read straight from its worker:
+        // block 0 of every stripe of b, at b's leased slots.
+        let done = pdm::parallel::CompletionQueue::new();
+        let physical: Vec<usize> = (lb.base..lb.base + geom.stripes()).collect();
+        farm.senders[0]
+            .send(Cmd::Read {
+                slots: physical.clone(),
+                buf: vec![0; 2 * physical.len()],
+                idx: 0,
+                done: done.clone(),
+            })
+            .unwrap();
+        let c = done.recv();
+        c.result.unwrap();
+        let expect: Vec<u64> = (0..8).flat_map(|s| [100 + 4 * s, 101 + 4 * s]).collect();
+        assert_eq!(c.buf, expect);
+        assert_eq!(c.slots, physical);
+        // Both tenants read their own records back through runs.
+        assert_eq!(a.dump_records(0), (0..32).collect::<Vec<_>>());
+        assert_eq!(b.dump_records(0), (100..132).collect::<Vec<_>>());
+        assert_eq!(b.buffer_pool_stats().outstanding, 0);
     }
 
     #[test]
