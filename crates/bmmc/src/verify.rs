@@ -6,7 +6,7 @@
 //! carry their source address, a full check is a single scan — `N/BD`
 //! striped parallel reads, the same cost as the verification phase of
 //! Section 6 detection. The scan streams one memoryload at a time
-//! ([`DiskSystem::read_memoryload_into`], one command per disk on a
+//! ([`DiskSystem::read_memoryload_into`], one run per disk on a
 //! pooled system). The keys found on disk are data-dependent (no block
 //! structure to hoist), so the in-memory check runs through
 //! [`AffineEvaluator::eval_batch`]: one table-at-a-time sweep per

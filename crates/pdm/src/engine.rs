@@ -30,7 +30,7 @@
 //! All plan storage is owned by the engine and reused across
 //! memoryloads and passes: the gather/scatter batch buffers, their
 //! cursor, and the reference scratch; the [`DiskSystem`] recycles its
-//! tickets and run buffers. After the first pass, the engine's hot
+//! tickets and block buffers. After the first pass, the engine's hot
 //! loop performs **no heap allocation** on the calling thread in either
 //! service mode (`crates/pdm/tests/engine_alloc.rs` asserts this with
 //! a counting global allocator).
@@ -41,11 +41,12 @@
 //! CPU transforms memoryload *k*, the per-disk service threads are
 //! already reading memoryload *k+1* and still draining the writes of
 //! memoryload *k−1*. Each memoryload's reads, and its writes, are one
-//! ticket of one command per disk ([`crate::parallel::Cmd`] carries a
-//! run of slots), whatever the plan's shape: the `M/BD` parallel I/Os
-//! are admitted and charged one by one, in order, and only the hop to
-//! the service threads is batched. Records move through the system's
-//! reusable run buffers instead of fresh allocations. The overlap is
+//! ticket of one run of commands per disk ([`crate::parallel::Cmd::more`]),
+//! whatever the plan's shape: the `M/BD` parallel I/Os are admitted and
+//! charged one by one, in order, and only the hop to the service
+//! threads is batched — each service thread wakes once per run. Records
+//! move through the system's reusable block buffers instead of fresh
+//! allocations. The overlap is
 //! backend-agnostic: on a file-backed system
 //! ([`crate::system::Backend::File`]) each worker issues real
 //! positional system calls against its disk's file, so the pipeline
@@ -88,7 +89,7 @@
 use crate::config::Geometry;
 use crate::error::Result;
 use crate::record::Record;
-use crate::system::{BlockRef, DiskSystem, ReadTicket, ServiceMode, WriteTicket};
+use crate::system::{stripe_ops, BlockRef, DiskSystem, ReadTicket, ServiceMode, WriteTicket};
 
 /// One coalesced span of block references: `len` blocks on `disk` at
 /// consecutive slots starting at `slot`, one per consecutive batch.
@@ -323,24 +324,8 @@ enum PendingLoad<R: Record> {
     Plan(ReadPlan),
 }
 
-/// The `M/BD` stripes of the memoryload that starts at stripe `base`,
-/// as an operation source for [`DiskSystem::begin_reads`] and
-/// [`DiskSystem::begin_writes`].
-fn stripe_ops(geom: &Geometry, base: usize) -> impl FnMut(&mut Vec<BlockRef>) -> bool {
-    let disks = geom.disks();
-    let mut slots = base..base + geom.stripes_per_memoryload();
-    move |refs| {
-        let Some(slot) = slots.next() else {
-            return false;
-        };
-        refs.clear();
-        refs.extend((0..disks).map(|disk| BlockRef { disk, slot }));
-        true
-    }
-}
-
 /// The batches of a gather or scatter plan, as an operation source
-/// (see [`stripe_ops`]).
+/// (see [`DiskSystem::begin_reads`]).
 fn batch_ops<'a>(
     geom: &Geometry,
     batches: &'a BlockBatches,
@@ -747,15 +732,60 @@ mod tests {
             (sys.dump_records(1), sys.stats(), sys.retry_stats())
         };
         let (clean_out, clean_io, _) = run(FaultPlan::new());
-        // Disk 2's link drops at op 5: memoryload 1's 4-slot read run on
-        // disk 2 fails, and so does memoryload 0's write run, submitted
-        // before the read ticket drains. Each command is revived and
-        // resubmitted once, whole.
+        // Disk 2's link drops at op 5: memoryload 1's 4-block read run
+        // on disk 2 fails, and so does memoryload 0's write run,
+        // submitted before the read ticket drains. Each run is revived
+        // once (one retry each) and resubmitted whole.
         let (out, io, retry) = run(FaultPlan::new().disconnect_at(5, 2));
         assert_eq!(out, clean_out);
         assert_eq!(io, clean_io, "recovered pass charged once");
         assert_eq!((retry.respawns, retry.retries), (1, 2));
         assert_eq!(retry.attempts, io.parallel_ios() + retry.retries);
+    }
+
+    #[test]
+    fn a_timeout_budget_stretches_over_a_memoryload_run() {
+        use crate::backend::{DiskUnit, MemDisk};
+        use crate::parallel::{InProcTransport, Transport};
+        /// A memory disk that takes 2 ms per block.
+        struct Slow(MemDisk<u64>);
+        impl DiskUnit<u64> for Slow {
+            fn slots(&self) -> usize {
+                self.0.slots()
+            }
+            fn block(&self) -> usize {
+                DiskUnit::<u64>::block(&self.0)
+            }
+            fn read(&mut self, slot: usize, out: &mut [u64]) -> crate::Result<()> {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                self.0.read(slot, out)
+            }
+            fn write(&mut self, slot: usize, data: &[u64]) -> crate::Result<()> {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                self.0.write(slot, data)
+            }
+        }
+        // N=512, B=2, D=4, M=64: each disk answers runs of 8 blocks, so
+        // a run takes 16 ms against a 12 ms per-operation budget. The
+        // memoryload's ticket of 8 operations may wait 96 ms.
+        let g = Geometry::new(512, 2, 4, 64).unwrap();
+        let transports = (0..g.disks())
+            .map(|d| {
+                let unit = Slow(MemDisk::new(g.block(), 2 * g.stripes()));
+                Box::new(InProcTransport::new(d, Box::new(unit))) as Box<dyn Transport<u64>>
+            })
+            .collect();
+        let mut sys = DiskSystem::new_from_transports(g, 2, transports);
+        sys.set_threaded(true);
+        sys.set_retry_policy(crate::RetryPolicy {
+            op_timeout_ms: Some(12),
+            ..crate::RetryPolicy::default()
+        });
+        let input: Vec<u64> = (0..512).collect();
+        sys.load_records(0, &input);
+        identity_pass(&mut sys, &mut PassEngine::new(g));
+        assert!(sys.retry_stats().is_clean(), "{:?}", sys.retry_stats());
+        assert_eq!(sys.dump_records(1), input);
     }
 
     #[test]

@@ -8,28 +8,33 @@
 //! process behind a Unix-domain socket, or a deterministic simulated
 //! network (see [`crate::transport`]).
 //!
-//! A command carries a *run*: one disk, a list of slots, and one buffer
-//! of `slots × B` records. A single parallel I/O sends one-slot runs;
-//! the [`crate::engine::PassEngine`] sends one run per disk per
-//! memoryload, so a whole memoryload costs each worker one channel hop
-//! while the model still charges `M/BD` parallel I/Os.
+//! A command moves one block. Consecutive commands to one disk form a
+//! *run*: every command but the run's last sets [`Cmd::more`]. A
+//! transport may hold a run until its last command arrives and hand it
+//! to the worker in one hop, and the worker answers the run without
+//! waking the caller before its last completion. [`InProcTransport`]
+//! does both, so the [`crate::engine::PassEngine`]'s memoryloads — one
+//! run per disk — cost each service thread one wake-up while the model
+//! still charges `M/BD` parallel I/Os. The wire transports ship every
+//! command at once and ignore the marker.
 //!
 //! [`DiskPool`] holds one **persistent** worker per disk, fed through
-//! transports. Commands carry owned buffers (recycled by the caller's
-//! buffer pool), so an in-process run costs one channel round-trip.
-//! Because submission and completion are decoupled, a caller can keep
-//! an operation in flight while it computes — this is what the
-//! [`crate::engine`] pipeline uses to overlap the permute of memoryload
-//! *k* with the reads of memoryload *k+1*, and the overlap survives
-//! remoteness: over a socket the requests pipeline the same way.
-//! [`serve_disk`] is the one worker loop; [`InProcTransport`]'s service
-//! thread runs it, and so does the job service's shared disk farm.
+//! transports. Commands carry owned block buffers (recycled by the
+//! caller's buffer pool). Because submission and completion are
+//! decoupled, a caller can keep an operation in flight while it
+//! computes — this is what the [`crate::engine`] pipeline uses to
+//! overlap the permute of memoryload *k* with the reads of memoryload
+//! *k+1*, and the overlap survives remoteness: over a socket the
+//! requests pipeline the same way. [`serve_disk`] is the one worker
+//! loop; [`InProcTransport`]'s service thread runs it, and so does the
+//! job service's shared disk farm.
 //!
 //! The [`crate::system::DiskSystem`] drives the pool in one of two
 //! disciplines chosen by
 //! [`crate::system::DiskSystem::set_service_mode`]: *pipelined*
 //! ([`crate::system::ServiceMode::Threaded`]), or *lockstep* — each
-//! command's completion collected before the next is sent — which is
+//! command's completion collected before the next is sent, so every
+//! run is one command long — which is
 //! [`crate::system::ServiceMode::Serial`] on disks behind remote
 //! transports. Local disks in serial mode bypass the pool and are
 //! serviced in the caller's thread. For [`crate::backend::MemDisk`]
@@ -42,54 +47,66 @@ use crate::error::{PdmError, Result};
 use crate::record::Record;
 use crate::stats::MsgStats;
 use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A command for one disk's service thread: a run of blocks on that
-/// disk. Buffers travel by value: the worker fills (read) or drains
-/// (write) the buffer and sends it back in the [`Completion`], with the
-/// slot list, so the caller's pools can recycle both.
+/// A command for one disk's service thread. Buffers travel by value:
+/// the worker fills (read) or drains (write) the buffer and sends it
+/// back in the [`Completion`], so the caller's pool can recycle it.
 pub enum Cmd<R: Record> {
-    /// Read the blocks at `slots` into consecutive blocks of `buf` and
-    /// reply on `done`.
+    /// Read block `slot` into `buf` and reply on `done`.
     Read {
-        /// Block slots on this disk, in transfer order. A transport may
-        /// rewrite them in place (the job service's disk farm
-        /// translates them into its lease).
-        slots: Vec<usize>,
-        /// Destination buffer, `slots.len()` blocks long.
+        /// Block slot on this disk.
+        slot: usize,
+        /// Destination buffer, exactly one block long.
         buf: Vec<R>,
         /// Caller's request index, echoed in the completion.
         idx: usize,
         /// Where the completion goes.
         done: CompletionQueue<R>,
+        /// Another command of the same run follows (see [`Cmd::more`]).
+        more: bool,
     },
-    /// Write consecutive blocks of `buf` to the blocks at `slots` and
-    /// reply on `done`.
+    /// Write `buf` to block `slot` and reply on `done`.
     Write {
-        /// Block slots on this disk, in transfer order (see
-        /// [`Cmd::Read`]).
-        slots: Vec<usize>,
-        /// Source buffer, `slots.len()` blocks long.
+        /// Block slot on this disk.
+        slot: usize,
+        /// Source buffer, exactly one block long.
         buf: Vec<R>,
         /// Caller's request index, echoed in the completion.
         idx: usize,
         /// Where the completion goes.
         done: CompletionQueue<R>,
+        /// Another command of the same run follows (see [`Cmd::more`]).
+        more: bool,
     },
     /// Shut the worker down (it returns its unit to the joiner).
     Stop,
 }
 
+impl<R: Record> Cmd<R> {
+    /// Whether another command to the same disk follows at once: the
+    /// caller promises to end the run with a command that clears it.
+    /// A transport may hold the command until then, and a worker need
+    /// not wake the caller for its completion.
+    pub fn more(&self) -> bool {
+        match self {
+            Cmd::Read { more, .. } | Cmd::Write { more, .. } => *more,
+            Cmd::Stop => false,
+        }
+    }
+}
+
 /// Where commands report: a queue of [`Completion`]s shared by a caller
 /// and the commands it submitted. The caller keeps one handle and waits
 /// on it; every command carries a clone (a reference count, no
-/// allocation). Sending never waits for capacity, so a worker never
-/// blocks on its caller, and receiving never allocates — a std channel's
-/// receiver allocates the first time it blocks — so a recycled queue
-/// keeps the caller's loop allocation-free.
+/// allocation). A worker delivers a run's completions under one lock,
+/// and the caller takes all that have arrived at once. Sending never
+/// waits for capacity, so a worker never blocks on its caller, and
+/// receiving never allocates — a std channel's receiver allocates the
+/// first time it blocks — so a recycled queue keeps the caller's loop
+/// allocation-free.
 pub struct CompletionQueue<R>(Arc<Queue<R>>);
 
 struct Queue<R> {
@@ -123,37 +140,66 @@ impl<R> CompletionQueue<R> {
 
     /// Delivers a completion, waking the receiver if it waits.
     pub fn send(&self, c: Completion<R>) {
+        self.deliver(std::iter::once(c), true);
+    }
+
+    /// Delivers completions under one lock; wakes a waiting receiver
+    /// only if `wake`. A worker delivers a run's completions together
+    /// and wakes the receiver once, at the run's end.
+    fn deliver(&self, cs: impl Iterator<Item = Completion<R>>, wake: bool) {
         let mut state = self.lock();
-        state.items.push_back(c);
-        let wake = state.waiting;
+        state.items.extend(cs);
+        let wake = wake && state.waiting;
         drop(state);
         if wake {
             self.0.ready.notify_one();
         }
     }
 
+    /// Whether both handles name the same queue.
+    fn same(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// The oldest completion, if one has arrived.
-    pub fn try_recv(&self) -> Option<Completion<R>> {
+    #[cfg(test)]
+    pub(crate) fn try_recv(&self) -> Option<Completion<R>> {
         self.lock().items.pop_front()
     }
 
     /// Waits for the oldest completion.
     pub fn recv(&self) -> Completion<R> {
-        self.wait(None)
+        self.wait(None, |items| items.pop_front())
+            .flatten()
             .expect("an unbounded wait returns a completion")
     }
 
-    /// Waits at most `timeout` for the oldest completion.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Completion<R>> {
-        self.wait(Some(Instant::now() + timeout))
+    /// Waits (at most `timeout`) until completions have arrived, then
+    /// moves all of them into `into`, which must be empty: the two
+    /// swap storage, so neither side allocates. `false` on a timeout.
+    pub(crate) fn recv_all(
+        &self,
+        into: &mut VecDeque<Completion<R>>,
+        timeout: Option<Duration>,
+    ) -> bool {
+        debug_assert!(into.is_empty(), "completions left unreceived");
+        let deadline = timeout.map(|t| Instant::now() + t);
+        self.wait(deadline, |items| std::mem::swap(items, into))
+            .is_some()
     }
 
-    fn wait(&self, deadline: Option<Instant>) -> Option<Completion<R>> {
+    /// Waits until the queue is non-empty (or `deadline` passes), then
+    /// applies `take` to it under the lock.
+    fn wait<T>(
+        &self,
+        deadline: Option<Instant>,
+        take: impl FnOnce(&mut VecDeque<Completion<R>>) -> T,
+    ) -> Option<T> {
         let poisoned = "completion queue poisoned";
         let mut state = self.lock();
         loop {
-            if let Some(c) = state.items.pop_front() {
-                return Some(c);
+            if !state.items.is_empty() {
+                return Some(take(&mut state.items));
             }
             state.waiting = true;
             state = match deadline {
@@ -184,42 +230,42 @@ impl<R> Default for CompletionQueue<R> {
     }
 }
 
-/// The result of one run, carrying its buffers back for reuse.
+/// The result of one block transfer, carrying the buffer back for
+/// reuse.
 pub struct Completion<R> {
     /// The request index from the [`Cmd`].
     pub idx: usize,
     /// The disk that serviced the request.
     pub disk: usize,
-    /// The command's slot list, as the transport left it.
-    pub slots: Vec<usize>,
-    /// The run buffer (filled with data for reads).
+    /// The block buffer (filled with data for reads).
     pub buf: Vec<R>,
-    /// Transfer outcome: the first error of the run, if any.
+    /// Transfer outcome.
     pub result: Result<()>,
 }
 
 /// One disk's end of the request/reply protocol.
 ///
 /// A transport accepts [`Cmd`]s and eventually answers each on the
-/// command's completion channel. The contract that keeps every caller
+/// command's completion queue. The contract that keeps every caller
 /// drain-loop transport-agnostic:
 ///
 /// * **Submission never blocks on the reply** (it may block briefly on
 ///   a socket write or a full command queue).
-/// * **Every command is answered exactly once**, however many slots it
-///   carries, including after the link dies: a transport failure
-///   surfaces *through the completion* as [`PdmError::Disconnected`]
-///   with the buffer attached, never as a panic or a silently dropped
-///   command. Buffer-pool hygiene is therefore identical on every path.
+/// * **Every command is answered exactly once**, including after the
+///   link dies: a transport failure surfaces *through the completion*
+///   as [`PdmError::Disconnected`] with the buffer attached, never as
+///   a panic or a silently dropped command. Buffer-pool hygiene is
+///   therefore identical on every path.
 /// * Replies may arrive in any order across disks; per disk they
-///   follow submission order, and a run's blocks are transferred in
-///   slot-list order.
+///   follow submission order.
+/// * A command that sets [`Cmd::more`] may be held until its run's last
+///   command is submitted, but no longer.
 pub trait Transport<R: Record>: Send {
     /// The disk this transport serves.
     fn disk(&self) -> usize;
 
     /// Submits a command; the reply arrives on the command's `done`
-    /// channel. [`Cmd::Stop`] is a no-op here — shutdown is driven by
+    /// queue. [`Cmd::Stop`] is a no-op here — shutdown is driven by
     /// [`Transport::shutdown`].
     fn submit(&mut self, cmd: Cmd<R>);
 
@@ -263,28 +309,16 @@ pub trait Transport<R: Record>: Send {
     fn shutdown(&mut self) -> Option<Box<dyn DiskUnit<R>>>;
 }
 
-/// Answers `cmd` with [`PdmError::Disconnected`], returning its buffers
-/// through the completion so the caller's pools can recycle them.
-/// Public so out-of-crate [`Transport`] implementations (the service's
-/// disk farm) can honour the severed-link contract.
+/// Answers `cmd` with [`PdmError::Disconnected`], returning its buffer
+/// through the completion so the caller's pool can recycle it. Public
+/// so out-of-crate [`Transport`] implementations (the service's disk
+/// farm) can honour the severed-link contract.
 pub fn fail_disconnected<R: Record>(cmd: Cmd<R>, disk: usize) {
     match cmd {
-        Cmd::Read {
-            slots,
-            buf,
-            idx,
-            done,
-        }
-        | Cmd::Write {
-            slots,
-            buf,
-            idx,
-            done,
-        } => {
+        Cmd::Read { buf, idx, done, .. } | Cmd::Write { buf, idx, done, .. } => {
             done.send(Completion {
                 idx,
                 disk,
-                slots,
                 buf,
                 result: Err(PdmError::Disconnected { disk }),
             });
@@ -293,81 +327,216 @@ pub fn fail_disconnected<R: Record>(cmd: Cmd<R>, disk: usize) {
     }
 }
 
-/// Transfers a run against `unit`, block by block in slot order,
-/// stopping at the first error.
-pub(crate) fn transfer_run<R: Record>(
-    unit: &mut dyn DiskUnit<R>,
-    read: bool,
-    slots: &[usize],
-    buf: &mut [R],
-) -> Result<()> {
-    let block = unit.block();
-    if buf.len() != slots.len() * block {
-        return Err(PdmError::Io(format!(
-            "run of {} slots carries {} records, expected {}",
-            slots.len(),
-            buf.len(),
-            slots.len() * block
-        )));
+/// Commands an [`Inbox`] holds before a sender waits for its worker.
+/// The bound keeps the queue's storage at a fixed size, so a send never
+/// allocates.
+const INBOX_CAPACITY: usize = 256;
+
+/// A disk worker's command queue, fed a run at a time: a sender
+/// appends a whole run under one lock and wakes the worker once, and
+/// the worker takes everything queued at once by swapping storage with
+/// it, so neither side pays a lock per block. Both storages hold a
+/// fixed number of commands and a sender waits for room rather than
+/// grow them, so nothing allocates after creation; the wait cannot
+/// deadlock, because the worker answers on [`CompletionQueue`]s and
+/// never blocks. Clones share the queue: many transports may feed one
+/// worker (the job service's disk farm).
+pub struct Inbox<R: Record>(Arc<InboxShared<R>>);
+
+struct InboxShared<R: Record> {
+    state: Mutex<InboxState<R>>,
+    /// Signals the worker that commands arrived.
+    ready: Condvar,
+    /// Signals senders that the worker took the queue.
+    room: Condvar,
+}
+
+struct InboxState<R: Record> {
+    cmds: VecDeque<Cmd<R>>,
+    /// The worker is parked on `ready`.
+    waiting: bool,
+    /// Senders are parked on `room`.
+    full: bool,
+    /// The worker has stopped; nothing more is served.
+    closed: bool,
+}
+
+impl<R: Record> Inbox<R> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Inbox(Arc::new(InboxShared {
+            state: Mutex::new(InboxState {
+                cmds: VecDeque::with_capacity(INBOX_CAPACITY),
+                waiting: false,
+                full: false,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            room: Condvar::new(),
+        }))
     }
-    for (&slot, chunk) in slots.iter().zip(buf.chunks_exact_mut(block)) {
-        if read {
-            unit.read(slot, chunk)?;
-        } else {
-            unit.write(slot, chunk)?;
+
+    fn lock(&self) -> MutexGuard<'_, InboxState<R>> {
+        // Every update is one append or swap, so no panic can leave the
+        // queue half-updated.
+        self.0.state.lock().expect("inbox poisoned")
+    }
+
+    /// Queues the commands of `cmds` in order, leaving it empty. Once
+    /// the worker has stopped, answers each with
+    /// [`PdmError::Disconnected`] for `disk` instead and returns
+    /// `false`.
+    pub fn send(&self, disk: usize, cmds: &mut Vec<Cmd<R>>) -> bool {
+        let mut rest = cmds.drain(..);
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                drop(state);
+                for cmd in rest {
+                    fail_disconnected(cmd, disk);
+                }
+                return false;
+            }
+            let room = INBOX_CAPACITY - state.cmds.len();
+            state.cmds.extend(rest.by_ref().take(room));
+            if state.waiting {
+                self.0.ready.notify_one();
+            }
+            if rest.len() == 0 {
+                return true;
+            }
+            state.full = true;
+            state = self.0.room.wait(state).expect("inbox poisoned");
         }
     }
-    Ok(())
-}
 
-/// The disk worker loop: services the commands arriving on `rx`
-/// against `unit` — reads a run's blocks into, or writes them from, the
-/// command's buffer, then sends the buffers back on the command's
-/// `done` channel, one completion per command — until [`Cmd::Stop`]
-/// arrives or every sender is gone.
-pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, rx: &Receiver<Cmd<R>>) {
-    while let Ok(cmd) = rx.recv() {
-        let (read, slots, mut buf, idx, done) = match cmd {
-            Cmd::Read {
-                slots,
-                buf,
-                idx,
-                done,
-            } => (true, slots, buf, idx, done),
-            Cmd::Write {
-                slots,
-                buf,
-                idx,
-                done,
-            } => (false, slots, buf, idx, done),
-            Cmd::Stop => break,
-        };
-        let result = transfer_run(unit, read, &slots, &mut buf);
-        done.send(Completion {
-            idx,
-            disk,
-            slots,
-            buf,
-            result,
-        });
+    /// Waits for commands, then moves all of them into `into`, which
+    /// must be empty and hold [`INBOX_CAPACITY`] commands.
+    fn take_all(&self, into: &mut VecDeque<Cmd<R>>) {
+        debug_assert!(into.is_empty(), "commands left unserved");
+        let mut state = self.lock();
+        while state.cmds.is_empty() {
+            state.waiting = true;
+            state = self.0.ready.wait(state).expect("inbox poisoned");
+            state.waiting = false;
+        }
+        std::mem::swap(&mut state.cmds, into);
+        if std::mem::take(&mut state.full) {
+            self.0.room.notify_all();
+        }
+    }
+
+    /// Stops the queue: the commands in `left`, those still queued and
+    /// any sent later are answered with `Disconnected` for `disk`.
+    fn close(&self, disk: usize, left: &mut VecDeque<Cmd<R>>) {
+        let mut state = self.lock();
+        state.closed = true;
+        let queued = std::mem::take(&mut state.cmds);
+        if std::mem::take(&mut state.full) {
+            self.0.room.notify_all();
+        }
+        drop(state);
+        for cmd in left.drain(..).chain(queued) {
+            fail_disconnected(cmd, disk);
+        }
     }
 }
 
-/// Commands an in-process service thread queues before
-/// [`Transport::submit`] waits for it. The queue is bounded so that a
-/// send never allocates (std's unbounded channel allocates a block every
-/// 31 sends on the sending thread); it cannot deadlock, because the
-/// service thread answers on [`CompletionQueue`]s and never blocks.
-const INPROC_QUEUE: usize = 256;
+impl<R: Record> Clone for Inbox<R> {
+    fn clone(&self) -> Self {
+        Inbox(Arc::clone(&self.0))
+    }
+}
+
+impl<R: Record> std::fmt::Debug for Inbox<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Inbox")
+    }
+}
+
+impl<R: Record> Default for Inbox<R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The disk worker loop: services the commands arriving in `inbox`
+/// against `unit` — reads into or writes from the command's buffer,
+/// then sends the buffer back on the command's `done` queue — until
+/// [`Cmd::Stop`] arrives; commands left behind are answered with
+/// `Disconnected`. A run's completions are delivered together at its
+/// end, waking the caller once.
+pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, inbox: &Inbox<R>) {
+    let mut cmds = VecDeque::with_capacity(INBOX_CAPACITY);
+    // The completions of the run in progress, and where they go.
+    let mut run: Vec<Completion<R>> = Vec::new();
+    let mut run_done: Option<CompletionQueue<R>> = None;
+    'serve: loop {
+        inbox.take_all(&mut cmds);
+        while let Some(cmd) = cmds.pop_front() {
+            let (buf, idx, done, more, result) = match cmd {
+                Cmd::Read {
+                    slot,
+                    mut buf,
+                    idx,
+                    done,
+                    more,
+                } => {
+                    let result = unit.read(slot, &mut buf);
+                    (buf, idx, done, more, result)
+                }
+                Cmd::Write {
+                    slot,
+                    buf,
+                    idx,
+                    done,
+                    more,
+                } => {
+                    let result = unit.write(slot, &buf);
+                    (buf, idx, done, more, result)
+                }
+                Cmd::Stop => break 'serve,
+            };
+            if let Some(q) = &run_done {
+                if !q.same(&done) {
+                    // Another caller's command (a shared worker): hand
+                    // over what the open run has done so far.
+                    q.deliver(run.drain(..), false);
+                }
+            }
+            run.push(Completion {
+                idx,
+                disk,
+                buf,
+                result,
+            });
+            if more {
+                run_done = Some(done);
+            } else {
+                done.deliver(run.drain(..), true);
+                run_done = None;
+            }
+        }
+    }
+    if let Some(q) = run_done {
+        q.deliver(run.drain(..), true);
+    }
+    inbox.close(disk, &mut cmds);
+}
 
 /// The in-process transport: a persistent service thread that owns its
-/// [`DiskUnit`] and runs [`serve_disk`] over a channel — buffers cross
-/// by ownership transfer, no bytes are serialized, and
+/// [`DiskUnit`] and runs [`serve_disk`] over an [`Inbox`] — buffers
+/// cross by ownership transfer, no bytes are serialized, and
 /// [`Transport::message_stats`] stays zero. This is the default
-/// transport.
+/// transport. It holds a run until its last command arrives and then
+/// queues the whole run at once, so the service thread wakes once per
+/// run.
 pub struct InProcTransport<R: Record> {
     disk: usize,
-    tx: SyncSender<Cmd<R>>,
+    inbox: Inbox<R>,
+    /// The commands of the run being submitted; the vector keeps its
+    /// capacity, so holding a run allocates nothing in steady state.
+    held: Vec<Cmd<R>>,
     join: Option<JoinHandle<Box<dyn DiskUnit<R>>>>,
     dead: bool,
 }
@@ -375,20 +544,44 @@ pub struct InProcTransport<R: Record> {
 impl<R: Record> InProcTransport<R> {
     /// Spawns the service thread for `disk` over `unit`.
     pub fn new(disk: usize, mut unit: Box<dyn DiskUnit<R>>) -> Self {
-        let (tx, rx) = sync_channel(INPROC_QUEUE);
+        let inbox = Inbox::new();
+        let served = inbox.clone();
         let join = std::thread::Builder::new()
             .name(format!("pdm-disk-{disk}"))
             .spawn(move || {
-                serve_disk(disk, unit.as_mut(), &rx);
+                serve_disk(disk, unit.as_mut(), &served);
                 unit
             })
             .expect("failed to spawn disk service thread");
         InProcTransport {
             disk,
-            tx,
+            inbox,
+            held: Vec::new(),
             join: Some(join),
             dead: false,
         }
+    }
+
+    /// Queues the held run for the service thread (or, over a dead
+    /// link, answers it with `Disconnected`).
+    fn release(&mut self) {
+        if self.dead || self.join.is_none() {
+            for cmd in self.held.drain(..) {
+                fail_disconnected(cmd, self.disk);
+            }
+        } else if !self.inbox.send(self.disk, &mut self.held) {
+            // Service thread gone: the inbox answered the run.
+            self.dead = true;
+        }
+    }
+
+    /// Stops the service thread, if still running, and joins it.
+    fn stop(&mut self) -> Option<std::thread::Result<Box<dyn DiskUnit<R>>>> {
+        self.release();
+        let join = self.join.take()?;
+        self.held.push(Cmd::Stop);
+        self.inbox.send(self.disk, &mut self.held);
+        Some(join.join())
     }
 }
 
@@ -398,20 +591,17 @@ impl<R: Record> Transport<R> for InProcTransport<R> {
     }
 
     fn submit(&mut self, cmd: Cmd<R>) {
-        if self.dead || self.join.is_none() {
-            fail_disconnected(cmd, self.disk);
-            return;
-        }
-        if let Err(send_err) = self.tx.send(cmd) {
-            // Service thread gone: answer the command ourselves.
-            self.dead = true;
-            fail_disconnected(send_err.0, self.disk);
+        let last = !cmd.more();
+        self.held.push(cmd);
+        if last {
+            self.release();
         }
     }
 
     fn inject_disconnect(&mut self) {
         // The service thread stays alive (its unit must survive a
         // later shutdown); the *link* is what dies.
+        self.release();
         self.dead = true;
     }
 
@@ -430,18 +620,14 @@ impl<R: Record> Transport<R> for InProcTransport<R> {
     }
 
     fn shutdown(&mut self) -> Option<Box<dyn DiskUnit<R>>> {
-        let join = self.join.take()?;
-        let _ = self.tx.send(Cmd::Stop);
-        Some(join.join().expect("disk service thread panicked"))
+        let joined = self.stop()?;
+        Some(joined.expect("disk service thread panicked"))
     }
 }
 
 impl<R: Record> Drop for InProcTransport<R> {
     fn drop(&mut self) {
-        if let Some(join) = self.join.take() {
-            let _ = self.tx.send(Cmd::Stop);
-            let _ = join.join();
-        }
+        let _ = self.stop();
     }
 }
 
@@ -485,7 +671,7 @@ impl<R: Record> DiskPool<R> {
     }
 
     /// Submits a command to `disk`'s worker. Non-blocking; the reply
-    /// arrives on the command's `done` channel (a dead link answers
+    /// arrives on the command's `done` queue (a dead link answers
     /// with [`PdmError::Disconnected`] there, buffer attached).
     pub fn submit(&mut self, disk: usize, cmd: Cmd<R>) {
         self.transports[disk].submit(cmd);
@@ -548,27 +734,35 @@ mod tests {
             .collect()
     }
 
-    fn read(slots: Vec<usize>, block: usize, idx: usize, done: &CompletionQueue<u64>) -> Cmd<u64> {
+    fn read(slot: usize, block: usize, idx: usize, done: &CompletionQueue<u64>) -> Cmd<u64> {
         Cmd::Read {
-            buf: vec![0; slots.len() * block],
-            slots,
+            slot,
+            buf: vec![0; block],
             idx,
             done: done.clone(),
+            more: false,
         }
     }
 
-    fn write(
-        slots: Vec<usize>,
-        buf: Vec<u64>,
-        idx: usize,
-        done: &CompletionQueue<u64>,
-    ) -> Cmd<u64> {
+    fn write(slot: usize, buf: Vec<u64>, idx: usize, done: &CompletionQueue<u64>) -> Cmd<u64> {
         Cmd::Write {
-            slots,
+            slot,
             buf,
             idx,
             done: done.clone(),
+            more: false,
         }
+    }
+
+    /// `cmds` as one run: every command but the last sets `more`.
+    fn run(mut cmds: Vec<Cmd<u64>>) -> Vec<Cmd<u64>> {
+        let last = cmds.len() - 1;
+        for (i, cmd) in cmds.iter_mut().enumerate() {
+            if let Cmd::Read { more, .. } | Cmd::Write { more, .. } = cmd {
+                *more = i < last;
+            }
+        }
+        cmds
     }
 
     #[test]
@@ -579,15 +773,14 @@ mod tests {
         let q = CompletionQueue::new();
         for d in 0..4usize {
             let data = vec![d as u64 * 10, d as u64 * 10 + 1];
-            pool.submit(d, write(vec![d], data, d, &q));
+            pool.submit(d, write(d, data, d, &q));
         }
         for _ in 0..4 {
-            let c = q.recv();
-            c.result.unwrap();
+            q.recv().result.unwrap();
         }
         // Read them back concurrently.
         for d in 0..4usize {
-            pool.submit(d, read(vec![d], 2, d, &q));
+            pool.submit(d, read(d, 2, d, &q));
         }
         let mut got = vec![Vec::new(); 4];
         for _ in 0..4 {
@@ -607,52 +800,120 @@ mod tests {
     }
 
     #[test]
-    fn serve_disk_answers_a_run_with_one_completion() {
-        let mut pool = DiskPool::new(units(2, 8, 1));
+    fn a_run_is_held_until_its_last_command() {
+        let mut t = InProcTransport::new(0, units(2, 8, 1).pop().unwrap());
         let q = CompletionQueue::new();
-        // One 3-slot write run, slots out of address order.
-        pool.submit(0, write(vec![5, 1, 3], vec![50, 51, 10, 11, 30, 31], 7, &q));
-        let c = q.recv();
-        c.result.unwrap();
-        assert_eq!((c.idx, c.disk), (7, 0));
-        assert_eq!(c.slots, vec![5, 1, 3], "the slot list comes home");
-        assert_eq!(c.buf.len(), 6);
-        // One 3-slot read run: the blocks arrive in slot-list order.
-        pool.submit(0, read(vec![3, 5, 1], 2, 8, &q));
-        let c = q.recv();
-        c.result.unwrap();
-        assert_eq!(c.buf, vec![30, 31, 50, 51, 10, 11]);
-        assert!(q.try_recv().is_none(), "one completion per run");
+        let mut cmds = run(vec![
+            write(5, vec![50, 51], 0, &q),
+            write(1, vec![10, 11], 1, &q),
+            write(3, vec![30, 31], 2, &q),
+        ]);
+        let last = cmds.pop().unwrap();
+        for cmd in cmds {
+            t.submit(cmd);
+        }
+        assert_eq!(t.held.len(), 2, "an open run stays with the transport");
+        t.submit(last);
+        assert!(t.held.is_empty(), "its last command releases the run");
+        for idx in 0..3 {
+            let c = q.recv();
+            c.result.unwrap();
+            assert_eq!((c.idx, c.disk), (idx, 0), "a run completes in order");
+        }
+        // A read run lands each block in its own buffer, in order.
+        for cmd in run(vec![
+            read(3, 2, 0, &q),
+            read(5, 2, 1, &q),
+            read(1, 2, 2, &q),
+        ]) {
+            t.submit(cmd);
+        }
+        let got: Vec<Vec<u64>> = (0..3).map(|_| q.recv().buf).collect();
+        assert_eq!(got, [vec![30, 31], vec![50, 51], vec![10, 11]]);
+        assert!(q.try_recv().is_none(), "one completion per command");
     }
 
     #[test]
-    fn serve_disk_fails_a_run_at_its_first_bad_slot() {
+    fn a_run_completes_together_at_its_end() {
+        /// A memory disk that reports each slot it transfers.
+        struct Reporting(MemDisk<u64>, std::sync::mpsc::Sender<usize>);
+        impl DiskUnit<u64> for Reporting {
+            fn slots(&self) -> usize {
+                self.0.slots()
+            }
+            fn block(&self) -> usize {
+                DiskUnit::<u64>::block(&self.0)
+            }
+            fn read(&mut self, slot: usize, out: &mut [u64]) -> Result<()> {
+                self.1.send(slot).unwrap();
+                self.0.read(slot, out)
+            }
+            fn write(&mut self, slot: usize, data: &[u64]) -> Result<()> {
+                self.1.send(slot).unwrap();
+                self.0.write(slot, data)
+            }
+        }
+        let (tx, served) = std::sync::mpsc::channel();
+        let mut unit = Reporting(MemDisk::new(2, 8), tx);
+        let inbox = Inbox::new();
+        let q = CompletionQueue::new();
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| serve_disk(0, &mut unit, &inbox));
+            let mut cmds = run(vec![
+                write(5, vec![50, 51], 0, &q),
+                write(1, vec![10, 11], 1, &q),
+                write(3, vec![30, 31], 2, &q),
+            ]);
+            let mut last = cmds.split_off(2);
+            assert!(inbox.send(0, &mut cmds));
+            // The worker has served the first command once it starts
+            // the second: an eager worker would have answered it.
+            assert_eq!((served.recv().unwrap(), served.recv().unwrap()), (5, 1));
+            assert!(q.try_recv().is_none(), "an open run answers at its end");
+            assert!(inbox.send(0, &mut last));
+            for idx in 0..3 {
+                assert_eq!(q.recv().idx, idx);
+            }
+            assert!(inbox.send(0, &mut vec![Cmd::Stop]));
+            worker.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn a_bad_slot_fails_only_its_own_command() {
         let mut pool = DiskPool::new(units(2, 4, 1));
         let q = CompletionQueue::new();
-        for cmd in [
-            read(vec![0, 9, 1], 2, 1, &q),
-            write(vec![2, 9, 3], vec![1, 2, 3, 4, 5, 6], 2, &q),
-        ] {
+        let cmds = run(vec![
+            write(2, vec![1, 2], 0, &q),
+            write(9, vec![3, 4], 1, &q),
+            write(3, vec![5, 6], 2, &q),
+        ]);
+        for cmd in cmds {
             pool.submit(0, cmd);
-            let c = q.recv();
-            assert!(
-                matches!(c.result, Err(PdmError::OutOfRange { slot: 9, .. })),
-                "{:?}",
-                c.result
-            );
-            assert_eq!(c.buf.len(), 6, "the buffer comes home with the error");
-            assert!(q.try_recv().is_none(), "one completion per run");
         }
-        // The write stopped at the bad slot: slot 2 landed, slot 3 not.
-        pool.submit(0, read(vec![2, 3], 2, 3, &q));
-        assert_eq!(q.recv().buf, vec![1, 2, 0, 0]);
+        for idx in 0..3 {
+            let c = q.recv();
+            assert_eq!(c.idx, idx);
+            assert_eq!(c.buf.len(), 2, "the buffer comes home, error or not");
+            if idx == 1 {
+                assert!(
+                    matches!(c.result, Err(PdmError::OutOfRange { slot: 9, .. })),
+                    "{:?}",
+                    c.result
+                );
+            } else {
+                c.result.unwrap();
+            }
+        }
+        pool.submit(0, read(3, 2, 0, &q));
+        assert_eq!(q.recv().buf, vec![5, 6], "the run went on past the error");
     }
 
     #[test]
     fn pool_propagates_unit_errors_with_buffer() {
         let mut pool = DiskPool::new(units(2, 2, 1));
         let q = CompletionQueue::new();
-        pool.submit(0, read(vec![9], 2, 0, &q)); // out of range
+        pool.submit(0, read(9, 2, 0, &q)); // out of range
         let c = q.recv();
         assert!(c.result.is_err());
         assert_eq!(c.buf.len(), 2, "buffer must come back even on error");
@@ -668,7 +929,7 @@ mod tests {
     fn inproc_transport_reports_zero_messages() {
         let mut pool = DiskPool::new(units(2, 2, 2));
         let q = CompletionQueue::new();
-        pool.submit(0, write(vec![1], vec![7, 8], 0, &q));
+        pool.submit(0, write(1, vec![7, 8], 0, &q));
         q.recv().result.unwrap();
         assert!(pool.message_stats().is_zero());
         assert!(pool.message_stats_per_disk().iter().all(MsgStats::is_zero));
@@ -681,15 +942,14 @@ mod tests {
         pool.inject_disconnect(1);
         let q = CompletionQueue::new();
         for _ in 0..2 {
-            pool.submit(1, read(vec![0, 1], 2, 3, &q));
+            pool.submit(1, read(0, 2, 3, &q));
             let c = q.recv();
             assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 1 })));
-            assert_eq!(c.buf.len(), 4, "buffer must come back on disconnect");
-            assert_eq!(c.slots, vec![0, 1]);
+            assert_eq!(c.buf.len(), 2, "buffer must come back on disconnect");
             assert_eq!(c.idx, 3);
         }
         // The other disk is unaffected.
-        pool.submit(0, read(vec![0], 2, 0, &q));
+        pool.submit(0, read(0, 2, 0, &q));
         q.recv().result.unwrap();
     }
 
@@ -697,25 +957,17 @@ mod tests {
     fn respawn_revives_a_severed_inproc_link_with_data_intact() {
         let mut pool = DiskPool::new(units(2, 4, 2));
         let q = CompletionQueue::new();
-        pool.submit(1, write(vec![0], vec![41, 42], 0, &q));
+        pool.submit(1, write(0, vec![41, 42], 0, &q));
         q.recv().result.unwrap();
         // Healthy link: nothing to revive.
         assert!(!pool.respawn(1).unwrap());
         pool.inject_disconnect(1);
-        pool.submit(1, read(vec![0], 2, 0, &q));
+        pool.submit(1, read(0, 2, 0, &q));
         let c = q.recv();
         assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 1 })));
         // Revive and re-read: the unit (and its data) survived.
         assert!(pool.respawn(1).unwrap());
-        pool.submit(
-            1,
-            Cmd::Read {
-                slots: c.slots,
-                buf: c.buf,
-                idx: 0,
-                done: q.clone(),
-            },
-        );
+        pool.submit(1, read(0, 2, 0, &q));
         let c = q.recv();
         c.result.unwrap();
         assert_eq!(c.buf, vec![41, 42]);

@@ -38,7 +38,9 @@ pub struct RetryPolicy {
     /// forever, as before. With a budget, a worker that exceeds it is
     /// treated as stuck: its link is severed so the in-flight buffers
     /// come home, and the failure surfaces (or retries) as
-    /// [`crate::error::PdmError::Timeout`].
+    /// [`crate::error::PdmError::Timeout`]. A batch of `k` operations
+    /// in flight together (a memoryload's reads or writes) waits up to
+    /// `k` budgets, since a disk answers its run of blocks at the end.
     pub op_timeout_ms: Option<u64>,
     /// Allow reviving dead transport links mid-retry
     /// ([`crate::parallel::Transport::respawn`]) — for Unix-socket

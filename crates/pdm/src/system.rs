@@ -32,16 +32,18 @@
 //! remote transports run in [`ServiceMode::Serial`].
 //!
 //! Every pool operation takes one path: a *ticket* stages the blocks of
-//! one or more parallel I/Os as one run per disk
-//! ([`crate::parallel::Cmd`] carries a slot list and one buffer), then
-//! one submit and one drain (recovery, first error, buffer return). A
-//! single parallel I/O is the one-slot-per-disk case; the
-//! [`crate::engine::PassEngine`]'s memoryloads, [`DiskSystem::load_records`],
+//! one or more parallel I/Os, then one submit and one drain (recovery,
+//! first error, buffer return). The submit sends each disk's blocks as
+//! one *run*: one command per block, every one but the last marked
+//! [`crate::parallel::Cmd::more`], which the in-process transport
+//! hands to its service thread in one hop. A single parallel I/O is
+//! the one-block-per-disk case; the [`crate::engine::PassEngine`]'s
+//! memoryloads, [`DiskSystem::load_records`],
 //! [`DiskSystem::dump_records`] and [`DiskSystem::read_memoryload_into`]
-//! send one command per disk per memoryload. Admission — validation,
-//! the governor, the fault plan, the charge — stays per parallel I/O
-//! and in order, so only the hop to the service threads is batched.
-//! Tickets, their completion queues and their run buffers
+//! send one run per disk per memoryload. Admission — validation, the
+//! governor, the fault plan, the charge — stays per parallel I/O and in
+//! order, so only the hop to the service threads is batched. Tickets,
+//! their completion queues and the block buffers
 //! ([`DiskSystem::buffer_pool_stats`]) are recycled, so a steady-state
 //! operation allocates nothing; every code path, including
 //! fault-injection errors, must return its buffers to the pool.
@@ -58,13 +60,14 @@ use crate::config::Geometry;
 use crate::error::{PdmError, Result};
 use crate::fault::FaultPlan;
 use crate::layout::Layout;
-use crate::parallel::{transfer_run, Cmd, Completion, CompletionQueue, DiskPool, Transport};
+use crate::parallel::{Cmd, Completion, CompletionQueue, DiskPool, Transport};
 use crate::record::{ByteRecord, Record};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::sched::SchedHandle;
 use crate::stats::{IoStats, MsgStats};
 use crate::timing::{TimingModel, TimingTracker};
 use crate::transport::{spawn_uds_workers, SimNetTransport, TransportConfig};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -128,7 +131,7 @@ enum Service<R: Record> {
 /// Pool-accounting snapshot (see [`DiskSystem::buffer_pool_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufferPoolStats {
-    /// Buffers sitting in the free lists.
+    /// Buffers sitting in the free list.
     pub free: usize,
     /// Buffers currently lent out (in flight or held by a ticket).
     pub outstanding: usize,
@@ -138,12 +141,10 @@ pub struct BufferPoolStats {
     pub allocated: u64,
 }
 
-/// A recycling pool of run buffers, kept by size: a run of `n` slots
-/// borrows a buffer of `n` blocks.
+/// A recycling pool of block-sized record buffers.
 struct BlockPool<R> {
     block: usize,
-    /// `free[n - 1]` holds idle buffers of `n` blocks.
-    free: Vec<Vec<Vec<R>>>,
+    free: Vec<Vec<R>>,
     outstanding: usize,
     allocated: u64,
 }
@@ -158,33 +159,26 @@ impl<R: Record> BlockPool<R> {
         }
     }
 
-    fn take(&mut self, blocks: usize) -> Vec<R> {
+    fn take(&mut self) -> Vec<R> {
         self.outstanding += 1;
-        match self.free.get_mut(blocks - 1).and_then(Vec::pop) {
+        match self.free.pop() {
             Some(buf) => buf,
             None => {
                 self.allocated += 1;
-                vec![R::default(); blocks * self.block]
+                vec![R::default(); self.block]
             }
         }
     }
 
     fn put(&mut self, buf: Vec<R>) {
-        let blocks = buf.len() / self.block;
-        debug_assert!(
-            blocks >= 1 && buf.len() == blocks * self.block,
-            "foreign buffer returned to pool"
-        );
+        debug_assert_eq!(buf.len(), self.block, "foreign buffer returned to pool");
         self.outstanding -= 1;
-        if self.free.len() < blocks {
-            self.free.resize_with(blocks, Vec::new);
-        }
-        self.free[blocks - 1].push(buf);
+        self.free.push(buf);
     }
 
     fn stats(&self) -> BufferPoolStats {
         BufferPoolStats {
-            free: self.free.iter().map(Vec::len).sum(),
+            free: self.free.len(),
             outstanding: self.outstanding,
             allocated: self.allocated,
         }
@@ -193,7 +187,7 @@ impl<R: Record> BlockPool<R> {
 
 /// Where a drained read's blocks go.
 enum Sink<'a, R> {
-    /// Each block to its staged offset in `out`.
+    /// Staged block `i` into `out[i*B .. (i+1)*B]`.
     Out(&'a mut [R]),
     /// Kept on the ticket for a later drain: a lockstep split-phase
     /// read has its data before `finish_read` is called.
@@ -209,62 +203,57 @@ impl<'a, R> Sink<'a, R> {
     }
 }
 
-/// Copies a run's blocks to their offsets in `out`.
-fn place<R: Record>(out: &mut [R], offsets: &[usize], buf: &[R]) {
-    let block = buf.len() / offsets.len();
-    for (&off, chunk) in offsets.iter().zip(buf.chunks_exact(block)) {
-        out[off..off + block].copy_from_slice(chunk);
-    }
-}
-
-/// One disk's command within a ticket.
-#[derive(Default)]
-struct Run<R> {
-    /// Slots on the disk, in transfer order. Recovery resubmits from
-    /// this copy, since a transport may rewrite the command's own.
-    slots: Vec<usize>,
-    /// The record offset, in the caller's data, of each slot's block.
-    offsets: Vec<usize>,
-    /// The slot list that travels with the command, recycled.
-    wire: Vec<usize>,
-    /// A read's buffer, kept until the ticket drains.
-    landed: Option<Vec<R>>,
-    /// Recovery attempts spent on this command.
-    attempts: u32,
+/// Copies staged block `idx` into its place in `out`.
+fn place<R: Record>(out: &mut [R], idx: usize, buf: &[R]) {
+    out[idx * buf.len()..(idx + 1) * buf.len()].copy_from_slice(buf);
 }
 
 /// One or more parallel I/Os between submission and drain: the state
-/// behind a [`ReadTicket`] or [`WriteTicket`]. Every block a ticket
-/// moves on one disk travels in that disk's one command, so a single
-/// parallel I/O is the one-slot-per-disk case and a memoryload is
-/// `D` commands. The system recycles tickets, completion queue and
+/// behind a [`ReadTicket`] or [`WriteTicket`]. The blocks a ticket moves
+/// on one disk travel as one run of commands ([`Cmd::more`]), so a
+/// single parallel I/O is the one-block-per-disk case and a memoryload
+/// is `D` runs. The system recycles tickets, completion queue and
 /// vectors included, so steady-state operations allocate nothing.
 struct InFlight<R: Record> {
     /// Reads, or else writes.
     read: bool,
-    /// One run per disk, indexed by disk; an empty run sends nothing.
-    runs: Vec<Run<R>>,
-    /// Records per block.
-    block: usize,
-    /// Blocks staged; block `i` sits at record offset `i·B`.
-    blocks: usize,
+    /// Operations staged.
+    ops: usize,
+    /// The slot of each staged block; block `i` sits at record offset
+    /// `i·B` and travels as request index `i`.
+    slots: Vec<usize>,
+    /// Per disk, its staged blocks in transfer order: the disk's run.
+    runs: Vec<Vec<usize>>,
+    /// Per disk, the recovery attempts spent on its run.
+    attempts: Vec<u32>,
+    /// Per staged block, the run attempt it was last sent under; empty
+    /// until the first recovery, so a clean ticket never fills it.
+    sent_at: Vec<u32>,
+    /// Read blocks already transferred, with their block indices.
+    landed: Vec<(usize, Vec<R>)>,
     /// Where the commands' completions arrive; every command carries a
     /// handle, so a resubmitted command reports to the same drain.
     done: CompletionQueue<R>,
-    /// Completions not yet received.
+    /// Completions taken from `done` and not yet absorbed.
+    arrived: VecDeque<Completion<R>>,
+    /// Completions not yet absorbed.
     pending: usize,
     /// The first transfer error.
     err: Option<PdmError>,
 }
 
 impl<R: Record> InFlight<R> {
-    fn new(disks: usize, block: usize) -> Self {
+    fn new(disks: usize) -> Self {
         InFlight {
             read: true,
-            runs: (0..disks).map(|_| Run::default()).collect(),
-            block,
-            blocks: 0,
+            ops: 0,
+            slots: Vec::new(),
+            runs: vec![Vec::new(); disks],
+            attempts: vec![0; disks],
+            sent_at: Vec::new(),
+            landed: Vec::new(),
             done: CompletionQueue::new(),
+            arrived: VecDeque::new(),
             pending: 0,
             err: None,
         }
@@ -272,59 +261,54 @@ impl<R: Record> InFlight<R> {
 
     /// Appends one operation's blocks to their disks' runs, right after
     /// the blocks already staged.
-    fn stage(&mut self, refs: impl IntoIterator<Item = BlockRef>) {
+    fn stage(&mut self, refs: &[BlockRef]) {
+        self.ops += 1;
         for r in refs {
-            let run = &mut self.runs[r.disk];
-            run.slots.push(r.slot);
-            run.offsets.push(self.blocks * self.block);
-            self.blocks += 1;
+            self.runs[r.disk].push(self.slots.len());
+            self.slots.push(r.slot);
         }
     }
 
-    /// The command that moves `disk`'s run in `buf`.
-    fn command(&mut self, disk: usize, buf: Vec<R>) -> Cmd<R> {
-        let run = &mut self.runs[disk];
-        let mut slots = std::mem::take(&mut run.wire);
-        slots.clear();
-        slots.extend_from_slice(&run.slots);
+    /// The command that moves staged block `idx` in `buf`.
+    fn command(&self, idx: usize, buf: Vec<R>, more: bool) -> Cmd<R> {
+        let slot = self.slots[idx];
         let done = self.done.clone();
         if self.read {
             Cmd::Read {
-                slots,
+                slot,
                 buf,
-                idx: disk,
+                idx,
                 done,
+                more,
             }
         } else {
             Cmd::Write {
-                slots,
+                slot,
                 buf,
-                idx: disk,
+                idx,
                 done,
+                more,
             }
         }
     }
 
-    /// Resolves one completion: a read's blocks go to `sink`, every
+    /// Resolves one completion: a read's block goes to `sink`, every
     /// other buffer back to the pool, and the first error is kept.
     fn absorb(&mut self, pool: &mut BlockPool<R>, c: Completion<R>, sink: &mut Sink<'_, R>) {
         let Completion {
             idx,
             disk,
-            slots,
             buf,
             result,
         } = c;
-        let run = &mut self.runs[idx];
-        run.wire = slots;
         match (result, sink) {
             (Err(e), _) => {
                 if self.err.is_none() {
                     self.err = Some(e.with_disk(disk));
                 }
             }
-            (Ok(()), Sink::Out(out)) => place(out, &run.offsets, &buf),
-            (Ok(()), Sink::Keep) => return run.landed = Some(buf),
+            (Ok(()), Sink::Out(out)) => place(out, idx, &buf),
+            (Ok(()), Sink::Keep) => return self.landed.push((idx, buf)),
             (Ok(()), Sink::Discard) => {}
         }
         pool.put(buf);
@@ -341,7 +325,7 @@ pub struct ReadTicket<R: Record>(InFlight<R>);
 impl<R: Record> ReadTicket<R> {
     /// Records transferred by this ticket.
     pub fn records(&self, block: usize) -> usize {
-        self.0.blocks * block
+        self.0.slots.len() * block
     }
 }
 
@@ -730,7 +714,7 @@ impl<R: Record> DiskSystem<R> {
     fn ticket(&mut self, read: bool) -> InFlight<R> {
         let mut op = match self.tickets.pop() {
             Some(op) => op,
-            None => InFlight::new(self.geom.disks(), self.geom.block()),
+            None => InFlight::new(self.geom.disks()),
         };
         op.read = read;
         op
@@ -740,24 +724,23 @@ impl<R: Record> DiskSystem<R> {
     /// its completion queue and the capacity of its vectors.
     fn recycle(&mut self, mut op: InFlight<R>) {
         debug_assert_eq!(op.pending, 0, "recycling a ticket in flight");
-        for run in &mut op.runs {
-            debug_assert!(run.landed.is_none(), "recycling landed blocks");
-            run.slots.clear();
-            run.offsets.clear();
-            run.attempts = 0;
-        }
-        op.blocks = 0;
+        debug_assert!(op.landed.is_empty(), "recycling landed blocks");
+        op.ops = 0;
+        op.slots.clear();
+        op.runs.iter_mut().for_each(Vec::clear);
+        op.attempts.fill(0);
+        op.sent_at.clear();
         op.err = None;
         self.tickets.push(op);
     }
 
-    /// Sends one command per disk with staged blocks, filling each
-    /// write block with `fill(offset, block)`. In lockstep each
-    /// command's completion is received and absorbed into `sink` before
-    /// the next is sent, and the ticket is settled here, so an error
-    /// surfaces now; pipelined, the completions wait for
-    /// [`Self::drain`]. `recover` engages the retry layer
-    /// ([`Self::receive`]).
+    /// Sends each disk's staged blocks as one run of commands, filling
+    /// each write block with `fill(offset, block)`. In lockstep every
+    /// run is one command long: each completion is received and
+    /// absorbed into `sink` before the next command is sent, and the
+    /// ticket is settled here, so an error surfaces now; pipelined, the
+    /// completions wait for [`Self::drain`]. `recover` engages the
+    /// retry layer ([`Self::receive`]).
     ///
     /// Kept out of line, like [`Self::drain`]: the public operations'
     /// serial arms share a function with these calls, and inlining the
@@ -773,22 +756,20 @@ impl<R: Record> DiskSystem<R> {
         let lockstep = matches!(self.service, Service::Pooled { lockstep: true, .. });
         let block = self.geom.block();
         for disk in 0..op.runs.len() {
-            let run = &op.runs[disk];
-            if run.slots.is_empty() {
-                continue;
-            }
-            let mut buf = self.pool.take(run.slots.len());
-            if !op.read {
-                for (&off, chunk) in run.offsets.iter().zip(buf.chunks_exact_mut(block)) {
-                    fill(off, chunk);
+            let len = op.runs[disk].len();
+            for i in 0..len {
+                let idx = op.runs[disk][i];
+                let mut buf = self.pool.take();
+                if !op.read {
+                    fill(idx * block, &mut buf);
                 }
-            }
-            let cmd = op.command(disk, buf);
-            self.disk_pool().submit(disk, cmd);
-            op.pending += 1;
-            if lockstep {
-                let c = self.receive(op, recover);
-                op.absorb(&mut self.pool, c, &mut sink);
+                let cmd = op.command(idx, buf, !lockstep && i + 1 < len);
+                self.disk_pool().submit(disk, cmd);
+                op.pending += 1;
+                if lockstep {
+                    let c = self.receive(op, recover);
+                    op.absorb(&mut self.pool, c, &mut sink);
+                }
             }
         }
         if lockstep {
@@ -801,54 +782,46 @@ impl<R: Record> DiskSystem<R> {
     /// Receives one of `op`'s completions. With `recover`, failures the
     /// policy can absorb never reach the caller:
     ///
-    /// * a `Disconnected` completion with respawn budget revives the
-    ///   link ([`Transport::respawn`]) and resubmits the same command
-    ///   whole (reads are idempotent; writes are replay-safe because the
-    ///   per-disk link is FIFO and the payload rides in the returned
-    ///   buffer);
-    /// * a completion that outwaits `op_timeout_ms` severs the stuck
-    ///   ticket's links so every in-flight buffer comes home as
-    ///   `Disconnected` — which the respawn arm may then recover, and
-    ///   which [`Self::drain`] otherwise reports as
-    ///   [`PdmError::Timeout`].
+    /// * a `Disconnected` completion with respawn budget is resent
+    ///   ([`Self::revive`]): reads are idempotent, and writes are
+    ///   replay-safe because the per-disk link is FIFO and the payload
+    ///   rides in the returned buffer;
+    /// * a wait that outlasts `op_timeout_ms` for each operation the
+    ///   ticket stages (a run completes at its end, so one wait may
+    ///   cover all of them) severs the stuck ticket's links so every
+    ///   in-flight buffer comes home as `Disconnected` — which the
+    ///   respawn arm may then recover, and which [`Self::drain`]
+    ///   otherwise reports as [`PdmError::Timeout`].
     fn receive(&mut self, op: &mut InFlight<R>, recover: bool) -> Completion<R> {
-        let budget = self.retry.op_timeout_ms.filter(|_| recover);
+        let per_op = self.retry.op_timeout_ms.filter(|_| recover);
+        let budget = per_op.map(|ms| ms.saturating_mul(op.ops.max(1) as u64));
         let mut severed = false;
         loop {
-            let c = match budget {
-                None => op.done.recv(),
-                Some(ms) => match op.done.recv_timeout(Duration::from_millis(ms)) {
-                    Some(c) => c,
-                    None => {
-                        if !severed {
-                            severed = true;
-                            self.retry_stats.timeouts += 1;
-                            self.timeout_fired = Some(ms);
-                            // Sever the whole ticket: stuck links answer
-                            // their in-flight commands with
-                            // `Disconnected`, bringing the buffers home.
-                            for disk in 0..op.runs.len() {
-                                if !op.runs[disk].slots.is_empty() {
-                                    self.disk_pool().inject_disconnect(disk);
-                                }
-                            }
+            let Some(c) = op.arrived.pop_front() else {
+                let timeout = budget.map(Duration::from_millis);
+                if !op.done.recv_all(&mut op.arrived, timeout) && !severed {
+                    severed = true;
+                    self.retry_stats.timeouts += 1;
+                    self.timeout_fired = per_op;
+                    // Sever the whole ticket: stuck links answer their
+                    // in-flight commands with `Disconnected`, bringing
+                    // the buffers home.
+                    for disk in 0..op.runs.len() {
+                        if !op.runs[disk].is_empty() {
+                            self.disk_pool().inject_disconnect(disk);
                         }
-                        continue;
                     }
-                },
+                }
+                continue;
             };
-            let spent = op.runs[c.idx].attempts;
-            let recoverable = recover
-                && matches!(c.result, Err(PdmError::Disconnected { .. }))
-                && self.retry.respawn
-                && spent + 1 < self.retry.max_attempts;
-            if recoverable {
-                if let Ok(revived) = self.disk_pool().respawn(c.disk) {
-                    op.runs[c.idx].attempts = spent + 1;
-                    self.retry_stats.respawns += revived as u64;
-                    self.count_retry(spent + 1);
-                    op.runs[c.idx].wire = c.slots;
-                    let cmd = op.command(c.idx, c.buf);
+            let disconnected = matches!(c.result, Err(PdmError::Disconnected { .. }));
+            if recover && disconnected && self.retry.respawn {
+                if let Some(attempt) = self.revive(op, c.disk, c.idx) {
+                    if op.sent_at.is_empty() {
+                        op.sent_at.resize(op.slots.len(), 0);
+                    }
+                    op.sent_at[c.idx] = attempt;
+                    let cmd = op.command(c.idx, c.buf, false);
                     self.disk_pool().submit(c.disk, cmd);
                     continue;
                 }
@@ -856,6 +829,27 @@ impl<R: Record> DiskSystem<R> {
             op.pending -= 1;
             return c;
         }
+    }
+
+    /// The run attempt under which to resend staged block `idx`, whose
+    /// command on `disk` came home `Disconnected`, or `None` when the
+    /// run's budget is spent or the link cannot be revived. Recovery
+    /// acts per run: the first failure under an attempt revives the
+    /// link ([`Transport::respawn`]) and books one retry, and the run's
+    /// other commands follow under that attempt for free.
+    fn revive(&mut self, op: &mut InFlight<R>, disk: usize, idx: usize) -> Option<u32> {
+        let attempt = op.attempts[disk];
+        if op.sent_at.get(idx).copied().unwrap_or(0) < attempt {
+            return Some(attempt);
+        }
+        if attempt + 1 >= self.retry.max_attempts {
+            return None;
+        }
+        let revived = self.disk_pool().respawn(disk).ok()?;
+        op.attempts[disk] = attempt + 1;
+        self.retry_stats.respawns += revived as u64;
+        self.count_retry(attempt + 1);
+        Some(attempt + 1)
     }
 
     /// Receives everything `op` still has in flight and settles it:
@@ -881,13 +875,11 @@ impl<R: Record> DiskSystem<R> {
             (Some(e), _) => Err(e),
         };
         if result.is_err() || !matches!(sink, Sink::Keep) {
-            for run in &mut op.runs {
-                if let Some(buf) = run.landed.take() {
-                    if let Sink::Out(out) = &mut sink {
-                        place(out, &run.offsets, &buf);
-                    }
-                    self.pool.put(buf);
+            for (idx, buf) in op.landed.drain(..) {
+                if let Sink::Out(out) = &mut sink {
+                    place(out, idx, &buf);
                 }
+                self.pool.put(buf);
             }
         }
         result
@@ -924,10 +916,9 @@ impl<R: Record> DiskSystem<R> {
 
     /// Admits the operations `next` yields — each call fills `refs`
     /// with one operation's blocks, at most one per disk, and returns
-    /// `false` when none are left — and charges each at admission, then
-    /// hands it to `each`. Empty operations are free. Stops at the
-    /// first refused operation, or the first error of `each`, and
-    /// returns that error; the operations before it stay charged.
+    /// `false` when none are left — and hands each admitted one to
+    /// `each`. Empty operations are free. Stops at the first refused
+    /// operation, or the first error of `each`, and returns that error.
     fn admit_ops(
         &mut self,
         read: bool,
@@ -940,10 +931,7 @@ impl<R: Record> DiskSystem<R> {
             if refs.is_empty() {
                 continue;
             }
-            result = self.admit(&refs, read).and_then(|()| {
-                self.charge(&refs, read);
-                each(self, &refs)
-            });
+            result = self.admit(&refs, read).and_then(|()| each(self, &refs));
             if result.is_err() {
                 break;
             }
@@ -968,10 +956,12 @@ impl<R: Record> DiskSystem<R> {
     /// in address order. Nothing is admitted: bulk placement.
     fn memoryload_ticket(&mut self, read: bool, slot: usize) -> InFlight<R> {
         let mut op = self.ticket(read);
-        let disks = self.geom.disks();
-        for t in slot..slot + self.geom.stripes_per_memoryload() {
-            op.stage((0..disks).map(|disk| BlockRef { disk, slot: t }));
+        let mut refs = std::mem::take(&mut self.stripe_scratch);
+        let mut stripes = stripe_ops(&self.geom, slot);
+        while stripes(&mut refs) {
+            op.stage(&refs);
         }
+        self.stripe_scratch = refs;
         op
     }
 
@@ -1120,7 +1110,7 @@ impl<R: Record> DiskSystem<R> {
             }
             Service::Pooled { .. } => {
                 let mut op = self.ticket(true);
-                op.stage(refs.iter().copied());
+                op.stage(refs);
                 self.transfer(op, |_, _| {}, Some(out), true)?;
             }
         }
@@ -1169,7 +1159,7 @@ impl<R: Record> DiskSystem<R> {
             }
             Service::Pooled { .. } => {
                 let mut op = self.ticket(false);
-                op.stage(refs.iter().copied());
+                op.stage(&refs);
                 let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(writes[off / block].1);
                 self.transfer(op, fill, None, true)?;
             }
@@ -1209,17 +1199,18 @@ impl<R: Record> DiskSystem<R> {
     /// disk) and returns `false` when none are left. Every operation is
     /// admitted and charged in order, exactly as by
     /// [`DiskSystem::begin_read`]; then each disk's blocks travel as one
-    /// command. [`DiskSystem::finish_read`] places the blocks one after
-    /// another in operation order. On a refused operation the ones
-    /// before it stay charged, their transfers are waited out and
+    /// run of commands. [`DiskSystem::finish_read`] places the blocks
+    /// one after another in operation order. On a refused operation the
+    /// ones before it stay charged, their transfers are waited out and
     /// discarded, and the error is returned.
     pub(crate) fn begin_reads(
         &mut self,
         next: impl FnMut(&mut Vec<BlockRef>) -> bool,
     ) -> Result<ReadTicket<R>> {
         let mut op = self.ticket(true);
-        let admitted = self.admit_ops(true, next, |_, refs| {
-            op.stage(refs.iter().copied());
+        let admitted = self.admit_ops(true, next, |sys, refs| {
+            sys.charge(refs, true);
+            op.stage(refs);
             Ok(())
         });
         let sent = match &mut self.service {
@@ -1283,8 +1274,8 @@ impl<R: Record> DiskSystem<R> {
     /// [`DiskSystem::begin_reads`]), taking the blocks one after another
     /// from `data`. Each operation is admitted and charged in order; on
     /// serial local disks it is then written at once, elsewhere each
-    /// disk's blocks travel as one command. On a refused operation the
-    /// ones before it stay charged and are still written.
+    /// disk's blocks travel as one run of commands. On a refused
+    /// operation the ones before it stay charged and are still written.
     pub(crate) fn begin_writes(
         &mut self,
         next: impl FnMut(&mut Vec<BlockRef>) -> bool,
@@ -1297,6 +1288,7 @@ impl<R: Record> DiskSystem<R> {
             // is admitted, straight from `data`.
             let mut offset = 0;
             self.admit_ops(false, next, |sys, refs| {
+                sys.charge(refs, false);
                 let Service::Serial(units) = &mut sys.service else {
                     unreachable!("serial units");
                 };
@@ -1309,8 +1301,9 @@ impl<R: Record> DiskSystem<R> {
                 Ok(())
             })
         } else {
-            let admitted = self.admit_ops(false, next, |_, refs| {
-                op.stage(refs.iter().copied());
+            let admitted = self.admit_ops(false, next, |sys, refs| {
+                sys.charge(refs, false);
+                op.stage(refs);
                 Ok(())
             });
             let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(&data[off..off + block]);
@@ -1378,11 +1371,10 @@ impl<R: Record> DiskSystem<R> {
 
     /// Reads memoryload `ml` of a portion into `out` (`M` records in
     /// address order) with `M/BD` striped reads and no per-block
-    /// allocation. On a pooled system the stripes are admitted in
-    /// order, each disk's blocks travel as one command, and the stripes
-    /// are charged once the memoryload has landed; a refused stripe
-    /// leaves the ones before it read and charged, and a failed
-    /// transfer charges none.
+    /// allocation. On a pooled system the memoryload is one split-phase
+    /// read ticket: the stripes are admitted and charged in order, as by
+    /// [`DiskSystem::begin_read`], each disk's blocks travel as one run,
+    /// and a refused stripe leaves the ones before it charged.
     pub fn read_memoryload_into(&mut self, portion: usize, ml: usize, out: &mut [R]) -> Result<()> {
         assert_eq!(
             out.len(),
@@ -1400,20 +1392,8 @@ impl<R: Record> DiskSystem<R> {
             }
             return Ok(());
         }
-        let mut op = self.ticket(true);
-        let refused = (base..base + spm).try_for_each(|slot| {
-            self.with_stripe(slot, |sys, refs| {
-                sys.admit(refs, true)?;
-                op.stage(refs.iter().copied());
-                Ok(())
-            })
-        });
-        let admitted = op.blocks / self.geom.disks();
-        self.transfer(op, |_, _| {}, Some(out), true)?;
-        for slot in base..base + admitted {
-            self.with_stripe(slot, |sys, refs| sys.charge(refs, true));
-        }
-        refused
+        let ticket = self.begin_reads(stripe_ops(&self.geom, base))?;
+        self.finish_read(ticket, out)
     }
 
     /// Reads memoryload `ml` of a portion: its `M/BD` consecutive
@@ -1459,8 +1439,8 @@ impl<R: Record> DiskSystem<R> {
 
     /// Fills a portion with `records` in address order **without
     /// counting I/Os** — initial data placement, not part of any
-    /// algorithm's cost. On a pooled system each memoryload is one
-    /// command per disk.
+    /// algorithm's cost. On a pooled system each memoryload is one run
+    /// per disk.
     pub fn load_records(&mut self, portion: usize, records: &[R]) {
         assert_eq!(
             records.len(),
@@ -1489,7 +1469,7 @@ impl<R: Record> DiskSystem<R> {
 
     /// Reads a whole portion back in address order **without counting
     /// I/Os** — for verification at the end of an experiment. On a
-    /// pooled system each memoryload is one command per disk.
+    /// pooled system each memoryload is one run per disk.
     pub fn dump_records(&mut self, portion: usize) -> Vec<R> {
         let base = self.portion_base(portion);
         let (block, disks) = (self.geom.block(), self.geom.disks());
@@ -1519,7 +1499,7 @@ impl<R: Record> DiskSystem<R> {
             Service::Serial(units) => units[r.disk].read(r.slot, &mut buf),
             Service::Pooled { .. } => {
                 let mut op = self.ticket(true);
-                op.stage([r]);
+                op.stage(&[r]);
                 self.transfer(op, |_, _| {}, Some(&mut buf), false)
             }
         };
@@ -1542,24 +1522,40 @@ fn one_op(refs: &[BlockRef]) -> impl FnMut(&mut Vec<BlockRef>) -> bool + '_ {
     }
 }
 
+/// The `M/BD` stripes of the memoryload that starts at stripe `base`,
+/// in address order, as an operation source for
+/// [`DiskSystem::begin_reads`] and [`DiskSystem::begin_writes`]: the
+/// one definition of which parallel I/Os move a memoryload.
+pub(crate) fn stripe_ops(geom: &Geometry, base: usize) -> impl FnMut(&mut Vec<BlockRef>) -> bool {
+    let disks = geom.disks();
+    let mut slots = base..base + geom.stripes_per_memoryload();
+    move |refs| {
+        let Some(slot) = slots.next() else {
+            return false;
+        };
+        refs.clear();
+        refs.extend((0..disks).map(|disk| BlockRef { disk, slot }));
+        true
+    }
+}
+
 /// Serves a staged read ticket from local units in the caller's
-/// thread: each disk's blocks into one pooled buffer, kept on the
-/// ticket until it drains.
+/// thread: each block into a pooled buffer, kept on the ticket until it
+/// drains.
 fn read_local<R: Record>(
     units: &mut [Box<dyn DiskUnit<R>>],
     pool: &mut BlockPool<R>,
     op: &mut InFlight<R>,
 ) -> Result<()> {
-    for (disk, run) in op.runs.iter_mut().enumerate() {
-        if run.slots.is_empty() {
-            continue;
+    for (disk, run) in op.runs.iter().enumerate() {
+        for &idx in run {
+            let mut buf = pool.take();
+            if let Err(e) = units[disk].read(op.slots[idx], &mut buf) {
+                pool.put(buf);
+                return Err(e.with_disk(disk));
+            }
+            op.landed.push((idx, buf));
         }
-        let mut buf = pool.take(run.slots.len());
-        if let Err(e) = transfer_run(units[disk].as_mut(), true, &run.slots, &mut buf) {
-            pool.put(buf);
-            return Err(e.with_disk(disk));
-        }
-        run.landed = Some(buf);
     }
     Ok(())
 }

@@ -4,23 +4,22 @@
 //! Three [`Transport`] implementations exist:
 //!
 //! * [`crate::parallel::InProcTransport`] — the default: per-disk
-//!   service threads fed over channels, zero serialization
-//!   (`crate::parallel`).
+//!   service threads fed a run of commands at a time, zero
+//!   serialization (`crate::parallel`).
 //! * [`UdsTransport`] — one `pdm-diskd` worker **process** per disk,
 //!   framed messages over a Unix-domain socket. Submission is a channel
-//!   send to a per-disk writer thread that encodes and writes one
-//!   request frame per slot of the command's run (so a command costs
-//!   the submitting thread one channel send, like the in-process
-//!   transport, and the D socket syscalls run concurrently); a per-disk
-//!   reader thread matches one reply frame per slot to pending commands
-//!   in FIFO order (sound because one writer thread per socket writes,
-//!   the socket is a FIFO byte stream, and the single-threaded worker
-//!   replies in request order) and completes each command once.
-//!   Submission therefore stays split-phase: the engine's read-ahead
-//!   overlap pipelines requests over the socket exactly as it
-//!   pipelines them over channels.
+//!   send to a per-disk writer thread that encodes and writes request
+//!   frames one command at a time, ignoring [`Cmd::more`] (so a D-disk
+//!   parallel I/O costs the submitting thread D channel sends, and the
+//!   D socket syscalls run concurrently); a per-disk reader thread
+//!   matches reply frames to pending commands in FIFO order (sound
+//!   because one writer thread per socket writes, the socket is a FIFO
+//!   byte stream, and the single-threaded worker replies in request
+//!   order). Submission therefore stays split-phase: the engine's
+//!   read-ahead overlap pipelines requests over the socket exactly as
+//!   it pipelines them over channels.
 //! * [`SimNetTransport`] — a deterministic in-process "network": every
-//!   block of a command is encoded to wire bytes, handled by the same
+//!   command is encoded to wire bytes, handled by the same
 //!   [`Worker`] the out-of-process server runs, and decoded back, with
 //!   a [`SimNetModel`] charging latency and bandwidth into the
 //!   system's [`crate::timing::TimingTracker`]. Placement is
@@ -371,12 +370,11 @@ impl Counters {
     }
 }
 
-/// A submitted run awaiting its reply frames (one per slot), queued to
-/// the reader thread in submission order.
+/// A submitted command awaiting its reply frame, queued to the reader
+/// thread in submission order.
 struct PendingOp<R> {
     idx: usize,
     is_read: bool,
-    slots: Vec<usize>,
     buf: Vec<R>,
     done: CompletionQueue<R>,
 }
@@ -453,15 +451,7 @@ impl<R: Record + ByteRecord> UdsTransport<R> {
             std::thread::Builder::new()
                 .name(format!("pdm-uds-w-{disk}"))
                 .spawn(move || {
-                    writer_loop::<R>(
-                        disk,
-                        writer_stream,
-                        cmd_rx,
-                        pending_tx,
-                        counters,
-                        dead,
-                        block,
-                    )
+                    writer_loop::<R>(disk, writer_stream, cmd_rx, pending_tx, counters, dead)
                 })
                 .map_err(|e| PdmError::Io(format!("spawn uds writer: {e}")))?
         };
@@ -515,14 +505,11 @@ impl<R: Record + ByteRecord> UdsTransport<R> {
     }
 }
 
-/// Encodes each command's request frames for one disk — one frame per
-/// slot of the run — registers the command with the reader, then
-/// writes the frames (one writer per socket, so pending order equals
-/// wire order). Registering first lets the reader drain a long run's
-/// replies while its requests are still being written. A write failure
-/// marks the link dead and severs the socket, so the reader answers
-/// that command with `Disconnected`; every later queued command is
-/// answered the same way here, buffers attached.
+/// Encodes and writes request frames for one disk, then registers each
+/// op with the reader in the exact order written (one writer per
+/// socket, so pending order equals wire order). A write failure marks
+/// the link dead and answers that and every later queued command with
+/// `Disconnected`, buffers attached.
 fn writer_loop<R: Record + ByteRecord>(
     disk: usize,
     mut stream: UnixStream,
@@ -530,7 +517,6 @@ fn writer_loop<R: Record + ByteRecord>(
     pending_tx: Sender<PendingOp<R>>,
     counters: Arc<Counters>,
     dead: Arc<AtomicBool>,
-    block: usize,
 ) {
     let mut frame = Vec::new();
     while let Ok(cmd) = cmd_rx.recv() {
@@ -539,40 +525,26 @@ fn writer_loop<R: Record + ByteRecord>(
             continue;
         }
         frame.clear();
-        let op = match cmd {
+        let (idx, is_read, buf, done) = match cmd {
             Cmd::Read {
-                slots,
+                slot,
                 buf,
                 idx,
                 done,
+                ..
             } => {
-                for &slot in &slots {
-                    proto::encode_read(&mut frame, idx as u64, slot as u64);
-                }
-                PendingOp {
-                    idx,
-                    is_read: true,
-                    slots,
-                    buf,
-                    done,
-                }
+                proto::encode_read(&mut frame, idx as u64, slot as u64);
+                (idx, true, buf, done)
             }
             Cmd::Write {
-                slots,
+                slot,
                 buf,
                 idx,
                 done,
+                ..
             } => {
-                for (&slot, data) in slots.iter().zip(buf.chunks_exact(block)) {
-                    proto::encode_write(&mut frame, idx as u64, slot as u64, data);
-                }
-                PendingOp {
-                    idx,
-                    is_read: false,
-                    slots,
-                    buf,
-                    done,
-                }
+                proto::encode_write(&mut frame, idx as u64, slot as u64, &buf);
+                (idx, false, buf, done)
             }
             Cmd::Stop => {
                 proto::encode_stop(&mut frame);
@@ -580,68 +552,42 @@ fn writer_loop<R: Record + ByteRecord>(
                 break;
             }
         };
-        // Counted before the reader can see the command, so a caller
-        // that holds its completion also sees its frames counted.
-        let frames = op.slots.len() as u64;
-        counters.msgs_out.fetch_add(frames, Ordering::Relaxed);
+        if stream.write_all(&frame).is_err() {
+            dead.store(true, Ordering::Relaxed);
+            done.send(Completion {
+                idx,
+                disk,
+                buf,
+                result: Err(PdmError::Disconnected { disk }),
+            });
+            continue;
+        }
+        counters.msgs_out.fetch_add(1, Ordering::Relaxed);
         counters
             .bytes_out
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if let Err(send_err) = pending_tx.send(op) {
-            // The reader is gone (socket died): nothing goes out, and
-            // the command is answered here.
-            counters.msgs_out.fetch_sub(frames, Ordering::Relaxed);
-            counters
-                .bytes_out
-                .fetch_sub(frame.len() as u64, Ordering::Relaxed);
+        if let Err(send_err) = pending_tx.send(PendingOp {
+            idx,
+            is_read,
+            buf,
+            done,
+        }) {
+            // The reader is gone (socket died): answer directly.
             dead.store(true, Ordering::Relaxed);
             let p = send_err.0;
             p.done.send(Completion {
                 idx: p.idx,
                 disk,
-                slots: p.slots,
                 buf: p.buf,
                 result: Err(PdmError::Disconnected { disk }),
             });
-            continue;
-        }
-        if stream.write_all(&frame).is_err() {
-            dead.store(true, Ordering::Relaxed);
-            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }
     // Dropping pending_tx lets the reader drain in-flight ops and exit.
 }
 
-/// Decodes the reply frame to the request tagged `idx`; a read's
-/// payload lands in `out`.
-fn decode_block<R: Record + ByteRecord>(
-    frame: &[u8],
-    idx: usize,
-    out: Option<&mut [R]>,
-) -> Result<()> {
-    let reply = proto::decode_reply(frame)?;
-    debug_assert_eq!(reply.idx, idx as u64, "reply out of order");
-    let payload = reply.result?;
-    let Some(out) = out else {
-        return Ok(());
-    };
-    if payload.len() != out.len() * R::BYTES {
-        return Err(PdmError::Io(format!(
-            "read reply carries {} bytes, expected {}",
-            payload.len(),
-            out.len() * R::BYTES
-        )));
-    }
-    for (chunk, r) in payload.chunks_exact(R::BYTES).zip(out.iter_mut()) {
-        *r = R::from_bytes(chunk);
-    }
-    Ok(())
-}
-
-/// Matches reply frames to pending commands in FIFO order — one frame
-/// per slot of each run — and fires one completion per command, with
-/// the run's first error; a broken socket answers the rest with
+/// Matches reply frames to pending commands in FIFO order and fires
+/// their completions; a broken socket answers the rest with
 /// `Disconnected`.
 fn reader_loop<R: Record + ByteRecord>(
     disk: usize,
@@ -653,28 +599,44 @@ fn reader_loop<R: Record + ByteRecord>(
     let mut reader = BufReader::with_capacity(64 * 1024, stream);
     let mut frame = Vec::new();
     while let Ok(mut p) = pending_rx.recv() {
-        let mut result = Ok(());
-        for chunk in p.buf.chunks_exact_mut(block) {
-            let wire_bytes = match read_frame(&mut reader, &mut frame) {
-                Ok(n) => n,
-                Err(_) => {
-                    result = Err(PdmError::Disconnected { disk });
-                    break;
+        let result = match read_frame(&mut reader, &mut frame) {
+            Ok(wire_bytes) => {
+                counters.msgs_in.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .bytes_in
+                    .fetch_add(wire_bytes as u64, Ordering::Relaxed);
+                match proto::decode_reply(&frame) {
+                    Ok(reply) => {
+                        debug_assert_eq!(reply.idx, p.idx as u64, "reply out of order");
+                        match reply.result {
+                            Ok(payload) if p.is_read => {
+                                if payload.len() == block * R::BYTES {
+                                    for (chunk, r) in
+                                        payload.chunks_exact(R::BYTES).zip(p.buf.iter_mut())
+                                    {
+                                        *r = R::from_bytes(chunk);
+                                    }
+                                    Ok(())
+                                } else {
+                                    Err(PdmError::Io(format!(
+                                        "disk {disk} read reply carries {} bytes, expected {}",
+                                        payload.len(),
+                                        block * R::BYTES
+                                    )))
+                                }
+                            }
+                            Ok(_) => Ok(()),
+                            Err(e) => Err(e),
+                        }
+                    }
+                    Err(e) => Err(e),
                 }
-            };
-            counters.msgs_in.fetch_add(1, Ordering::Relaxed);
-            counters
-                .bytes_in
-                .fetch_add(wire_bytes as u64, Ordering::Relaxed);
-            let landed = decode_block(&frame, p.idx, p.is_read.then_some(chunk));
-            if result.is_ok() {
-                result = landed;
             }
-        }
+            Err(_) => Err(PdmError::Disconnected { disk }),
+        };
         p.done.send(Completion {
             idx: p.idx,
             disk,
-            slots: p.slots,
             buf: p.buf,
             result,
         });
@@ -1179,23 +1141,41 @@ impl<R: Record + ByteRecord> SimNetTransport<R> {
         }
     }
 
-    /// Sends the one frame in `req` through the worker and decodes the
-    /// reply; a read's payload lands in `out`.
-    fn round_trip(&mut self, idx: usize, out: Option<&mut [R]>) -> Result<()> {
+    /// Encodes nothing — `req` already holds exactly one frame. Sends
+    /// it through the worker and decodes the reply into a completion.
+    fn round_trip(&mut self, idx: usize, is_read: bool, mut buf: Vec<R>, done: CompletionQueue<R>) {
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += self.req.len() as u64;
         self.sim_ms += self.model.transfer_ms(self.req.len() as u64);
         self.rep.clear();
-        if !self
-            .worker
-            .handle(&self.req[FRAME_HEADER..], &mut self.rep)?
-        {
-            return Err(PdmError::Io("worker answered STOP to a transfer".into()));
-        }
-        self.stats.messages_received += 1;
-        self.stats.bytes_received += self.rep.len() as u64;
-        self.sim_ms += self.model.transfer_ms(self.rep.len() as u64);
-        decode_block(&self.rep[FRAME_HEADER..], idx, out)
+        let result = match self.worker.handle(&self.req[FRAME_HEADER..], &mut self.rep) {
+            Ok(true) => {
+                self.stats.messages_received += 1;
+                self.stats.bytes_received += self.rep.len() as u64;
+                self.sim_ms += self.model.transfer_ms(self.rep.len() as u64);
+                match proto::decode_reply(&self.rep[FRAME_HEADER..]) {
+                    Ok(reply) => match reply.result {
+                        Ok(payload) if is_read => {
+                            for (chunk, r) in payload.chunks_exact(R::BYTES).zip(buf.iter_mut()) {
+                                *r = R::from_bytes(chunk);
+                            }
+                            Ok(())
+                        }
+                        Ok(_) => Ok(()),
+                        Err(e) => Err(e),
+                    },
+                    Err(e) => Err(e),
+                }
+            }
+            Ok(false) => Err(PdmError::Io("worker answered STOP to a transfer".into())),
+            Err(e) => Err(e),
+        };
+        done.send(Completion {
+            idx,
+            disk: self.disk,
+            buf,
+            result,
+        });
     }
 }
 
@@ -1209,47 +1189,31 @@ impl<R: Record + ByteRecord> Transport<R> for SimNetTransport<R> {
             fail_disconnected(cmd, self.disk);
             return;
         }
-        let (is_read, slots, mut buf, idx, done) = match cmd {
+        match cmd {
             Cmd::Read {
-                slots,
+                slot,
                 buf,
                 idx,
                 done,
-            } => (true, slots, buf, idx, done),
-            Cmd::Write {
-                slots,
-                buf,
-                idx,
-                done,
-            } => (false, slots, buf, idx, done),
-            Cmd::Stop => return,
-        };
-        // One frame each way per slot, as over the socket: every frame
-        // is sent even after a failed one, so message counts match the
-        // pipelined wire.
-        let block = self.worker.block_bytes() / R::BYTES;
-        let mut result = Ok(());
-        for (&slot, chunk) in slots.iter().zip(buf.chunks_exact_mut(block)) {
-            self.req.clear();
-            let out = if is_read {
+                ..
+            } => {
+                self.req.clear();
                 proto::encode_read(&mut self.req, idx as u64, slot as u64);
-                Some(chunk)
-            } else {
-                proto::encode_write(&mut self.req, idx as u64, slot as u64, chunk);
-                None
-            };
-            let landed = self.round_trip(idx, out);
-            if result.is_ok() {
-                result = landed;
+                self.round_trip(idx, true, buf, done);
             }
+            Cmd::Write {
+                slot,
+                buf,
+                idx,
+                done,
+                ..
+            } => {
+                self.req.clear();
+                proto::encode_write(&mut self.req, idx as u64, slot as u64, &buf);
+                self.round_trip(idx, false, buf, done);
+            }
+            Cmd::Stop => {}
         }
-        done.send(Completion {
-            idx,
-            disk: self.disk,
-            slots,
-            buf,
-            result,
-        });
     }
 
     fn message_stats(&self) -> MsgStats {
@@ -1291,27 +1255,30 @@ mod tests {
         assert!((m.transfer_ms(0) - 0.5).abs() < 1e-12);
     }
 
-    /// A run of `slots` on `t`, answered on `done`.
-    fn run_cmd(
+    /// A command for block `slot`, answered on `done`.
+    fn cmd(
         read: bool,
-        slots: Vec<usize>,
+        slot: usize,
         buf: Vec<u64>,
+        more: bool,
         done: &CompletionQueue<u64>,
     ) -> Cmd<u64> {
         let done = done.clone();
         if read {
             Cmd::Read {
-                slots,
+                slot,
                 buf,
                 idx: 0,
                 done,
+                more,
             }
         } else {
             Cmd::Write {
-                slots,
+                slot,
                 buf,
                 idx: 0,
                 done,
+                more,
             }
         }
     }
@@ -1320,9 +1287,9 @@ mod tests {
     fn sim_transport_round_trip_counts_messages_and_time() {
         let mut t = SimNetTransport::<u64>::new_mem(0, 2, 4, SimNetModel::lan());
         let q = CompletionQueue::new();
-        t.submit(run_cmd(false, vec![1], vec![10, 11], &q));
+        t.submit(cmd(false, 1, vec![10, 11], false, &q));
         q.recv().result.unwrap();
-        t.submit(run_cmd(true, vec![1], vec![0, 0], &q));
+        t.submit(cmd(true, 1, vec![0, 0], false, &q));
         let c = q.recv();
         c.result.unwrap();
         assert_eq!(c.buf, vec![10, 11]);
@@ -1335,62 +1302,56 @@ mod tests {
         assert_eq!(t.take_sim_ms(), 0.0, "take resets the accrual");
     }
 
-    /// Writes and reads back a 3-slot run on `t`, then the same three
-    /// blocks as one-slot commands, and checks that the run moved
-    /// exactly the frames and bytes of the three single commands.
+    /// The messages and bytes moved since `before`.
+    fn moved(t: &dyn Transport<u64>, before: MsgStats) -> MsgStats {
+        let now = t.message_stats();
+        MsgStats {
+            messages_sent: now.messages_sent - before.messages_sent,
+            messages_received: now.messages_received - before.messages_received,
+            bytes_sent: now.bytes_sent - before.bytes_sent,
+            bytes_received: now.bytes_received - before.bytes_received,
+        }
+    }
+
+    /// Writes and reads back a 3-block run on `t` (every command but
+    /// the last sets `more`), then the same blocks as lone commands, and
+    /// checks that the run moved exactly their frames and bytes: one
+    /// request and one reply per block.
     fn run_costs_three_single_commands(t: &mut dyn Transport<u64>) {
         let q = CompletionQueue::new();
+        let slots = [2, 0, 3];
         let before = t.message_stats();
-        t.submit(run_cmd(
-            false,
-            vec![2, 0, 3],
-            vec![20, 21, 0, 1, 30, 31],
-            &q,
-        ));
-        let c = q.recv();
-        c.result.unwrap();
-        assert_eq!(c.slots, vec![2, 0, 3]);
-        t.submit(run_cmd(true, vec![3, 2, 0], vec![0; 6], &q));
-        let c = q.recv();
-        c.result.unwrap();
-        assert_eq!(
-            c.buf,
-            vec![30, 31, 20, 21, 0, 1],
-            "blocks in slot-list order"
-        );
-        assert!(q.try_recv().is_none(), "one completion per run");
-        let run = t.message_stats();
-        let run = MsgStats {
-            messages_sent: run.messages_sent - before.messages_sent,
-            messages_received: run.messages_received - before.messages_received,
-            bytes_sent: run.bytes_sent - before.bytes_sent,
-            bytes_received: run.bytes_received - before.bytes_received,
-        };
-        assert_eq!((run.messages_sent, run.messages_received), (6, 6));
-        for (i, slot) in [2, 0, 3].into_iter().enumerate() {
-            let data = vec![20 + i as u64, 21];
-            t.submit(run_cmd(false, vec![slot], data, &q));
-            q.recv().result.unwrap();
-            t.submit(run_cmd(true, vec![slot], vec![0; 2], &q));
+        for (i, &slot) in slots.iter().enumerate() {
+            t.submit(cmd(false, slot, vec![20 + i as u64, 21], i < 2, &q));
+        }
+        for _ in 0..3 {
             q.recv().result.unwrap();
         }
-        let after = t.message_stats();
-        assert_eq!(after.messages_sent - before.messages_sent, 12);
-        assert_eq!(after.bytes_sent - before.bytes_sent, 2 * run.bytes_sent);
-        assert_eq!(
-            after.bytes_received - before.bytes_received,
-            2 * run.bytes_received
-        );
+        for (i, &slot) in slots.iter().enumerate() {
+            t.submit(cmd(true, slot, vec![0; 2], i < 2, &q));
+        }
+        let got: Vec<Vec<u64>> = (0..3).map(|_| q.recv().buf).collect();
+        assert_eq!(got, [vec![20, 21], vec![21, 21], vec![22, 21]]);
+        let run = moved(t, before);
+        assert_eq!((run.messages_sent, run.messages_received), (6, 6));
+        let before = t.message_stats();
+        for (i, &slot) in slots.iter().enumerate() {
+            t.submit(cmd(false, slot, vec![20 + i as u64, 21], false, &q));
+            q.recv().result.unwrap();
+            t.submit(cmd(true, slot, vec![0; 2], false, &q));
+            q.recv().result.unwrap();
+        }
+        assert_eq!(moved(t, before), run, "a run costs its lone commands");
     }
 
     #[test]
-    fn sim_run_moves_one_frame_each_way_per_slot() {
+    fn sim_run_moves_one_frame_each_way_per_block() {
         let mut t = SimNetTransport::<u64>::new_mem(0, 2, 4, SimNetModel::lan());
         run_costs_three_single_commands(&mut t);
     }
 
     #[test]
-    fn uds_run_moves_one_frame_each_way_per_slot() {
+    fn uds_run_moves_one_frame_each_way_per_block() {
         // The worker runs the same serve loop pdm-diskd runs, on a
         // plain thread.
         let dir = TempDir::new("pdm-uds-run");
@@ -1407,24 +1368,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_run_fails_once_with_its_first_error() {
-        let mut t = SimNetTransport::<u64>::new_mem(0, 2, 4, SimNetModel::lan());
-        let q = CompletionQueue::new();
-        t.submit(run_cmd(true, vec![0, 9, 1], vec![0; 6], &q));
-        let c = q.recv();
-        assert!(c.result.is_err());
-        assert_eq!(c.buf.len(), 6);
-        assert!(q.try_recv().is_none(), "one completion per run");
-        assert_eq!(t.message_stats().messages_sent, 3, "every frame is sent");
-    }
-
-    #[test]
     fn sim_transport_disconnect_answers_without_worker() {
         let mut t = SimNetTransport::<u64>::new_mem(3, 2, 4, SimNetModel::lan());
         let before = t.message_stats();
         t.inject_disconnect();
         let q = CompletionQueue::new();
-        t.submit(run_cmd(true, vec![0], vec![0, 0], &q));
+        t.submit(cmd(true, 0, vec![0, 0], false, &q));
         let c = q.recv();
         assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 3 })));
         assert_eq!(c.buf.len(), 2);
@@ -1516,12 +1465,12 @@ mod tests {
     fn sim_transport_respawn_revives_the_link_with_data_intact() {
         let mut t = SimNetTransport::<u64>::new_mem(2, 2, 4, SimNetModel::lan());
         let q = CompletionQueue::new();
-        t.submit(run_cmd(false, vec![0], vec![5, 6], &q));
+        t.submit(cmd(false, 0, vec![5, 6], false, &q));
         q.recv().result.unwrap();
         assert!(!t.respawn().unwrap(), "healthy link: nothing to do");
         t.inject_disconnect();
         assert!(t.respawn().unwrap());
-        t.submit(run_cmd(true, vec![0], vec![0, 0], &q));
+        t.submit(cmd(true, 0, vec![0, 0], false, &q));
         let c = q.recv();
         c.result.unwrap();
         assert_eq!(c.buf, vec![5, 6], "store survived the crash");

@@ -4,8 +4,8 @@
 //! buffers, the run-length [`pdm::BlockBatches`] gather/scatter sets
 //! (plus the [`pdm::BatchCursor`] that materialises their batches) and
 //! the reference scratch — and the [`pdm::DiskSystem`] reuses its
-//! validation scratch, its run buffers and its tickets (completion
-//! channel included). After a warm-up pass, streaming further passes
+//! validation scratch, its block buffers and its tickets (completion
+//! queue included). After a warm-up pass, streaming further passes
 //! through the engine must perform **zero** heap allocations on the
 //! calling thread, for striped and for gather/scatter plans alike, in
 //! the serial and in the threaded service mode.
@@ -14,8 +14,8 @@
 //! system allocator, and the second pass must leave the counter
 //! untouched. The count is per thread, so tests running in parallel
 //! cannot count each other's allocations, and a threaded pass's disk
-//! service threads (which answer on unbounded completion channels) do
-//! not count either: the calling thread's submits and drains do.
+//! service threads (which fill the completion queues) do not count
+//! either: the calling thread's submits and drains do.
 
 use pdm::engine::{PassEngine, ReadPlan, WritePlan};
 use pdm::{BlockRef, DiskSystem, Geometry, ServiceMode};

@@ -2,10 +2,10 @@
 //! physical disk, many tenant [`DiskSystem`]s.
 //!
 //! A [`DiskFarm`] owns `D` memory-backed disk workers, each a thread
-//! running [`pdm::parallel::serve_disk`] over a command channel, like
-//! [`pdm::parallel::InProcTransport`] — except that *many* clients
-//! hold senders to the same worker. Each admitted job
-//! leases a contiguous range of block slots on every disk
+//! running [`pdm::parallel::serve_disk`] over an
+//! [`pdm::parallel::Inbox`], like [`pdm::parallel::InProcTransport`] —
+//! except that *many* clients feed the same worker's inbox. Each
+//! admitted job leases a contiguous range of block slots on every disk
 //! ([`DiskFarm::lease_system`]) and gets its own
 //! [`DiskSystem`] whose per-disk `FarmTransport`s translate the
 //! job's slot addresses into the leased range and feed the shared
@@ -17,12 +17,11 @@
 //! is *submitted* next.
 
 use pdm::backend::{DiskUnit, MemDisk};
-use pdm::parallel::{fail_disconnected, serve_disk, Cmd};
+use pdm::parallel::{fail_disconnected, serve_disk, Cmd, Inbox};
 use pdm::record::{ByteRecord, Record};
 use pdm::{DiskSystem, Geometry, MsgStats, PdmError, RemoteDisk, RespawnSpec, Result, Transport};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -139,7 +138,7 @@ impl Drop for Lease {
 pub struct DiskFarm<R: Record> {
     block: usize,
     slots: usize,
-    senders: Vec<Sender<Cmd<R>>>,
+    inboxes: Vec<Inbox<R>>,
     workers: Vec<JoinHandle<()>>,
     alloc: Arc<Mutex<SlotAllocator>>,
     /// Per-disk crash-injection flags (UDS backend only; empty for
@@ -173,21 +172,22 @@ impl<R: Record> DiskFarm<R> {
         dir: Option<pdm::TempDir>,
     ) -> Self {
         let disks = units.len();
-        let mut senders = Vec::with_capacity(disks);
+        let mut inboxes = Vec::with_capacity(disks);
         let mut workers = Vec::with_capacity(disks);
         for (d, mut unit) in units.into_iter().enumerate() {
-            let (tx, rx) = channel::<Cmd<R>>();
+            let inbox = Inbox::new();
+            let served = inbox.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("pdm-farm-{d}"))
-                .spawn(move || serve_disk(d, unit.as_mut(), &rx))
+                .spawn(move || serve_disk(d, unit.as_mut(), &served))
                 .expect("spawn farm worker");
-            senders.push(tx);
+            inboxes.push(inbox);
             workers.push(handle);
         }
         DiskFarm {
             block,
             slots,
-            senders,
+            inboxes,
             workers,
             alloc: Arc::new(Mutex::new(SlotAllocator::new(slots))),
             kills,
@@ -209,7 +209,7 @@ impl<R: Record> DiskFarm<R> {
 
     /// Number of disks.
     pub fn disks(&self) -> usize {
-        self.senders.len()
+        self.inboxes.len()
     }
 
     /// Block slots per disk.
@@ -238,11 +238,11 @@ impl<R: Record> DiskFarm<R> {
                 self.block
             )));
         }
-        if geom.disks() != self.senders.len() {
+        if geom.disks() != self.inboxes.len() {
             return Err(PdmError::Config(format!(
                 "job wants {} disks, the farm has {}",
                 geom.disks(),
-                self.senders.len()
+                self.inboxes.len()
             )));
         }
         let need = portions * geom.stripes();
@@ -262,14 +262,15 @@ impl<R: Record> DiskFarm<R> {
             len: need,
         };
         let transports: Vec<Box<dyn Transport<R>>> = self
-            .senders
+            .inboxes
             .iter()
             .enumerate()
-            .map(|(d, tx)| {
+            .map(|(d, inbox)| {
                 Box::new(FarmTransport {
                     disk: d,
                     base,
-                    tx: tx.clone(),
+                    inbox: inbox.clone(),
+                    held: Vec::new(),
                     dead: false,
                     kill: self.kills.get(d).cloned(),
                 }) as Box<dyn Transport<R>>
@@ -347,10 +348,12 @@ impl<R: Record + ByteRecord> DiskFarm<R> {
 
 impl<R: Record> Drop for DiskFarm<R> {
     fn drop(&mut self) {
-        // Workers exit when the last sender drops; outstanding leases
-        // hold sender clones, so drop the farm only after every leased
-        // system is gone (the service core guarantees this).
-        self.senders.clear();
+        // Stop every worker; a lease that outlived the farm (the
+        // service core drops every leased system first) would see its
+        // commands answered with `Disconnected`.
+        for (d, inbox) in self.inboxes.iter().enumerate() {
+            inbox.send(d, &mut vec![Cmd::Stop]);
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -358,15 +361,18 @@ impl<R: Record> Drop for DiskFarm<R> {
 }
 
 /// One disk's transport for one tenant: forwards commands to the
-/// shared worker with every slot of the run translated into the job's
-/// leased range. Message counters stay zero (commands cross by
-/// reference, like the in-process transport); a severed transport
-/// answers everything with [`PdmError::Disconnected`], buffer
-/// attached, per the [`Transport`] contract.
+/// shared worker with their slots translated into the job's leased
+/// range, a whole run at a time ([`Cmd::more`]), as the in-process
+/// transport does. Message counters stay zero (commands cross by
+/// reference); a severed transport answers everything with
+/// [`PdmError::Disconnected`], buffer attached, per the [`Transport`]
+/// contract.
 struct FarmTransport<R: Record> {
     disk: usize,
     base: usize,
-    tx: Sender<Cmd<R>>,
+    inbox: Inbox<R>,
+    /// The commands of the run being submitted.
+    held: Vec<Cmd<R>>,
     dead: bool,
     /// UDS backend only: the disk's crash-injection flag. An injected
     /// disconnect arms it — killing the real worker process at its
@@ -381,22 +387,22 @@ impl<R: Record> Transport<R> for FarmTransport<R> {
     }
 
     fn submit(&mut self, mut cmd: Cmd<R>) {
-        if self.dead {
-            fail_disconnected(cmd, self.disk);
-            return;
-        }
         match &mut cmd {
-            Cmd::Read { slots, .. } | Cmd::Write { slots, .. } => {
-                for slot in slots {
-                    *slot += self.base;
-                }
-            }
+            Cmd::Read { slot, .. } | Cmd::Write { slot, .. } => *slot += self.base,
             // The shared worker outlives this tenant; swallow stops.
             Cmd::Stop => return,
         }
-        if let Err(send_err) = self.tx.send(cmd) {
+        let last = !cmd.more();
+        self.held.push(cmd);
+        if !last {
+            return;
+        }
+        if self.dead {
+            for cmd in self.held.drain(..) {
+                fail_disconnected(cmd, self.disk);
+            }
+        } else if !self.inbox.send(self.disk, &mut self.held) {
             self.dead = true;
-            fail_disconnected(send_err.0, self.disk);
         }
     }
 
@@ -473,7 +479,7 @@ mod tests {
     fn a_run_lands_in_the_leased_slots() {
         let farm: DiskFarm<u64> = DiskFarm::new(2, 2, 64);
         // 8 stripes of 4 records; a memoryload is 4 stripes, so bulk
-        // placement sends each disk 4-slot runs.
+        // placement sends each disk 4-block runs.
         let geom = Geometry::new(32, 2, 2, 16).unwrap();
         let (mut a, _la) = farm.lease_system(geom, 1).unwrap();
         let (mut b, lb) = farm.lease_system(geom, 1).unwrap();
@@ -489,20 +495,24 @@ mod tests {
         // Disk 0 of the shared array, read straight from its worker:
         // block 0 of every stripe of b, at b's leased slots.
         let done = pdm::parallel::CompletionQueue::new();
-        let physical: Vec<usize> = (lb.base..lb.base + geom.stripes()).collect();
-        farm.senders[0]
-            .send(Cmd::Read {
-                slots: physical.clone(),
-                buf: vec![0; 2 * physical.len()],
-                idx: 0,
+        let physical = lb.base..lb.base + geom.stripes();
+        let mut reads: Vec<Cmd<u64>> = physical
+            .clone()
+            .map(|slot| Cmd::Read {
+                slot,
+                buf: vec![0; 2],
+                idx: slot,
                 done: done.clone(),
+                more: false,
             })
-            .unwrap();
-        let c = done.recv();
-        c.result.unwrap();
-        let expect: Vec<u64> = (0..8).flat_map(|s| [100 + 4 * s, 101 + 4 * s]).collect();
-        assert_eq!(c.buf, expect);
-        assert_eq!(c.slots, physical);
+            .collect();
+        assert!(farm.inboxes[0].send(0, &mut reads));
+        for (s, slot) in physical.enumerate() {
+            let c = done.recv();
+            c.result.unwrap();
+            assert_eq!(c.idx, slot);
+            assert_eq!(c.buf, [100 + 4 * s as u64, 101 + 4 * s as u64]);
+        }
         // Both tenants read their own records back through runs.
         assert_eq!(a.dump_records(0), (0..32).collect::<Vec<_>>());
         assert_eq!(b.dump_records(0), (100..132).collect::<Vec<_>>());
