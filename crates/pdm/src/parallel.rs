@@ -467,13 +467,29 @@ impl<R: Record> Default for Inbox<R> {
 /// `Disconnected`. A run's completions are delivered together at its
 /// end, waking the caller once.
 pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, inbox: &Inbox<R>) {
-    let mut cmds = VecDeque::with_capacity(INBOX_CAPACITY);
+    /// Closes the inbox however the loop ends — a panicking unit
+    /// included — so no sender waits on, or queues for, a dead worker.
+    struct Closer<'a, R: Record> {
+        inbox: &'a Inbox<R>,
+        disk: usize,
+        cmds: VecDeque<Cmd<R>>,
+    }
+    impl<R: Record> Drop for Closer<'_, R> {
+        fn drop(&mut self) {
+            self.inbox.close(self.disk, &mut self.cmds);
+        }
+    }
+    let mut taken = Closer {
+        inbox,
+        disk,
+        cmds: VecDeque::with_capacity(INBOX_CAPACITY),
+    };
     // The completions of the run in progress, and where they go.
     let mut run: Vec<Completion<R>> = Vec::new();
     let mut run_done: Option<CompletionQueue<R>> = None;
     'serve: loop {
-        inbox.take_all(&mut cmds);
-        while let Some(cmd) = cmds.pop_front() {
+        inbox.take_all(&mut taken.cmds);
+        while let Some(cmd) = taken.cmds.pop_front() {
             let (buf, idx, done, more, result) = match cmd {
                 Cmd::Read {
                     slot,
@@ -521,7 +537,6 @@ pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, inbox: &In
     if let Some(q) = run_done {
         q.deliver(run.drain(..), true);
     }
-    inbox.close(disk, &mut cmds);
 }
 
 /// The in-process transport: a persistent service thread that owns its
@@ -917,6 +932,36 @@ mod tests {
         let c = q.recv();
         assert!(c.result.is_err());
         assert_eq!(c.buf.len(), 2, "buffer must come back even on error");
+    }
+
+    #[test]
+    fn a_panicking_worker_closes_its_inbox() {
+        /// A unit whose every transfer panics.
+        struct Broken;
+        impl DiskUnit<u64> for Broken {
+            fn slots(&self) -> usize {
+                4
+            }
+            fn block(&self) -> usize {
+                2
+            }
+            fn read(&mut self, _: usize, _: &mut [u64]) -> Result<()> {
+                panic!("broken unit");
+            }
+            fn write(&mut self, _: usize, _: &[u64]) -> Result<()> {
+                panic!("broken unit");
+            }
+        }
+        let inbox = Inbox::new();
+        let served = inbox.clone();
+        let worker = std::thread::spawn(move || serve_disk(0, &mut Broken, &served));
+        let q = CompletionQueue::new();
+        assert!(inbox.send(0, &mut vec![read(0, 2, 0, &q)]));
+        assert!(worker.join().is_err(), "the unit panicked");
+        assert!(!inbox.send(0, &mut vec![read(1, 2, 1, &q)]));
+        let c = q.recv();
+        assert_eq!(c.idx, 1, "the later command is answered");
+        assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 0 })));
     }
 
     #[test]
