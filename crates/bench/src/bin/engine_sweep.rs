@@ -1052,7 +1052,8 @@ fn recovery(_: &Ctx) -> Out {
 /// on a shuffled permutation (best of 3), then once on each adversarial
 /// key catalog (`extsort::keys`) in serial on mem. Every row must sort
 /// exactly, with the passes and parallel I/Os of the schedule replay
-/// ([`merge_sort_passes`], [`merge_sort_ios`]).
+/// ([`merge_sort_passes`], [`merge_sort_ios`]). Records each strategy's
+/// `threaded_over_serial` per backend on the permutation.
 fn extsort(ctx: &Ctx) -> Out {
     let geom = bench_geometry();
     let records = geom.records();
@@ -1070,6 +1071,8 @@ fn extsort(ctx: &Ctx) -> Out {
         cases.push((name, data, "mem", "serial", ServiceMode::Serial, 1));
     }
     let mut out = Out::default();
+    let mut serial_secs = Vec::new();
+    let mut speedups = Vec::new();
     let replay = |s| (merge_sort_passes(&geom, s), merge_sort_ios(&geom, s));
     for (input, data, backend, mode, service, reps) in cases {
         let mut sorted = data.clone();
@@ -1099,6 +1102,21 @@ fn extsort(ctx: &Ctx) -> Out {
             std::fs::remove_dir_all(&dir).ok();
             let counted = (Some(passes), Some(ios));
             assert_eq!(counted, replay(merge), "{label} vs the schedule replay");
+            if input == "perm" {
+                let run = (variant, backend);
+                match service {
+                    ServiceMode::Serial => serial_secs.push((run, secs)),
+                    ServiceMode::Threaded => {
+                        let &(_, serial) = (serial_secs.iter().find(|(r, _)| *r == run))
+                            .expect("the serial row comes first");
+                        speedups.push(
+                            (Row::default().key("variant", variant))
+                                .key("backend", backend)
+                                .real("threaded_over_serial", serial / secs),
+                        );
+                    }
+                }
+            }
             out.rows.push(
                 (Row::default().key("variant", variant).key("input", input))
                     .key("backend", backend)
@@ -1116,7 +1134,7 @@ fn extsort(ctx: &Ctx) -> Out {
     let fan_in = |s: MergeStrategy| s.fan_in(&geom);
     assert!(fan_in(forecast) >= 8 * fan_in(single), "forecast fan-in");
     assert!(replay(forecast).0 < replay(single).0, "forecast passes");
-    out.fields = Row::default().count("lg_records", LG);
+    out.fields = (Row::default().count("lg_records", LG)).set("speedups", array(&speedups));
     out
 }
 

@@ -15,11 +15,12 @@
 //! `2N/BD` operations, at fan-in `M/BD − 1`. The
 //! [`MergeStrategy::Forecast`] variant closes the fan-in gap to
 //! Vitter–Shriver: per-run buffers shrink to one *block* and a
-//! forecasting key per run (the last key of its current block) drives
-//! a split-phase prefetch of exactly the run that empties next,
-//! reaching fan-in `M/B − D − 1 = Θ(M/B)` — the bound's own fan-in —
-//! and strictly fewer merge passes whenever the default needs more
-//! than one, at the price of independent single-block refill reads.
+//! forecasting key per run (the last key of its newest block) orders
+//! the split-phase prefetches by when each run empties, reaching
+//! fan-in `M/B − D − 1 = Θ(M/B)` — the bound's own fan-in — and
+//! strictly fewer merge passes whenever the default needs more than
+//! one, at the price of independent single-block refill reads. Both
+//! strategies share one pipelined merge loop (see [`merge`]).
 //!
 //! This crate owns the merge-strategy decision: the strategy list
 //! ([`MergeStrategy::ALL`]), each strategy's fan-in and read cost, and

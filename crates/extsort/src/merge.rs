@@ -1,7 +1,7 @@
-//! External merge sort on the parallel disk model, in two merge
-//! flavours (see DESIGN.md for the full cost table), and the exact
-//! replay of its merge schedule ([`merge_sort_levels`]) that the
-//! planner costs the sort route with.
+//! External merge sort on the parallel disk model: one pipelined merge
+//! loop for both merge strategies (see DESIGN.md for the full cost
+//! table), and the exact replay of its merge schedule
+//! ([`merge_sort_levels`]) that the planner costs the sort route with.
 //!
 //! 1. **Run formation**: each memoryload streams through the shared
 //!    [`PassEngine`] — striped reads, in-memory sort,
@@ -17,21 +17,19 @@
 //!
 //! # Merge strategies
 //!
-//! * [`MergeStrategy::SingleBuffered`] (the default): each active run
-//!   buffers one stripe (`B·D` records) and the output buffers one
-//!   stripe, so memory holds at most `(F+1)·BD = M` records and
-//!   `F₁ = M/BD − 1`. Every transfer is a striped parallel I/O through
-//!   a reusable stripe buffer ([`pdm::DiskSystem::read_stripe_into`]);
-//!   a full merge pass costs exactly `2N/BD`.
-//! * [`MergeStrategy::Forecast`]: the Vitter–Shriver forecasting
-//!   merge at *block* granularity. Each run buffers a single block
-//!   (`B` records) and carries a **forecasting key** — the key of the
-//!   last record of its current block. Blocks within a run are sorted,
-//!   so the run whose forecasting key is smallest is *exactly* the run
-//!   whose buffer empties next; its next block is prefetched
-//!   split-phase into one shared landing block while the heap drains.
-//!   Memory holds `F` run blocks, the landing block, and the output
-//!   stripe: `F₂ = M/B − D − 1 = Θ(M/B)` — a factor ~`D` more fan-in
+//! A strategy fixes the merge's *refill unit* `u`, the records one
+//! refill read brings in, and with it the fan-in and the read
+//! discipline:
+//!
+//! * [`MergeStrategy::SingleBuffered`] (the default): `u` is one stripe
+//!   (`B·D` records). A full group of `F₁ = M/BD − 1` runs holds one
+//!   stripe per run plus the output stripe, `(F+1)·BD = M` records.
+//!   Every transfer is a striped parallel I/O; a full merge pass costs
+//!   exactly `2N/BD`.
+//! * [`MergeStrategy::Forecast`]: the Vitter–Shriver forecasting merge
+//!   at *block* granularity: `u` is one block (`B` records). A full
+//!   group of `F₂ = M/B − D − 1 = Θ(M/B)` runs holds its run blocks, one
+//!   landing block and the output stripe — a factor ~`D` more fan-in
 //!   than `F₁`, hence strictly fewer merge passes whenever the
 //!   single-buffered sort needs more than one. The price is the read
 //!   discipline: refills are independent single-block parallel I/Os
@@ -40,13 +38,43 @@
 //!   the single-buffered `2N/BD`. Fewer passes, or cheaper passes:
 //!   [`merge_sort_ios`] computes both sides exactly and the
 //!   `engine_sweep` extsort section measures them.
+//!
+//! # The merge loop
+//!
+//! A group of `g` runs keeps one unit per run, and a heap keyed on
+//! `(key, run index)`, whose top is replaced rather than popped and
+//! pushed, picks each output record; equal keys therefore leave in run
+//! order under either strategy. The `S = M − g·u − BD` records the
+//! group leaves free become `L` *landing units* for prefetched refills
+//! plus, when `S ≥ BD + u`, one output stripe written behind
+//! (`group_budget`). Blocks within a run are sorted, so each run's
+//! *forecasting key* — the key of the last record of its newest
+//! resident or landed unit — orders exactly when it next needs a unit.
+//! Prefetches go out in that order and in batches: once `⌈L/4⌉`
+//! landing units are free, one split-phase ticket of single-unit
+//! parallel I/Os ([`pdm::DiskSystem::begin_reads`]), admitted and
+//! charged one by one, so each disk's refills travel as one run. A
+//! drained run whose next unit is neither landed nor in flight takes a
+//! demand read.
+//!
+//! A full group runs the classic merge: `S = B` gives a forecast group
+//! one prefetch in flight while the heap drains and synchronous
+//! writes, and `S = 0` gives a single-buffered group demand stripe
+//! reads. In every regime each unit is read exactly once, in run order,
+//! each output stripe is one striped write, and the counts are those
+//! [`merge_sort_ios`] replays; only the timing of the transfers moves.
+//! (Groups with spare memory issue their reads earlier, so fault-plan
+//! operation indices inside them differ from the classic order, as the
+//! pass engine's overlap does.)
 
 use pdm::engine::{ReadPlan, WritePlan};
 use pdm::{
     BlockRef, DiskSystem, Geometry, IoStats, MsgStats, PassEngine, PdmError, ReadTicket, Record,
+    WriteTicket,
 };
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// How the merge passes buffer their runs. See the module docs for the
 /// cost trade-offs.
@@ -56,8 +84,8 @@ pub enum MergeStrategy {
     /// `M/BD − 1`. The memory-model-faithful default.
     #[default]
     SingleBuffered,
-    /// One *block* buffer per run plus a forecasting key driving a
-    /// single split-phase block prefetch, fan-in `M/B − D − 1`.
+    /// One *block* buffer per run plus a forecasting key ordering the
+    /// split-phase block prefetches, fan-in `M/B − D − 1`.
     Forecast,
 }
 
@@ -77,14 +105,20 @@ impl MergeStrategy {
         }
     }
 
-    /// Parallel *read* operations charged per merged stripe: the
-    /// single-buffered merge reads one stripe per operation, the
-    /// forecasting merge one block.
-    fn reads_per_stripe(&self, geom: &Geometry) -> u64 {
+    /// Records per refill unit: one stripe (single-buffered) or one
+    /// block (forecasting).
+    fn unit(&self, geom: &Geometry) -> usize {
         match self {
-            MergeStrategy::SingleBuffered => 1,
-            MergeStrategy::Forecast => geom.disks() as u64,
+            MergeStrategy::SingleBuffered => geom.block() * geom.disks(),
+            MergeStrategy::Forecast => geom.block(),
         }
+    }
+
+    /// Parallel *read* operations charged per merged stripe, one per
+    /// refill unit: a striped read (single-buffered) or `D` single-block
+    /// reads (forecasting).
+    fn reads_per_stripe(&self, geom: &Geometry) -> u64 {
+        (geom.block() * geom.disks() / self.unit(geom)) as u64
     }
 
     /// Stable lower-case label (`single`, `forecast`) used by the CLI
@@ -181,6 +215,23 @@ pub fn merge_sort_passes(geom: &Geometry, strategy: MergeStrategy) -> Option<usi
     merge_sort_levels(geom, strategy).map(|levels| 1 + levels.len())
 }
 
+/// The buffering of a merge group of `runs` runs under `strategy`:
+/// `(L, write_behind)`, its landing units for prefetched refills and
+/// whether one output stripe is written behind. With one unit per run
+/// and the output stripe being filled they use the `S = M − g·u − BD`
+/// records the group leaves free and no more: write behind iff
+/// `S ≥ BD + u`, then `L = (S − [write_behind]·BD) / u`. A full group
+/// leaves `S = B` when forecasting (`L = 1`) and `S = 0`
+/// single-buffered (`L = 0`).
+pub(crate) fn group_budget(geom: &Geometry, strategy: MergeStrategy, runs: usize) -> (usize, bool) {
+    debug_assert!((2..=strategy.fan_in(geom)).contains(&runs));
+    let (unit, stripe) = (strategy.unit(geom), geom.block() * geom.disks());
+    let spare = geom.memory() - runs * unit - stripe;
+    let write_behind = spare >= stripe + unit;
+    let landing = (spare - usize::from(write_behind) * stripe) / unit;
+    (landing, write_behind)
+}
+
 /// Configuration for [`sort_by_key_with`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SortConfig {
@@ -219,62 +270,6 @@ struct Run {
     start: usize,
     end: usize, // exclusive, in stripes
     portion: usize,
-}
-
-/// One run being consumed during a single-buffered merge: a reusable
-/// one-stripe buffer plus the read cursor.
-struct Cursor<R> {
-    run: Run,
-    /// `portion_base` of the run's portion.
-    base: usize,
-    next_stripe: usize,
-    buf: Vec<R>,
-    /// Valid records in `buf` (0 until the first refill).
-    filled: usize,
-    pos: usize,
-}
-
-impl<R: Record> Cursor<R> {
-    fn new(run: Run, base: usize, stripe_len: usize) -> Self {
-        Cursor {
-            run,
-            base,
-            next_stripe: run.start,
-            buf: vec![R::default(); stripe_len],
-            filled: 0,
-            pos: 0,
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pos >= self.filled && self.next_stripe >= self.run.end
-    }
-
-    /// Refills the buffer (in place, no allocation) if empty; returns
-    /// false when the run is done.
-    fn ensure(&mut self, sys: &mut DiskSystem<R>) -> Result<bool, PdmError> {
-        if self.pos < self.filled {
-            return Ok(true);
-        }
-        if self.next_stripe >= self.run.end {
-            return Ok(false);
-        }
-        sys.read_stripe_into(self.base + self.next_stripe, &mut self.buf)?;
-        self.filled = self.buf.len();
-        self.pos = 0;
-        self.next_stripe += 1;
-        Ok(true)
-    }
-
-    fn peek(&self) -> &R {
-        &self.buf[self.pos]
-    }
-
-    fn pop(&mut self) -> R {
-        let r = self.buf[self.pos];
-        self.pos += 1;
-        r
-    }
 }
 
 /// Sorts the `N` records in portion 0 by `key`, ascending, with the
@@ -359,10 +354,7 @@ pub fn sort_by_key_with<R: Record>(
                 next_runs.push(group[0]);
                 continue;
             }
-            match cfg.merge {
-                MergeStrategy::SingleBuffered => merge_group(sys, target, group, key, &mut out)?,
-                MergeStrategy::Forecast => merge_group_fc(sys, target, group, key, &mut out)?,
-            }
+            merge_runs(sys, cfg.merge, target, group, key, &mut out)?;
             next_runs.push(Run {
                 start: group[0].start,
                 end: group.last().unwrap().end,
@@ -385,263 +377,347 @@ pub fn sort_by_key_with<R: Record>(
 }
 
 /// Merges a group of consecutive runs (each read from its own
-/// [`Run::portion`]) into the same stripe range of portion `dst`.
-/// `out` is the reusable one-stripe output buffer.
-fn merge_group<R: Record>(
+/// [`Run::portion`]) into the same stripe range of portion `dst` with
+/// the merge loop of the module docs. `out` is the reusable output
+/// stripe. On error nothing stays in flight.
+fn merge_runs<R: Record>(
     sys: &mut DiskSystem<R>,
+    strategy: MergeStrategy,
     dst: usize,
     group: &[Run],
     key: impl Fn(&R) -> u64 + Copy,
     out: &mut Vec<R>,
 ) -> Result<(), PdmError> {
-    let geom = sys.geometry();
-    let dst_base = sys.portion_base(dst);
-    let stripe_len = geom.block() * geom.disks();
-
-    let mut cursors: Vec<Cursor<R>> = group
-        .iter()
-        .map(|&run| Cursor::new(run, sys.portion_base(run.portion), stripe_len))
-        .collect();
-    // Heap of (key, cursor index); pull the global minimum, refilling
-    // that cursor's stripe buffer on demand.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        if c.ensure(sys)? {
-            heap.push(Reverse((key(c.peek()), i)));
-        }
-    }
-    out.clear();
-    let mut out_stripe = group[0].start;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let rec = cursors[i].pop();
-        out.push(rec);
-        if out.len() == stripe_len {
-            sys.write_stripe(dst_base + out_stripe, out)?;
-            out_stripe += 1;
-            out.clear();
-        }
-        if cursors[i].ensure(sys)? {
-            heap.push(Reverse((key(cursors[i].peek()), i)));
-        }
-    }
-    debug_assert!(out.is_empty(), "runs are stripe-aligned");
-    debug_assert!(cursors.iter().all(Cursor::exhausted));
-    Ok(())
-}
-
-/// One run being consumed by the forecasting merge: a single *block*
-/// buffer plus the forecasting key (the key of the buffer's last
-/// record — blocks within a run are sorted, so the run with the
-/// smallest forecasting key is exactly the run whose buffer empties
-/// next).
-struct FcCursor<R> {
-    run: Run,
-    base: usize,
-    /// Next block (0-based within the run) not yet landed or in
-    /// flight. Block `k` of a run lives at stripe `start + k/D`,
-    /// disk `k mod D`.
-    next_block: usize,
-    total_blocks: usize,
-    buf: Vec<R>,
-    filled: usize,
-    pos: usize,
-    /// Forecasting key (valid while `filled > 0`).
-    fkey: u64,
-}
-
-impl<R: Record> FcCursor<R> {
-    fn new(run: Run, base: usize, block: usize, disks: usize) -> Self {
-        FcCursor {
-            run,
-            base,
-            next_block: 0,
-            total_blocks: (run.end - run.start) * disks,
-            buf: vec![R::default(); block],
-            filled: 0,
-            pos: 0,
-            fkey: 0,
-        }
-    }
-
-    /// True while this cursor still has blocks that were neither
-    /// landed nor submitted.
-    fn has_unfetched(&self) -> bool {
-        self.next_block < self.total_blocks
-    }
-
-    /// The [`BlockRef`] of the next unfetched block.
-    fn next_ref(&self, disks: usize) -> BlockRef {
-        BlockRef {
-            disk: self.next_block % disks,
-            slot: self.base + self.run.start + self.next_block / disks,
-        }
-    }
-
-    fn peek(&self) -> &R {
-        &self.buf[self.pos]
-    }
-
-    fn pop(&mut self) -> R {
-        let r = self.buf[self.pos];
-        self.pos += 1;
-        r
-    }
-
-    /// Installs a freshly landed block and refreshes the forecasting
-    /// key.
-    fn install(&mut self, key: impl Fn(&R) -> u64) {
-        self.filled = self.buf.len();
-        self.pos = 0;
-        self.fkey = key(&self.buf[self.filled - 1]);
-    }
-}
-
-/// The in-flight forecast prefetch: which cursor it refills and its
-/// split-phase ticket.
-struct FcPending<R: Record> {
-    cursor: usize,
-    ticket: ReadTicket<R>,
-}
-
-/// Merges a group of consecutive runs with forecasting block-granular
-/// cursors. Reads are independent single-block parallel I/Os (every
-/// block of the group is read exactly once — `D` read operations per
-/// stripe); writes remain striped. The one split-phase prefetch in
-/// flight always belongs to the run that empties next, so in threaded
-/// mode every refill is already resident when the heap demands it.
-fn merge_group_fc<R: Record>(
-    sys: &mut DiskSystem<R>,
-    dst: usize,
-    group: &[Run],
-    key: impl Fn(&R) -> u64 + Copy,
-    out: &mut Vec<R>,
-) -> Result<(), PdmError> {
-    let geom = sys.geometry();
-    let block = geom.block();
-    let disks = geom.disks();
-    let mut cursors: Vec<FcCursor<R>> = group
-        .iter()
-        .map(|&run| FcCursor::new(run, sys.portion_base(run.portion), block, disks))
-        .collect();
-    let mut pending: Option<FcPending<R>> = None;
-    let result = merge_group_fc_inner(sys, dst, group, &mut cursors, &mut pending, key, out);
+    let mut merge = Merge::new(sys, strategy, group);
+    let dst = sys.portion_base(dst) + group[0].start;
+    let result = merge.run(sys, dst, key, out);
     if result.is_err() {
-        // Abort path: reclaim the in-flight prefetch so no pooled
-        // buffers are stranded.
-        if let Some(p) = pending.take() {
-            sys.discard_read(p.ticket);
-        }
+        merge.abort(sys);
     }
     result
 }
 
-/// Submits the next prefetch: the first unfetched block of the run
-/// predicted to empty next (smallest `(fkey, index)` — ties broken
-/// like the merge heap, so the prediction is exact even with
-/// duplicate keys).
-fn fc_issue_prefetch<R: Record>(
-    sys: &mut DiskSystem<R>,
-    cursors: &mut [FcCursor<R>],
-    pending: &mut Option<FcPending<R>>,
-) -> Result<(), PdmError> {
-    debug_assert!(pending.is_none());
-    let disks = sys.geometry().disks();
-    let predicted = cursors
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.has_unfetched())
-        .min_by_key(|(i, c)| (c.fkey, *i))
-        .map(|(i, _)| i);
-    if let Some(i) = predicted {
-        let ticket = sys.begin_read_block(cursors[i].next_ref(disks))?;
-        cursors[i].next_block += 1;
-        *pending = Some(FcPending { cursor: i, ticket });
-    }
-    Ok(())
+/// A run being merged: the unit it is consuming, the units landed
+/// ahead of it, and its forecasting key.
+struct Input<R> {
+    /// The run's first slot: its portion base plus its first stripe.
+    slot: usize,
+    /// Units in the run.
+    units: usize,
+    /// Units fetched so far (resident, landed, in flight or consumed):
+    /// the next to fetch is unit `fetched`.
+    fetched: usize,
+    /// The unit being consumed, and its next record (`buf.len()` once
+    /// drained).
+    buf: Vec<R>,
+    pos: usize,
+    /// Landed units, in run order.
+    landed: VecDeque<Vec<R>>,
+    /// Whether unit `fetched − 1` is in flight.
+    in_flight: bool,
+    /// The key of the last record of the newest unit resident or
+    /// landed: the run needs unit `fetched` once the merge has passed
+    /// `(fkey, run index)`. Stale while a unit is in flight.
+    fkey: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn merge_group_fc_inner<R: Record>(
-    sys: &mut DiskSystem<R>,
-    dst: usize,
-    group: &[Run],
-    cursors: &mut [FcCursor<R>],
-    pending: &mut Option<FcPending<R>>,
-    key: impl Fn(&R) -> u64 + Copy,
-    out: &mut Vec<R>,
-) -> Result<(), PdmError> {
-    let geom = sys.geometry();
-    let dst_base = sys.portion_base(dst);
-    let disks = geom.disks();
-    let stripe_len = geom.block() * disks;
-    // Shared landing buffer for the split-phase prefetch: the one
-    // extra block of residency the strategy charges against M.
-    let mut landing: Vec<R> = vec![R::default(); geom.block()];
+/// A prefetch batch in flight: its ticket and, per unit in operation
+/// order, the input it refills and the landing unit it reserved.
+struct Batch<R: Record> {
+    ticket: ReadTicket<R>,
+    units: Vec<(usize, Vec<R>)>,
+}
 
-    // Initial fill: every cursor's first block, demand-read (all runs
-    // start at a stripe boundary, i.e. on disk 0, so these reads
-    // cannot batch).
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        debug_assert!(c.has_unfetched(), "runs are non-empty");
-        sys.read_block_into(c.next_ref(disks), &mut c.buf)?;
-        c.next_block += 1;
-        c.install(key);
-        heap.push(Reverse((key(c.peek()), i)));
+/// One merge group's buffers and transfers in flight.
+struct Merge<R: Record> {
+    geom: Geometry,
+    /// Records per refill unit.
+    unit: usize,
+    inputs: Vec<Input<R>>,
+    /// Landing units neither in flight nor holding a landed unit.
+    free: Vec<Vec<R>>,
+    /// The landing units `L`, and the free ones at which a batch goes
+    /// out, `⌈L/4⌉`.
+    landing: usize,
+    batch: usize,
+    /// Prefetch batches in flight, oldest first.
+    batches: VecDeque<Batch<R>>,
+    /// Runs with units left to fetch and none in flight: the candidates
+    /// of the next batch.
+    eligible: usize,
+    /// Whether output stripes are written behind, and the one in flight
+    /// with its slot.
+    write_behind: bool,
+    writing: Option<(usize, WriteTicket<R>)>,
+    /// Reused scratch: forecast candidates `(fkey, input)`, and one
+    /// operation's references.
+    picks: Vec<(u64, usize)>,
+    refs: Vec<BlockRef>,
+}
+
+/// Fills `refs` with the blocks of unit `k` (of `unit` records) of the
+/// run whose first slot is `slot`: block `j` of a run lives at its
+/// stripe `j / D`, disk `j mod D`. A stripe-sized unit 0 is the stripe
+/// at `slot`.
+fn unit_refs(geom: &Geometry, unit: usize, slot: usize, k: usize, refs: &mut Vec<BlockRef>) {
+    let (disks, blocks) = (geom.disks(), unit / geom.block());
+    refs.clear();
+    refs.extend((k * blocks..(k + 1) * blocks).map(|j| BlockRef {
+        disk: j % disks,
+        slot: slot + j / disks,
+    }));
+}
+
+impl<R: Record> Merge<R> {
+    fn new(sys: &DiskSystem<R>, strategy: MergeStrategy, group: &[Run]) -> Self {
+        let geom = sys.geometry();
+        let unit = strategy.unit(&geom);
+        let (landing, write_behind) = group_budget(&geom, strategy, group.len());
+        let units_per_stripe = strategy.reads_per_stripe(&geom) as usize;
+        let inputs = group
+            .iter()
+            .map(|run| Input {
+                slot: sys.portion_base(run.portion) + run.start,
+                units: (run.end - run.start) * units_per_stripe,
+                fetched: 0,
+                buf: vec![R::default(); unit],
+                pos: 0,
+                landed: VecDeque::new(),
+                in_flight: false,
+                fkey: 0,
+            })
+            .collect();
+        Merge {
+            geom,
+            unit,
+            inputs,
+            free: (0..landing).map(|_| vec![R::default(); unit]).collect(),
+            landing,
+            batch: landing.div_ceil(4).max(1),
+            batches: VecDeque::new(),
+            eligible: 0,
+            write_behind,
+            writing: None,
+            picks: Vec::with_capacity(group.len()),
+            refs: Vec::with_capacity(geom.disks()),
+        }
     }
-    fc_issue_prefetch(sys, cursors, pending)?;
 
-    out.clear();
-    let mut out_stripe = group[0].start;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let rec = cursors[i].pop();
-        out.push(rec);
-        if out.len() == stripe_len {
-            sys.write_stripe(dst_base + out_stripe, out)?;
-            out_stripe += 1;
-            out.clear();
-        }
-        if cursors[i].pos < cursors[i].filled {
-            heap.push(Reverse((key(cursors[i].peek()), i)));
-            continue;
-        }
-        // Cursor i drained its block. If it has more, the forecast
-        // guarantees the in-flight prefetch is exactly its next block.
-        match pending.take() {
-            Some(p) if p.cursor == i => {
-                sys.finish_read(p.ticket, &mut landing)?;
-                std::mem::swap(&mut cursors[i].buf, &mut landing);
-                cursors[i].install(key);
-                heap.push(Reverse((key(cursors[i].peek()), i)));
-                fc_issue_prefetch(sys, cursors, pending)?;
+    /// Merges the group into the stripes from slot `dst` on.
+    fn run(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        mut dst: usize,
+        key: impl Fn(&R) -> u64 + Copy,
+        out: &mut Vec<R>,
+    ) -> Result<(), PdmError> {
+        let stripe_len = self.geom.block() * self.geom.disks();
+        self.fill(sys, key)?;
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (self.inputs.iter().enumerate())
+            .map(|(i, c)| Reverse((key(&c.buf[0]), i)))
+            .collect();
+        self.prefetch(sys, key)?;
+        out.clear();
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((_, i)) = *top;
+            let input = &mut self.inputs[i];
+            out.push(input.buf[input.pos]);
+            input.pos += 1;
+            if out.len() == stripe_len {
+                self.write(sys, dst, out)?;
+                dst += 1;
+                out.clear();
             }
-            other => {
-                *pending = other;
-                // The run is exhausted: the prediction is exact, so a
-                // drained cursor that is not the prefetch target has
-                // no blocks left. Guarded by a demand read rather than
-                // trusting the invariant: if a future edit ever breaks
-                // the exactness argument, the merge must fail loudly
-                // under debug and stay correct (every block still read
-                // exactly once) in release — not silently truncate the
-                // group.
-                if cursors[i].has_unfetched() {
-                    debug_assert!(false, "forecast mispredicted the next empty run");
-                    let r = cursors[i].next_ref(disks);
-                    sys.read_block_into(r, &mut cursors[i].buf)?;
-                    cursors[i].next_block += 1;
-                    cursors[i].install(key);
-                    heap.push(Reverse((key(cursors[i].peek()), i)));
+            if self.inputs[i].pos == self.unit {
+                if !self.refill(sys, i, key)? {
+                    PeekMut::pop(top);
+                    continue;
                 }
+                self.prefetch(sys, key)?;
             }
+            let input = &self.inputs[i];
+            *top = Reverse((key(&input.buf[input.pos]), i));
+        }
+        debug_assert!(out.is_empty(), "runs are stripe-aligned");
+        if let Some((_, w)) = self.writing.take() {
+            sys.finish_write(w)?;
+        }
+        debug_assert!(self.batches.is_empty(), "a prefetch outlived the merge");
+        debug_assert!((self.inputs.iter()).all(|c| c.fetched == c.units && c.landed.is_empty()));
+        Ok(())
+    }
+
+    /// Reads unit 0 of every run into the runs' own buffers, as one
+    /// ticket in run order.
+    fn fill(&mut self, sys: &mut DiskSystem<R>, key: impl Fn(&R) -> u64) -> Result<(), PdmError> {
+        let (geom, unit) = (self.geom, self.unit);
+        let mut first = self.inputs.iter();
+        let ticket = sys.begin_reads(|refs| {
+            let Some(c) = first.next() else {
+                return false;
+            };
+            unit_refs(&geom, unit, c.slot, 0, refs);
+            true
+        })?;
+        let (block, inputs) = (geom.block(), &mut self.inputs);
+        sys.finish_read_with(ticket, |idx, data| {
+            let off = idx * block % unit;
+            inputs[idx * block / unit].buf[off..off + block].copy_from_slice(data);
+        })?;
+        for c in &mut self.inputs {
+            c.fetched = 1;
+            c.fkey = key(&c.buf[unit - 1]);
+        }
+        self.eligible = self.inputs.iter().filter(|c| c.units > 1).count();
+        Ok(())
+    }
+
+    /// Makes the next unit of drained input `i` resident: its oldest
+    /// landed unit, landing the batches up to the one carrying it if
+    /// needed, or else a demand read into its own buffer. Returns
+    /// `false` once the run is exhausted.
+    fn refill(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        i: usize,
+        key: impl Fn(&R) -> u64 + Copy,
+    ) -> Result<bool, PdmError> {
+        while self.inputs[i].landed.is_empty() && self.inputs[i].in_flight {
+            self.land_oldest(sys, key)?;
+        }
+        let c = &mut self.inputs[i];
+        if let Some(next) = c.landed.pop_front() {
+            self.free.push(std::mem::replace(&mut c.buf, next));
+        } else if c.fetched < c.units {
+            unit_refs(&self.geom, self.unit, c.slot, c.fetched, &mut self.refs);
+            check_hazard(&self.writing, &self.refs);
+            sys.read_blocks_into(&self.refs, &mut c.buf)?;
+            c.fetched += 1;
+            c.fkey = key(&c.buf[self.unit - 1]);
+            self.eligible -= usize::from(c.fetched == c.units);
+        } else {
+            return Ok(false);
+        }
+        c.pos = 0;
+        Ok(true)
+    }
+
+    /// Sends a batch once `⌈L/4⌉` landing units are free: the next units
+    /// of the runs with none in flight, in forecast order (smallest
+    /// `(fkey, run index)` first), one per free landing unit. Then,
+    /// while more than `L/2` units are in flight in more than one
+    /// batch, lands the oldest batch so its runs can be forecast again.
+    /// A lone batch waits for the run that needs it: at `L = 1` that is
+    /// the classic single prefetch, in flight while the heap drains.
+    fn prefetch(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        key: impl Fn(&R) -> u64 + Copy,
+    ) -> Result<(), PdmError> {
+        if self.free.len() < self.batch || self.eligible == 0 {
+            return Ok(());
+        }
+        self.picks.clear();
+        self.picks.extend(
+            (self.inputs.iter().enumerate())
+                .filter(|(_, c)| !c.in_flight && c.fetched < c.units)
+                .map(|(i, c)| (c.fkey, i)),
+        );
+        debug_assert_eq!(self.picks.len(), self.eligible);
+        let n = self.eligible.min(self.free.len());
+        if n < self.picks.len() {
+            self.picks.select_nth_unstable(n - 1);
+            self.picks.truncate(n);
+        }
+        self.picks.sort_unstable();
+        let mut units = Vec::with_capacity(n);
+        for &(_, i) in &self.picks {
+            let c = &mut self.inputs[i];
+            units.push((i, self.free.pop().expect("a free landing unit")));
+            c.in_flight = true;
+            c.fetched += 1;
+        }
+        let (geom, unit, inputs, writing) = (self.geom, self.unit, &self.inputs, &self.writing);
+        let mut picks = self.picks.iter();
+        let ticket = sys.begin_reads(|refs| {
+            let Some(&(_, i)) = picks.next() else {
+                return false;
+            };
+            unit_refs(&geom, unit, inputs[i].slot, inputs[i].fetched - 1, refs);
+            check_hazard(writing, refs);
+            true
+        })?;
+        self.eligible -= n;
+        self.batches.push_back(Batch { ticket, units });
+        let in_flight = |m: &Self| m.batches.iter().map(|b| b.units.len()).sum::<usize>();
+        while self.batches.len() > 1 && in_flight(self) > self.landing / 2 {
+            self.land_oldest(sys, key)?;
+        }
+        Ok(())
+    }
+
+    /// Waits for the oldest batch and queues each unit behind its run.
+    fn land_oldest(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        key: impl Fn(&R) -> u64,
+    ) -> Result<(), PdmError> {
+        let Batch { ticket, mut units } = self.batches.pop_front().expect("a batch in flight");
+        let (block, unit) = (self.geom.block(), self.unit);
+        sys.finish_read_with(ticket, |idx, data| {
+            let off = idx * block % unit;
+            units[idx * block / unit].1[off..off + block].copy_from_slice(data);
+        })?;
+        for (i, buf) in units {
+            let c = &mut self.inputs[i];
+            c.fkey = key(&buf[unit - 1]);
+            c.in_flight = false;
+            c.landed.push_back(buf);
+            self.eligible += usize::from(c.fetched < c.units);
+        }
+        Ok(())
+    }
+
+    /// Writes the full output stripe `out` to slot `dst`: at once, or
+    /// behind the merge, after finishing the stripe written before it.
+    fn write(&mut self, sys: &mut DiskSystem<R>, dst: usize, out: &[R]) -> Result<(), PdmError> {
+        if !self.write_behind {
+            return sys.write_stripe(dst, out);
+        }
+        if let Some((_, w)) = self.writing.take() {
+            sys.finish_write(w)?;
+        }
+        unit_refs(&self.geom, out.len(), dst, 0, &mut self.refs);
+        self.writing = Some((dst, sys.begin_write(&self.refs, out)?));
+        Ok(())
+    }
+
+    /// The abort path: waits out and discards every batch in flight and
+    /// finishes the stripe written behind, so no pooled buffer is
+    /// stranded.
+    fn abort(&mut self, sys: &mut DiskSystem<R>) {
+        for b in self.batches.drain(..) {
+            sys.discard_read(b.ticket);
+        }
+        if let Some((_, w)) = self.writing.take() {
+            // Masked by the error that aborted the merge.
+            let _ = sys.finish_write(w);
         }
     }
-    debug_assert!(out.is_empty(), "runs are stripe-aligned");
-    debug_assert!(pending.is_none(), "prefetch outlived the merge");
-    debug_assert!(cursors
-        .iter()
-        .all(|c| c.pos >= c.filled && !c.has_unfetched()));
-    Ok(())
+}
+
+/// The in-place hazard, checked in debug builds: a merge read must not
+/// target the stripe whose write is in flight. Only a leftover
+/// singleton run can sit in the portion being written, and the output
+/// reaches one of its stripes only after every block of that stripe
+/// was consumed (DESIGN.md, "Exact schedule"), so reads stay ahead.
+fn check_hazard<R: Record>(writing: &Option<(usize, WriteTicket<R>)>, refs: &[BlockRef]) {
+    if let Some((slot, _)) = writing {
+        debug_assert!(
+            refs.iter().all(|r| r.slot != *slot),
+            "merge read of slot {slot} while its written-behind stripe is in flight"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1004,6 +1080,173 @@ mod tests {
                 panic!("both strategies must fit N=2^{n}");
             };
             assert!(fc <= sb, "forecast {fc} passes vs single {sb} at N=2^{n}");
+        }
+    }
+
+    /// Group sizes of every merged group of the sort's schedule (the
+    /// `chunks(F)` grouping of [`merge_sort_levels`], singletons left
+    /// out).
+    fn merged_group_sizes(geom: &Geometry, strategy: MergeStrategy) -> Vec<usize> {
+        let fan_in = strategy.fan_in(geom);
+        let (mut runs, mut sizes) = (geom.memoryloads(), Vec::new());
+        while runs > 1 {
+            sizes.extend(std::iter::repeat_n(fan_in, runs / fan_in));
+            if runs % fan_in >= 2 {
+                sizes.push(runs % fan_in);
+            }
+            runs = runs.div_ceil(fan_in);
+        }
+        sizes
+    }
+
+    #[test]
+    fn group_budgets_fit_in_memory_and_cover_every_regime() {
+        // Every group size either strategy can merge fits its run
+        // units, its landing units, the output stripe and the stripe
+        // written behind in M, at D = 4, D = 1 and the bench geometry.
+        for geom in [geom(), g(9, 2, 0, 5), g(18, 3, 4, 12)] {
+            let stripe = geom.block() * geom.disks();
+            for strategy in MergeStrategy::ALL {
+                let unit = strategy.unit(&geom);
+                let fan_in = strategy.fan_in(&geom);
+                for runs in 2..=fan_in {
+                    let (landing, behind) = group_budget(&geom, strategy, runs);
+                    let resident = (runs + landing) * unit + stripe * (1 + usize::from(behind));
+                    assert!(
+                        resident <= geom.memory(),
+                        "{strategy:?} g={runs} on {geom:?}"
+                    );
+                    // Whatever is left could not hold one more landing unit.
+                    assert!(geom.memory() - resident < unit);
+                }
+                // A full group is the classic merge: one prefetch
+                // (forecast) or demand reads (single), written at once.
+                let classic = usize::from(strategy == MergeStrategy::Forecast);
+                assert_eq!(group_budget(&geom, strategy, fan_in), (classic, false));
+            }
+        }
+        // The benchmark's groups: perfbench sort-threaded (M/B = 128,
+        // D = 4, g = 64), its served sort jobs (M/B = 32, D = 4,
+        // g = 16), and engine_sweep's forecast rows (M/B = 512, D = 16,
+        // g = 64).
+        let forecast = MergeStrategy::Forecast;
+        assert_eq!(group_budget(&g(20, 7, 2, 14), forecast, 64), (56, true));
+        assert_eq!(group_budget(&g(16, 7, 2, 12), forecast, 16), (8, true));
+        assert_eq!(group_budget(&g(18, 3, 4, 12), forecast, 64), (416, true));
+
+        // The proptest geometries of tests/merge_strategies.rs reach all
+        // three regimes: no spare memory, landing units only, and
+        // landing units plus a stripe written behind.
+        let (mut none, mut landing_only, mut behind) = (false, false, false);
+        for geom in [
+            g(10, 2, 2, 6),
+            g(9, 2, 0, 4),
+            g(12, 3, 2, 8),
+            g(12, 0, 2, 6),
+            g(11, 1, 3, 7),
+        ] {
+            for strategy in MergeStrategy::ALL {
+                for runs in merged_group_sizes(&geom, strategy) {
+                    match group_budget(&geom, strategy, runs) {
+                        (0, false) => none = true,
+                        (_, false) => landing_only = true,
+                        (_, true) => behind = true,
+                    }
+                }
+            }
+        }
+        assert!(
+            none && landing_only && behind,
+            "{none} {landing_only} {behind}"
+        );
+    }
+
+    #[test]
+    fn a_singleton_left_in_the_target_portion_merges_behind_safely() {
+        // Threaded sorts whose last merge group holds a leftover
+        // singleton run living in the portion being written, while
+        // that group writes behind; debug builds check that no read
+        // targets the stripe in flight.
+        let single = MergeStrategy::SingleBuffered;
+        let forecast = MergeStrategy::Forecast;
+        // Single-buffered, fan-in 7: 8 runs leave run 8 in place, then
+        // 2 runs merge with 5 spare stripes (4 landing + 1 behind).
+        let small = g(8, 1, 1, 5);
+        // Forecast, fan-in 13: 512 → 40 → 4 runs, pass 2 leaves a
+        // singleton, then 4 runs merge with 10 spare blocks.
+        let deep = g(14, 1, 1, 5);
+        for (geom, strategy, runs, budget) in [
+            (small, single, 2, (4, true)),
+            (deep, forecast, 4, (8, true)),
+        ] {
+            let levels = merge_sort_levels(&geom, strategy).unwrap();
+            let last = levels.len() - 1;
+            assert_eq!(levels[last - 1].singleton_groups, 1, "{strategy:?}");
+            assert_eq!(merged_group_sizes(&geom, strategy).last(), Some(&runs));
+            assert_eq!(group_budget(&geom, strategy, runs), budget);
+            let mut records: Vec<u64> = (0..geom.records() as u64).collect();
+            records.shuffle(&mut StdRng::seed_from_u64(108));
+            let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
+            sys.set_service_mode(ServiceMode::Threaded);
+            sys.load_records(0, &records);
+            let report = sort_by_key_with(&mut sys, |&r| r, cfg(strategy)).unwrap();
+            let out = sys.dump_records(report.final_portion);
+            assert_eq!(
+                out,
+                (0..geom.records() as u64).collect::<Vec<_>>(),
+                "{strategy:?}"
+            );
+            assert_eq!(sys.buffer_pool_stats().outstanding, 0);
+        }
+    }
+
+    #[test]
+    fn a_fault_inside_a_pipelined_group_strands_nothing() {
+        // Seven sorted runs of 8 stripes in portion 1 with interleaved
+        // keys, merged into portion 0 by the forecast loop with 5
+        // landing blocks (batches from 2 free) and a stripe written
+        // behind. Every operation of the merge is faulted in turn: each
+        // must fail typed and, after the abort, leave no pooled buffer
+        // lent out. Some of those faults must strike with a prefetch
+        // batch in flight and a stripe behind.
+        let geom = wide_geom();
+        let runs: Vec<Run> = (0..7)
+            .map(|r| Run {
+                start: 8 * r,
+                end: 8 * (r + 1),
+                portion: 1,
+            })
+            .collect();
+        assert_eq!(group_budget(&geom, MergeStrategy::Forecast, 7), (5, true));
+        let records: Vec<u64> = (0..geom.records() as u64)
+            .map(|a| if a < 224 { (a % 32) * 7 + a / 32 } else { a })
+            .collect();
+        for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
+            let mut both = 0;
+            // 7 runs of 16 blocks: 112 single-block reads, 56 writes.
+            for op in 0..168 {
+                let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 2);
+                sys.set_service_mode(mode);
+                sys.load_records(1, &records);
+                let mut plan = FaultPlan::new();
+                for disk in 0..geom.disks() {
+                    plan = plan.fail_at(op, disk);
+                }
+                sys.set_faults(plan);
+                let mut merge = Merge::new(&sys, MergeStrategy::Forecast, &runs);
+                let err = merge
+                    .run(&mut sys, 0, |&r| r, &mut Vec::new())
+                    .expect_err("fault must abort the merge");
+                assert!(matches!(err, PdmError::Fault { .. }), "got {err:?}");
+                both += usize::from(!merge.batches.is_empty() && merge.writing.is_some());
+                merge.abort(&mut sys);
+                assert_eq!(
+                    sys.buffer_pool_stats().outstanding,
+                    0,
+                    "abort stranded pooled buffers ({mode:?}, op {op})"
+                );
+            }
+            assert!(both > 0, "no fault struck mid-pipeline in {mode:?}");
         }
     }
 }

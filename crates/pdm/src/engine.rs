@@ -345,10 +345,11 @@ impl<R: Record> PassEngine<R> {
     /// memoryload plus an `M`-record scratch buffer, mirroring the
     /// paper's in-memory rearrangement step. (The scratch buffer and
     /// the overlap-mode staging blocks are simulator conveniences that
-    /// never change the charged I/O count; contrast the merge phase of
-    /// `extsort`, which stays single-buffered because widening *its*
-    /// working set would change the fan-in and hence the pass-count
-    /// formula being measured.)
+    /// never change the charged I/O count. The merge passes of
+    /// `extsort` pipeline differently: their prefetches and written-
+    /// behind stripe live in the memory a merge group leaves free
+    /// within `M`, because a wider working set would change the fan-in
+    /// and hence the pass-count formula being measured.)
     pub fn new(geom: Geometry) -> Self {
         PassEngine {
             data: vec![R::default(); geom.memory()],

@@ -53,7 +53,10 @@
 //! [`DiskSystem::finish_read`] and the write duals): the operation is
 //! validated, charged, and submitted to the service threads
 //! immediately, and the caller collects the data later — the engine
-//! uses this to overlap disk transfers with in-memory permutation.
+//! uses this to overlap disk transfers with in-memory permutation, and
+//! the external merge to keep batches of refills
+//! ([`DiskSystem::begin_reads`]) and an output stripe in flight while
+//! its heap drains.
 
 use crate::backend::{DiskUnit, FileDisk, MemDisk};
 use crate::config::Geometry;
@@ -189,6 +192,8 @@ impl<R: Record> BlockPool<R> {
 enum Sink<'a, R> {
     /// Staged block `i` into `out[i*B .. (i+1)*B]`.
     Out(&'a mut [R]),
+    /// Staged block `i` handed to the caller's `place(i, block)`.
+    Each(&'a mut dyn FnMut(usize, &[R])),
     /// Kept on the ticket for a later drain: a lockstep split-phase
     /// read has its data before `finish_read` is called.
     Keep,
@@ -196,16 +201,21 @@ enum Sink<'a, R> {
     Discard,
 }
 
-impl<'a, R> Sink<'a, R> {
+impl<'a, R: Record> Sink<'a, R> {
     /// Reads land in `out`; without one, blocks are discarded.
     fn out_or_discard(out: Option<&'a mut [R]>) -> Self {
         out.map_or(Sink::Discard, Sink::Out)
     }
-}
 
-/// Copies staged block `idx` into its place in `out`.
-fn place<R: Record>(out: &mut [R], idx: usize, buf: &[R]) {
-    out[idx * buf.len()..(idx + 1) * buf.len()].copy_from_slice(buf);
+    /// Delivers staged block `idx` (kept blocks are not delivered
+    /// here: they stay on the ticket).
+    fn put(&mut self, idx: usize, buf: &[R]) {
+        match self {
+            Sink::Out(out) => out[idx * buf.len()..(idx + 1) * buf.len()].copy_from_slice(buf),
+            Sink::Each(place) => place(idx, buf),
+            Sink::Keep | Sink::Discard => {}
+        }
+    }
 }
 
 /// One or more parallel I/Os between submission and drain: the state
@@ -307,9 +317,8 @@ impl<R: Record> InFlight<R> {
                     self.err = Some(e.with_disk(disk));
                 }
             }
-            (Ok(()), Sink::Out(out)) => place(out, idx, &buf),
             (Ok(()), Sink::Keep) => return self.landed.push((idx, buf)),
-            (Ok(()), Sink::Discard) => {}
+            (Ok(()), sink) => sink.put(idx, &buf),
         }
         pool.put(buf);
     }
@@ -876,8 +885,8 @@ impl<R: Record> DiskSystem<R> {
         };
         if result.is_err() || !matches!(sink, Sink::Keep) {
             for (idx, buf) in op.landed.drain(..) {
-                if let Sink::Out(out) = &mut sink {
-                    place(out, idx, &buf);
+                if result.is_ok() {
+                    sink.put(idx, &buf);
                 }
                 self.pool.put(buf);
             }
@@ -1147,33 +1156,40 @@ impl<R: Record> DiskSystem<R> {
                 "write_blocks requires full {block}-record blocks"
             );
         }
-        let refs: Vec<BlockRef> = writes.iter().map(|(r, _)| *r).collect();
-        self.admit(&refs, false)?;
+        let mut refs = std::mem::take(&mut self.stripe_scratch);
+        refs.clear();
+        refs.extend(writes.iter().map(|(r, _)| *r));
+        let result = self.write_refs(&refs, |i| writes[i].1);
+        self.stripe_scratch = refs;
+        result
+    }
+
+    /// One parallel write of block `i` = `data(i)` to `refs[i]`, charged
+    /// once it has succeeded: the body of [`DiskSystem::write_blocks`]
+    /// and [`DiskSystem::write_stripe`].
+    fn write_refs<'d>(&mut self, refs: &[BlockRef], data: impl Fn(usize) -> &'d [R]) -> Result<()>
+    where
+        R: 'd,
+    {
+        self.admit(refs, false)?;
         match &mut self.service {
             Service::Serial(units) => {
-                for (r, data) in writes {
+                for (i, r) in refs.iter().enumerate() {
                     units[r.disk]
-                        .write(r.slot, data)
+                        .write(r.slot, data(i))
                         .map_err(|e| e.with_disk(r.disk))?;
                 }
             }
             Service::Pooled { .. } => {
+                let block = self.geom.block();
                 let mut op = self.ticket(false);
-                op.stage(&refs);
-                let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(writes[off / block].1);
+                op.stage(refs);
+                let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(data(off / block));
                 self.transfer(op, fill, None, true)?;
             }
         }
-        self.charge(&refs, false);
+        self.charge(refs, false);
         Ok(())
-    }
-
-    /// One parallel read of a *single* block into `out` (`B` records)
-    /// — the block-granular unit of the forecasting merge. Counts one
-    /// parallel I/O (classified striped only when `D = 1`, where one
-    /// block is a whole stripe).
-    pub fn read_block_into(&mut self, r: BlockRef, out: &mut [R]) -> Result<()> {
-        self.read_blocks_into(&[r], out)
     }
 
     // ------------------------------------------------------------------
@@ -1203,7 +1219,28 @@ impl<R: Record> DiskSystem<R> {
     /// one after another in operation order. On a refused operation the
     /// ones before it stay charged, their transfers are waited out and
     /// discarded, and the error is returned.
-    pub(crate) fn begin_reads(
+    ///
+    /// ```
+    /// use pdm::{BlockRef, DiskSystem, Geometry};
+    ///
+    /// // Two single-block reads in one ticket: two parallel I/Os.
+    /// let geom = Geometry::new(64, 2, 4, 16).unwrap();
+    /// let mut sys: DiskSystem<u64> = DiskSystem::new_mem(geom, 1);
+    /// sys.load_records(0, &(0..64).collect::<Vec<_>>());
+    /// let mut ops = [BlockRef { disk: 1, slot: 0 }, BlockRef { disk: 0, slot: 2 }].into_iter();
+    /// let ticket = sys
+    ///     .begin_reads(|refs| {
+    ///         refs.clear();
+    ///         refs.extend(ops.next());
+    ///         !refs.is_empty()
+    ///     })
+    ///     .unwrap();
+    /// let mut out = [0u64; 4];
+    /// sys.finish_read(ticket, &mut out).unwrap();
+    /// assert_eq!(out, [2, 3, 16, 17]);
+    /// assert_eq!(sys.stats().parallel_reads, 2);
+    /// ```
+    pub fn begin_reads(
         &mut self,
         next: impl FnMut(&mut Vec<BlockRef>) -> bool,
     ) -> Result<ReadTicket<R>> {
@@ -1226,13 +1263,6 @@ impl<R: Record> DiskSystem<R> {
         }
     }
 
-    /// Begins a split-phase read of a single block (see
-    /// [`DiskSystem::begin_read`]) — how the forecasting merge keeps
-    /// the predicted run's next block in flight while the heap drains.
-    pub fn begin_read_block(&mut self, r: BlockRef) -> Result<ReadTicket<R>> {
-        self.begin_read(&[r])
-    }
-
     /// Completes a split-phase read, copying block `i` of the request
     /// into `out[i*B .. (i+1)*B]` and recycling the transfer buffers.
     /// On error every buffer is still reclaimed.
@@ -1244,6 +1274,20 @@ impl<R: Record> DiskSystem<R> {
             "finish_read requires {want} records of output space"
         );
         self.finish(ticket.0, Sink::Out(out), true)
+    }
+
+    /// Completes a split-phase read like [`DiskSystem::finish_read`],
+    /// but hands each block to `place(i, block)` instead of copying it
+    /// into one buffer, where `i` counts the ticket's blocks in
+    /// operation order. A read whose blocks belong to separate buffers
+    /// (the external merge's landing units) lands each one straight
+    /// where it goes. On error every buffer is still reclaimed.
+    pub fn finish_read_with(
+        &mut self,
+        ticket: ReadTicket<R>,
+        mut place: impl FnMut(usize, &[R]),
+    ) -> Result<()> {
+        self.finish(ticket.0, Sink::Each(&mut place), true)
     }
 
     /// Abandons a split-phase read (abort path): waits out the
@@ -1353,20 +1397,19 @@ impl<R: Record> DiskSystem<R> {
     }
 
     /// Striped write of `data` (`B·D` records in address order) to the
-    /// stripe at `slot`.
+    /// stripe at `slot`, with no allocation at all in steady state (the
+    /// reference scratch is a reused field).
     pub fn write_stripe(&mut self, slot: usize, data: &[R]) -> Result<()> {
+        let block = self.geom.block();
         assert_eq!(
             data.len(),
-            self.geom.block() * self.geom.disks(),
+            block * self.geom.disks(),
             "write_stripe requires a full stripe of {} records",
-            self.geom.block() * self.geom.disks()
+            block * self.geom.disks()
         );
-        let writes: Vec<(BlockRef, &[R])> = data
-            .chunks_exact(self.geom.block())
-            .enumerate()
-            .map(|(disk, chunk)| (BlockRef { disk, slot }, chunk))
-            .collect();
-        self.write_blocks(&writes)
+        self.with_stripe(slot, |sys, refs| {
+            sys.write_refs(refs, |i| &data[i * block..(i + 1) * block])
+        })
     }
 
     /// Reads memoryload `ml` of a portion into `out` (`M` records in
@@ -2072,6 +2115,37 @@ mod tests {
     }
 
     #[test]
+    fn finish_read_with_hands_over_each_block() {
+        // One ticket of three reads — a stripe, then single blocks on
+        // disks 2 and 0 — hands each block over with its index in
+        // operation order, however the completions arrive.
+        for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
+            let mut sys = small();
+            sys.set_service_mode(mode);
+            sys.load_records(0, &(0..64).collect::<Vec<u64>>());
+            let single = |disk, slot| vec![BlockRef { disk, slot }];
+            let mut ops = [sys.stripe_refs(1), single(2, 3), single(0, 0)].into_iter();
+            let t = sys
+                .begin_reads(|refs| {
+                    let Some(op) = ops.next() else {
+                        return false;
+                    };
+                    refs.clone_from(&op);
+                    true
+                })
+                .unwrap();
+            let mut got = Vec::new();
+            (sys.finish_read_with(t, |i, block| got.push((i, block.to_vec())))).unwrap();
+            got.sort();
+            let blocks: Vec<Vec<u64>> = [8, 10, 12, 14, 28, 0].map(|r| vec![r, r + 1]).into();
+            assert_eq!(got, blocks.into_iter().enumerate().collect::<Vec<_>>());
+            let s = sys.stats();
+            assert_eq!((s.parallel_reads, s.striped_reads), (3, 1), "mode {mode:?}");
+            assert_eq!(sys.buffer_pool_stats().outstanding, 0, "mode {mode:?}");
+        }
+    }
+
+    #[test]
     fn buffer_pool_recycles_on_fault_error_path() {
         // Regression test: a fault-injection error must not strand
         // pooled block buffers (the pool's `outstanding` count would
@@ -2128,10 +2202,10 @@ mod tests {
             let records: Vec<u64> = (0..64).collect();
             sys.load_records(0, &records);
             let mut buf = vec![0u64; 2];
-            sys.read_block_into(BlockRef { disk: 2, slot: 3 }, &mut buf)
+            sys.read_blocks_into(&[BlockRef { disk: 2, slot: 3 }], &mut buf)
                 .unwrap();
             assert_eq!(buf, vec![28, 29], "mode {mode:?}");
-            let t = sys.begin_read_block(BlockRef { disk: 1, slot: 0 }).unwrap();
+            let t = sys.begin_read(&[BlockRef { disk: 1, slot: 0 }]).unwrap();
             sys.finish_read(t, &mut buf).unwrap();
             assert_eq!(buf, vec![2, 3], "mode {mode:?}");
             let s = sys.stats();

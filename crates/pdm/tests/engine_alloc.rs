@@ -224,3 +224,42 @@ fn threaded_gather_scatter_pass_is_allocation_free_after_warmup() {
         "threaded gather/scatter engine pass allocated in steady state"
     );
 }
+
+/// Allocations of a steady-state round of the public striped calls in
+/// `mode` — a [`DiskSystem::read_stripe_into`] and a
+/// [`DiskSystem::write_stripe`] per stripe, the external merge's
+/// synchronous transfers — after a warm-up round.
+fn stripe_calls_allocations(mode: ServiceMode) -> u64 {
+    let g = geom();
+    let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
+    sys.set_service_mode(mode);
+    sys.load_records(0, &(0..g.records() as u64).collect::<Vec<_>>());
+    let target = sys.portion_base(1);
+    let mut buf = vec![0u64; g.block() * g.disks()];
+    let round = |sys: &mut DiskSystem<u64>, buf: &mut [u64]| {
+        for stripe in 0..g.stripes() {
+            sys.read_stripe_into(stripe, buf).unwrap();
+            sys.write_stripe(target + stripe, buf).unwrap();
+        }
+    };
+    round(&mut sys, &mut buf); // warm-up
+    let before = allocations();
+    round(&mut sys, &mut buf);
+    let allocated = allocations() - before;
+    assert_eq!(
+        sys.dump_records(1),
+        (0..g.records() as u64).collect::<Vec<_>>()
+    );
+    allocated
+}
+
+#[test]
+fn stripe_calls_are_allocation_free_after_warmup() {
+    for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
+        assert_eq!(
+            stripe_calls_allocations(mode),
+            0,
+            "striped read/write calls allocated in steady state ({mode:?})"
+        );
+    }
+}

@@ -6,7 +6,7 @@
 
 use bmmc::bounds;
 use extsort::{sort_by_key_with, MergeStrategy, SortConfig};
-use pdm::{DiskSystem, Geometry, ServiceMode};
+use pdm::{DiskSystem, Geometry, ServiceMode, TaggedRecord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -223,4 +223,38 @@ fn acceptance_forecast_closes_fan_in_gap_at_bench_geometry() {
     assert_eq!(fout, sout);
     assert_eq!(fout_threaded, fout);
     assert_eq!(ft.total, fr.total);
+}
+
+/// Equal keys leave the merge in run order, so the output is one
+/// fixed vector whatever the strategy or service mode: the heap is
+/// keyed on `(key, run index)`. Records carry distinct payloads and
+/// collide on `key % 17`.
+#[test]
+fn equal_keys_sort_identically_under_every_strategy_and_mode() {
+    for g in geometries() {
+        let mut keys: Vec<u64> = (0..g.records() as u64).collect();
+        keys.shuffle(&mut StdRng::seed_from_u64(0x7A9));
+        let input: Vec<TaggedRecord> = keys.into_iter().map(TaggedRecord::new).collect();
+        let mut outputs = Vec::new();
+        for merge in MergeStrategy::ALL {
+            for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
+                let mut sys: DiskSystem<TaggedRecord> = DiskSystem::new_mem(g, 2);
+                sys.set_service_mode(mode);
+                sys.load_records(0, &input);
+                let config = SortConfig { merge };
+                let report = sort_by_key_with(&mut sys, |r| r.key % 17, config).unwrap();
+                let out = sys.dump_records(report.final_portion);
+                assert!(out.windows(2).all(|w| w[0].key % 17 <= w[1].key % 17));
+                assert!(out.iter().all(TaggedRecord::intact));
+                outputs.push(((merge, mode), out));
+            }
+        }
+        let (first, expect) = &outputs[0];
+        for (run, out) in &outputs[1..] {
+            assert!(
+                out == expect,
+                "{run:?} ordered ties unlike {first:?} on {g:?}"
+            );
+        }
+    }
 }
