@@ -28,9 +28,9 @@
 //! # Steady-state allocation freedom
 //!
 //! All plan storage is owned by the engine and reused across
-//! memoryloads and passes: the gather/scatter batch buffers, their
-//! cursor, and the reference scratch; the [`DiskSystem`] recycles its
-//! tickets and block buffers. After the first pass, the engine's hot
+//! memoryloads and passes: the gather/scatter batch buffers and their
+//! cursor; the [`DiskSystem`] recycles its reference scratch, tickets
+//! and block buffers. After the first pass, the engine's hot
 //! loop performs **no heap allocation** on the calling thread in either
 //! service mode (`crates/pdm/tests/engine_alloc.rs` asserts this with
 //! a counting global allocator).
@@ -54,14 +54,18 @@
 //! (`engine_sweep`'s `file` section measures exactly this). In
 //! [`ServiceMode::Serial`] the engine degenerates to exactly the
 //! classic loop — same operations, same order, same operation
-//! numbering for [fault plans](crate::FaultPlan). (With overlap
-//! enabled the *set* of operations is identical but reads are issued
-//! one memoryload early, so fault-plan operation indices differ from
-//! the serial order. On *error* paths one further asymmetry exists in
-//! any mode: split-phase writes are charged at submission, so a pass
-//! aborted by a backend write failure has charged that operation where
-//! the classic loop would not — success-path statistics are always
-//! identical.)
+//! numbering for [fault plans](crate::FaultPlan) — and reads each
+//! memoryload straight into its data buffer once the previous one is
+//! written, with one copy on local disks. (With overlap enabled the
+//! *set* of operations is identical but reads are issued one
+//! memoryload early, so fault-plan operation indices differ from the
+//! serial order. On *error* paths one further asymmetry exists, in
+//! every mode: a memoryload's reads, and its writes, are each one
+//! ticket whose parallel I/Os are all admitted and charged before its
+//! first transfer, so a pass aborted by a backend failure part-way
+//! through a ticket has charged the whole ticket, where the classic
+//! loop would have stopped charging at the failed operation —
+//! success-path statistics are always identical.)
 //!
 //! ```
 //! use pdm::{DiskSystem, Geometry};
@@ -305,23 +309,8 @@ pub struct PassEngine<R: Record> {
     gather: BlockBatches,
     /// Scatter plan storage, refilled by the `transform` callback.
     scatter: BlockBatches,
-    /// Reused block-reference scratch for serially executed gathers.
-    refs: Vec<BlockRef>,
     /// Reused iteration state for the run-length batch plans.
     cursor: BatchCursor,
-}
-
-/// The reads for one memoryload, in whichever phase the service mode
-/// dictates: a split-phase ticket already in flight (Threaded overlap),
-/// or a plan to execute directly into the memoryload buffer when its
-/// turn comes (serial mode — one copy, no staging buffers).
-enum PendingLoad<R: Record> {
-    /// The memoryload's reads, one command per disk.
-    Ticket(ReadTicket<R>),
-    /// Not yet issued; performed synchronously at collection time. A
-    /// deferred [`ReadPlan::Gather`] refers to the engine's gather
-    /// batches, which stay untouched until the plan executes.
-    Plan(ReadPlan),
 }
 
 /// The batches of a gather or scatter plan, as an operation source
@@ -356,7 +345,6 @@ impl<R: Record> PassEngine<R> {
             scratch: vec![R::default(); geom.memory()],
             gather: BlockBatches::default(),
             scatter: BlockBatches::default(),
-            refs: Vec::with_capacity(geom.disks()),
             cursor: BatchCursor::default(),
         }
     }
@@ -411,7 +399,7 @@ impl<R: Record> PassEngine<R> {
             &mut transform,
         );
         if result.is_err() {
-            if let Some(PendingLoad::Ticket(t)) = pending_read.take() {
+            if let Some(t) = pending_read.take() {
                 sys.discard_read(t);
             }
             if let Some(w) = pending_write.take() {
@@ -426,7 +414,7 @@ impl<R: Record> PassEngine<R> {
     fn run_pass_inner<F, G>(
         &mut self,
         sys: &mut DiskSystem<R>,
-        pending_read: &mut Option<PendingLoad<R>>,
+        pending_read: &mut Option<ReadTicket<R>>,
         pending_write: &mut Option<WriteTicket<R>>,
         reads: &mut F,
         transform: &mut G,
@@ -444,35 +432,20 @@ impl<R: Record> PassEngine<R> {
         );
         // Overlap only pays (and only changes operation ordering) when
         // the service threads can run transfers behind the CPU. In the
-        // serial mode the engine degenerates to the classic loop:
-        // plans execute directly into the memoryload buffer, in the
+        // serial mode the engine degenerates to the classic loop: each
+        // memoryload is read straight into the data buffer, in the
         // classic operation order.
         let overlap = sys.service_mode() == ServiceMode::Threaded;
         let spm = geom.stripes_per_memoryload();
-        let issue = |engine: &mut Self, sys: &mut DiskSystem<R>, plan| -> Result<_> {
-            if !overlap {
-                return Ok(PendingLoad::Plan(plan));
-            }
-            let ticket = match plan {
-                ReadPlan::Memoryload { portion, ml } => {
-                    let base = sys.portion_base(portion) + ml * spm;
-                    sys.begin_reads(stripe_ops(&geom, base))
-                }
-                ReadPlan::Gather => {
-                    sys.begin_reads(batch_ops(&geom, &engine.gather, &mut engine.cursor))
-                }
-            };
-            Ok(PendingLoad::Ticket(ticket?))
-        };
-
         let first = reads(0, &mut self.gather);
-        *pending_read = Some(issue(self, sys, first)?);
+        *pending_read = self.read(sys, first, overlap)?;
         for t in 0..loads {
-            let current = pending_read.take().expect("read pipeline primed");
-            self.collect_reads(sys, current)?;
+            if let Some(ticket) = pending_read.take() {
+                sys.finish_read(ticket, &mut self.data)?;
+            }
             if overlap && t + 1 < loads {
                 let plan = reads(t + 1, &mut self.gather);
-                *pending_read = Some(issue(self, sys, plan)?);
+                *pending_read = self.read(sys, plan, true)?;
             }
             let wp = transform(t, &mut self.data, &mut self.scratch, &mut self.scatter);
             // Bound the write pipeline to one memoryload: drain the
@@ -498,7 +471,7 @@ impl<R: Record> PassEngine<R> {
                     sys.finish_write(w)?;
                 }
                 let plan = reads(t + 1, &mut self.gather);
-                *pending_read = Some(issue(self, sys, plan)?);
+                self.read(sys, plan, false)?;
             }
         }
         if let Some(w) = pending_write.take() {
@@ -507,35 +480,32 @@ impl<R: Record> PassEngine<R> {
         Ok(())
     }
 
-    /// Collects one memoryload into the data buffer: waits out its
-    /// in-flight ticket, or executes a deferred plan directly (serial
-    /// mode).
-    fn collect_reads(&mut self, sys: &mut DiskSystem<R>, load: PendingLoad<R>) -> Result<()> {
-        let block = sys.geometry().block();
-        match load {
-            PendingLoad::Ticket(ticket) => sys.finish_read(ticket, &mut self.data),
-            PendingLoad::Plan(ReadPlan::Memoryload { portion, ml }) => {
-                sys.read_memoryload_into(portion, ml, &mut self.data)
+    /// Issues one memoryload's reads per `plan`: in flight on a ticket
+    /// with `overlap`, otherwise straight into the data buffer.
+    fn read(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        plan: ReadPlan,
+        overlap: bool,
+    ) -> Result<Option<ReadTicket<R>>> {
+        let geom = sys.geometry();
+        let (mut stripes, mut batches);
+        let ops: &mut dyn FnMut(&mut Vec<BlockRef>) -> bool = match plan {
+            ReadPlan::Memoryload { portion, ml } => {
+                let base = sys.portion_base(portion) + ml * geom.stripes_per_memoryload();
+                stripes = stripe_ops(&geom, base);
+                &mut stripes
             }
-            PendingLoad::Plan(ReadPlan::Gather) => {
-                assert_eq!(
-                    self.gather.total_blocks() * block,
-                    self.data.len(),
-                    "gather and scatter plans must cover exactly one memoryload"
-                );
-                let mut offset = 0;
-                self.gather.begin(&mut self.cursor);
-                while self
-                    .gather
-                    .next_batch_into(&mut self.cursor, &mut self.refs)
-                {
-                    let len = self.refs.len() * block;
-                    sys.read_blocks_into(&self.refs, &mut self.data[offset..offset + len])?;
-                    offset += len;
-                }
-                Ok(())
+            ReadPlan::Gather => {
+                batches = batch_ops(&geom, &self.gather, &mut self.cursor);
+                &mut batches
             }
+        };
+        if overlap {
+            return sys.begin_reads(ops).map(Some);
         }
+        sys.read_ops_into(ops, &mut self.data)?;
+        Ok(None)
     }
 }
 

@@ -36,11 +36,13 @@
 //! command's completion collected before the next is sent, so every
 //! run is one command long — which is
 //! [`crate::system::ServiceMode::Serial`] on disks behind remote
-//! transports. Local disks in serial mode bypass the pool and are
-//! serviced in the caller's thread. For [`crate::backend::MemDisk`]
-//! the pool's threads overlap block copies with the caller's in-memory
-//! work; for [`crate::backend::FileDisk`] they overlap real system
-//! calls exactly the way a hardware disk array would.
+//! transports. Local disks in serial mode have no pool: the system's
+//! one submit serves the same staged tickets from the units in the
+//! caller's thread, with one copy and no commands. For
+//! [`crate::backend::MemDisk`] the pool's threads overlap block copies
+//! with the caller's in-memory work; for [`crate::backend::FileDisk`]
+//! they overlap real system calls exactly the way a hardware disk
+//! array would.
 
 use crate::backend::DiskUnit;
 use crate::error::{PdmError, Result};
@@ -94,6 +96,42 @@ impl<R: Record> Cmd<R> {
         match self {
             Cmd::Read { more, .. } | Cmd::Write { more, .. } => *more,
             Cmd::Stop => false,
+        }
+    }
+
+    /// Answers the command with `result` from `disk`: its completion,
+    /// the queue the completion goes to, and [`Cmd::more`]. `None` for
+    /// [`Cmd::Stop`], which nobody waits on.
+    fn answer(
+        self,
+        disk: usize,
+        result: Result<()>,
+    ) -> Option<(Completion<R>, CompletionQueue<R>, bool)> {
+        match self {
+            Cmd::Read {
+                buf,
+                idx,
+                done,
+                more,
+                ..
+            }
+            | Cmd::Write {
+                buf,
+                idx,
+                done,
+                more,
+                ..
+            } => Some((
+                Completion {
+                    idx,
+                    disk,
+                    buf,
+                    result,
+                },
+                done,
+                more,
+            )),
+            Cmd::Stop => None,
         }
     }
 }
@@ -314,16 +352,8 @@ pub trait Transport<R: Record>: Send {
 /// so out-of-crate [`Transport`] implementations (the service's disk
 /// farm) can honour the severed-link contract.
 pub fn fail_disconnected<R: Record>(cmd: Cmd<R>, disk: usize) {
-    match cmd {
-        Cmd::Read { buf, idx, done, .. } | Cmd::Write { buf, idx, done, .. } => {
-            done.send(Completion {
-                idx,
-                disk,
-                buf,
-                result: Err(PdmError::Disconnected { disk }),
-            });
-        }
-        Cmd::Stop => {}
+    if let Some((completion, done, _)) = cmd.answer(disk, Err(PdmError::Disconnected { disk })) {
+        done.send(completion);
     }
 }
 
@@ -465,17 +495,28 @@ impl<R: Record> Default for Inbox<R> {
 /// then sends the buffer back on the command's `done` queue — until
 /// [`Cmd::Stop`] arrives; commands left behind are answered with
 /// `Disconnected`. A run's completions are delivered together at its
-/// end, waking the caller once.
+/// end, waking the caller once. Should the unit panic, the command it
+/// was serving is answered `Disconnected` too, so every command is
+/// still answered exactly once.
 pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, inbox: &Inbox<R>) {
     /// Closes the inbox however the loop ends — a panicking unit
-    /// included — so no sender waits on, or queues for, a dead worker.
+    /// included — so no sender waits on, or queues for, a dead worker,
+    /// and no command goes unanswered.
     struct Closer<'a, R: Record> {
         inbox: &'a Inbox<R>,
         disk: usize,
+        /// Commands taken and not yet answered, the one being served
+        /// first.
         cmds: VecDeque<Cmd<R>>,
+        /// The completions of the run in progress, and where they go.
+        run: Vec<Completion<R>>,
+        run_done: Option<CompletionQueue<R>>,
     }
     impl<R: Record> Drop for Closer<'_, R> {
         fn drop(&mut self) {
+            if let Some(q) = self.run_done.take() {
+                q.deliver(self.run.drain(..), true);
+            }
             self.inbox.close(self.disk, &mut self.cmds);
         }
     }
@@ -483,59 +524,36 @@ pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, inbox: &In
         inbox,
         disk,
         cmds: VecDeque::with_capacity(INBOX_CAPACITY),
+        run: Vec::new(),
+        run_done: None,
     };
-    // The completions of the run in progress, and where they go.
-    let mut run: Vec<Completion<R>> = Vec::new();
-    let mut run_done: Option<CompletionQueue<R>> = None;
-    'serve: loop {
+    loop {
         inbox.take_all(&mut taken.cmds);
-        while let Some(cmd) = taken.cmds.pop_front() {
-            let (buf, idx, done, more, result) = match cmd {
-                Cmd::Read {
-                    slot,
-                    mut buf,
-                    idx,
-                    done,
-                    more,
-                } => {
-                    let result = unit.read(slot, &mut buf);
-                    (buf, idx, done, more, result)
-                }
-                Cmd::Write {
-                    slot,
-                    buf,
-                    idx,
-                    done,
-                    more,
-                } => {
-                    let result = unit.write(slot, &buf);
-                    (buf, idx, done, more, result)
-                }
-                Cmd::Stop => break 'serve,
+        // Each command is served where it is queued and popped once
+        // done, so a panicking unit leaves it for the closer to answer.
+        while let Some(cmd) = taken.cmds.front_mut() {
+            let result = match cmd {
+                Cmd::Read { slot, buf, .. } => unit.read(*slot, buf),
+                Cmd::Write { slot, buf, .. } => unit.write(*slot, buf),
+                Cmd::Stop => return,
             };
-            if let Some(q) = &run_done {
+            let served = taken.cmds.pop_front().and_then(|c| c.answer(disk, result));
+            let (completion, done, more) = served.expect("the command just served");
+            if let Some(q) = &taken.run_done {
                 if !q.same(&done) {
                     // Another caller's command (a shared worker): hand
                     // over what the open run has done so far.
-                    q.deliver(run.drain(..), false);
+                    q.deliver(taken.run.drain(..), false);
                 }
             }
-            run.push(Completion {
-                idx,
-                disk,
-                buf,
-                result,
-            });
+            taken.run.push(completion);
             if more {
-                run_done = Some(done);
+                taken.run_done = Some(done);
             } else {
-                done.deliver(run.drain(..), true);
-                run_done = None;
+                done.deliver(taken.run.drain(..), true);
+                taken.run_done = None;
             }
         }
-    }
-    if let Some(q) = run_done {
-        q.deliver(run.drain(..), true);
     }
 }
 
@@ -959,6 +977,9 @@ mod tests {
         assert!(inbox.send(0, &mut vec![read(0, 2, 0, &q)]));
         assert!(worker.join().is_err(), "the unit panicked");
         assert!(!inbox.send(0, &mut vec![read(1, 2, 1, &q)]));
+        let c = q.recv();
+        assert_eq!(c.idx, 0, "the command the unit panicked on is answered");
+        assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 0 })));
         let c = q.recv();
         assert_eq!(c.idx, 1, "the later command is answered");
         assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 0 })));

@@ -20,21 +20,23 @@
 //! use portion 0 as the source and portion 1 as the target, swapping
 //! roles between passes.
 //!
-//! # Service modes and the streaming fast path
+//! # Service modes and the one transfer path
 //!
 //! How a parallel I/O is physically serviced is orthogonal to how it is
-//! charged. [`ServiceMode`] selects one of two disciplines. Serial local
-//! disks are serviced one block after another in the caller's thread.
-//! Everything else goes through persistent per-disk service threads
-//! ([`crate::parallel::DiskPool`]): pipelined in
-//! [`ServiceMode::Threaded`], and in *lockstep* — each command's
-//! completion collected before the next is sent — when disks behind
-//! remote transports run in [`ServiceMode::Serial`].
+//! charged. Every operation takes one path: a *ticket* stages the
+//! blocks of one or more parallel I/Os, one submit dispatches them, and
+//! one drain settles the ticket (recovery, first error, buffer return).
+//! [`ServiceMode`] selects where the submit sends the blocks. Serial
+//! local disks serve them in the caller's thread, in staged order and
+//! with one copy: a read lands straight in the caller's buffer, a write
+//! leaves straight from the caller's data. Everything else goes through
+//! persistent per-disk service threads ([`crate::parallel::DiskPool`]):
+//! pipelined in [`ServiceMode::Threaded`], and in *lockstep* — each
+//! command's completion collected before the next is sent — when disks
+//! behind remote transports run in [`ServiceMode::Serial`].
 //!
-//! Every pool operation takes one path: a *ticket* stages the blocks of
-//! one or more parallel I/Os, then one submit and one drain (recovery,
-//! first error, buffer return). The submit sends each disk's blocks as
-//! one *run*: one command per block, every one but the last marked
+//! The pool submit sends each disk's blocks as one *run*: one command
+//! per block, every one but the last marked
 //! [`crate::parallel::Cmd::more`], which the in-process transport
 //! hands to its service thread in one hop. A single parallel I/O is
 //! the one-block-per-disk case; the [`crate::engine::PassEngine`]'s
@@ -42,8 +44,13 @@
 //! [`DiskSystem::dump_records`] and [`DiskSystem::read_memoryload_into`]
 //! send one run per disk per memoryload. Admission — validation, the
 //! governor, the fault plan, the charge — stays per parallel I/O and in
-//! order, so only the hop to the service threads is batched. Tickets,
-//! their completion queues and the block buffers
+//! order, so only the hop to the service threads is batched. A ticket
+//! of several parallel I/Os admits and charges all of them before its
+//! first transfer, in every mode, so a backend failure part-way leaves
+//! the whole ticket charged; a single all-at-once operation
+//! ([`DiskSystem::read_blocks_into`], [`DiskSystem::write_blocks`] and
+//! the stripe calls) is charged once it has succeeded. Tickets, their
+//! completion queues and the block buffers
 //! ([`DiskSystem::buffer_pool_stats`]) are recycled, so a steady-state
 //! operation allocates nothing; every code path, including
 //! fault-injection errors, must return its buffers to the pool.
@@ -188,14 +195,15 @@ impl<R: Record> BlockPool<R> {
     }
 }
 
-/// Where a drained read's blocks go.
+/// Where a read's blocks go.
 enum Sink<'a, R> {
-    /// Staged block `i` into `out[i*B .. (i+1)*B]`.
+    /// Staged block `i` into `out[i*B .. (i+1)*B]`; a local read lands
+    /// there directly.
     Out(&'a mut [R]),
     /// Staged block `i` handed to the caller's `place(i, block)`.
     Each(&'a mut dyn FnMut(usize, &[R])),
-    /// Kept on the ticket for a later drain: a lockstep split-phase
-    /// read has its data before `finish_read` is called.
+    /// Kept on the ticket for a later drain: a local or lockstep
+    /// split-phase read has its data before `finish_read` is called.
     Keep,
     /// Straight back to the pool: writes, and the abort path.
     Discard,
@@ -219,20 +227,21 @@ impl<'a, R: Record> Sink<'a, R> {
 }
 
 /// One or more parallel I/Os between submission and drain: the state
-/// behind a [`ReadTicket`] or [`WriteTicket`]. The blocks a ticket moves
-/// on one disk travel as one run of commands ([`Cmd::more`]), so a
-/// single parallel I/O is the one-block-per-disk case and a memoryload
-/// is `D` runs. The system recycles tickets, completion queue and
+/// behind a [`ReadTicket`] or [`WriteTicket`]. On a pooled system the
+/// blocks a ticket moves on one disk travel as one run of commands
+/// ([`Cmd::more`]), so a single parallel I/O is the one-block-per-disk
+/// case and a memoryload is `D` runs. The system recycles tickets, completion queue and
 /// vectors included, so steady-state operations allocate nothing.
 struct InFlight<R: Record> {
     /// Reads, or else writes.
     read: bool,
     /// Operations staged.
     ops: usize,
-    /// The slot of each staged block; block `i` sits at record offset
-    /// `i·B` and travels as request index `i`.
-    slots: Vec<usize>,
+    /// Each staged block; block `i` sits at record offset `i·B` and
+    /// travels as request index `i`.
+    blocks: Vec<BlockRef>,
     /// Per disk, its staged blocks in transfer order: the disk's run.
+    /// Built when the ticket goes to the pool; local units never read it.
     runs: Vec<Vec<usize>>,
     /// Per disk, the recovery attempts spent on its run.
     attempts: Vec<u32>,
@@ -257,7 +266,7 @@ impl<R: Record> InFlight<R> {
         InFlight {
             read: true,
             ops: 0,
-            slots: Vec::new(),
+            blocks: Vec::new(),
             runs: vec![Vec::new(); disks],
             attempts: vec![0; disks],
             sent_at: Vec::new(),
@@ -269,19 +278,16 @@ impl<R: Record> InFlight<R> {
         }
     }
 
-    /// Appends one operation's blocks to their disks' runs, right after
-    /// the blocks already staged.
+    /// Appends one operation's blocks right after the blocks already
+    /// staged.
     fn stage(&mut self, refs: &[BlockRef]) {
         self.ops += 1;
-        for r in refs {
-            self.runs[r.disk].push(self.slots.len());
-            self.slots.push(r.slot);
-        }
+        self.blocks.extend_from_slice(refs);
     }
 
     /// The command that moves staged block `idx` in `buf`.
     fn command(&self, idx: usize, buf: Vec<R>, more: bool) -> Cmd<R> {
-        let slot = self.slots[idx];
+        let slot = self.blocks[idx].slot;
         let done = self.done.clone();
         if self.read {
             Cmd::Read {
@@ -322,6 +328,55 @@ impl<R: Record> InFlight<R> {
         }
         pool.put(buf);
     }
+
+    /// Serves the staged blocks from local units in the caller's
+    /// thread, in staged order and with one copy: a read lands straight
+    /// in a [`Sink::Out`] buffer (any other sink gets a pooled buffer,
+    /// absorbed as a completion would be), and write block `idx` leaves
+    /// straight from `data(idx)`. Stops at the first unit error, which
+    /// the ticket keeps.
+    fn serve_local<'d>(
+        &mut self,
+        units: &mut [Box<dyn DiskUnit<R>>],
+        pool: &mut BlockPool<R>,
+        data: impl Fn(usize) -> &'d [R],
+        sink: &mut Sink<'_, R>,
+    ) where
+        R: 'd,
+    {
+        let block = pool.block;
+        for idx in 0..self.blocks.len() {
+            let BlockRef { disk, slot } = self.blocks[idx];
+            let unit = &mut units[disk];
+            let result = match &mut *sink {
+                _ if !self.read => unit.write(slot, data(idx)),
+                Sink::Out(out) => unit.read(slot, &mut out[idx * block..(idx + 1) * block]),
+                sink => {
+                    let mut buf = pool.take();
+                    let result = unit.read(slot, &mut buf);
+                    let failed = result.is_err();
+                    self.absorb(
+                        pool,
+                        Completion {
+                            idx,
+                            disk,
+                            buf,
+                            result,
+                        },
+                        sink,
+                    );
+                    if failed {
+                        return;
+                    }
+                    continue;
+                }
+            };
+            if let Err(e) = result {
+                self.err = Some(e.with_disk(disk));
+                return;
+            }
+        }
+    }
 }
 
 /// A split-phase read in flight (see [`DiskSystem::begin_read`]). Must
@@ -334,7 +389,7 @@ pub struct ReadTicket<R: Record>(InFlight<R>);
 impl<R: Record> ReadTicket<R> {
     /// Records transferred by this ticket.
     pub fn records(&self, block: usize) -> usize {
-        self.0.slots.len() * block
+        self.0.blocks.len() * block
     }
 }
 
@@ -735,7 +790,7 @@ impl<R: Record> DiskSystem<R> {
         debug_assert_eq!(op.pending, 0, "recycling a ticket in flight");
         debug_assert!(op.landed.is_empty(), "recycling landed blocks");
         op.ops = 0;
-        op.slots.clear();
+        op.blocks.clear();
         op.runs.iter_mut().for_each(Vec::clear);
         op.attempts.fill(0);
         op.sent_at.clear();
@@ -743,34 +798,44 @@ impl<R: Record> DiskSystem<R> {
         self.tickets.push(op);
     }
 
-    /// Sends each disk's staged blocks as one run of commands, filling
-    /// each write block with `fill(offset, block)`. In lockstep every
-    /// run is one command long: each completion is received and
-    /// absorbed into `sink` before the next command is sent, and the
-    /// ticket is settled here, so an error surfaces now; pipelined, the
-    /// completions wait for [`Self::drain`]. `recover` engages the
-    /// retry layer ([`Self::receive`]).
-    ///
-    /// Kept out of line, like [`Self::drain`]: the public operations'
-    /// serial arms share a function with these calls, and inlining the
-    /// pool path into them measurably slowed the serial loop.
-    #[inline(never)]
-    fn submit(
+    /// Dispatches a staged ticket: the one function that moves a staged
+    /// block. Read blocks go to `sink`; write block `idx` comes from
+    /// `data(idx)`. Serial local units serve the ticket in the caller's
+    /// thread ([`InFlight::serve_local`]) and it is settled here.
+    /// Otherwise each disk's staged blocks go to the pool as one run of
+    /// commands. In lockstep every run is one command long: each
+    /// completion is received and absorbed into `sink` before the next
+    /// command is sent, and the ticket is settled here, so an error
+    /// surfaces now; pipelined, the completions wait for
+    /// [`Self::drain`]. `recover` engages the retry layer
+    /// ([`Self::receive`]).
+    fn submit<'d>(
         &mut self,
         op: &mut InFlight<R>,
-        fill: impl Fn(usize, &mut [R]),
+        data: impl Fn(usize) -> &'d [R],
         mut sink: Sink<'_, R>,
         recover: bool,
-    ) -> Result<()> {
-        let lockstep = matches!(self.service, Service::Pooled { lockstep: true, .. });
-        let block = self.geom.block();
+    ) -> Result<()>
+    where
+        R: 'd,
+    {
+        let lockstep = match &mut self.service {
+            Service::Serial(units) => {
+                op.serve_local(units, &mut self.pool, data, &mut sink);
+                return self.drain(op, sink, recover);
+            }
+            Service::Pooled { lockstep, .. } => *lockstep,
+        };
+        for (idx, r) in op.blocks.iter().enumerate() {
+            op.runs[r.disk].push(idx);
+        }
         for disk in 0..op.runs.len() {
             let len = op.runs[disk].len();
             for i in 0..len {
                 let idx = op.runs[disk][i];
                 let mut buf = self.pool.take();
                 if !op.read {
-                    fill(idx * block, &mut buf);
+                    buf.copy_from_slice(data(idx));
                 }
                 let cmd = op.command(idx, buf, !lockstep && i + 1 < len);
                 self.disk_pool().submit(disk, cmd);
@@ -827,7 +892,7 @@ impl<R: Record> DiskSystem<R> {
             if recover && disconnected && self.retry.respawn {
                 if let Some(attempt) = self.revive(op, c.disk, c.idx) {
                     if op.sent_at.is_empty() {
-                        op.sent_at.resize(op.slots.len(), 0);
+                        op.sent_at.resize(op.blocks.len(), 0);
                     }
                     op.sent_at[c.idx] = attempt;
                     let cmd = op.command(c.idx, c.buf, false);
@@ -866,7 +931,6 @@ impl<R: Record> DiskSystem<R> {
     /// first error wins — reported as [`PdmError::Timeout`] when a
     /// per-op timeout fired and the survivors came home
     /// `Disconnected`. A failed ticket recycles its kept blocks too.
-    #[inline(never)]
     fn drain(&mut self, op: &mut InFlight<R>, mut sink: Sink<'_, R>, recover: bool) -> Result<()> {
         while op.pending > 0 {
             let c = self.receive(op, recover);
@@ -902,20 +966,22 @@ impl<R: Record> DiskSystem<R> {
     }
 
     /// Submits a staged ticket and waits for it: read blocks land in
-    /// `out` at their staged offsets (writes pass `None` and stage
-    /// their data with `fill`). The ticket is recycled whatever the
-    /// outcome. Out of line for the reason [`Self::submit`] is.
-    #[inline(never)]
-    fn transfer(
+    /// `out` at their staged offsets (writes pass `None` and take block
+    /// `idx` from `data(idx)`). The ticket is recycled whatever the
+    /// outcome.
+    fn transfer<'d>(
         &mut self,
         mut op: InFlight<R>,
-        fill: impl Fn(usize, &mut [R]),
+        data: impl Fn(usize) -> &'d [R],
         mut out: Option<&mut [R]>,
         recover: bool,
-    ) -> Result<()> {
+    ) -> Result<()>
+    where
+        R: 'd,
+    {
         let sent = self.submit(
             &mut op,
-            fill,
+            data,
             Sink::out_or_discard(out.as_deref_mut()),
             recover,
         );
@@ -923,30 +989,67 @@ impl<R: Record> DiskSystem<R> {
         sent.and(drained)
     }
 
-    /// Admits the operations `next` yields — each call fills `refs`
-    /// with one operation's blocks, at most one per disk, and returns
-    /// `false` when none are left — and hands each admitted one to
-    /// `each`. Empty operations are free. Stops at the first refused
-    /// operation, or the first error of `each`, and returns that error.
-    fn admit_ops(
+    /// One parallel I/O of `refs`, charged once it has succeeded: read
+    /// blocks land in `out` in request order, and a write (`out` is
+    /// `None`) takes block `i` from `data(i)`.
+    fn single_io<'d>(
+        &mut self,
+        refs: &[BlockRef],
+        data: impl Fn(usize) -> &'d [R],
+        out: Option<&mut [R]>,
+    ) -> Result<()>
+    where
+        R: 'd,
+    {
+        let read = out.is_some();
+        self.admit(refs, read)?;
+        let mut op = self.ticket(read);
+        op.stage(refs);
+        self.transfer(op, data, out, true)?;
+        self.charge(refs, read);
+        Ok(())
+    }
+
+    /// Stages the operations `next` yields as one ticket — each call
+    /// fills `refs` with one operation's blocks, at most one per disk,
+    /// and returns `false` when none are left — admitting and charging
+    /// each in order, then dispatches the ticket ([`Self::submit`]).
+    /// Empty operations are free. On a refused operation the ones
+    /// before it stay charged, their transfers are waited out and
+    /// discarded, and the error is returned.
+    fn begin_ops<'d>(
         &mut self,
         read: bool,
         mut next: impl FnMut(&mut Vec<BlockRef>) -> bool,
-        mut each: impl FnMut(&mut Self, &[BlockRef]) -> Result<()>,
-    ) -> Result<()> {
+        data: impl Fn(usize) -> &'d [R],
+        sink: Sink<'_, R>,
+    ) -> Result<InFlight<R>>
+    where
+        R: 'd,
+    {
+        let mut op = self.ticket(read);
         let mut refs = std::mem::take(&mut self.stripe_scratch);
-        let mut result = Ok(());
+        let mut admitted = Ok(());
         while next(&mut refs) {
             if refs.is_empty() {
                 continue;
             }
-            result = self.admit(&refs, read).and_then(|()| each(self, &refs));
-            if result.is_err() {
+            admitted = self.admit(&refs, read);
+            if admitted.is_err() {
                 break;
             }
+            self.charge(&refs, read);
+            op.stage(&refs);
         }
         self.stripe_scratch = refs;
-        result
+        let sent = self.submit(&mut op, data, sink, true);
+        match admitted.and(sent) {
+            Ok(()) => Ok(op),
+            Err(e) => {
+                let _ = self.finish(op, Sink::Discard, false);
+                Err(e)
+            }
+        }
     }
 
     /// Runs `f` on the `D` references of the stripe at `slot`, held in
@@ -1093,9 +1196,9 @@ impl<R: Record> DiskSystem<R> {
 
     /// One parallel read into a contiguous buffer: fetches each
     /// requested block (at most one per disk) into
-    /// `out[i*B .. (i+1)*B]` in request order, with no allocation on
-    /// the serial path. Counts one parallel I/O (zero if `refs` is
-    /// empty) once it has succeeded.
+    /// `out[i*B .. (i+1)*B]` in request order, with no allocation in
+    /// steady state. Counts one parallel I/O (zero if `refs` is empty)
+    /// once it has succeeded.
     pub fn read_blocks_into(&mut self, refs: &[BlockRef], out: &mut [R]) -> Result<()> {
         if refs.is_empty() {
             assert!(out.is_empty(), "output buffer for an empty request");
@@ -1108,23 +1211,7 @@ impl<R: Record> DiskSystem<R> {
             "read_blocks_into requires {} records of output space",
             refs.len() * block
         );
-        self.admit(refs, true)?;
-        match &mut self.service {
-            Service::Serial(units) => {
-                for (r, chunk) in refs.iter().zip(out.chunks_exact_mut(block)) {
-                    units[r.disk]
-                        .read(r.slot, chunk)
-                        .map_err(|e| e.with_disk(r.disk))?;
-                }
-            }
-            Service::Pooled { .. } => {
-                let mut op = self.ticket(true);
-                op.stage(refs);
-                self.transfer(op, |_, _| {}, Some(out), true)?;
-            }
-        }
-        self.charge(refs, true);
-        Ok(())
+        self.single_io(refs, no_data, Some(out))
     }
 
     /// One parallel read: fetches each requested block (at most one per
@@ -1159,37 +1246,9 @@ impl<R: Record> DiskSystem<R> {
         let mut refs = std::mem::take(&mut self.stripe_scratch);
         refs.clear();
         refs.extend(writes.iter().map(|(r, _)| *r));
-        let result = self.write_refs(&refs, |i| writes[i].1);
+        let result = self.single_io(&refs, |i| writes[i].1, None);
         self.stripe_scratch = refs;
         result
-    }
-
-    /// One parallel write of block `i` = `data(i)` to `refs[i]`, charged
-    /// once it has succeeded: the body of [`DiskSystem::write_blocks`]
-    /// and [`DiskSystem::write_stripe`].
-    fn write_refs<'d>(&mut self, refs: &[BlockRef], data: impl Fn(usize) -> &'d [R]) -> Result<()>
-    where
-        R: 'd,
-    {
-        self.admit(refs, false)?;
-        match &mut self.service {
-            Service::Serial(units) => {
-                for (i, r) in refs.iter().enumerate() {
-                    units[r.disk]
-                        .write(r.slot, data(i))
-                        .map_err(|e| e.with_disk(r.disk))?;
-                }
-            }
-            Service::Pooled { .. } => {
-                let block = self.geom.block();
-                let mut op = self.ticket(false);
-                op.stage(refs);
-                let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(data(off / block));
-                self.transfer(op, fill, None, true)?;
-            }
-        }
-        self.charge(refs, false);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1214,8 +1273,9 @@ impl<R: Record> DiskSystem<R> {
     /// call fills `refs` with one operation's blocks (at most one per
     /// disk) and returns `false` when none are left. Every operation is
     /// admitted and charged in order, exactly as by
-    /// [`DiskSystem::begin_read`]; then each disk's blocks travel as one
-    /// run of commands. [`DiskSystem::finish_read`] places the blocks
+    /// [`DiskSystem::begin_read`], before the first transfer; then each
+    /// disk's blocks travel as one run of commands (serial local disks
+    /// read them at once). [`DiskSystem::finish_read`] places the blocks
     /// one after another in operation order. On a refused operation the
     /// ones before it stay charged, their transfers are waited out and
     /// discarded, and the error is returned.
@@ -1244,23 +1304,21 @@ impl<R: Record> DiskSystem<R> {
         &mut self,
         next: impl FnMut(&mut Vec<BlockRef>) -> bool,
     ) -> Result<ReadTicket<R>> {
-        let mut op = self.ticket(true);
-        let admitted = self.admit_ops(true, next, |sys, refs| {
-            sys.charge(refs, true);
-            op.stage(refs);
-            Ok(())
-        });
-        let sent = match &mut self.service {
-            Service::Serial(units) => read_local(units, &mut self.pool, &mut op),
-            Service::Pooled { .. } => self.submit(&mut op, |_, _| {}, Sink::Keep, true),
-        };
-        match admitted.and(sent) {
-            Ok(()) => Ok(ReadTicket(op)),
-            Err(e) => {
-                let _ = self.finish(op, Sink::Discard, false);
-                Err(e)
-            }
-        }
+        self.begin_ops(true, next, no_data, Sink::Keep)
+            .map(ReadTicket)
+    }
+
+    /// Reads the operations that `next` yields (see
+    /// [`DiskSystem::begin_reads`]) into `out`, one block after another
+    /// in operation order, and waits for them. Admitted and charged
+    /// like `begin_reads`; serial local disks read straight into `out`.
+    pub(crate) fn read_ops_into(
+        &mut self,
+        next: impl FnMut(&mut Vec<BlockRef>) -> bool,
+        out: &mut [R],
+    ) -> Result<()> {
+        let op = self.begin_ops(true, next, no_data, Sink::Out(out))?;
+        self.finish(op, Sink::Out(out), true)
     }
 
     /// Completes a split-phase read, copying block `i` of the request
@@ -1300,8 +1358,8 @@ impl<R: Record> DiskSystem<R> {
 
     /// Begins one parallel write from a contiguous buffer: block `i` of
     /// the request is taken from `data[i*B .. (i+1)*B]`. The data is
-    /// staged into pooled buffers, so `data` is reusable as soon as
-    /// this returns. Charged at submission; resolve with
+    /// written or staged into pooled buffers before this returns, so
+    /// `data` is reusable at once. Charged at submission; resolve with
     /// [`DiskSystem::finish_write`].
     pub fn begin_write(&mut self, refs: &[BlockRef], data: &[R]) -> Result<WriteTicket<R>> {
         let block = self.geom.block();
@@ -1316,50 +1374,20 @@ impl<R: Record> DiskSystem<R> {
 
     /// Begins the parallel writes that `next` yields as one ticket (see
     /// [`DiskSystem::begin_reads`]), taking the blocks one after another
-    /// from `data`. Each operation is admitted and charged in order; on
-    /// serial local disks it is then written at once, elsewhere each
-    /// disk's blocks travel as one run of commands. On a refused
-    /// operation the ones before it stay charged and are still written.
+    /// from `data`. Every operation is admitted and charged in order
+    /// before the first transfer; then serial local disks write the
+    /// blocks at once, straight from `data`, and elsewhere each disk's
+    /// blocks travel as one run of commands. On a refused operation the
+    /// ones before it stay charged and are still written.
     pub(crate) fn begin_writes(
         &mut self,
         next: impl FnMut(&mut Vec<BlockRef>) -> bool,
         data: &[R],
     ) -> Result<WriteTicket<R>> {
         let block = self.geom.block();
-        let mut op = self.ticket(false);
-        let result = if let Service::Serial(_) = self.service {
-            // The classic loop: each operation is written as soon as it
-            // is admitted, straight from `data`.
-            let mut offset = 0;
-            self.admit_ops(false, next, |sys, refs| {
-                sys.charge(refs, false);
-                let Service::Serial(units) = &mut sys.service else {
-                    unreachable!("serial units");
-                };
-                for r in refs {
-                    units[r.disk]
-                        .write(r.slot, &data[offset..offset + block])
-                        .map_err(|e| e.with_disk(r.disk))?;
-                    offset += block;
-                }
-                Ok(())
-            })
-        } else {
-            let admitted = self.admit_ops(false, next, |sys, refs| {
-                sys.charge(refs, false);
-                op.stage(refs);
-                Ok(())
-            });
-            let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(&data[off..off + block]);
-            admitted.and(self.submit(&mut op, fill, Sink::Discard, true))
-        };
-        match result {
-            Ok(()) => Ok(WriteTicket(op)),
-            Err(e) => {
-                let _ = self.finish(op, Sink::Discard, false);
-                Err(e)
-            }
-        }
+        let data = |i: usize| &data[i * block..(i + 1) * block];
+        self.begin_ops(false, next, data, Sink::Discard)
+            .map(WriteTicket)
     }
 
     /// Completes a split-phase write, reclaiming the staging buffers
@@ -1408,16 +1436,17 @@ impl<R: Record> DiskSystem<R> {
             block * self.geom.disks()
         );
         self.with_stripe(slot, |sys, refs| {
-            sys.write_refs(refs, |i| &data[i * block..(i + 1) * block])
+            sys.single_io(refs, |i| &data[i * block..(i + 1) * block], None)
         })
     }
 
     /// Reads memoryload `ml` of a portion into `out` (`M` records in
     /// address order) with `M/BD` striped reads and no per-block
-    /// allocation. On a pooled system the memoryload is one split-phase
-    /// read ticket: the stripes are admitted and charged in order, as by
-    /// [`DiskSystem::begin_read`], each disk's blocks travel as one run,
-    /// and a refused stripe leaves the ones before it charged.
+    /// allocation. The memoryload is one read ticket: the stripes are
+    /// admitted and charged in order, as by [`DiskSystem::begin_read`],
+    /// before the first transfer, each disk's blocks travel as one run
+    /// (serial local disks read straight into `out`), and a refused
+    /// stripe leaves the ones before it charged.
     pub fn read_memoryload_into(&mut self, portion: usize, ml: usize, out: &mut [R]) -> Result<()> {
         assert_eq!(
             out.len(),
@@ -1425,18 +1454,8 @@ impl<R: Record> DiskSystem<R> {
             "read_memoryload_into requires a full memoryload of {} records",
             self.geom.memory()
         );
-        let spm = self.geom.stripes_per_memoryload();
-        let stripe_len = self.geom.block() * self.geom.disks();
-        let base = self.portion_base(portion) + ml * spm;
-        debug_assert_eq!(spm * stripe_len, self.geom.memory());
-        if let Service::Serial(_) = self.service {
-            for (t, chunk) in out.chunks_exact_mut(stripe_len).enumerate() {
-                self.read_stripe_into(base + t, chunk)?;
-            }
-            return Ok(());
-        }
-        let ticket = self.begin_reads(stripe_ops(&self.geom, base))?;
-        self.finish_read(ticket, out)
+        let base = self.portion_base(portion) + ml * self.geom.stripes_per_memoryload();
+        self.read_ops_into(stripe_ops(&self.geom, base), out)
     }
 
     /// Reads memoryload `ml` of a portion: its `M/BD` consecutive
@@ -1482,8 +1501,8 @@ impl<R: Record> DiskSystem<R> {
 
     /// Fills a portion with `records` in address order **without
     /// counting I/Os** — initial data placement, not part of any
-    /// algorithm's cost. On a pooled system each memoryload is one run
-    /// per disk.
+    /// algorithm's cost. Each memoryload is one ticket: one run per disk
+    /// on a pooled system.
     pub fn load_records(&mut self, portion: usize, records: &[R]) {
         assert_eq!(
             records.len(),
@@ -1492,43 +1511,24 @@ impl<R: Record> DiskSystem<R> {
             self.geom.records()
         );
         let base = self.portion_base(portion);
-        let (block, disks) = (self.geom.block(), self.geom.disks());
-        if let Service::Serial(units) = &mut self.service {
-            for (i, chunk) in records.chunks_exact(block).enumerate() {
-                units[i % disks]
-                    .write(base + i / disks, chunk)
-                    .expect("load_records within capacity");
-            }
-            return;
-        }
-        let spm = self.geom.stripes_per_memoryload();
+        let (block, spm) = (self.geom.block(), self.geom.stripes_per_memoryload());
         for (ml, chunk) in records.chunks_exact(self.geom.memory()).enumerate() {
             let op = self.memoryload_ticket(false, base + ml * spm);
-            let fill = |off: usize, buf: &mut [R]| buf.copy_from_slice(&chunk[off..off + block]);
-            self.transfer(op, fill, None, false)
+            self.transfer(op, |i| &chunk[i * block..(i + 1) * block], None, false)
                 .expect("load_records within capacity");
         }
     }
 
     /// Reads a whole portion back in address order **without counting
-    /// I/Os** — for verification at the end of an experiment. On a
-    /// pooled system each memoryload is one run per disk.
+    /// I/Os** — for verification at the end of an experiment. Each
+    /// memoryload is one ticket: one run per disk on a pooled system.
     pub fn dump_records(&mut self, portion: usize) -> Vec<R> {
         let base = self.portion_base(portion);
-        let (block, disks) = (self.geom.block(), self.geom.disks());
-        let mut out = vec![R::default(); self.geom.records()];
-        if let Service::Serial(units) = &mut self.service {
-            for (i, chunk) in out.chunks_exact_mut(block).enumerate() {
-                units[i % disks]
-                    .read(base + i / disks, chunk)
-                    .expect("dump_records within capacity");
-            }
-            return out;
-        }
         let spm = self.geom.stripes_per_memoryload();
+        let mut out = vec![R::default(); self.geom.records()];
         for (ml, chunk) in out.chunks_exact_mut(self.geom.memory()).enumerate() {
             let op = self.memoryload_ticket(true, base + ml * spm);
-            self.transfer(op, |_, _| {}, Some(chunk), false)
+            self.transfer(op, no_data, Some(chunk), false)
                 .expect("dump_records within capacity");
         }
         out
@@ -1538,17 +1538,17 @@ impl<R: Record> DiskSystem<R> {
     /// potential-function tracker to observe state between operations.
     pub fn peek_block(&mut self, r: BlockRef) -> Vec<R> {
         let mut buf = vec![R::default(); self.geom.block()];
-        let read = match &mut self.service {
-            Service::Serial(units) => units[r.disk].read(r.slot, &mut buf),
-            Service::Pooled { .. } => {
-                let mut op = self.ticket(true);
-                op.stage(&[r]);
-                self.transfer(op, |_, _| {}, Some(&mut buf), false)
-            }
-        };
-        read.expect("peek_block within capacity");
+        let mut op = self.ticket(true);
+        op.stage(&[r]);
+        self.transfer(op, no_data, Some(&mut buf), false)
+            .expect("peek_block within capacity");
         buf
     }
+}
+
+/// The data of a read ticket's blocks: reads write nothing.
+fn no_data<'d, R>(_: usize) -> &'d [R] {
+    &[]
 }
 
 /// An operation source (see [`DiskSystem::begin_reads`]) whose one
@@ -1580,27 +1580,6 @@ pub(crate) fn stripe_ops(geom: &Geometry, base: usize) -> impl FnMut(&mut Vec<Bl
         refs.extend((0..disks).map(|disk| BlockRef { disk, slot }));
         true
     }
-}
-
-/// Serves a staged read ticket from local units in the caller's
-/// thread: each block into a pooled buffer, kept on the ticket until it
-/// drains.
-fn read_local<R: Record>(
-    units: &mut [Box<dyn DiskUnit<R>>],
-    pool: &mut BlockPool<R>,
-    op: &mut InFlight<R>,
-) -> Result<()> {
-    for (disk, run) in op.runs.iter().enumerate() {
-        for &idx in run {
-            let mut buf = pool.take();
-            if let Err(e) = units[disk].read(op.slots[idx], &mut buf) {
-                pool.put(buf);
-                return Err(e.with_disk(disk));
-            }
-            op.landed.push((idx, buf));
-        }
-    }
-    Ok(())
 }
 
 impl<R: Record + ByteRecord> DiskSystem<R> {
@@ -2442,6 +2421,61 @@ mod tests {
         let err = sim.finish_read(t, &mut out).unwrap_err();
         assert!(matches!(err, PdmError::Disconnected { disk: 1 }), "{err}");
         assert_eq!(sim.buffer_pool_stats().outstanding, 0);
+    }
+
+    /// The one charging rule for a ticket of several parallel I/Os: a
+    /// memoryload read admits and charges all its stripes before the
+    /// first transfer, so a unit failing part-way leaves every stripe
+    /// charged — in serial mode on local units as on the pool.
+    #[test]
+    fn a_failed_memoryload_read_is_charged_whole_in_every_mode() {
+        /// A memory disk whose slot 1 cannot be read.
+        struct BadSlot(MemDisk<u64>);
+        impl DiskUnit<u64> for BadSlot {
+            fn slots(&self) -> usize {
+                self.0.slots()
+            }
+            fn block(&self) -> usize {
+                DiskUnit::<u64>::block(&self.0)
+            }
+            fn read(&mut self, slot: usize, out: &mut [u64]) -> Result<()> {
+                if slot == 1 {
+                    return Err(PdmError::Io("bad sector".into()));
+                }
+                self.0.read(slot, out)
+            }
+            fn write(&mut self, slot: usize, data: &[u64]) -> Result<()> {
+                self.0.write(slot, data)
+            }
+        }
+        // N=64, B=2, D=4, M=16: memoryload 0 is stripes 0 and 1, and
+        // disk 1 fails the second.
+        let g = Geometry::new(64, 2, 4, 16).unwrap();
+        for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
+            let units = (0..g.disks())
+                .map(|d| {
+                    let unit = MemDisk::new(g.block(), g.stripes());
+                    match d {
+                        1 => Box::new(BadSlot(unit)) as Box<dyn DiskUnit<u64>>,
+                        _ => Box::new(unit),
+                    }
+                })
+                .collect();
+            let mut sys = DiskSystem::from_service(g, 1, Service::Serial(units));
+            sys.set_service_mode(mode);
+            let mut out = vec![0u64; g.memory()];
+            let err = sys.read_memoryload_into(0, 0, &mut out).unwrap_err();
+            assert_eq!(err, PdmError::Io("bad sector".into()), "mode {mode:?}");
+            let io = sys.stats();
+            assert_eq!(
+                io.parallel_reads as usize,
+                g.stripes_per_memoryload(),
+                "mode {mode:?}: the whole memoryload is charged"
+            );
+            let retry = sys.retry_stats();
+            assert_eq!(retry.attempts, io.parallel_ios() + retry.retries);
+            assert_eq!(sys.buffer_pool_stats().outstanding, 0, "mode {mode:?}");
+        }
     }
 
     /// On unit-backed (non-transport) services a disconnect fault has

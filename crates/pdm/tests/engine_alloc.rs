@@ -2,10 +2,10 @@
 //!
 //! The [`pdm::PassEngine`] owns all its plan storage — the memoryload
 //! buffers, the run-length [`pdm::BlockBatches`] gather/scatter sets
-//! (plus the [`pdm::BatchCursor`] that materialises their batches) and
-//! the reference scratch — and the [`pdm::DiskSystem`] reuses its
-//! validation scratch, its block buffers and its tickets (completion
-//! queue included). After a warm-up pass, streaming further passes
+//! (plus the [`pdm::BatchCursor`] that materialises their batches) —
+//! and the [`pdm::DiskSystem`] reuses its validation and reference
+//! scratch, its block buffers and its tickets (completion queue
+//! included). After a warm-up pass, streaming further passes
 //! through the engine must perform **zero** heap allocations on the
 //! calling thread, for striped and for gather/scatter plans alike, in
 //! the serial and in the threaded service mode.
@@ -228,7 +228,9 @@ fn threaded_gather_scatter_pass_is_allocation_free_after_warmup() {
 /// Allocations of a steady-state round of the public striped calls in
 /// `mode` — a [`DiskSystem::read_stripe_into`] and a
 /// [`DiskSystem::write_stripe`] per stripe, the external merge's
-/// synchronous transfers — after a warm-up round.
+/// synchronous transfers — and of its refill path, a two-operation
+/// [`DiskSystem::begin_reads`] landed by
+/// [`DiskSystem::finish_read_with`], after a warm-up round.
 fn stripe_calls_allocations(mode: ServiceMode) -> u64 {
     let g = geom();
     let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
@@ -236,15 +238,31 @@ fn stripe_calls_allocations(mode: ServiceMode) -> u64 {
     sys.load_records(0, &(0..g.records() as u64).collect::<Vec<_>>());
     let target = sys.portion_base(1);
     let mut buf = vec![0u64; g.block() * g.disks()];
-    let round = |sys: &mut DiskSystem<u64>, buf: &mut [u64]| {
+    let mut landed = [0u64; 2];
+    let round = |sys: &mut DiskSystem<u64>, buf: &mut [u64], landed: &mut [u64; 2]| {
         for stripe in 0..g.stripes() {
             sys.read_stripe_into(stripe, buf).unwrap();
             sys.write_stripe(target + stripe, buf).unwrap();
+            // Two single-block refills in one ticket, each block
+            // landed in its own place.
+            let mut ops = [0, 1]
+                .map(|disk| BlockRef { disk, slot: stripe })
+                .into_iter();
+            let ticket = sys
+                .begin_reads(|refs| {
+                    refs.clear();
+                    refs.extend(ops.next());
+                    !refs.is_empty()
+                })
+                .unwrap();
+            sys.finish_read_with(ticket, |i, block| landed[i] = block[0])
+                .unwrap();
+            assert_eq!(*landed, [buf[0], buf[g.block()]]);
         }
     };
-    round(&mut sys, &mut buf); // warm-up
+    round(&mut sys, &mut buf, &mut landed); // warm-up
     let before = allocations();
-    round(&mut sys, &mut buf);
+    round(&mut sys, &mut buf, &mut landed);
     let allocated = allocations() - before;
     assert_eq!(
         sys.dump_records(1),

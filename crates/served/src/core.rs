@@ -28,6 +28,7 @@ use crate::farm::DiskFarm;
 use crate::job::{run_job, JobKind, JobReport, JobSpec};
 use pdm::{FairScheduler, Geometry, JobId, JobUsage, PdmError};
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -493,7 +494,10 @@ impl ServiceCore {
             std::thread::Builder::new()
                 .name(format!("pdm-job-{id}"))
                 .spawn(move || {
-                    let result = run_job(&mut sys, &spec);
+                    // A panic inside the job, such as bulk placement's
+                    // over a dead disk, still finishes it.
+                    let result = catch_unwind(AssertUnwindSafe(|| run_job(&mut sys, &spec)))
+                        .unwrap_or_else(|panic| Err(panicked(panic.as_ref())));
                     drop(sys); // release the transports, then the slots
                     drop(lease);
                     core.finish(id, result);
@@ -681,6 +685,17 @@ impl ServiceCore {
         }
         self.cv.notify_all();
     }
+}
+
+/// The error a panicked job fails with: not retryable, carrying the
+/// panic message.
+fn panicked(panic: &(dyn std::any::Any + Send)) -> PdmError {
+    let msg = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    PdmError::Io(format!("job executor panicked: {msg}"))
 }
 
 #[cfg(test)]
@@ -928,6 +943,66 @@ mod tests {
         assert_eq!(status.attempts, 1, "recovered in place, not re-run");
         assert!(status.report.unwrap().verified);
         assert_eq!(core.overview().respawns, 1, "one crash, one respawn");
+        core.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_frees_its_slots() {
+        use pdm::backend::{DiskUnit, MemDisk};
+        /// A disk whose first transfer panics.
+        struct Panics;
+        impl DiskUnit<u64> for Panics {
+            fn slots(&self) -> usize {
+                1 << 10
+            }
+            fn block(&self) -> usize {
+                4
+            }
+            fn read(&mut self, _: usize, _: &mut [u64]) -> pdm::Result<()> {
+                panic!("disk unit exploded");
+            }
+            fn write(&mut self, _: usize, _: &[u64]) -> pdm::Result<()> {
+                panic!("disk unit exploded");
+            }
+        }
+        let config = ServiceConfig {
+            block: 4,
+            disks: 4,
+            slots: 1 << 10,
+            quantum: 16,
+            max_queue: 8,
+            max_running: 4,
+            ..ServiceConfig::default()
+        };
+        let units = (0..config.disks)
+            .map(|d| match d {
+                1 => Box::new(Panics) as Box<dyn DiskUnit<u64>>,
+                _ => Box::new(MemDisk::new(config.block, config.slots)),
+            })
+            .collect();
+        let farm = DiskFarm::over_units(config.block, config.slots, units);
+        let core = ServiceCore::new_with_farm(config, farm);
+        let mut spec = quick_spec(1);
+        spec.max_retries = 2;
+        let id = core.submit(spec, None).unwrap();
+        // Poll rather than wait, so that a stuck job fails the test
+        // instead of hanging it.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            let status = core.status(id).unwrap();
+            if status.state.is_terminal() {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "job stuck {:?}", status.state);
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(status.state, JobState::Failed);
+        let error = status.error.unwrap_or_default();
+        assert!(error.contains("panicked"), "error: {error}");
+        assert_eq!(status.attempts, 1, "a panic is not retried");
+        let overview = core.overview();
+        assert_eq!(overview.running, 0);
+        assert_eq!(overview.free_slots, config.slots, "lease released");
         core.shutdown();
     }
 

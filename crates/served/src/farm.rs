@@ -161,6 +161,13 @@ impl<R: Record> DiskFarm<R> {
         Self::from_units(block, slots, units, Vec::new(), Arc::default(), None)
     }
 
+    /// A farm over the given units, one worker thread each: how tests
+    /// put a misbehaving disk behind the service.
+    #[cfg(test)]
+    pub(crate) fn over_units(block: usize, slots: usize, units: Vec<Box<dyn DiskUnit<R>>>) -> Self {
+        Self::from_units(block, slots, units, Vec::new(), Arc::default(), None)
+    }
+
     /// Spawns one worker thread per unit, each serving its command
     /// channel.
     fn from_units(
