@@ -1,4 +1,4 @@
-//! Wall-clock throughput of the one-pass executors (MRC and MLD) —
+//! Wall-clock throughput of one-pass execution (MRC and MLD) —
 //! the inner loop of every experiment.
 
 use bmmc::catalog;

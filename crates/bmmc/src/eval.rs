@@ -37,15 +37,14 @@
 //!   one-pass classes of paper Sections 3–4 (MRC keeps
 //!   `block_base >> m` constant per memoryload; MLD's independent
 //!   writes spread the fanned-out blocks one per disk). When the
-//!   fanout is 1 the permutation is block-preserving and
-//!   [`BlockEvaluator::target_runs`] coalesces consecutive source
-//!   blocks whose targets are also consecutive into whole-block
-//!   **target runs** — the span shape `pdm`'s run-length
-//!   gather/scatter batches carry without allocating.
+//!   fanout is 1 the permutation is block-preserving: the only
+//!   block-level residual is 0, and each source block lands whole in
+//!   target block `block_base(blk) >> b`.
 //!
-//! [`PassEval`] bundles both forms for one permutation; the pass
-//! planners ([`crate::passes`], [`crate::fusion`]) take the bundle and
-//! pick the block-hoisted path whenever the residual table exists.
+//! [`PassEval`] bundles both forms for one permutation; the step
+//! executor ([`crate::fusion::execute_fused_with_strategy`]) takes the
+//! bundle and picks the block-hoisted path whenever the residual table
+//! exists.
 
 use crate::bmmc::Bmmc;
 
@@ -169,26 +168,6 @@ impl AffineEvaluator {
             }
         }
     }
-}
-
-/// A maximal span of consecutive source blocks whose whole-block
-/// targets are also consecutive, emitted by
-/// [`BlockEvaluator::target_runs`] for block-preserving permutations.
-///
-/// Every record of source block `src_block + k` (for `k < len`) lands
-/// in target block `target_block + k`; within each block the records
-/// are rearranged by the shared intra-block permutation
-/// `off ↦ residual(off)` (low `b` bits — see
-/// [`BlockEvaluator::residual`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TargetRun {
-    /// First source block of the run.
-    pub src_block: u64,
-    /// Target block of `src_block`; block `src_block + k` lands in
-    /// `target_block + k`.
-    pub target_block: u64,
-    /// Number of consecutive blocks in the run.
-    pub len: u64,
 }
 
 /// Block-hoisted evaluator: per-source-block high-bit bases plus a
@@ -356,50 +335,12 @@ impl BlockEvaluator {
     pub fn preserves_blocks(&self) -> bool {
         self.fanout() == Some(1)
     }
-
-    /// Iterates the maximal [`TargetRun`]s covering `num_blocks`
-    /// consecutive source blocks starting at `first_block`,
-    /// coalescing consecutive source blocks whose target blocks are
-    /// also consecutive.
-    ///
-    /// Panics unless [`Self::preserves_blocks`]: with fanout > 1 no
-    /// whole-block runs exist.
-    pub fn target_runs(
-        &self,
-        first_block: u64,
-        num_blocks: u64,
-    ) -> impl Iterator<Item = TargetRun> + '_ {
-        assert!(
-            self.preserves_blocks(),
-            "target_runs requires a block-preserving permutation (fanout 1)"
-        );
-        let b = self.b;
-        let mut next = first_block;
-        let end = first_block + num_blocks;
-        std::iter::from_fn(move || {
-            if next >= end {
-                return None;
-            }
-            let src = next;
-            let target = self.block_base(src) >> b;
-            let mut len = 1u64;
-            while src + len < end && self.block_base(src + len) >> b == target + len {
-                len += 1;
-            }
-            next = src + len;
-            Some(TargetRun {
-                src_block: src,
-                target_block: target,
-                len,
-            })
-        })
-    }
 }
 
-/// The evaluator bundle the pass executors take: the generic
+/// The evaluator bundle the step executor takes: the generic
 /// per-address form plus the block-hoisted form for the same
-/// permutation. Planners use the block form whenever its residual
-/// table exists and fall back to [`PassEval::affine`] otherwise
+/// permutation. It uses the block form whenever its residual
+/// table exists and falls back to [`PassEval::affine`] otherwise
 /// (`b >` [`RESIDUAL_TABLE_MAX_BITS`], or when forced for
 /// benchmarking via [`crate::passes::EvalStrategy::PerAddress`]).
 #[derive(Clone)]
@@ -565,56 +506,5 @@ mod tests {
             assert_eq!(bev.fanout().unwrap(), expect.len());
             assert_eq!(bev.block_residuals().unwrap()[0], 0, "residual(0) is 0");
         }
-    }
-
-    #[test]
-    fn identity_runs_coalesce_fully() {
-        let bev = BlockEvaluator::new(&Bmmc::identity(12), 4);
-        assert!(bev.preserves_blocks());
-        let runs: Vec<TargetRun> = bev.target_runs(0, 1 << 8).collect();
-        assert_eq!(
-            runs,
-            vec![TargetRun {
-                src_block: 0,
-                target_block: 0,
-                len: 1 << 8
-            }]
-        );
-    }
-
-    #[test]
-    fn runs_cover_blocks_exactly_once() {
-        // A block-preserving but non-identity map: swap two high bits
-        // (a BPC permuting only block-number bits).
-        use gf2::BitMatrix;
-        let n = 10;
-        let b = 3u32;
-        let mut m = BitMatrix::identity(n);
-        // Swap rows/cols to exchange address bits 8 and 9.
-        m.set(8, 8, false);
-        m.set(9, 9, false);
-        m.set(8, 9, true);
-        m.set(9, 8, true);
-        let p = Bmmc::new(m, BitVec::zeros(n)).unwrap();
-        let bev = BlockEvaluator::new(&p, b);
-        assert!(bev.preserves_blocks());
-        let ev = AffineEvaluator::new(&p);
-        let mut covered = vec![false; 1 << (n - b as usize)];
-        for run in bev.target_runs(0, 1 << (n - b as usize)) {
-            for k in 0..run.len {
-                let src = run.src_block + k;
-                assert!(!covered[src as usize], "block covered twice");
-                covered[src as usize] = true;
-                // Whole-block target agrees with the per-address path.
-                for off in 0..(1u64 << b) {
-                    assert_eq!(
-                        ev.eval((src << b) | off) >> b,
-                        run.target_block + k,
-                        "src={src}, off={off}"
-                    );
-                }
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "runs missed a block");
     }
 }

@@ -23,7 +23,7 @@ use crate::bmmc::Bmmc;
 use crate::classes::is_mld;
 use crate::error::{BmmcError, Result};
 use crate::factoring::PassKind;
-use crate::fusion::{execute_fused_with_strategy, FusedPass, WriteDiscipline};
+use crate::fusion::{execute_fused_with_strategy, FusedPass};
 use crate::passes::{EvalStrategy, PassStats};
 use pdm::{DiskSystem, PassEngine, Record};
 
@@ -31,11 +31,12 @@ use pdm::{DiskSystem, PassEngine, Record};
 /// two MLD permutations in ONE pass, moving records from portion `src`
 /// to portion `dst`.
 ///
-/// Since PR 3 this is a thin wrapper over the pass-fusion executor
+/// This is a thin wrapper over the step executor
 /// ([`crate::fusion`]): the pair `(Z⁻¹ as MLD⁻¹, Y as MLD)` fuses by
 /// the discipline rule into a single gathered-read/scattered-write
-/// step with the composed evaluator `Y·Z⁻¹` — the general mechanism
-/// of which this Section 7 composition is one instance.
+/// step with the composed evaluator `Y·Z⁻¹` ([`FusedPass::mld_pair`])
+/// — the general mechanism of which this Section 7 composition is one
+/// instance.
 ///
 /// Returns an error if `Y` or `Z` is not MLD for the system's
 /// geometry, or if the widths do not match.
@@ -48,11 +49,13 @@ pub fn perform_mld_pair<R: Record>(
 ) -> Result<PassStats> {
     let geom = sys.geometry();
     let n = geom.n();
-    if y.bits() != n || z.bits() != n {
-        return Err(BmmcError::GeometryMismatch {
-            perm_bits: y.bits(),
-            system_bits: n,
-        });
+    for perm in [y, z] {
+        if perm.bits() != n {
+            return Err(BmmcError::GeometryMismatch {
+                perm_bits: perm.bits(),
+                system_bits: n,
+            });
+        }
     }
     let (b, m) = (geom.b(), geom.m());
     if !is_mld(y.matrix(), b, m) || !is_mld(z.matrix(), b, m) {
@@ -61,15 +64,7 @@ pub fn perform_mld_pair<R: Record>(
         ));
     }
     let before = sys.stats();
-    let z_inv = z.inverse();
-    let composed = y.compose(&z_inv);
-    let step = FusedPass {
-        matrix: composed.matrix().clone(),
-        complement: composed.complement().clone(),
-        gather: Some(z_inv),
-        write: WriteDiscipline::Scatter,
-        replaced: vec![PassKind::MldInverse, PassKind::Mld],
-    };
+    let step = FusedPass::mld_pair(y, z);
     let mut engine = PassEngine::new(geom);
     execute_fused_with_strategy(&mut engine, sys, src, dst, &step, EvalStrategy::default())?;
     Ok(PassStats {
@@ -144,6 +139,27 @@ mod tests {
         let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
         assert!(perform_mld_pair(&mut sys, &y, &not_mld, 0, 1).is_err());
         assert!(perform_mld_pair(&mut sys, &not_mld, &y, 0, 1).is_err());
+    }
+
+    #[test]
+    fn width_mismatch_names_the_mismatched_permutation() {
+        let g = geom();
+        let mut rng = StdRng::seed_from_u64(125);
+        let y = catalog::random_mld(&mut rng, g.n(), g.b(), g.m());
+        let narrow = Bmmc::identity(g.n() - 1);
+        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
+        for (y, z) in [(&y, &narrow), (&narrow, &y)] {
+            match perform_mld_pair(&mut sys, y, z, 0, 1) {
+                Err(BmmcError::GeometryMismatch {
+                    perm_bits,
+                    system_bits,
+                }) => {
+                    assert_eq!(perm_bits, g.n() - 1, "reported the matching width");
+                    assert_eq!(system_bits, g.n());
+                }
+                other => panic!("expected GeometryMismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //!    MRC∘MRC, MLD∘MRC, MRC∘MLD⁻¹ and MLD∘MLD⁻¹ (composition order:
 //!    right first) always fuse, and a fused group keeps absorbing
 //!    passes while its write side stays striped. The four resulting
-//!    read/write shapes are the three classic disciplines plus the
-//!    gathered-read/scattered-write executor
-//!    ([`crate::passes`]' `execute_gather_scatter`), which also
-//!    realizes the Section 7 remark that the composition of an MLD
-//!    permutation with an MLD inverse is one pass
-//!    ([`crate::extensions::perform_mld_pair`]).
+//!    read/write shapes are the three classic disciplines plus
+//!    gathered reads with scattered writes, which also realizes the
+//!    Section 7 remark that the composition of an MLD permutation
+//!    with an MLD inverse is one pass
+//!    ([`crate::extensions::perform_mld_pair`]); the one step
+//!    executor, [`execute_fused_with_strategy`], runs all four.
 //! 2. **Rank rule — conditional.** Otherwise (`p1` scatters blocks, or
 //!    `p2` gathers blocks), the pair still fuses if the *composed*
 //!    matrix `C` is itself one-pass executable, i.e. classifies as
@@ -58,10 +58,10 @@
 //! is assembled from arbitrary `B`-record subsets of several source
 //! memoryloads, which no `M/BD`-I/O read discipline can gather.
 //!
-//! Correctness does not depend on the classifier: each fused group is
-//! executed by the generalized executors of [`crate::passes`], whose
-//! debug assertions check the whole-memoryload / whole-block /
-//! evenly-spread properties (Lemmas 12–14, property 3) on every unit.
+//! Correctness does not depend on the classifier: every step, fused or
+//! not, runs through [`execute_fused_with_strategy`], whose debug
+//! assertions check the whole-memoryload / whole-block / evenly-spread
+//! properties (Lemmas 12–14, property 3) on every unit.
 //!
 //! # What fuses in practice
 //!
@@ -118,9 +118,11 @@ use crate::classes::{is_mld, is_mld_inverse, is_mrc};
 use crate::error::{BmmcError, Result};
 use crate::eval::PassEval;
 use crate::factoring::{Pass, PassKind};
-use crate::passes::{self, EvalStrategy};
+use crate::passes::EvalStrategy;
 use gf2::{BitMatrix, BitVec};
-use pdm::{DiskSystem, Geometry, PassEngine, Record};
+use pdm::engine::{BlockBatches, ReadPlan, WritePlan};
+use pdm::{BlockRef, DiskSystem, Geometry, PassEngine, Record};
+use std::cell::RefCell;
 
 /// How a fused pass reads each unit of `M` records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,6 +177,21 @@ impl FusedPass {
                 PassKind::Mld => WriteDiscipline::Scatter,
             },
             replaced: vec![pass.kind],
+        }
+    }
+
+    /// The Section 7 step `π_Y ∘ π_Z⁻¹` (first `Z⁻¹`, then `Y`): it
+    /// gathers through `Z⁻¹` and scatters, in one pass when `Y` and `Z`
+    /// are MLD ([`crate::extensions::perform_mld_pair`]).
+    pub fn mld_pair(y: &Bmmc, z: &Bmmc) -> Self {
+        let z_inv = z.inverse();
+        let composed = y.compose(&z_inv);
+        FusedPass {
+            matrix: composed.matrix().clone(),
+            complement: composed.complement().clone(),
+            gather: Some(z_inv),
+            write: WriteDiscipline::Scatter,
+            replaced: vec![PassKind::MldInverse, PassKind::Mld],
         }
     }
 
@@ -385,11 +402,22 @@ fn try_absorb(group: &mut FusedPass, next: &Pass, b: usize, m: usize) -> bool {
     true
 }
 
-/// Executes one fused step on a caller-provided engine, moving all `N`
-/// records from portion `src` to portion `dst`. Costs exactly `2N/BD`
-/// parallel I/Os regardless of how many original passes the step
-/// replaces. Placement and I/O accounting are identical across
+/// Executes one step on a caller-provided engine, moving all `N`
+/// records from portion `src` to portion `dst` — the one executor of
+/// every pass shape, fused or not. Costs exactly `2N/BD` parallel I/Os
+/// regardless of how many original passes the step replaces.
+/// Placement and I/O accounting are identical across
 /// address-evaluation strategies (see [`EvalStrategy`]).
+///
+/// Unit `t` of `M` records is read from source memoryload `t` (striped)
+/// or from the `M/B` source blocks of `G⁻¹(memoryload t)` for the
+/// gather map `G` (`M/BD` independent reads); its block `g` is source
+/// block `t·M/B + g` or the `g`-th gathered block. Each record, headed
+/// for target address `y`, goes to position `y mod M` of the engine's
+/// scratch buffer, and the two buffers swap. The unit is then written
+/// as one target memoryload (striped; every record must land in it,
+/// Lemma 12) or as its `M/B` whole target blocks in `M/BD` scatter
+/// batches (each relative block on its home disk, property 3).
 pub fn execute_fused_with_strategy<R: Record>(
     engine: &mut PassEngine<R>,
     sys: &mut DiskSystem<R>,
@@ -407,23 +435,218 @@ pub fn execute_fused_with_strategy<R: Record>(
         });
     }
     assert_ne!(src, dst, "source and target portions must differ");
-    let b = geom.b() as u32;
-    let ev = PassEval::new(&step.as_bmmc(), b);
-    match (&step.gather, step.write) {
-        (None, WriteDiscipline::Striped) => {
-            passes::execute_mrc(engine, sys, src, dst, &ev, strategy)
+    let layout = sys.layout();
+    let (mem, block, b, m) = (geom.memory(), geom.block(), geom.b(), geom.m());
+    let (disks, rel_blocks) = (geom.disks(), geom.blocks_per_memoryload());
+    let (mask, rel_mask) = ((mem - 1) as u64, (rel_blocks - 1) as u64);
+    let dst_base = sys.portion_base(dst);
+    let scatter_writes = step.write == WriteDiscipline::Scatter;
+    let ev = PassEval::new(&step.as_bmmc(), b as u32);
+    let (affine, bev) = (ev.affine(), ev.block());
+    let use_block = strategy.uses_block(bev);
+    let rtab = bev.residual_table().unwrap_or_default();
+    let brs = bev.block_residuals().unwrap_or_default();
+    let gather = step.gather.as_ref().map(|g| {
+        let inv = PassEval::new(&g.inverse(), b as u32);
+        RefCell::new(GatherState::new(sys, src, inv, use_block))
+    });
+    // The global target block of each relative block (scatter writes).
+    let mut target_block = vec![0u64; rel_blocks];
+    engine
+        .run_pass(
+            sys,
+            |t, batches| match &gather {
+                Some(state) => state.borrow_mut().plan_unit(t, batches),
+                None => ReadPlan::Memoryload {
+                    portion: src,
+                    ml: t,
+                },
+            },
+            |t, records, scratch, batches| {
+                let state = gather.as_ref().map(RefCell::borrow);
+                let gathered = state.as_ref().map(|s| &s.blocks[t % 2][..]);
+                let first = (t * rel_blocks) as u64;
+                let source_block = |g: usize| gathered.map_or(first + g as u64, |blks| blks[g]);
+                let target_ml = affine.eval(layout.compose_block(source_block(0), 0)) >> m;
+                for (g, recs) in records.chunks_exact(block).enumerate() {
+                    let blk = source_block(g);
+                    if use_block {
+                        // One high-bit evaluation per source block;
+                        // ybase is the target of its offset-0 record.
+                        let ybase = bev.block_base(blk);
+                        for (&rec, &r) in recs.iter().zip(rtab) {
+                            let y = ybase ^ r;
+                            debug_assert!(
+                                scatter_writes || y >> m == target_ml,
+                                "unit scattered across target memoryloads (Lemma 12)"
+                            );
+                            scratch[(y & mask) as usize] = rec;
+                        }
+                        if scatter_writes {
+                            // Each source block lands in the target
+                            // blocks given by the block-level residuals.
+                            for &r in brs {
+                                let tb = (ybase >> b) ^ r;
+                                target_block[(tb & rel_mask) as usize] = tb;
+                            }
+                        }
+                    } else {
+                        for (off, &rec) in recs.iter().enumerate() {
+                            let y = affine.eval(layout.compose_block(blk, off as u64));
+                            debug_assert!(
+                                scatter_writes || y >> m == target_ml,
+                                "unit scattered across target memoryloads (Lemma 12)"
+                            );
+                            scratch[(y & mask) as usize] = rec;
+                            if scatter_writes {
+                                // Records sharing a relative target block
+                                // share a target block (Lemma 14).
+                                target_block[layout.relative_block(y) as usize] = layout.block(y);
+                            }
+                        }
+                    }
+                }
+                std::mem::swap(records, scratch);
+                if !scatter_writes {
+                    return WritePlan::Memoryload {
+                        portion: dst,
+                        ml: target_ml as usize,
+                    };
+                }
+                // Batch k carries relative blocks kD .. kD+D−1, whose
+                // low d bits give their disks.
+                batches.reset(disks);
+                for (rel, &blk) in target_block.iter().enumerate() {
+                    debug_assert_eq!(
+                        layout.disk_of_block(blk) as usize,
+                        rel % disks,
+                        "relative block {rel} not on its home disk (property 3 violated)"
+                    );
+                    batches.push(BlockRef {
+                        disk: rel % disks,
+                        slot: dst_base + layout.stripe_of_block(blk) as usize,
+                    });
+                }
+                WritePlan::Scatter
+            },
+        )
+        .map_err(BmmcError::from)
+}
+
+/// Per-unit gather bookkeeping of a step with gathered reads, shared
+/// between the engine's `reads` and `transform` callbacks. The engine
+/// plans unit `t+1` before it transforms unit `t` (prefetch), so the
+/// gathered block lists are kept for two units, indexed by `t % 2`.
+struct GatherState {
+    /// Source block numbers in gather order (batch-major), per parity:
+    /// the order the gathered records land in the unit's buffer.
+    blocks: [Vec<u64>; 2],
+    /// Scratch: per-disk source-block lists for the unit being planned.
+    per_disk: Vec<Vec<u64>>,
+    /// Scratch: block-seen bitmap over all N/B source blocks.
+    seen: Vec<bool>,
+    /// The inverse of the gather map, which plans the units.
+    inv: PassEval,
+    use_block: bool,
+    layout: pdm::Layout,
+    mem: usize,
+    b: usize,
+    disks: usize,
+    rel_blocks: usize,
+    src_base: usize,
+}
+
+impl GatherState {
+    fn new<R: Record>(sys: &DiskSystem<R>, src: usize, inv: PassEval, use_block: bool) -> Self {
+        let geom = sys.geometry();
+        let disks = geom.disks();
+        let rel_blocks = geom.blocks_per_memoryload();
+        GatherState {
+            blocks: [Vec::new(), Vec::new()],
+            per_disk: vec![Vec::with_capacity(rel_blocks / disks); disks],
+            seen: vec![false; geom.total_blocks()],
+            inv,
+            use_block,
+            layout: sys.layout(),
+            mem: geom.memory(),
+            b: geom.b(),
+            disks,
+            rel_blocks,
+            src_base: sys.portion_base(src),
         }
-        (None, WriteDiscipline::Scatter) => {
-            passes::execute_mld(engine, sys, src, dst, &ev, strategy)
+    }
+
+    /// Discovers the `M/B` distinct source blocks feeding unit `t`
+    /// (the preimage of target memoryload `t` under the gather map,
+    /// planned via its inverse) and fills `gather` with `M/BD`
+    /// independent reads of one block per disk.
+    ///
+    /// With block-run evaluation the discovery loop walks the unit's
+    /// `M/B` blocks and the inverse map's block-level residuals instead
+    /// of its `M` addresses. The per-address ascending scan visits,
+    /// within source block `j`, the candidate blocks
+    /// `(block_base(j) >> b) ⊕ r` exactly in the residuals'
+    /// first-occurrence order — so the first-seen discovery order (and
+    /// with it the per-disk lists, batch composition, and buffer
+    /// layout) is byte-identical across strategies.
+    fn plan_unit(&mut self, t: usize, gather: &mut BlockBatches) -> ReadPlan {
+        let base = (t * self.mem) as u64;
+        // Reset only the M/B bits the previous load set — a full clear
+        // of the N/B-entry bitmap per load would dominate the planner
+        // at large N.
+        for d in self.per_disk.iter_mut() {
+            for blk in d.drain(..) {
+                self.seen[blk as usize] = false;
+            }
         }
-        (Some(g), WriteDiscipline::Striped) => {
-            let inv_ev = PassEval::new(&g.inverse(), b);
-            passes::execute_mld_inverse(engine, sys, src, dst, &ev, &inv_ev, strategy)
+        if self.use_block {
+            let bev = self.inv.block();
+            let brs = bev
+                .block_residuals()
+                .expect("the inverse has the step's block width, so its residuals exist");
+            let first = base >> self.b;
+            for j in 0..self.rel_blocks as u64 {
+                let xb = bev.block_base(first + j) >> self.b;
+                for &r in brs {
+                    let blk = xb ^ r;
+                    if !self.seen[blk as usize] {
+                        self.seen[blk as usize] = true;
+                        self.per_disk[self.layout.disk_of_block(blk) as usize].push(blk);
+                    }
+                }
+            }
+        } else {
+            let inv_ev = self.inv.affine();
+            for i in 0..self.mem as u64 {
+                let x = inv_ev.eval(base + i);
+                let blk = self.layout.block(x);
+                if !self.seen[blk as usize] {
+                    self.seen[blk as usize] = true;
+                    self.per_disk[self.layout.disk_of_block(blk) as usize].push(blk);
+                }
+            }
         }
-        (Some(g), WriteDiscipline::Scatter) => {
-            let inv_ev = PassEval::new(&g.inverse(), b);
-            passes::execute_gather_scatter(engine, sys, src, dst, &ev, &inv_ev, strategy)
+        debug_assert!(
+            self.per_disk
+                .iter()
+                .all(|d| d.len() == self.rel_blocks / self.disks),
+            "source blocks of a unit not evenly spread over the disks \
+             (mirror of property 3)"
+        );
+        let order = &mut self.blocks[t % 2];
+        order.clear();
+        gather.reset(self.disks);
+        for k in 0..self.rel_blocks / self.disks {
+            for (disk, on_disk) in self.per_disk.iter().enumerate() {
+                let blk = on_disk[k];
+                order.push(blk);
+                gather.push(BlockRef {
+                    disk,
+                    slot: self.src_base + self.layout.stripe_of_block(blk) as usize,
+                });
+            }
         }
+        ReadPlan::Gather
     }
 }
 

@@ -13,8 +13,10 @@
 //!   the Section 6 kernel-condition test;
 //! * the Section 5 **factoring engine** ([`factoring`]) producing a
 //!   plan of one-pass permutations, `⌈rank γ̂/lg(M/B)⌉ + 1` of them;
-//! * the **one-pass executors** ([`passes`]) for MRC (striped reads
-//!   and writes) and MLD (striped reads, independent writes);
+//! * **one-pass execution** ([`passes`]) of MRC (striped reads and
+//!   writes), MLD (striped reads, independent writes) and MLD⁻¹
+//!   (independent reads, striped writes), all through the one step
+//!   executor [`fusion::execute_fused_with_strategy`];
 //! * the **asymptotically optimal algorithm**
 //!   ([`algorithm::perform_bmmc`]), Theorem 21: at most
 //!   `(2N/BD)(⌈rank γ/lg(M/B)⌉ + 2)` parallel I/Os;
@@ -80,7 +82,7 @@ pub use algorithm::{execute_passes_unfused, perform_bmmc, plan_passes};
 pub use classes::{classify, is_bmmc, is_bpc, is_mld, is_mld_inverse, is_mrc, ClassFlags};
 pub use detect::{detect_bmmc, Detection};
 pub use error::{BmmcError, Result};
-pub use eval::{AffineEvaluator, BlockEvaluator, PassEval, TargetRun};
+pub use eval::{AffineEvaluator, BlockEvaluator, PassEval};
 pub use extensions::perform_mld_pair;
 pub use factoring::{factor, factor_chunked, Factorization, Pass, PassKind};
 pub use fusion::{fuse_passes, fuse_passes_greedy, FusedPass, FusedPlan};

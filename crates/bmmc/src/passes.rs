@@ -1,6 +1,5 @@
-//! One-pass executors: MRC and MLD permutations on a
-//! [`pdm::DiskSystem`], built on the shared streaming
-//! [`PassEngine`].
+//! One-pass permutations — MRC, MLD and MLD⁻¹ — on a
+//! [`pdm::DiskSystem`], built on the shared streaming [`PassEngine`].
 //!
 //! All pass types process memoryloads in order (Section 3): read a
 //! memoryload (`M/BD` parallel reads), permute the `M` records in
@@ -17,23 +16,27 @@
 //!   each (Lemma 13 applied to `A⁻¹`), arranged in memory, and emitted
 //!   with striped writes.
 //!
-//! Either way a pass costs exactly `2N/BD` parallel I/Os. The executors
-//! only build the engine's read/write *plans* and the in-memory
+//! Either way a pass costs exactly `2N/BD` parallel I/Os. A pass runs
+//! as its own unfused step ([`FusedPass::from_single`]) through the
+//! one step executor, [`execute_fused_with_strategy`], which serves
+//! every read side (striped, or gathered blocks) and write side
+//! (striped, or scattered blocks), fused steps included. It only
+//! builds the engine's read/write *plans* and the in-memory
 //! rearrangement; buffering, I/O issue, and (in
 //! [`ServiceMode::Threaded`](pdm::ServiceMode)) the overlap of the
 //! next memoryload's reads with the current permute all live in
 //! `pdm::engine`.
 //!
-//! The in-memory rearrangement is the same for MRC and MLD: the record
-//! headed for target address `y` is placed at buffer position `y mod M`
-//! (its target relative-block number and offset). This is a bijection
-//! on the memoryload because the leading `m x m` submatrix of a
-//! one-pass characteristic matrix is nonsingular (Lemma 12; trivially
-//! for MRC), and it is performed in place by cycle-following.
+//! The in-memory rearrangement is the same for every shape: the record
+//! headed for target address `y` goes to position `y mod M` (its target
+//! relative-block number and offset) of the engine's scratch buffer,
+//! and the two buffers swap. This is a bijection on the unit because
+//! the leading `m x m` submatrix of the map from a unit to its targets
+//! is nonsingular (Lemma 12; trivially for MRC).
 //!
 //! # Block-run evaluation
 //!
-//! By default ([`EvalStrategy::BlockRun`]) the executors evaluate
+//! By default ([`EvalStrategy::BlockRun`]) the step executor evaluates
 //! target addresses with the block-hoisted [`BlockEvaluator`] form
 //! (see [`crate::eval`]): the high `n − b` bits of the affine map are
 //! evaluated once per source block and the low `b` bits come from the
@@ -47,32 +50,32 @@
 //!
 //! The superseded hand-written loops survive in [`mod@reference`] — they
 //! are the differential-testing oracle for the engine and the "old
-//! loop" baseline of the `engine_sweep` benchmark.
+//! loop" baseline of the `engine_sweep` benchmark. They still
+//! rearrange each memoryload in place by cycle-following
+//! ([`pdm::permute_in_place`]).
 
 use crate::error::{BmmcError, Result};
-use crate::eval::{AffineEvaluator, BlockEvaluator, PassEval};
+use crate::eval::BlockEvaluator;
 use crate::factoring::{Pass, PassKind};
-use pdm::engine::{ReadPlan, WritePlan};
-use pdm::memory::permute_in_place;
-use pdm::{BlockRef, DiskSystem, IoStats, PassEngine, Record};
-use std::cell::RefCell;
+use crate::fusion::{execute_fused_with_strategy, FusedPass};
+use pdm::{DiskSystem, IoStats, PassEngine, Record};
 
 /// Per-pass execution statistics.
 #[derive(Clone, Copy, Debug)]
 pub struct PassStats {
-    /// Which executor ran.
+    /// Which pass discipline ran.
     pub kind: PassKind,
     /// I/O performed by this pass alone.
     pub ios: IoStats,
 }
 
-/// How the pass executors evaluate target addresses.
+/// How the step executor evaluates target addresses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalStrategy {
     /// Hoist the invariant high bits once per source block and look
     /// the low bits up in the per-matrix residual table (see
     /// [`crate::eval::BlockEvaluator`]). The production default; the
-    /// executors silently fall back to per-address evaluation when the
+    /// executor silently falls back to per-address evaluation when the
     /// block is too wide for the residual table
     /// (`b > `[`crate::eval::RESIDUAL_TABLE_MAX_BITS`]).
     #[default]
@@ -86,15 +89,15 @@ pub enum EvalStrategy {
 impl EvalStrategy {
     /// Whether this strategy uses `bev`'s block-hoisted path (requires
     /// the residual table to have been materialised).
-    fn uses_block(self, bev: &BlockEvaluator) -> bool {
+    pub(crate) fn uses_block(self, bev: &BlockEvaluator) -> bool {
         self == EvalStrategy::BlockRun && bev.residual_table().is_some()
     }
 }
 
 /// Executes one pass, moving all `N` records from portion `src` to
 /// portion `dst` of the disk system. Convenience wrapper over
-/// [`execute_pass_with`] that builds a fresh engine; multi-pass
-/// algorithms should build one [`PassEngine`] and reuse it.
+/// [`execute_pass_with_strategy`] that builds a fresh engine;
+/// multi-pass algorithms should build one [`PassEngine`] and reuse it.
 pub fn execute_pass<R: Record>(
     sys: &mut DiskSystem<R>,
     src: usize,
@@ -102,25 +105,15 @@ pub fn execute_pass<R: Record>(
     pass: &Pass,
 ) -> Result<PassStats> {
     let mut engine = PassEngine::new(sys.geometry());
-    execute_pass_with(&mut engine, sys, src, dst, pass)
+    execute_pass_with_strategy(&mut engine, sys, src, dst, pass, EvalStrategy::default())
 }
 
 /// Executes one pass on a caller-provided engine (reusing its
-/// memoryload buffers across passes), with the default
-/// [`EvalStrategy::BlockRun`] address evaluation.
-pub fn execute_pass_with<R: Record>(
-    engine: &mut PassEngine<R>,
-    sys: &mut DiskSystem<R>,
-    src: usize,
-    dst: usize,
-    pass: &Pass,
-) -> Result<PassStats> {
-    execute_pass_with_strategy(engine, sys, src, dst, pass, EvalStrategy::default())
-}
-
-/// Executes one pass on a caller-provided engine with an explicit
-/// address-evaluation strategy. Placement and I/O accounting are
-/// identical across strategies; only the kernel work differs.
+/// memoryload buffers across passes) with an explicit
+/// address-evaluation strategy: the pass runs as its own unfused step
+/// ([`FusedPass::from_single`]) through the step executor. Placement
+/// and I/O accounting are identical across strategies; only the kernel
+/// work differs.
 pub fn execute_pass_with_strategy<R: Record>(
     engine: &mut PassEngine<R>,
     sys: &mut DiskSystem<R>,
@@ -129,486 +122,13 @@ pub fn execute_pass_with_strategy<R: Record>(
     pass: &Pass,
     strategy: EvalStrategy,
 ) -> Result<PassStats> {
-    let geom = sys.geometry();
-    let n = geom.n();
-    if pass.matrix.rows() != n {
-        return Err(BmmcError::GeometryMismatch {
-            perm_bits: pass.matrix.rows(),
-            system_bits: n,
-        });
-    }
-    assert_ne!(src, dst, "source and target portions must differ");
     let before = sys.stats();
-    let ev = PassEval::new(&pass.as_bmmc(), geom.b() as u32);
-    match pass.kind {
-        PassKind::Mrc => execute_mrc(engine, sys, src, dst, &ev, strategy)?,
-        PassKind::Mld => execute_mld(engine, sys, src, dst, &ev, strategy)?,
-        PassKind::MldInverse => {
-            let inv_ev = PassEval::new(&pass.as_bmmc().inverse(), geom.b() as u32);
-            execute_mld_inverse(engine, sys, src, dst, &ev, &inv_ev, strategy)?;
-        }
-    }
+    let step = FusedPass::from_single(pass);
+    execute_fused_with_strategy(engine, sys, src, dst, &step, strategy)?;
     Ok(PassStats {
         kind: pass.kind,
         ios: sys.stats().since(&before),
     })
-}
-
-/// The MRC discipline on an arbitrary affine evaluator: striped reads
-/// of each source memoryload, in-place rearrangement, striped writes of
-/// one whole target memoryload. Requires `ev` to map each source
-/// memoryload onto a single target memoryload (debug-asserted) — true
-/// for any MRC matrix, and for the composition of an MRC chain
-/// ([`crate::fusion`] reuses this with a composed evaluator).
-pub(crate) fn execute_mrc<R: Record>(
-    engine: &mut PassEngine<R>,
-    sys: &mut DiskSystem<R>,
-    src: usize,
-    dst: usize,
-    ev: &PassEval,
-    strategy: EvalStrategy,
-) -> Result<()> {
-    let geom = sys.geometry();
-    let (mem, m, b) = (geom.memory(), geom.m(), geom.b());
-    let mask = (mem - 1) as u64;
-    let bmask = geom.block() - 1;
-    let affine = ev.affine();
-    let bev = ev.block();
-    let use_block = strategy.uses_block(bev);
-    // One target base per source block of the memoryload, refilled per
-    // load (the block-hoisted `O(M/B)` part of the evaluation).
-    let mut pos_base = vec![0u64; geom.blocks_per_memoryload()];
-    engine
-        .run_pass(
-            sys,
-            |ml, _gather| ReadPlan::Memoryload { portion: src, ml },
-            |ml, records, _scratch, _scatter| {
-                let base = (ml * mem) as u64;
-                let target_ml = if use_block {
-                    let first = base >> b;
-                    for (j, pb) in pos_base.iter_mut().enumerate() {
-                        *pb = bev.block_base(first + j as u64);
-                    }
-                    // residual(0) = 0, so pos_base[0] is eval(base).
-                    (pos_base[0] >> m) as usize
-                } else {
-                    (affine.eval(base) >> m) as usize
-                };
-                debug_assert!(
-                    (0..mem as u64).all(|i| (affine.eval(base + i) >> m) as usize == target_ml),
-                    "MRC pass scattered a memoryload across target memoryloads"
-                );
-                if use_block {
-                    let rtab = bev.residual_table().unwrap();
-                    permute_in_place(records, |i| {
-                        ((pos_base[i >> b] ^ rtab[i & bmask]) & mask) as usize
-                    });
-                } else {
-                    permute_in_place(records, |i| (affine.eval(base + i as u64) & mask) as usize);
-                }
-                WritePlan::Memoryload {
-                    portion: dst,
-                    ml: target_ml,
-                }
-            },
-        )
-        .map_err(BmmcError::from)
-}
-
-/// The MLD discipline on an arbitrary affine evaluator: striped reads,
-/// in-place rearrangement, independent writes of `M/B` whole target
-/// blocks per memoryload. Requires `ev` to map each source memoryload
-/// onto whole target blocks (Lemma 13) — true for any MLD matrix, and
-/// for an MRC chain composed with a final MLD pass ([`crate::fusion`]).
-pub(crate) fn execute_mld<R: Record>(
-    engine: &mut PassEngine<R>,
-    sys: &mut DiskSystem<R>,
-    src: usize,
-    dst: usize,
-    ev: &PassEval,
-    strategy: EvalStrategy,
-) -> Result<()> {
-    let geom = sys.geometry();
-    let layout = sys.layout();
-    let (mem, b) = (geom.memory(), geom.b());
-    let disks = geom.disks();
-    let mask = (mem - 1) as u64;
-    let bmask = geom.block() - 1;
-    let rel_blocks = geom.blocks_per_memoryload(); // M/B
-    let rel_mask = (rel_blocks - 1) as u64;
-    let dst_base = sys.portion_base(dst);
-    let affine = ev.affine();
-    let bev = ev.block();
-    let use_block = strategy.uses_block(bev);
-    let mut pos_base = vec![0u64; rel_blocks];
-    let mut target_block = vec![0u64; rel_blocks];
-    engine
-        .run_pass(
-            sys,
-            |ml, _gather| ReadPlan::Memoryload { portion: src, ml },
-            |ml, records, _scratch, scatter| {
-                let base = (ml * mem) as u64;
-                // Pre-compute the global target block for each relative
-                // block number (well-defined: records sharing a relative
-                // block share a target memoryload — Lemma 14 via the
-                // kernel condition).
-                if use_block {
-                    let first = base >> b;
-                    for (j, pb) in pos_base.iter_mut().enumerate() {
-                        *pb = bev.block_base(first + j as u64);
-                    }
-                    if bev.preserves_blocks() {
-                        // Fanout 1: whole-block target runs cover the
-                        // memoryload; each run is a span of consecutive
-                        // source blocks landing in consecutive target
-                        // blocks.
-                        for run in bev.target_runs(first, rel_blocks as u64) {
-                            for k in 0..run.len {
-                                let tb = run.target_block + k;
-                                target_block[(tb & rel_mask) as usize] = tb;
-                            }
-                        }
-                    } else {
-                        // Fanout K: each source block scatters to the K
-                        // target blocks given by the block-level
-                        // residuals.
-                        let brs = bev.block_residuals().unwrap();
-                        for pb in &pos_base {
-                            let tb_base = pb >> b;
-                            for &r in brs {
-                                let tb = tb_base ^ r;
-                                target_block[(tb & rel_mask) as usize] = tb;
-                            }
-                        }
-                    }
-                    let rtab = bev.residual_table().unwrap();
-                    permute_in_place(records, |i| {
-                        ((pos_base[i >> b] ^ rtab[i & bmask]) & mask) as usize
-                    });
-                } else {
-                    for i in 0..mem as u64 {
-                        let y = affine.eval(base + i);
-                        let rel = layout.relative_block(y) as usize;
-                        target_block[rel] = layout.block(y);
-                    }
-                    permute_in_place(records, |i| (affine.eval(base + i as u64) & mask) as usize);
-                }
-                // Scatter M/BD batches of D blocks; batch t carries
-                // relative blocks tD .. tD+D−1 (contiguous in the
-                // permuted buffer), whose low d bits give their disks.
-                scatter.reset(disks);
-                for t in 0..rel_blocks / disks {
-                    for delta in 0..disks {
-                        let rel = t * disks + delta;
-                        let blk = target_block[rel];
-                        let disk = layout.disk_of_block(blk) as usize;
-                        debug_assert_eq!(
-                            disk, delta,
-                            "relative block {rel} not on its home disk \
-                             (property 3 violated)"
-                        );
-                        scatter.push(BlockRef {
-                            disk,
-                            slot: dst_base + layout.stripe_of_block(blk) as usize,
-                        });
-                    }
-                }
-                WritePlan::Scatter
-            },
-        )
-        .map_err(BmmcError::from)
-}
-
-/// Per-memoryload gather bookkeeping for the gathered-read executors
-/// (MLD⁻¹ and the fused gather→scatter discipline), shared between the
-/// engine's `reads` and `transform` callbacks. The engine may call
-/// `reads(t+1)` before `transform(t)` (prefetch), so the gathered
-/// block lists are kept for two loads, indexed by `t % 2`.
-struct GatherState {
-    /// Source block numbers in gather order (batch-major), per parity.
-    blocks: [Vec<u64>; 2],
-    /// Scratch: per-disk source-block lists for the load being planned.
-    per_disk: Vec<Vec<u64>>,
-    /// Scratch: block-seen bitmap over all N/B source blocks.
-    seen: Vec<bool>,
-    layout: pdm::Layout,
-    mem: usize,
-    b: usize,
-    disks: usize,
-    rel_blocks: usize,
-    src_base: usize,
-}
-
-impl GatherState {
-    fn new<R: Record>(sys: &DiskSystem<R>, src: usize) -> Self {
-        let geom = sys.geometry();
-        let disks = geom.disks();
-        let rel_blocks = geom.blocks_per_memoryload();
-        GatherState {
-            blocks: [Vec::new(), Vec::new()],
-            per_disk: vec![Vec::with_capacity(rel_blocks / disks); disks],
-            seen: vec![false; geom.total_blocks()],
-            layout: sys.layout(),
-            mem: geom.memory(),
-            b: geom.b(),
-            disks,
-            rel_blocks,
-            src_base: sys.portion_base(src),
-        }
-    }
-
-    /// Discovers the `M/B` distinct source blocks feeding unit `t`
-    /// (the preimage of target memoryload `t` under the gather map,
-    /// planned via its inverse `inv`) and fills `gather` with
-    /// `M/BD` independent reads of one block per disk.
-    ///
-    /// With block-run evaluation the discovery loop walks the unit's
-    /// `M/B` blocks and the inverse map's block-level residuals instead
-    /// of its `M` addresses. The per-address ascending scan visits,
-    /// within source block `j`, the candidate blocks
-    /// `(block_base(j) >> b) ⊕ r` exactly in the residuals'
-    /// first-occurrence order — so the first-seen discovery order (and
-    /// with it the per-disk lists, batch composition, and buffer
-    /// layout) is byte-identical across strategies.
-    fn plan_unit(
-        &mut self,
-        t: usize,
-        inv: &PassEval,
-        use_block: bool,
-        gather: &mut pdm::engine::BlockBatches,
-    ) -> ReadPlan {
-        let base = (t * self.mem) as u64;
-        // Reset only the M/B bits the previous load set — a full clear
-        // of the N/B-entry bitmap per load would dominate the planner
-        // at large N.
-        for d in self.per_disk.iter_mut() {
-            for blk in d.drain(..) {
-                self.seen[blk as usize] = false;
-            }
-        }
-        if use_block {
-            let bev = inv.block();
-            let brs = bev.block_residuals().unwrap();
-            let first = base >> self.b;
-            for j in 0..self.rel_blocks as u64 {
-                let xb = bev.block_base(first + j) >> self.b;
-                for &r in brs {
-                    let blk = xb ^ r;
-                    if !self.seen[blk as usize] {
-                        self.seen[blk as usize] = true;
-                        self.per_disk[self.layout.disk_of_block(blk) as usize].push(blk);
-                    }
-                }
-            }
-        } else {
-            let inv_ev = inv.affine();
-            for i in 0..self.mem as u64 {
-                let x = inv_ev.eval(base + i);
-                let blk = self.layout.block(x);
-                if !self.seen[blk as usize] {
-                    self.seen[blk as usize] = true;
-                    self.per_disk[self.layout.disk_of_block(blk) as usize].push(blk);
-                }
-            }
-        }
-        debug_assert!(
-            self.per_disk
-                .iter()
-                .all(|d| d.len() == self.rel_blocks / self.disks),
-            "source blocks of a unit not evenly spread over the disks \
-             (mirror of property 3)"
-        );
-        let order = &mut self.blocks[t % 2];
-        order.clear();
-        gather.reset(self.disks);
-        for k in 0..self.rel_blocks / self.disks {
-            for (disk, on_disk) in self.per_disk.iter().enumerate() {
-                let blk = on_disk[k];
-                order.push(blk);
-                gather.push(BlockRef {
-                    disk,
-                    slot: self.src_base + self.layout.stripe_of_block(blk) as usize,
-                });
-            }
-        }
-        ReadPlan::Gather
-    }
-}
-
-/// The MLD⁻¹ discipline generalized over a *gather* evaluator and a
-/// *placement* evaluator: unit `u` gathers the source records
-/// `{x : gather_map(x) ∈ memoryload u}` (planned via `inv_ev`, the
-/// inverse of the gather map) with `M/BD` independent reads, places
-/// each record at the low `m` bits of its final target `ev(x)`, and
-/// emits the unit as one whole target memoryload with striped writes.
-/// For a single MLD⁻¹ pass `ev` *is* the gather map, so the target
-/// memoryload equals `u`; [`crate::fusion`] runs it with a composed
-/// `ev` whose target memoryload is a permutation of `u`
-/// (debug-asserted uniform per unit).
-pub(crate) fn execute_mld_inverse<R: Record>(
-    engine: &mut PassEngine<R>,
-    sys: &mut DiskSystem<R>,
-    src: usize,
-    dst: usize,
-    ev: &PassEval,
-    inv_ev: &PassEval,
-    strategy: EvalStrategy,
-) -> Result<()> {
-    let geom = sys.geometry();
-    let layout = sys.layout();
-    let mem = geom.memory();
-    let block = geom.block();
-    let mask = (mem - 1) as u64;
-    let affine = ev.affine();
-    let bev = ev.block();
-    let use_block = strategy.uses_block(bev) && strategy.uses_block(inv_ev.block());
-    let state = RefCell::new(GatherState::new(sys, src));
-    engine
-        .run_pass(
-            sys,
-            |t, gather| state.borrow_mut().plan_unit(t, inv_ev, use_block, gather),
-            |t, records, scratch, _scatter| {
-                // `records` holds the gathered blocks in batch-major
-                // order; scatter each record to its target position (the
-                // low m bits of its target address) via the scratch
-                // buffer.
-                let st = state.borrow();
-                let mut target_ml = 0usize;
-                if use_block {
-                    let rtab = bev.residual_table().unwrap();
-                    for (g, &blk) in st.blocks[t % 2].iter().enumerate() {
-                        // One high-bit evaluation per gathered block;
-                        // ybase is the target of its offset-0 record.
-                        let ybase = bev.block_base(blk);
-                        if g == 0 {
-                            target_ml = layout.memoryload(ybase) as usize;
-                        }
-                        for (off, &r) in rtab.iter().enumerate() {
-                            let y = ybase ^ r;
-                            debug_assert_eq!(
-                                layout.memoryload(y) as usize,
-                                target_ml,
-                                "unit scattered across target memoryloads"
-                            );
-                            scratch[(y & mask) as usize] = records[g * block + off];
-                        }
-                    }
-                } else {
-                    for (g, &blk) in st.blocks[t % 2].iter().enumerate() {
-                        for off in 0..block {
-                            let x = layout.compose_block(blk, off as u64);
-                            let y = affine.eval(x);
-                            if g == 0 && off == 0 {
-                                target_ml = layout.memoryload(y) as usize;
-                            }
-                            debug_assert_eq!(
-                                layout.memoryload(y) as usize,
-                                target_ml,
-                                "unit scattered across target memoryloads"
-                            );
-                            scratch[(y & mask) as usize] = records[g * block + off];
-                        }
-                    }
-                }
-                std::mem::swap(records, scratch);
-                WritePlan::Memoryload {
-                    portion: dst,
-                    ml: target_ml,
-                }
-            },
-        )
-        .map_err(BmmcError::from)
-}
-
-/// The fused gather→scatter discipline ([`crate::fusion`]): unit `u`
-/// gathers the source records `{x : gather_map(x) ∈ memoryload u}`
-/// with `M/BD` independent reads (like MLD⁻¹), places each record at
-/// the low `m` bits of its final target `ev(x)`, and emits the unit as
-/// `M/B` whole target blocks with `M/BD` independent writes (like
-/// MLD). This executes an (MLD⁻¹, …, MLD) fused group — including the
-/// paper's Section 7 `π_Y ∘ π_Z⁻¹` composition
-/// ([`crate::extensions::perform_mld_pair`]) — in one pass with
-/// independent reads *and* independent writes.
-pub(crate) fn execute_gather_scatter<R: Record>(
-    engine: &mut PassEngine<R>,
-    sys: &mut DiskSystem<R>,
-    src: usize,
-    dst: usize,
-    ev: &PassEval,
-    inv_ev: &PassEval,
-    strategy: EvalStrategy,
-) -> Result<()> {
-    let geom = sys.geometry();
-    let layout = sys.layout();
-    let (mem, b) = (geom.memory(), geom.b());
-    let block = geom.block();
-    let disks = geom.disks();
-    let mask = (mem - 1) as u64;
-    let rel_blocks = geom.blocks_per_memoryload();
-    let rel_mask = (rel_blocks - 1) as u64;
-    let dst_base = sys.portion_base(dst);
-    let affine = ev.affine();
-    let bev = ev.block();
-    let use_block = strategy.uses_block(bev) && strategy.uses_block(inv_ev.block());
-    let state = RefCell::new(GatherState::new(sys, src));
-    let mut target_block = vec![0u64; rel_blocks];
-    engine
-        .run_pass(
-            sys,
-            |t, gather| state.borrow_mut().plan_unit(t, inv_ev, use_block, gather),
-            |t, records, scratch, scatter| {
-                let st = state.borrow();
-                if use_block {
-                    let rtab = bev.residual_table().unwrap();
-                    let brs = bev.block_residuals().unwrap();
-                    for (g, &blk) in st.blocks[t % 2].iter().enumerate() {
-                        let ybase = bev.block_base(blk);
-                        for (off, &r) in rtab.iter().enumerate() {
-                            scratch[((ybase ^ r) & mask) as usize] = records[g * block + off];
-                        }
-                        // Lemma 14 for the composed map: each gathered
-                        // block scatters to the target blocks given by
-                        // the block-level residuals.
-                        let tb_base = ybase >> b;
-                        for &r in brs {
-                            let tb = tb_base ^ r;
-                            target_block[(tb & rel_mask) as usize] = tb;
-                        }
-                    }
-                } else {
-                    for (g, &blk) in st.blocks[t % 2].iter().enumerate() {
-                        for off in 0..block {
-                            let x = layout.compose_block(blk, off as u64);
-                            let y = affine.eval(x);
-                            scratch[(y & mask) as usize] = records[g * block + off];
-                            // Lemma 14 for the composed map: records sharing
-                            // a relative target block share a target block.
-                            target_block[layout.relative_block(y) as usize] = layout.block(y);
-                        }
-                    }
-                }
-                std::mem::swap(records, scratch);
-                scatter.reset(disks);
-                for tb in 0..rel_blocks / disks {
-                    for delta in 0..disks {
-                        let rel = tb * disks + delta;
-                        let blk = target_block[rel];
-                        debug_assert_eq!(
-                            layout.disk_of_block(blk) as usize,
-                            delta,
-                            "relative block {rel} not on its home disk \
-                             (property 3 violated)"
-                        );
-                        scatter.push(BlockRef {
-                            disk: delta,
-                            slot: dst_base + layout.stripe_of_block(blk) as usize,
-                        });
-                    }
-                }
-                WritePlan::Scatter
-            },
-        )
-        .map_err(BmmcError::from)
 }
 
 /// The reference (zero-I/O) permutation: returns the record vector as
@@ -623,12 +143,15 @@ pub fn reference_permute<R: Record>(input: &[R], target: impl Fn(u64) -> u64) ->
 }
 
 /// The superseded per-call-site loops, kept verbatim as the
-/// differential-testing oracle for the [`PassEngine`]-based executors
+/// differential-testing oracle for the [`PassEngine`]-based executor
 /// and as the "old loop" baseline of the `engine_sweep` benchmark.
 /// They allocate fresh buffers per block and service every parallel
 /// I/O synchronously; the cost *counts* are identical to the engine's.
 pub mod reference {
     use super::*;
+    use crate::eval::AffineEvaluator;
+    use pdm::memory::permute_in_place;
+    use pdm::BlockRef;
 
     /// Executes one pass with the classic hand-written loops (see
     /// [`super::execute_pass`] for the engine-based production path).

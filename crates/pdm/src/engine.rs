@@ -1,8 +1,8 @@
 //! The streaming pass engine: one memoryload at a time through memory,
 //! with double-buffered I/O overlap.
 //!
-//! Every algorithm in this workspace — the BMMC one-pass executors, the
-//! pass-fusion executor, the BPC baseline chunks, external-sort run
+//! Every algorithm in this workspace — the BMMC step executor (one-pass
+//! and fused steps alike), the BPC baseline chunks, external-sort run
 //! formation — reduces to the same inner loop: stream the `N` records
 //! through memory one `M`-record *memoryload* at a time, rearrange in
 //! RAM, write back. The [`PassEngine`] is that loop, written once:

@@ -1,4 +1,4 @@
-//! Boundary sweep: the factoring engine and the one-pass executors
+//! Boundary sweep: the factoring engine and one-pass execution
 //! must be correct for *every* legal `(b, m, n)` boundary combination,
 //! not just the comfortable ones. This suite sweeps all valid
 //! geometries with n ≤ 10 (in simulation) and all (b, m) splits with

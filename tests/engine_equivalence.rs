@@ -11,7 +11,10 @@
 
 use bmmc::algorithm::plan_passes;
 use bmmc::factoring::{Pass, PassKind};
-use bmmc::passes::{execute_pass, execute_pass_with_strategy, reference, EvalStrategy};
+use bmmc::fusion::{execute_fused_with_strategy, FusedPass};
+use bmmc::passes::{
+    execute_pass, execute_pass_with_strategy, reference, reference_permute, EvalStrategy,
+};
 use bmmc::{catalog, Bmmc};
 use pdm::{DiskSystem, Geometry, PassEngine, ServiceMode, TaggedRecord, TempDir};
 use proptest::prelude::*;
@@ -130,6 +133,62 @@ fn assert_strategies_equivalent(
     Ok(())
 }
 
+/// Runs one `step` through the step executor once per
+/// [`EvalStrategy`] on identical inputs in `mode`; asserts
+/// byte-identical placement equal to the reference permutation,
+/// exactly equal `IoStats` and message counts, and a cost of exactly
+/// `2N/BD` parallel I/Os.
+fn assert_step_strategies_equivalent(
+    g: Geometry,
+    step: &FusedPass,
+    mode: ServiceMode,
+) -> Result<(), TestCaseError> {
+    let input: Vec<u64> = (0..g.records() as u64).collect();
+    let run = |strategy: EvalStrategy| {
+        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
+        sys.set_service_mode(mode);
+        sys.load_records(0, &input);
+        let (before, msgs_before) = (sys.stats(), sys.message_stats());
+        let mut engine = PassEngine::new(g);
+        execute_fused_with_strategy(&mut engine, &mut sys, 0, 1, step, strategy)
+            .expect("step execution");
+        (
+            sys.dump_records(1),
+            sys.stats().since(&before),
+            sys.message_stats().since(&msgs_before),
+        )
+    };
+    let (block_out, block_stats, block_msgs) = run(EvalStrategy::BlockRun);
+    let (addr_out, addr_stats, addr_msgs) = run(EvalStrategy::PerAddress);
+    prop_assert_eq!(
+        &block_out,
+        &addr_out,
+        "placements diverged across strategies"
+    );
+    prop_assert_eq!(
+        block_stats,
+        addr_stats,
+        "I/O accounting diverged across strategies"
+    );
+    prop_assert_eq!(
+        block_msgs,
+        addr_msgs,
+        "message counts diverged across strategies"
+    );
+    let perm = step.as_bmmc();
+    prop_assert_eq!(
+        block_out,
+        reference_permute(&input, |x| perm.target(x)),
+        "wrong final placement"
+    );
+    prop_assert_eq!(
+        block_stats.parallel_ios() as usize,
+        g.ios_per_pass(),
+        "step not charged 2N/BD"
+    );
+    Ok(())
+}
+
 /// Runs `passes` on a **file-backed** system (engine executor, in
 /// `mode`) and on a MemDisk system (engine, serial) with identical
 /// `TaggedRecord` inputs; asserts byte-identical final placement,
@@ -242,7 +301,9 @@ proptest! {
     }
 
     /// The same strategy equivalence with each one-pass discipline
-    /// forced explicitly, covering all four executors head-on.
+    /// forced explicitly, plus the Section 7 `Y∘Z⁻¹` step (gathered
+    /// reads, scattered writes), covering all four step shapes
+    /// head-on.
     #[test]
     fn block_run_matches_per_address_for_one_pass_classes(
         s in any::<u64>(),
@@ -267,6 +328,9 @@ proptest! {
             };
             assert_strategies_equivalent(g, std::slice::from_ref(&pass), mode_of(threaded))?;
         }
+        let y = catalog::random_mld(&mut rng, g.n(), g.b(), g.m());
+        let z = catalog::random_mld(&mut rng, g.n(), g.b(), g.m());
+        assert_step_strategies_equivalent(g, &FusedPass::mld_pair(&y, &z), mode_of(threaded))?;
     }
 
     /// The file backend is observationally identical to MemDisk:

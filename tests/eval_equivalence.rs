@@ -5,10 +5,9 @@
 //! residual(x & (B−1))` — exactly as [`bmmc::AffineEvaluator`]
 //! computes it per address, across the five engine-equivalence
 //! geometries (B=1, D=1, and the M=2BD / M=BD boundaries included)
-//! for random and catalog matrices. For block-preserving matrices the
-//! emitted [`bmmc::TargetRun`]s must additionally cover every source
-//! block exactly once and agree with the per-address targets record
-//! for record.
+//! for random and catalog matrices. Block-preserving matrices must
+//! additionally report fanout 1, and every record of a source block
+//! must land in the one target block its hoisted base names.
 
 use bmmc::{catalog, AffineEvaluator, BlockEvaluator, Bmmc};
 use gf2::{BitMatrix, BitVec};
@@ -114,11 +113,12 @@ proptest! {
         assert_block_matches_affine(&perm, b)?;
     }
 
-    /// Block-preserving matrices announce themselves (`fanout == 1`)
-    /// and their target runs cover every source block exactly once,
-    /// agreeing with the per-address targets record for record.
+    /// Block-preserving matrices announce themselves (`fanout == 1`,
+    /// the only block-level residual being 0), and every record of
+    /// source block `blk` lands, per address, in target block
+    /// `block_base(blk) >> b`.
     #[test]
-    fn target_runs_agree_with_per_address_targets(
+    fn block_preserving_maps_have_fanout_one(
         s in any::<u64>(),
         gi in 0usize..5,
     ) {
@@ -129,30 +129,19 @@ proptest! {
         let aff = AffineEvaluator::new(&perm);
         let bev = BlockEvaluator::new(&perm, b as u32);
         prop_assert!(bev.preserves_blocks(), "block-diagonal must have fanout 1");
-
-        let num_blocks = 1u64 << (n - b);
-        let mut covered = vec![false; num_blocks as usize];
-        let mut total = 0u64;
-        for run in bev.target_runs(0, num_blocks) {
-            prop_assert!(run.len > 0);
-            total += run.len;
-            for k in 0..run.len {
-                let src = run.src_block + k;
-                let dst = run.target_block + k;
-                prop_assert!(!covered[src as usize], "block {} emitted twice", src);
-                covered[src as usize] = true;
-                for off in 0..1u64 << b {
-                    prop_assert_eq!(
-                        aff.eval((src << b) | off) >> b,
-                        dst,
-                        "run target disagrees with per-address at block {} offset {}",
-                        src,
-                        off
-                    );
-                }
+        prop_assert_eq!(bev.block_residuals(), Some(&[0u64][..]));
+        for blk in 0..1u64 << (n - b) {
+            let target = bev.block_base(blk) >> b;
+            for off in 0..1u64 << b {
+                prop_assert_eq!(
+                    aff.eval((blk << b) | off) >> b,
+                    target,
+                    "block {} offset {} left its target block",
+                    blk,
+                    off
+                );
             }
         }
-        prop_assert_eq!(total, num_blocks, "runs must cover every block once");
     }
 
     /// Fanout counts the distinct block-level residuals: a random

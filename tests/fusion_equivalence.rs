@@ -174,9 +174,9 @@ proptest! {
     /// The same fused steps under the block-run evaluator (the
     /// default) and the per-address evaluator: byte-identical placement
     /// and *exactly* equal total `IoStats` and message counts — the
-    /// gather/scatter batches the fused executors
-    /// build from target runs must be observationally indistinguishable
-    /// from the per-address ones, serial and threaded.
+    /// gather/scatter batches the step executor builds from block-level
+    /// residuals must be observationally indistinguishable from the
+    /// per-address ones, serial and threaded.
     #[test]
     fn fused_block_run_matches_per_address(
         s in any::<u64>(),
