@@ -45,7 +45,8 @@ fn bench_algorithms(c: &mut Criterion) {
         )
     });
 
-    // Ablation: threaded (one thread per disk) vs serial service on
+    // Ablation: threaded (min(D, available_parallelism) service
+    // threads) vs serial service on
     // the memory backend — measures pure dispatch overhead.
     group.bench_function("bmmc_2^16_threaded_disks", |b| {
         b.iter_batched(

@@ -42,6 +42,7 @@ use bmmc_bench::json::Json;
 use extsort::{
     keys, merge_sort_ios, merge_sort_passes, sort_by_key_with, MergeStrategy, SortConfig,
 };
+use pdm::parallel::service_threads;
 use pdm::{
     Backend, DiskSystem, FaultPlan, Geometry, PassEngine, RetryPolicy, ServiceMode, TimingModel,
     TransportConfig,
@@ -79,7 +80,10 @@ const PIO: &[&str] = &["parallel_ios"];
 /// * `quick`/`full` — the disk sweep: one seeded one-pass MLD
 ///   permutation (striped reads, independent writes: the paper's
 ///   Theorem 15 discipline) through the engine at each `D`, serial and
-///   threaded, with `threaded_over_serial` per `D`.
+///   threaded, with `threaded_over_serial` per `D` and the number of
+///   service threads the threaded run had
+///   ([`pdm::parallel::service_threads`]; the document's `nproc` is
+///   the processor count they shared with the caller).
 /// * `fusion` — multi-pass plans fused and unfused: identical placement,
 ///   strictly fewer parallel I/Os fused, exactly half on the fully
 ///   fusable chains, one pass per step.
@@ -443,7 +447,8 @@ struct Variant {
 /// counted. Every row must charge the same parallel I/Os. In-process
 /// rows move no messages; every wire transport moves the same message
 /// and byte counts, since all speak `pdm::proto`. Returns the rows and
-/// each variant's `threaded_over_serial`.
+/// each variant's `threaded_over_serial`, with the number of service
+/// threads its in-process threaded system ran on.
 fn engine_pass(geom: Geometry, seed: u64, variants: &[Variant]) -> (Vec<Row>, Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let perm = catalog::random_mld(&mut rng, geom.n(), geom.b(), geom.m());
@@ -488,8 +493,14 @@ fn engine_pass(geom: Geometry, seed: u64, variants: &[Variant]) -> (Vec<Row>, Ve
                     .throughput(geom.records(), secs),
             );
         }
-        let ratio = rates[1] / rates[0];
-        speedups.push(v.keys.clone().real("threaded_over_serial", ratio));
+        let mut speedup = v
+            .keys
+            .clone()
+            .real("threaded_over_serial", rates[1] / rates[0]);
+        if matches!(v.transport, TransportConfig::InProc) {
+            speedup = speedup.count("service_threads", service_threads(geom.disks()));
+        }
+        speedups.push(speedup);
     }
     (rows, speedups)
 }
@@ -1053,7 +1064,8 @@ fn recovery(_: &Ctx) -> Out {
 /// key catalog (`extsort::keys`) in serial on mem. Every row must sort
 /// exactly, with the passes and parallel I/Os of the schedule replay
 /// ([`merge_sort_passes`], [`merge_sort_ios`]). Records each strategy's
-/// `threaded_over_serial` per backend on the permutation.
+/// `threaded_over_serial` per backend on the permutation, with the
+/// number of service threads the threaded system ran on.
 fn extsort(ctx: &Ctx) -> Out {
     let geom = bench_geometry();
     let records = geom.records();
@@ -1112,7 +1124,8 @@ fn extsort(ctx: &Ctx) -> Out {
                         speedups.push(
                             (Row::default().key("variant", variant))
                                 .key("backend", backend)
-                                .real("threaded_over_serial", serial / secs),
+                                .real("threaded_over_serial", serial / secs)
+                                .count("service_threads", service_threads(geom.disks())),
                         );
                     }
                 }
@@ -1162,8 +1175,11 @@ fn main() {
     let file_dir = value_of("--file-dir").map_or(scratch.path().to_path_buf(), PathBuf::from);
     let ctx = Ctx { baseline, file_dir };
 
+    // The processors the threaded rows shared with the caller.
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
     let mut doc = (Row::default().key("bench", "engine_sweep"))
-        .count("version", 9)
+        .count("version", 10)
+        .count("nproc", nproc)
         .key("acceptance", acceptance());
     let mut floors = Vec::new();
     for s in &SECTIONS {

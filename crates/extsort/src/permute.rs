@@ -8,7 +8,7 @@
 //! The sort itself runs on the shared streaming machinery of
 //! `pdm::engine` (see [`crate::merge`]): run formation is a
 //! [`pdm::PassEngine`] pass, so with
-//! [`pdm::ServiceMode::Threaded`] the per-disk service threads
+//! [`pdm::ServiceMode::Threaded`] the disk service threads
 //! prefetch the next memoryload while the current one is sorted. The
 //! merge strategy (single-buffered or forecasting — see
 //! [`crate::MergeStrategy`]) is selectable via

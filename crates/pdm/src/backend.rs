@@ -7,10 +7,11 @@
 //!   *positional* I/O (`read_exact_at`/`write_all_at`): one system
 //!   call per block, no internal seek state, serialization through a
 //!   reusable byte-staging buffer owned by the unit. This is the
-//!   engine target for end-to-end realism — each
-//!   [`crate::parallel::DiskPool`] worker owns its `FileDisk`, so a
-//!   threaded [`crate::engine::PassEngine`] run overlaps real file
-//!   reads of memoryload *k+1* with the in-RAM permute of *k*.
+//!   engine target for end-to-end realism — the
+//!   [`crate::parallel::DiskPool`]'s service threads own the
+//!   `FileDisk`s, so a threaded [`crate::engine::PassEngine`] run
+//!   overlaps real file reads of memoryload *k+1* with the in-RAM
+//!   permute of *k*.
 //!
 //! A unit does not know its position in the disk array; out-of-range
 //! errors therefore carry a `usize::MAX` placeholder disk index that

@@ -38,18 +38,18 @@
 //! # Overlap
 //!
 //! In [`ServiceMode::Threaded`] the engine runs split-phase: while the
-//! CPU transforms memoryload *k*, the per-disk service threads are
+//! CPU transforms memoryload *k*, the disk service threads are
 //! already reading memoryload *k+1* and still draining the writes of
 //! memoryload *k−1*. Each memoryload's reads, and its writes, are one
 //! ticket of one run of commands per disk ([`crate::parallel::Cmd::more`]),
 //! whatever the plan's shape: the `M/BD` parallel I/Os are admitted and
 //! charged one by one, in order, and only the hop to the service
-//! threads is batched — each service thread wakes once per run. Records
+//! threads is batched — a service thread wakes at most once per run. Records
 //! move through the system's reusable block buffers instead of fresh
 //! allocations. The overlap is
 //! backend-agnostic: on a file-backed system
-//! ([`crate::system::Backend::File`]) each worker issues real
-//! positional system calls against its disk's file, so the pipeline
+//! ([`crate::system::Backend::File`]) the service threads issue real
+//! positional system calls against their disks' files, so the pipeline
 //! hides genuine I/O latency rather than simulated copies
 //! (`engine_sweep`'s `file` section measures exactly this). In
 //! [`ServiceMode::Serial`] the engine degenerates to exactly the

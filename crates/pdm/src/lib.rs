@@ -13,13 +13,14 @@
 //!   stripe / relative block / memoryload);
 //! * [`DiskSystem`] — the disk array itself, with striped and
 //!   independent parallel I/O, exact [`IoStats`] accounting, memory- or
-//!   file-backed storage, optional one-thread-per-disk servicing, and
+//!   file-backed storage, optional servicing on
+//!   `min(D, available_parallelism)` threads, and
 //!   deterministic fault injection;
 //! * [`Memory`] — the M-record internal memory with capacity
 //!   enforcement, plus in-place permutation by cycle-following;
 //! * [`PassEngine`] — the shared streaming loop (read a memoryload,
 //!   rearrange in RAM, write it out) with double-buffered I/O overlap
-//!   on the persistent per-disk service threads.
+//!   on the persistent disk service threads.
 //!
 //! ```
 //! use pdm::{DiskSystem, Geometry};

@@ -1,12 +1,12 @@
 //! Concurrent servicing of parallel I/O operations.
 //!
 //! A parallel I/O touches at most one block on each disk; the transfers
-//! are independent by construction, so each disk can be serviced by its
-//! own worker. The worker is reached through a [`Transport`]: the
-//! request/reply protocol ([`Cmd`] / [`Completion`]) is the same
-//! whether the worker is a thread in this process, a `pdm-diskd`
-//! process behind a Unix-domain socket, or a deterministic simulated
-//! network (see [`crate::transport`]).
+//! are independent by construction, so no disk waits on another's
+//! worker, and a worker may serve several disks. Each disk is reached
+//! through its own [`Transport`]: the request/reply protocol ([`Cmd`] /
+//! [`Completion`]) is the same whether the worker is a thread in this
+//! process, a `pdm-diskd` process behind a Unix-domain socket, or a
+//! deterministic simulated network (see [`crate::transport`]).
 //!
 //! A command moves one block. Consecutive commands to one disk form a
 //! *run*: every command but the run's last sets [`Cmd::more`]. A
@@ -14,20 +14,26 @@
 //! to the worker in one hop, and the worker answers the run without
 //! waking the caller before its last completion. [`InProcTransport`]
 //! does both, so the [`crate::engine::PassEngine`]'s memoryloads — one
-//! run per disk — cost each service thread one wake-up while the model
-//! still charges `M/BD` parallel I/Os. The wire transports ship every
-//! command at once and ignore the marker.
+//! run per disk — cost a service thread one wake-up per run while the
+//! model still charges `M/BD` parallel I/Os. The wire transports ship
+//! every command at once and ignore the marker.
 //!
-//! [`DiskPool`] holds one **persistent** worker per disk, fed through
-//! transports. Commands carry owned block buffers (recycled by the
-//! caller's buffer pool). Because submission and completion are
-//! decoupled, a caller can keep an operation in flight while it
-//! computes — this is what the [`crate::engine`] pipeline uses to
-//! overlap the permute of memoryload *k* with the reads of memoryload
-//! *k+1*, and the overlap survives remoteness: over a socket the
-//! requests pipeline the same way. [`serve_disk`] is the one worker
-//! loop; [`InProcTransport`]'s service thread runs it, and so does the
-//! job service's shared disk farm.
+//! [`DiskPool::new`] runs the disks on [`service_threads`]`(D)` =
+//! `min(D, available_parallelism)` **persistent** service threads
+//! ([`Workers`]): the PEM view of `P` processors driving `D` shared
+//! disks, with disk `d` on thread `d mod P`. Every disk keeps its own
+//! transport, so per-disk order, fault injection and counters do not
+//! depend on how the disks are grouped. Commands carry owned block
+//! buffers (recycled by the caller's buffer pool). Because submission
+//! and completion are decoupled, a caller can keep an operation in
+//! flight while it computes — this is what the [`crate::engine`]
+//! pipeline uses to overlap the permute of memoryload *k* with the
+//! reads of memoryload *k+1*, and the overlap survives remoteness: over
+//! a socket the requests pipeline the same way. One worker loop serves
+//! a thread's disks, finding each command's disk unit by the disk its
+//! [`Inbox`] recorded; the pool's threads, a one-disk
+//! [`InProcTransport`]'s and the job service's shared disk farm all
+//! run it.
 //!
 //! The [`crate::system::DiskSystem`] drives the pool in one of two
 //! disciplines chosen by
@@ -41,8 +47,8 @@
 //! caller's thread, with one copy and no commands. For
 //! [`crate::backend::MemDisk`] the pool's threads overlap block copies
 //! with the caller's in-memory work; for [`crate::backend::FileDisk`]
-//! they overlap real system calls exactly the way a hardware disk
-//! array would.
+//! they overlap real system calls the way a disk array's controllers
+//! would, `D/P` disks each.
 
 use crate::backend::DiskUnit;
 use crate::error::{PdmError, Result};
@@ -183,11 +189,13 @@ impl<R> CompletionQueue<R> {
 
     /// Delivers completions under one lock; wakes a waiting receiver
     /// only if `wake`. A worker delivers a run's completions together
-    /// and wakes the receiver once, at the run's end.
+    /// and wakes the receiver once, at the run's end. The waker clears
+    /// `waiting`, so another worker's run that ends before the receiver
+    /// runs does not wake it again.
     fn deliver(&self, cs: impl Iterator<Item = Completion<R>>, wake: bool) {
         let mut state = self.lock();
         state.items.extend(cs);
-        let wake = wake && state.waiting;
+        let wake = wake && std::mem::take(&mut state.waiting);
         drop(state);
         if wake {
             self.0.ready.notify_one();
@@ -357,20 +365,23 @@ pub fn fail_disconnected<R: Record>(cmd: Cmd<R>, disk: usize) {
     }
 }
 
-/// Commands an [`Inbox`] holds before a sender waits for its worker.
-/// The bound keeps the queue's storage at a fixed size, so a send never
-/// allocates.
+/// Commands an [`Inbox`] holds per disk its worker serves before a
+/// sender waits for the worker. The bound keeps the queue's storage at
+/// a fixed size, so a send never allocates.
 const INBOX_CAPACITY: usize = 256;
 
-/// A disk worker's command queue, fed a run at a time: a sender
+/// A service thread's command queue, fed a run at a time: a sender
 /// appends a whole run under one lock and wakes the worker once, and
 /// the worker takes everything queued at once by swapping storage with
-/// it, so neither side pays a lock per block. Both storages hold a
-/// fixed number of commands and a sender waits for room rather than
-/// grow them, so nothing allocates after creation; the wait cannot
+/// it, so neither side pays a lock per block. Each command is queued
+/// beside the disk it was sent to, which is how a thread that serves
+/// several disks finds the unit for it. Both storages hold a fixed
+/// number of commands and a sender waits for room rather than grow
+/// them, so nothing allocates after creation; the wait cannot
 /// deadlock, because the worker answers on [`CompletionQueue`]s and
 /// never blocks. Clones share the queue: many transports may feed one
-/// worker (the job service's disk farm).
+/// worker (the disks of one [`Workers`] thread, and the job service's
+/// tenants).
 pub struct Inbox<R: Record>(Arc<InboxShared<R>>);
 
 struct InboxShared<R: Record> {
@@ -379,10 +390,13 @@ struct InboxShared<R: Record> {
     ready: Condvar,
     /// Signals senders that the worker took the queue.
     room: Condvar,
+    /// Commands the queue holds before a sender waits.
+    capacity: usize,
 }
 
 struct InboxState<R: Record> {
-    cmds: VecDeque<Cmd<R>>,
+    /// Queued commands, each with the disk it is for.
+    cmds: VecDeque<(usize, Cmd<R>)>,
     /// The worker is parked on `ready`.
     waiting: bool,
     /// Senders are parked on `room`.
@@ -392,17 +406,19 @@ struct InboxState<R: Record> {
 }
 
 impl<R: Record> Inbox<R> {
-    /// An empty queue.
-    pub fn new() -> Self {
+    /// An empty queue for a worker serving `disks` disks.
+    fn new(disks: usize) -> Self {
+        let capacity = INBOX_CAPACITY * disks.max(1);
         Inbox(Arc::new(InboxShared {
             state: Mutex::new(InboxState {
-                cmds: VecDeque::with_capacity(INBOX_CAPACITY),
+                cmds: VecDeque::with_capacity(capacity),
                 waiting: false,
                 full: false,
                 closed: false,
             }),
             ready: Condvar::new(),
             room: Condvar::new(),
+            capacity,
         }))
     }
 
@@ -412,8 +428,8 @@ impl<R: Record> Inbox<R> {
         self.0.state.lock().expect("inbox poisoned")
     }
 
-    /// Queues the commands of `cmds` in order, leaving it empty. Once
-    /// the worker has stopped, answers each with
+    /// Queues the commands of `cmds` for `disk` in order, leaving it
+    /// empty. Once the worker has stopped, answers each with
     /// [`PdmError::Disconnected`] for `disk` instead and returns
     /// `false`.
     pub fn send(&self, disk: usize, cmds: &mut Vec<Cmd<R>>) -> bool {
@@ -427,9 +443,12 @@ impl<R: Record> Inbox<R> {
                 }
                 return false;
             }
-            let room = INBOX_CAPACITY - state.cmds.len();
-            state.cmds.extend(rest.by_ref().take(room));
-            if state.waiting {
+            let room = self.0.capacity - state.cmds.len();
+            let run = rest.by_ref().take(room).map(|cmd| (disk, cmd));
+            state.cmds.extend(run);
+            // The waker clears `waiting`, so another disk's run that
+            // reaches the worker before it runs does not wake it again.
+            if std::mem::take(&mut state.waiting) {
                 self.0.ready.notify_one();
             }
             if rest.len() == 0 {
@@ -440,9 +459,14 @@ impl<R: Record> Inbox<R> {
         }
     }
 
+    /// Whether the worker has stopped.
+    fn closed(&self) -> bool {
+        self.lock().closed
+    }
+
     /// Waits for commands, then moves all of them into `into`, which
-    /// must be empty and hold [`INBOX_CAPACITY`] commands.
-    fn take_all(&self, into: &mut VecDeque<Cmd<R>>) {
+    /// must be empty and hold the queue's capacity.
+    fn take_all(&self, into: &mut VecDeque<(usize, Cmd<R>)>) {
         debug_assert!(into.is_empty(), "commands left unserved");
         let mut state = self.lock();
         while state.cmds.is_empty() {
@@ -457,8 +481,9 @@ impl<R: Record> Inbox<R> {
     }
 
     /// Stops the queue: the commands in `left`, those still queued and
-    /// any sent later are answered with `Disconnected` for `disk`.
-    fn close(&self, disk: usize, left: &mut VecDeque<Cmd<R>>) {
+    /// any sent later are answered with `Disconnected`, each for its
+    /// own disk.
+    fn close(&self, left: &mut VecDeque<(usize, Cmd<R>)>) {
         let mut state = self.lock();
         state.closed = true;
         let queued = std::mem::take(&mut state.cmds);
@@ -466,7 +491,7 @@ impl<R: Record> Inbox<R> {
             self.0.room.notify_all();
         }
         drop(state);
-        for cmd in left.drain(..).chain(queued) {
+        for (disk, cmd) in left.drain(..).chain(queued) {
             fail_disconnected(cmd, disk);
         }
     }
@@ -484,113 +509,231 @@ impl<R: Record> std::fmt::Debug for Inbox<R> {
     }
 }
 
-impl<R: Record> Default for Inbox<R> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The disks one service thread serves: each disk's number and unit.
+type Units<R> = Vec<(usize, Box<dyn DiskUnit<R>>)>;
 
-/// The disk worker loop: services the commands arriving in `inbox`
-/// against `unit` — reads into or writes from the command's buffer,
-/// then sends the buffer back on the command's `done` queue — until
-/// [`Cmd::Stop`] arrives; commands left behind are answered with
-/// `Disconnected`. A run's completions are delivered together at its
-/// end, waking the caller once. Should the unit panic, the command it
-/// was serving is answered `Disconnected` too, so every command is
+/// The worker loop: serves the commands arriving in `inbox` against
+/// `units`, finding each command's unit by the disk it was sent to —
+/// reads into or writes from the command's buffer, then sends the
+/// buffer back on the command's `done` queue — until [`Cmd::Stop`]
+/// arrives; commands left behind are answered with `Disconnected`,
+/// each for its own disk. Each disk's run is delivered together at
+/// that disk's last command, waking the caller once, however the runs
+/// of the thread's disks interleave. Should a unit panic, the command
+/// it was serving is answered `Disconnected` too, so every command is
 /// still answered exactly once.
-pub fn serve_disk<R: Record>(disk: usize, unit: &mut dyn DiskUnit<R>, inbox: &Inbox<R>) {
+fn serve<R: Record>(units: &mut Units<R>, inbox: &Inbox<R>) {
+    /// A disk's run in progress: its completions so far, and where
+    /// they go.
+    type Run<R> = (Vec<Completion<R>>, Option<CompletionQueue<R>>);
     /// Closes the inbox however the loop ends — a panicking unit
     /// included — so no sender waits on, or queues for, a dead worker,
     /// and no command goes unanswered.
     struct Closer<'a, R: Record> {
         inbox: &'a Inbox<R>,
-        disk: usize,
         /// Commands taken and not yet answered, the one being served
         /// first.
-        cmds: VecDeque<Cmd<R>>,
-        /// The completions of the run in progress, and where they go.
-        run: Vec<Completion<R>>,
-        run_done: Option<CompletionQueue<R>>,
+        cmds: VecDeque<(usize, Cmd<R>)>,
+        /// Each unit's run in progress.
+        runs: Vec<Run<R>>,
     }
     impl<R: Record> Drop for Closer<'_, R> {
         fn drop(&mut self) {
-            if let Some(q) = self.run_done.take() {
-                q.deliver(self.run.drain(..), true);
+            for (run, done) in &mut self.runs {
+                if let Some(q) = done.take() {
+                    q.deliver(run.drain(..), true);
+                }
             }
-            self.inbox.close(self.disk, &mut self.cmds);
+            self.inbox.close(&mut self.cmds);
         }
     }
     let mut taken = Closer {
         inbox,
-        disk,
-        cmds: VecDeque::with_capacity(INBOX_CAPACITY),
-        run: Vec::new(),
-        run_done: None,
+        cmds: VecDeque::with_capacity(inbox.0.capacity),
+        runs: units.iter().map(|_| (Vec::new(), None)).collect(),
     };
     loop {
         inbox.take_all(&mut taken.cmds);
         // Each command is served where it is queued and popped once
         // done, so a panicking unit leaves it for the closer to answer.
-        while let Some(cmd) = taken.cmds.front_mut() {
+        while let Some((disk, cmd)) = taken.cmds.front_mut() {
+            let disk = *disk;
+            let i = (units.iter().position(|&(d, _)| d == disk))
+                .expect("a command for a disk this thread serves");
+            let unit = units[i].1.as_mut();
             let result = match cmd {
                 Cmd::Read { slot, buf, .. } => unit.read(*slot, buf),
                 Cmd::Write { slot, buf, .. } => unit.write(*slot, buf),
                 Cmd::Stop => return,
             };
-            let served = taken.cmds.pop_front().and_then(|c| c.answer(disk, result));
+            let served = taken
+                .cmds
+                .pop_front()
+                .and_then(|(_, c)| c.answer(disk, result));
             let (completion, done, more) = served.expect("the command just served");
-            if let Some(q) = &taken.run_done {
+            let (run, run_done) = &mut taken.runs[i];
+            if let Some(q) = run_done {
                 if !q.same(&done) {
-                    // Another caller's command (a shared worker): hand
-                    // over what the open run has done so far.
-                    q.deliver(taken.run.drain(..), false);
+                    // Another caller's command to this disk (the job
+                    // service's shared disks): hand over what the open
+                    // run has done so far.
+                    q.deliver(run.drain(..), false);
                 }
             }
-            taken.run.push(completion);
+            run.push(completion);
             if more {
-                taken.run_done = Some(done);
+                *run_done = Some(done);
             } else {
-                done.deliver(taken.run.drain(..), true);
-                taken.run_done = None;
+                done.deliver(run.drain(..), true);
+                *run_done = None;
             }
         }
     }
 }
 
-/// The in-process transport: a persistent service thread that owns its
-/// [`DiskUnit`] and runs [`serve_disk`] over an [`Inbox`] — buffers
-/// cross by ownership transfer, no bytes are serialized, and
-/// [`Transport::message_stats`] stays zero. This is the default
-/// transport. It holds a run until its last command arrives and then
-/// queues the whole run at once, so the service thread wakes once per
-/// run.
+/// Spawns a service thread named `name` over `units`, returning its
+/// inbox and the handle that yields the units back once it stops.
+fn spawn_thread<R: Record>(name: String, mut units: Units<R>) -> (Inbox<R>, JoinHandle<Units<R>>) {
+    let inbox = Inbox::new(units.len());
+    let served = inbox.clone();
+    let thread = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            serve(&mut units, &served);
+            units
+        })
+        .expect("failed to spawn disk service thread");
+    (inbox, thread)
+}
+
+/// How many service threads serve `disks` local disks:
+/// `min(D, available_parallelism)`, or `D` when the processor count is
+/// unknown. `available_parallelism` follows the process's CPU affinity,
+/// so a process pinned to one CPU serves all its disks on one thread.
+/// [`DiskPool::new`] and the job service's memory farm use this rule.
+pub fn service_threads(disks: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(disks, usize::from);
+    disks.min(cpus)
+}
+
+/// Persistent service threads over a list of disk units: disk `d` is
+/// served by thread `d mod P`, and the disks of one thread share its
+/// [`Inbox`], which records each command's disk. Dropping the workers
+/// stops and joins the threads; commands sent after that are answered
+/// with [`PdmError::Disconnected`].
+pub struct Workers<R: Record> {
+    /// One inbox per disk, in disk order: disk `d`'s is thread
+    /// `d mod P`'s.
+    inboxes: Vec<Inbox<R>>,
+    /// Thread `w` serves disk `w` first, so `inboxes[w]` reaches it.
+    threads: Vec<JoinHandle<Units<R>>>,
+}
+
+impl<R: Record> Workers<R> {
+    /// Spawns `threads` service threads (at most one per unit), named
+    /// `{name}-{thread}`, over `units`, unit `d` being disk `d`.
+    pub fn spawn(name: &str, units: Vec<Box<dyn DiskUnit<R>>>, threads: usize) -> Self {
+        let disks = units.len();
+        let threads = threads.min(disks);
+        assert!(threads > 0 || disks == 0, "disks need a thread");
+        let thread_of = |disk: usize| disk % threads;
+        let mut groups: Vec<Units<R>> = (0..threads).map(|_| Vec::new()).collect();
+        for (d, unit) in units.into_iter().enumerate() {
+            groups[thread_of(d)].push((d, unit));
+        }
+        let (thread_inboxes, threads): (Vec<_>, Vec<_>) = (groups.into_iter().enumerate())
+            .map(|(w, group)| spawn_thread(format!("{name}-{w}"), group))
+            .unzip();
+        Workers {
+            inboxes: (0..disks)
+                .map(|d| thread_inboxes[thread_of(d)].clone())
+                .collect(),
+            threads,
+        }
+    }
+
+    /// The disks' inboxes, in disk order.
+    pub fn inboxes(&self) -> &[Inbox<R>] {
+        &self.inboxes
+    }
+
+    /// Number of service threads.
+    pub fn threads(&self) -> usize {
+        self.threads.len()
+    }
+
+    /// Stops every thread, once, and joins it: the units in disk order,
+    /// or `None` if a unit panicked and took its thread down.
+    pub(crate) fn stop(&mut self) -> Option<Vec<Box<dyn DiskUnit<R>>>> {
+        for (w, inbox) in self.inboxes.iter().take(self.threads.len()).enumerate() {
+            inbox.send(w, &mut vec![Cmd::Stop]);
+        }
+        let mut units = Vec::with_capacity(self.inboxes.len());
+        let mut whole = true;
+        for thread in self.threads.drain(..) {
+            match thread.join() {
+                Ok(served) => units.extend(served),
+                Err(_) => whole = false,
+            }
+        }
+        units.sort_by_key(|&(d, _)| d);
+        whole.then(|| units.into_iter().map(|(_, unit)| unit).collect())
+    }
+}
+
+impl<R: Record> Drop for Workers<R> {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+impl<R: Record> std::fmt::Debug for Workers<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (f.debug_struct("Workers"))
+            .field("disks", &self.inboxes.len())
+            .field("threads", &self.threads.len())
+            .finish()
+    }
+}
+
+/// The in-process transport: one disk's link to a persistent service
+/// thread that owns the disk's [`DiskUnit`] and serves it from an
+/// [`Inbox`] — buffers cross by ownership transfer, no bytes are
+/// serialized, and [`Transport::message_stats`] stays zero. This is the
+/// default transport. It holds a run until its last command arrives and
+/// then queues the whole run at once, so the service thread wakes once
+/// per run. [`InProcTransport::new`] spawns a thread for its one disk;
+/// the transports of [`DiskPool::new`] share the pool's threads, which
+/// the pool owns.
 pub struct InProcTransport<R: Record> {
     disk: usize,
     inbox: Inbox<R>,
     /// The commands of the run being submitted; the vector keeps its
     /// capacity, so holding a run allocates nothing in steady state.
     held: Vec<Cmd<R>>,
-    join: Option<JoinHandle<Box<dyn DiskUnit<R>>>>,
+    /// The service thread, when this transport owns it (`None` once
+    /// stopped).
+    own: Option<JoinHandle<Units<R>>>,
     dead: bool,
 }
 
 impl<R: Record> InProcTransport<R> {
     /// Spawns the service thread for `disk` over `unit`.
-    pub fn new(disk: usize, mut unit: Box<dyn DiskUnit<R>>) -> Self {
-        let inbox = Inbox::new();
-        let served = inbox.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("pdm-disk-{disk}"))
-            .spawn(move || {
-                serve_disk(disk, unit.as_mut(), &served);
-                unit
-            })
-            .expect("failed to spawn disk service thread");
+    pub fn new(disk: usize, unit: Box<dyn DiskUnit<R>>) -> Self {
+        let (inbox, thread) = spawn_thread(format!("pdm-disk-{disk}"), vec![(disk, unit)]);
+        let mut transport = Self::shared(disk, inbox);
+        transport.own = Some(thread);
+        transport
+    }
+
+    /// A transport to `disk` on a thread that someone else owns,
+    /// through that thread's `inbox`.
+    fn shared(disk: usize, inbox: Inbox<R>) -> Self {
         InProcTransport {
             disk,
             inbox,
             held: Vec::new(),
-            join: Some(join),
+            own: None,
             dead: false,
         }
     }
@@ -598,7 +741,7 @@ impl<R: Record> InProcTransport<R> {
     /// Queues the held run for the service thread (or, over a dead
     /// link, answers it with `Disconnected`).
     fn release(&mut self) {
-        if self.dead || self.join.is_none() {
+        if self.dead {
             for cmd in self.held.drain(..) {
                 fail_disconnected(cmd, self.disk);
             }
@@ -608,13 +751,15 @@ impl<R: Record> InProcTransport<R> {
         }
     }
 
-    /// Stops the service thread, if still running, and joins it.
+    /// Stops the service thread, if this transport owns it and it still
+    /// runs, and joins it.
     fn stop(&mut self) -> Option<std::thread::Result<Box<dyn DiskUnit<R>>>> {
         self.release();
-        let join = self.join.take()?;
+        let thread = self.own.take()?;
         self.held.push(Cmd::Stop);
         self.inbox.send(self.disk, &mut self.held);
-        Some(join.join())
+        let units = thread.join();
+        Some(units.map(|mut units| units.pop().expect("the thread's one unit").1))
     }
 }
 
@@ -643,7 +788,7 @@ impl<R: Record> Transport<R> for InProcTransport<R> {
         // thread whose unit (and data) survived; reviving it is a
         // reconnect, not a relaunch — but it is a real recovery
         // action, so report Ok(true) when the link was dead.
-        if self.join.is_none() {
+        if self.inbox.closed() {
             return Err(PdmError::Io(format!(
                 "disk {}: service thread already shut down",
                 self.disk
@@ -664,30 +809,44 @@ impl<R: Record> Drop for InProcTransport<R> {
     }
 }
 
-/// Persistent per-disk workers behind [`Transport`]s.
+/// Persistent disk workers behind per-disk [`Transport`]s.
 ///
-/// With [`DiskPool::new`] every worker is an in-process service thread
-/// owning its [`DiskUnit`] ([`InProcTransport`]);
-/// [`DiskPool::from_transports`] generalizes to remote workers (see
-/// [`crate::transport`]). [`DiskPool::into_units`] shuts in-process
-/// workers down and hands the units back (used when the
-/// [`crate::system::DiskSystem`] switches service modes).
+/// [`DiskPool::new`] serves the [`DiskUnit`]s on [`Workers`] —
+/// [`service_threads`]`(D)` in-process service threads, disk `d` on
+/// thread `d mod P` — reached through one [`InProcTransport`] per disk;
+/// [`DiskPool::from_transports`] generalizes to caller-built transports
+/// and remote workers (see [`crate::transport`]).
+/// [`DiskPool::into_units`] stops the service threads and hands the
+/// units back (used when the [`crate::system::DiskSystem`] switches
+/// service modes).
 pub struct DiskPool<R: Record> {
     transports: Vec<Box<dyn Transport<R>>>,
+    /// The service threads behind the transports, when the pool spawned
+    /// them. Declared after `transports`, so it drops after them.
+    workers: Option<Workers<R>>,
 }
 
 impl<R: Record> DiskPool<R> {
-    /// Spawns one in-process service thread per unit.
+    /// Serves the units on [`service_threads`]`(D)` in-process service
+    /// threads.
     pub fn new(units: Vec<Box<dyn DiskUnit<R>>>) -> Self {
-        Self::from_transports(
-            units
-                .into_iter()
-                .enumerate()
-                .map(|(disk, unit)| {
-                    Box::new(InProcTransport::new(disk, unit)) as Box<dyn Transport<R>>
-                })
-                .collect(),
-        )
+        let threads = service_threads(units.len());
+        Self::with_workers(units, threads)
+    }
+
+    /// Serves the units on `threads` service threads, disk `d` on
+    /// thread `d mod threads`.
+    pub(crate) fn with_workers(units: Vec<Box<dyn DiskUnit<R>>>, threads: usize) -> Self {
+        let workers = Workers::spawn("pdm-worker", units, threads);
+        let transports = (workers.inboxes().iter().enumerate())
+            .map(|(disk, inbox)| {
+                Box::new(InProcTransport::shared(disk, inbox.clone())) as Box<dyn Transport<R>>
+            })
+            .collect();
+        DiskPool {
+            transports,
+            workers: Some(workers),
+        }
     }
 
     /// A pool over pre-built transports, one per disk in disk order.
@@ -695,10 +854,13 @@ impl<R: Record> DiskPool<R> {
         for (d, t) in transports.iter().enumerate() {
             assert_eq!(t.disk(), d, "transports must be in disk order");
         }
-        DiskPool { transports }
+        DiskPool {
+            transports,
+            workers: None,
+        }
     }
 
-    /// Number of disks (workers).
+    /// Number of disks.
     pub fn disks(&self) -> usize {
         self.transports.len()
     }
@@ -741,18 +903,14 @@ impl<R: Record> DiskPool<R> {
         self.transports[disk].respawn()
     }
 
-    /// Shuts down the workers and returns their disk units in disk
-    /// order. Panics if any worker is remote — remote storage cannot
-    /// be pulled back into this process, and the `DiskSystem` never
-    /// asks to.
+    /// Stops the service threads, each once, and returns the disk units
+    /// in disk order. Panics on a pool over caller-built transports
+    /// ([`DiskPool::from_transports`]): their workers are not the
+    /// pool's to stop, remote storage cannot be pulled back into this
+    /// process, and the `DiskSystem` never asks to.
     pub fn into_units(mut self) -> Vec<Box<dyn DiskUnit<R>>> {
-        self.transports
-            .iter_mut()
-            .map(|t| {
-                t.shutdown()
-                    .expect("remote transports host no local disk unit")
-            })
-            .collect()
+        let mut workers = (self.workers.take()).expect("only the pool's own threads hold units");
+        workers.stop().expect("disk service thread panicked")
     }
 }
 
@@ -798,38 +956,151 @@ mod tests {
         cmds
     }
 
+    /// A memory disk that reports `(disk, slot)` for each transfer.
+    struct Reporting(MemDisk<u64>, usize, std::sync::mpsc::Sender<(usize, usize)>);
+
+    impl DiskUnit<u64> for Reporting {
+        fn slots(&self) -> usize {
+            self.0.slots()
+        }
+        fn block(&self) -> usize {
+            DiskUnit::<u64>::block(&self.0)
+        }
+        fn read(&mut self, slot: usize, out: &mut [u64]) -> Result<()> {
+            self.2.send((self.1, slot)).unwrap();
+            self.0.read(slot, out)
+        }
+        fn write(&mut self, slot: usize, data: &[u64]) -> Result<()> {
+            self.2.send((self.1, slot)).unwrap();
+            self.0.write(slot, data)
+        }
+    }
+
+    /// A unit whose every transfer panics, once `go` says so; it first
+    /// tells `entered` that a transfer started.
+    struct Broken {
+        entered: std::sync::mpsc::Sender<()>,
+        go: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl DiskUnit<u64> for Broken {
+        fn slots(&self) -> usize {
+            4
+        }
+        fn block(&self) -> usize {
+            2
+        }
+        fn read(&mut self, _: usize, _: &mut [u64]) -> Result<()> {
+            let _ = self.entered.send(());
+            let _ = self.go.recv();
+            panic!("broken unit");
+        }
+        fn write(&mut self, _: usize, _: &[u64]) -> Result<()> {
+            let _ = self.entered.send(());
+            let _ = self.go.recv();
+            panic!("broken unit");
+        }
+    }
+
+    /// A [`Broken`] unit, the channel it reports entering a transfer
+    /// on, and the sender that lets it panic.
+    fn broken() -> (
+        Broken,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<()>,
+    ) {
+        let (entered, entering) = std::sync::mpsc::channel();
+        let (go, going) = std::sync::mpsc::channel();
+        (Broken { entered, go: going }, entering, go)
+    }
+
+    /// Pools over four disks: by the rule, on two threads (disks 0 and
+    /// 2 share thread 0), and on one thread for all four.
+    fn pools_of_four(block: usize, slots: usize) -> Vec<(usize, DiskPool<u64>)> {
+        let by_rule = DiskPool::new(units(block, slots, 4));
+        let threads = by_rule.workers.as_ref().map_or(0, Workers::threads);
+        let pinned = [2, 1].map(|p| (p, DiskPool::with_workers(units(block, slots, 4), p)));
+        std::iter::once((threads, by_rule)).chain(pinned).collect()
+    }
+
+    #[test]
+    fn service_threads_are_min_of_disks_and_processors() {
+        let cpus = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
+        for disks in [0, 1, 2, 4, 16, 64] {
+            assert_eq!(service_threads(disks), disks.min(cpus));
+        }
+        let pool = DiskPool::new(units(2, 2, 16));
+        let workers = pool.workers.as_ref().unwrap();
+        assert_eq!(
+            workers.threads(),
+            service_threads(16),
+            "DiskPool::new follows the rule"
+        );
+        assert!((1..=16).contains(&workers.threads()));
+    }
+
+    #[test]
+    fn disk_d_is_served_by_thread_d_mod_p() {
+        let sized = (0..5)
+            .map(|d| Box::new(MemDisk::<u64>::new(2, d + 1)) as Box<dyn DiskUnit<u64>>)
+            .collect();
+        let mut workers = Workers::spawn("pdm-test", sized, 2);
+        assert_eq!(workers.threads(), 2);
+        let inboxes = workers.inboxes();
+        for d in 0..5 {
+            for e in 0..5 {
+                let shared = Arc::ptr_eq(&inboxes[d].0, &inboxes[e].0);
+                assert_eq!(shared, d % 2 == e % 2, "disks {d} and {e}");
+            }
+        }
+        // Each thread is stopped once and the units come home in disk
+        // order (disk d's unit has d + 1 slots).
+        let back = workers.stop().expect("no unit panicked");
+        let slots: Vec<usize> = back.iter().map(|u| u.slots()).collect();
+        assert_eq!(slots, [1, 2, 3, 4, 5]);
+        assert!(
+            workers.stop().unwrap().is_empty(),
+            "stopping twice is a no-op"
+        );
+        // Never more threads than disks.
+        assert_eq!(Workers::spawn("pdm-test", units(2, 4, 3), 8).threads(), 3);
+    }
+
     #[test]
     fn pool_round_trip_and_unit_recovery() {
-        let mut pool = DiskPool::new(units(2, 4, 4));
-        assert_eq!(pool.disks(), 4);
-        // Write a distinct block to each disk, all in flight at once.
-        let q = CompletionQueue::new();
-        for d in 0..4usize {
-            let data = vec![d as u64 * 10, d as u64 * 10 + 1];
-            pool.submit(d, write(d, data, d, &q));
+        for (threads, mut pool) in pools_of_four(2, 4) {
+            assert_eq!(pool.disks(), 4);
+            // Write a distinct block to each disk, all in flight at once.
+            let q = CompletionQueue::new();
+            for d in 0..4usize {
+                let data = vec![d as u64 * 10, d as u64 * 10 + 1];
+                pool.submit(d, write(d, data, d, &q));
+            }
+            for _ in 0..4 {
+                q.recv().result.unwrap();
+            }
+            // Read them back concurrently.
+            for d in 0..4usize {
+                pool.submit(d, read(d, 2, d, &q));
+            }
+            let mut got = vec![Vec::new(); 4];
+            for _ in 0..4 {
+                let c = q.recv();
+                c.result.unwrap();
+                assert_eq!(c.idx, c.disk);
+                got[c.idx] = c.buf;
+            }
+            for (d, blk) in got.iter().enumerate() {
+                assert_eq!(blk, &vec![d as u64 * 10, d as u64 * 10 + 1]);
+            }
+            // Workers hand every unit back intact, in disk order.
+            let mut recovered = pool.into_units();
+            for (d, unit) in recovered.iter_mut().enumerate() {
+                let mut out = [0u64; 2];
+                unit.read(d, &mut out).unwrap();
+                assert_eq!(out, [d as u64 * 10, d as u64 * 10 + 1], "P={threads}");
+            }
         }
-        for _ in 0..4 {
-            q.recv().result.unwrap();
-        }
-        // Read them back concurrently.
-        for d in 0..4usize {
-            pool.submit(d, read(d, 2, d, &q));
-        }
-        let mut got = vec![Vec::new(); 4];
-        for _ in 0..4 {
-            let c = q.recv();
-            c.result.unwrap();
-            assert_eq!(c.idx, c.disk);
-            got[c.idx] = c.buf;
-        }
-        for (d, blk) in got.iter().enumerate() {
-            assert_eq!(blk, &vec![d as u64 * 10, d as u64 * 10 + 1]);
-        }
-        // Workers hand their units back intact.
-        let mut recovered = pool.into_units();
-        let mut out = [0u64; 2];
-        recovered[3].read(3, &mut out).unwrap();
-        assert_eq!(out, [30, 31]);
     }
 
     #[test]
@@ -864,52 +1135,137 @@ mod tests {
         let got: Vec<Vec<u64>> = (0..3).map(|_| q.recv().buf).collect();
         assert_eq!(got, [vec![30, 31], vec![50, 51], vec![10, 11]]);
         assert!(q.try_recv().is_none(), "one completion per command");
-    }
 
-    #[test]
-    fn a_run_completes_together_at_its_end() {
-        /// A memory disk that reports each slot it transfers.
-        struct Reporting(MemDisk<u64>, std::sync::mpsc::Sender<usize>);
-        impl DiskUnit<u64> for Reporting {
-            fn slots(&self) -> usize {
-                self.0.slots()
-            }
-            fn block(&self) -> usize {
-                DiskUnit::<u64>::block(&self.0)
-            }
-            fn read(&mut self, slot: usize, out: &mut [u64]) -> Result<()> {
-                self.1.send(slot).unwrap();
-                self.0.read(slot, out)
-            }
-            fn write(&mut self, slot: usize, data: &[u64]) -> Result<()> {
-                self.1.send(slot).unwrap();
-                self.0.write(slot, data)
-            }
-        }
-        let (tx, served) = std::sync::mpsc::channel();
-        let mut unit = Reporting(MemDisk::new(2, 8), tx);
-        let inbox = Inbox::new();
-        let q = CompletionQueue::new();
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| serve_disk(0, &mut unit, &inbox));
-            let mut cmds = run(vec![
+        // Two disks of one thread: disks 0 and 2 share thread 0.
+        for p in [2, 1] {
+            let mut pool = DiskPool::with_workers(units(2, 8, 4), p);
+            let mut zero = run(vec![
                 write(5, vec![50, 51], 0, &q),
                 write(1, vec![10, 11], 1, &q),
                 write(3, vec![30, 31], 2, &q),
             ]);
-            let mut last = cmds.split_off(2);
-            assert!(inbox.send(0, &mut cmds));
-            // The worker has served the first command once it starts
-            // the second: an eager worker would have answered it.
-            assert_eq!((served.recv().unwrap(), served.recv().unwrap()), (5, 1));
-            assert!(q.try_recv().is_none(), "an open run answers at its end");
-            assert!(inbox.send(0, &mut last));
-            for idx in 0..3 {
-                assert_eq!(q.recv().idx, idx);
+            let last = zero.pop().unwrap();
+            for cmd in zero {
+                pool.submit(0, cmd);
             }
-            assert!(inbox.send(0, &mut vec![Cmd::Stop]));
-            worker.join().unwrap();
-        });
+            // Disk 2's run completes, in order, while disk 0's is held:
+            // its read sees its write.
+            for cmd in run(vec![write(5, vec![52, 53], 3, &q), read(5, 2, 4, &q)]) {
+                pool.submit(2, cmd);
+            }
+            for idx in [3, 4] {
+                let c = q.recv();
+                c.result.unwrap();
+                assert_eq!((c.idx, c.disk), (idx, 2), "P={p}");
+            }
+            assert!(q.try_recv().is_none(), "disk 0's open run is held");
+            pool.submit(0, last);
+            for idx in 0..3 {
+                let c = q.recv();
+                c.result.unwrap();
+                assert_eq!((c.idx, c.disk), (idx, 0), "P={p}: a run completes in order");
+            }
+            for cmd in run(vec![read(3, 2, 0, &q), read(5, 2, 1, &q)]) {
+                pool.submit(0, cmd);
+            }
+            pool.submit(2, read(5, 2, 2, &q));
+            let mut got: Vec<(usize, usize, Vec<u64>)> = (0..3)
+                .map(|_| q.recv())
+                .map(|c| (c.disk, c.idx, c.buf))
+                .collect();
+            got.sort();
+            assert_eq!(
+                got,
+                [
+                    (0, 0, vec![30, 31]),
+                    (0, 1, vec![50, 51]),
+                    (2, 2, vec![52, 53])
+                ],
+                "P={p}: each disk keeps its own blocks"
+            );
+            assert!(q.try_recv().is_none(), "one completion per command");
+        }
+    }
+
+    #[test]
+    fn a_run_completes_together_at_its_end() {
+        let (tx, served) = std::sync::mpsc::channel();
+        let reporting = |d| {
+            (
+                d,
+                Box::new(Reporting(MemDisk::new(2, 8), d, tx.clone())) as _,
+            )
+        };
+        let (inbox, worker) = spawn_thread("pdm-test".into(), vec![reporting(0)]);
+        let q = CompletionQueue::new();
+        let mut cmds = run(vec![
+            write(5, vec![50, 51], 0, &q),
+            write(1, vec![10, 11], 1, &q),
+            write(3, vec![30, 31], 2, &q),
+        ]);
+        let mut last = cmds.split_off(2);
+        assert!(inbox.send(0, &mut cmds));
+        // The worker has served the first command once it starts the
+        // second: an eager worker would have answered it.
+        assert_eq!(
+            (served.recv().unwrap(), served.recv().unwrap()),
+            ((0, 5), (0, 1))
+        );
+        assert!(q.try_recv().is_none(), "an open run answers at its end");
+        assert!(inbox.send(0, &mut last));
+        for idx in 0..3 {
+            assert_eq!(q.recv().idx, idx);
+        }
+        assert_eq!(served.recv().unwrap(), (0, 3));
+        assert!(inbox.send(0, &mut vec![Cmd::Stop]));
+        worker.join().unwrap();
+
+        // One thread serving disks 0 and 2, their runs interleaved on
+        // one completion queue: each run still answers at its own end.
+        let (inbox, worker) = spawn_thread("pdm-test".into(), vec![reporting(0), reporting(2)]);
+        let mut zero = run(vec![
+            write(5, vec![50, 51], 0, &q),
+            write(1, vec![10, 11], 1, &q),
+            write(3, vec![30, 31], 2, &q),
+        ]);
+        let mut zero_last = zero.split_off(2);
+        let mut two = run(vec![
+            write(7, vec![70, 71], 3, &q),
+            write(6, vec![60, 61], 4, &q),
+        ]);
+        let mut two_last = two.split_off(1);
+        assert!(inbox.send(0, &mut zero));
+        assert_eq!(
+            (served.recv().unwrap(), served.recv().unwrap()),
+            ((0, 5), (0, 1))
+        );
+        assert!(inbox.send(2, &mut two));
+        assert_eq!(served.recv().unwrap(), (2, 7));
+        assert!(q.try_recv().is_none(), "both runs are open");
+        assert!(inbox.send(0, &mut zero_last));
+        for idx in 0..3 {
+            let c = q.recv();
+            assert_eq!((c.disk, c.idx), (0, idx));
+        }
+        assert!(q.try_recv().is_none(), "disk 2's run is still open");
+        assert!(inbox.send(2, &mut two_last));
+        for idx in [3, 4] {
+            let c = q.recv();
+            assert_eq!((c.disk, c.idx), (2, idx));
+        }
+        assert!(inbox.send(0, &mut vec![Cmd::Stop]));
+        let blocks: Vec<_> = (worker.join().unwrap().iter_mut())
+            .map(|(_, u)| {
+                let mut out = [0u64; 2];
+                u.read(1, &mut out).unwrap();
+                out
+            })
+            .collect();
+        assert_eq!(
+            blocks,
+            [[10, 11], [0, 0]],
+            "each write landed on its own disk"
+        );
     }
 
     #[test]
@@ -954,25 +1310,9 @@ mod tests {
 
     #[test]
     fn a_panicking_worker_closes_its_inbox() {
-        /// A unit whose every transfer panics.
-        struct Broken;
-        impl DiskUnit<u64> for Broken {
-            fn slots(&self) -> usize {
-                4
-            }
-            fn block(&self) -> usize {
-                2
-            }
-            fn read(&mut self, _: usize, _: &mut [u64]) -> Result<()> {
-                panic!("broken unit");
-            }
-            fn write(&mut self, _: usize, _: &[u64]) -> Result<()> {
-                panic!("broken unit");
-            }
-        }
-        let inbox = Inbox::new();
-        let served = inbox.clone();
-        let worker = std::thread::spawn(move || serve_disk(0, &mut Broken, &served));
+        let (unit, _, go) = broken();
+        drop(go); // panic at once
+        let (inbox, worker) = spawn_thread("pdm-test".into(), vec![(0, Box::new(unit) as _)]);
         let q = CompletionQueue::new();
         assert!(inbox.send(0, &mut vec![read(0, 2, 0, &q)]));
         assert!(worker.join().is_err(), "the unit panicked");
@@ -983,12 +1323,48 @@ mod tests {
         let c = q.recv();
         assert_eq!(c.idx, 1, "the later command is answered");
         assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 0 })));
+
+        // Disk 0 panics on a thread it shares with disk 2 (and, on one
+        // thread, with every disk): every queued and later command of
+        // the thread's disks is answered for its own disk.
+        for p in [2, 1] {
+            let (unit, entered, go) = broken();
+            let mut units = units(2, 4, 4);
+            units[0] = Box::new(unit);
+            let mut pool = DiskPool::with_workers(units, p);
+            pool.submit(0, read(0, 2, 0, &q));
+            entered.recv().unwrap();
+            // Queued behind the transfer in progress.
+            pool.submit(2, write(1, vec![7, 8], 1, &q));
+            go.send(()).unwrap();
+            for (disk, idx) in [(0, 0), (2, 1)] {
+                let c = q.recv();
+                assert_eq!((c.disk, c.idx, c.buf.len()), (disk, idx, 2), "P={p}");
+                assert!(matches!(c.result, Err(PdmError::Disconnected { disk: d }) if d == disk));
+            }
+            for disk in [0, 2] {
+                pool.submit(disk, read(0, 2, 2, &q));
+                let c = q.recv();
+                assert!(matches!(c.result, Err(PdmError::Disconnected { disk: d }) if d == disk));
+                assert!(
+                    pool.respawn(disk).is_err(),
+                    "a dead thread cannot be revived"
+                );
+            }
+            // Disk 1 lives on the other thread, or died with the only one.
+            pool.submit(1, read(0, 2, 3, &q));
+            let c = q.recv();
+            assert_eq!(c.result.is_ok(), p == 2, "P={p}: {:?}", c.result);
+            assert!(q.try_recv().is_none(), "one completion per command");
+            drop(pool); // joins the threads, the dead one included
+        }
     }
 
     #[test]
     fn pool_drop_joins_workers() {
         let pool = DiskPool::new(units(2, 2, 3));
         drop(pool); // must not hang or leak threads
+        drop(DiskPool::with_workers(units(2, 2, 3), 1));
     }
 
     #[test]
@@ -1017,25 +1393,47 @@ mod tests {
         // The other disk is unaffected.
         pool.submit(0, read(0, 2, 0, &q));
         q.recv().result.unwrap();
+        // So is a disk that shares the severed disk's thread.
+        for p in [2, 1] {
+            let mut pool = DiskPool::with_workers(units(2, 4, 4), p);
+            pool.inject_disconnect(2);
+            for _ in 0..2 {
+                pool.submit(2, read(0, 2, 3, &q));
+                let c = q.recv();
+                assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 2 })));
+                assert_eq!((c.idx, c.buf.len()), (3, 2));
+            }
+            for cmd in run(vec![write(0, vec![1, 2], 0, &q), read(0, 2, 1, &q)]) {
+                pool.submit(0, cmd);
+            }
+            q.recv().result.unwrap();
+            assert_eq!(q.recv().buf, [1, 2], "P={p}: disk 0 serves on");
+        }
     }
 
     #[test]
     fn respawn_revives_a_severed_inproc_link_with_data_intact() {
-        let mut pool = DiskPool::new(units(2, 4, 2));
-        let q = CompletionQueue::new();
-        pool.submit(1, write(0, vec![41, 42], 0, &q));
-        q.recv().result.unwrap();
-        // Healthy link: nothing to revive.
-        assert!(!pool.respawn(1).unwrap());
-        pool.inject_disconnect(1);
-        pool.submit(1, read(0, 2, 0, &q));
-        let c = q.recv();
-        assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 1 })));
-        // Revive and re-read: the unit (and its data) survived.
-        assert!(pool.respawn(1).unwrap());
-        pool.submit(1, read(0, 2, 0, &q));
-        let c = q.recv();
-        c.result.unwrap();
-        assert_eq!(c.buf, vec![41, 42]);
+        for (threads, mut pool) in pools_of_four(2, 4) {
+            let q = CompletionQueue::new();
+            pool.submit(2, write(0, vec![41, 42], 0, &q));
+            pool.submit(0, write(0, vec![1, 2], 1, &q));
+            q.recv().result.unwrap();
+            q.recv().result.unwrap();
+            // Healthy link: nothing to revive.
+            assert!(!pool.respawn(2).unwrap());
+            pool.inject_disconnect(2);
+            pool.submit(2, read(0, 2, 0, &q));
+            let c = q.recv();
+            assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 2 })));
+            // Disk 0, on the same thread when P < 4, serves on.
+            pool.submit(0, read(0, 2, 1, &q));
+            assert_eq!(q.recv().buf, [1, 2], "P={threads}");
+            // Revive and re-read: the unit (and its data) survived.
+            assert!(pool.respawn(2).unwrap());
+            pool.submit(2, read(0, 2, 0, &q));
+            let c = q.recv();
+            c.result.unwrap();
+            assert_eq!(c.buf, vec![41, 42], "P={threads}");
+        }
     }
 }

@@ -30,7 +30,9 @@
 //! local disks serve them in the caller's thread, in staged order and
 //! with one copy: a read lands straight in the caller's buffer, a write
 //! leaves straight from the caller's data. Everything else goes through
-//! persistent per-disk service threads ([`crate::parallel::DiskPool`]):
+//! a [`crate::parallel::DiskPool`]'s per-disk transports — on local
+//! disks, `min(D, available_parallelism)` persistent service threads
+//! ([`crate::parallel::service_threads`]), disk `d` on thread `d mod P`:
 //! pipelined in [`ServiceMode::Threaded`], and in *lockstep* — each
 //! command's completion collected before the next is sent — when disks
 //! behind remote transports run in [`ServiceMode::Serial`].
@@ -122,8 +124,9 @@ pub enum ServiceMode {
     /// transports.
     #[default]
     Serial,
-    /// Persistent per-disk service threads with asynchronous
-    /// submission; enables the split-phase
+    /// Persistent service threads — `min(D, available_parallelism)` of
+    /// them for local disks, each serving `D/P` disks — with
+    /// asynchronous submission; enables the split-phase
     /// [`DiskSystem::begin_read`]/[`DiskSystem::begin_write`] overlap.
     Threaded,
 }
@@ -484,7 +487,7 @@ impl<R: Record> DiskSystem<R> {
     /// A system whose disks live behind caller-supplied transports,
     /// one per disk in disk order. This is the multi-tenant
     /// construction: a service leases each job its own `DiskSystem`
-    /// whose transports all feed the *same* shared per-disk workers,
+    /// whose transports all feed the *same* shared disk workers,
     /// so the physical disks are contended while accounting and
     /// buffer pools stay per-job. Starts in lockstep
     /// ([`ServiceMode::Serial`]); [`DiskSystem::set_threaded`]
@@ -601,9 +604,10 @@ impl<R: Record> DiskSystem<R> {
         }
     }
 
-    /// Enables or disables threaded (one thread per disk) servicing of
-    /// parallel I/Os. `true` selects [`ServiceMode::Threaded`]
-    /// (persistent service threads), `false` [`ServiceMode::Serial`].
+    /// Enables or disables threaded servicing of parallel I/Os. `true`
+    /// selects [`ServiceMode::Threaded`] (persistent service threads,
+    /// `min(D, available_parallelism)` for local disks), `false`
+    /// [`ServiceMode::Serial`].
     pub fn set_threaded(&mut self, on: bool) {
         self.set_service_mode(if on {
             ServiceMode::Threaded
@@ -2043,6 +2047,28 @@ mod tests {
         assert_eq!(sys.dump_records(0), records);
         sys.set_service_mode(ServiceMode::Serial);
         assert_eq!(sys.dump_records(0), records);
+        // With the four disks on two threads and on one: records written
+        // threaded come home in serial mode, every unit in disk order.
+        for threads in [2, 1] {
+            let mut sys = small();
+            sys.load_records(0, &records);
+            let Service::Serial(units) =
+                std::mem::replace(&mut sys.service, Service::Serial(vec![]))
+            else {
+                unreachable!("a memory system starts serial")
+            };
+            sys.service = Service::Pooled {
+                pool: DiskPool::with_workers(units, threads),
+                lockstep: false,
+            };
+            assert_eq!(sys.service_mode(), ServiceMode::Threaded);
+            let shifted: Vec<u64> = records.iter().map(|r| r + 1000).collect();
+            sys.load_records(1, &shifted);
+            assert_eq!(sys.dump_records(0), records, "{threads} thread(s)");
+            sys.set_threaded(false);
+            assert_eq!(sys.dump_records(0), records, "{threads} thread(s)");
+            assert_eq!(sys.dump_records(1), shifted, "{threads} thread(s)");
+        }
     }
 
     #[test]
@@ -2560,7 +2586,7 @@ mod tests {
 
     /// The file backend must behave identically to MemDisk under every
     /// service mode — including the threaded split-phase path the
-    /// engine's overlap uses, where the per-disk workers issue real
+    /// engine's overlap uses, where the service threads issue real
     /// positional reads/writes against the files.
     #[test]
     fn file_backend_split_phase_all_modes() {

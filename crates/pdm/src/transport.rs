@@ -3,9 +3,10 @@
 //!
 //! Three [`Transport`] implementations exist:
 //!
-//! * [`crate::parallel::InProcTransport`] — the default: per-disk
-//!   service threads fed a run of commands at a time, zero
-//!   serialization (`crate::parallel`).
+//! * [`crate::parallel::InProcTransport`] — the default: in-process
+//!   service threads (`min(D, available_parallelism)` of them behind a
+//!   [`crate::parallel::DiskPool`]), each disk fed a run of commands at
+//!   a time, zero serialization (`crate::parallel`).
 //! * [`UdsTransport`] — one `pdm-diskd` worker **process** per disk,
 //!   framed messages over a Unix-domain socket. Submission is a channel
 //!   send to a per-disk writer thread that encodes and writes request

@@ -1,29 +1,29 @@
-//! The shared disk array behind the service: one worker thread per
-//! physical disk, many tenant [`DiskSystem`]s.
+//! The shared disk array behind the service: a few service threads
+//! over the physical disks, many tenant [`DiskSystem`]s.
 //!
-//! A [`DiskFarm`] owns `D` memory-backed disk workers, each a thread
-//! running [`pdm::parallel::serve_disk`] over an
-//! [`pdm::parallel::Inbox`], like [`pdm::parallel::InProcTransport`] —
-//! except that *many* clients feed the same worker's inbox. Each
+//! A [`DiskFarm`] owns `D` memory-backed disks served by
+//! [`pdm::parallel::service_threads`]`(D)` = `min(D,
+//! available_parallelism)` threads ([`pdm::parallel::Workers`], the same
+//! service threads as [`pdm::parallel::DiskPool::new`]'s, disk `d` on
+//! thread `d mod P`) — except that *many* clients feed each disk. Each
 //! admitted job leases a contiguous range of block slots on every disk
 //! ([`DiskFarm::lease_system`]) and gets its own
 //! [`DiskSystem`] whose per-disk `FarmTransport`s translate the
 //! job's slot addresses into the leased range and feed the shared
-//! workers. The disks are therefore physically contended — commands
-//! from all tenants interleave in each worker's queue — while
+//! threads. The disks are therefore physically contended — commands
+//! from all tenants interleave in each thread's queue — while
 //! validation, buffer pools, and [`pdm::IoStats`] accounting stay
 //! per-job, and the fair-share governor
 //! ([`pdm::system::DiskSystem::set_governor`]) decides whose command
 //! is *submitted* next.
 
 use pdm::backend::{DiskUnit, MemDisk};
-use pdm::parallel::{fail_disconnected, serve_disk, Cmd, Inbox};
+use pdm::parallel::{fail_disconnected, service_threads, Cmd, Inbox, Workers};
 use pdm::record::{ByteRecord, Record};
 use pdm::{DiskSystem, Geometry, MsgStats, PdmError, RemoteDisk, RespawnSpec, Result, Transport};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// What backs the farm's disks.
 #[derive(Clone, Debug, PartialEq)]
@@ -131,15 +131,19 @@ impl Drop for Lease {
     }
 }
 
-/// The shared disk array: `D` worker threads, each owning one
-/// memory-backed disk of `slots` blocks, serving commands from every
+/// The shared disk array: `D` disks of `slots` blocks on
+/// `min(D, available_parallelism)` service threads (one thread per
+/// disk over `pdm-diskd` workers), serving commands from every
 /// tenant's `FarmTransport`s.
 #[derive(Debug)]
 pub struct DiskFarm<R: Record> {
     block: usize,
     slots: usize,
-    inboxes: Vec<Inbox<R>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The service threads. Dropping them stops them; a lease that
+    /// outlived the farm (the service core drops every leased system
+    /// first) would see its commands answered with `Disconnected`.
+    /// Declared before `_dir`, which must outlive the UDS workers.
+    workers: Workers<R>,
     alloc: Arc<Mutex<SlotAllocator>>,
     /// Per-disk crash-injection flags (UDS backend only; empty for
     /// memory disks). Arming a flag makes the disk's [`RemoteDisk`]
@@ -152,50 +156,57 @@ pub struct DiskFarm<R: Record> {
 }
 
 impl<R: Record> DiskFarm<R> {
-    /// Spawns `disks` workers, each with a memory-backed disk of
-    /// `slots` blocks of `block` records.
+    /// Serves `disks` memory-backed disks of `slots` blocks of `block`
+    /// records on [`service_threads`]`(disks)` threads.
     pub fn new(block: usize, disks: usize, slots: usize) -> Self {
-        let units = (0..disks)
-            .map(|_| Box::new(MemDisk::new(block, slots)) as Box<dyn DiskUnit<R>>)
-            .collect();
-        Self::from_units(block, slots, units, Vec::new(), Arc::default(), None)
+        let units = mem_units(block, disks, slots);
+        let threads = service_threads(disks);
+        Self::from_units(
+            block,
+            slots,
+            units,
+            threads,
+            Vec::new(),
+            Arc::default(),
+            None,
+        )
     }
 
-    /// A farm over the given units, one worker thread each: how tests
-    /// put a misbehaving disk behind the service.
+    /// A farm over the given units on `threads` service threads: how
+    /// tests put a misbehaving disk behind the service, or several
+    /// disks on one thread.
     #[cfg(test)]
-    pub(crate) fn over_units(block: usize, slots: usize, units: Vec<Box<dyn DiskUnit<R>>>) -> Self {
-        Self::from_units(block, slots, units, Vec::new(), Arc::default(), None)
+    pub(crate) fn over_units(
+        block: usize,
+        slots: usize,
+        units: Vec<Box<dyn DiskUnit<R>>>,
+        threads: usize,
+    ) -> Self {
+        Self::from_units(
+            block,
+            slots,
+            units,
+            threads,
+            Vec::new(),
+            Arc::default(),
+            None,
+        )
     }
 
-    /// Spawns one worker thread per unit, each serving its command
-    /// channel.
+    /// Serves the units on `threads` service threads.
     fn from_units(
         block: usize,
         slots: usize,
         units: Vec<Box<dyn DiskUnit<R>>>,
+        threads: usize,
         kills: Vec<Arc<AtomicBool>>,
         respawns: Arc<AtomicU64>,
         dir: Option<pdm::TempDir>,
     ) -> Self {
-        let disks = units.len();
-        let mut inboxes = Vec::with_capacity(disks);
-        let mut workers = Vec::with_capacity(disks);
-        for (d, mut unit) in units.into_iter().enumerate() {
-            let inbox = Inbox::new();
-            let served = inbox.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("pdm-farm-{d}"))
-                .spawn(move || serve_disk(d, unit.as_mut(), &served))
-                .expect("spawn farm worker");
-            inboxes.push(inbox);
-            workers.push(handle);
-        }
         DiskFarm {
             block,
             slots,
-            inboxes,
-            workers,
+            workers: Workers::spawn("pdm-farm", units, threads),
             alloc: Arc::new(Mutex::new(SlotAllocator::new(slots))),
             kills,
             respawns,
@@ -216,7 +227,7 @@ impl<R: Record> DiskFarm<R> {
 
     /// Number of disks.
     pub fn disks(&self) -> usize {
-        self.inboxes.len()
+        self.workers.inboxes().len()
     }
 
     /// Block slots per disk.
@@ -245,11 +256,11 @@ impl<R: Record> DiskFarm<R> {
                 self.block
             )));
         }
-        if geom.disks() != self.inboxes.len() {
+        if geom.disks() != self.disks() {
             return Err(PdmError::Config(format!(
                 "job wants {} disks, the farm has {}",
                 geom.disks(),
-                self.inboxes.len()
+                self.disks()
             )));
         }
         let need = portions * geom.stripes();
@@ -268,9 +279,7 @@ impl<R: Record> DiskFarm<R> {
             base,
             len: need,
         };
-        let transports: Vec<Box<dyn Transport<R>>> = self
-            .inboxes
-            .iter()
+        let transports: Vec<Box<dyn Transport<R>>> = (self.workers.inboxes().iter())
             .enumerate()
             .map(|(d, inbox)| {
                 Box::new(FarmTransport {
@@ -308,11 +317,13 @@ impl<R: Record + ByteRecord> DiskFarm<R> {
 
     /// Spawns `disks` file-backed `pdm-diskd` worker processes (one
     /// per disk, sockets and backing files in a fresh temp
-    /// directory) and a farm worker thread per process holding the
-    /// blocking [`RemoteDisk`] client. Each disk carries a
-    /// crash-injection kill flag and shares the farm's respawn
-    /// ledger; a killed worker is relaunched with `--reopen`, so its
-    /// store survives, up to `max_respawns` times per disk.
+    /// directory) and a farm service thread per process holding the
+    /// blocking [`RemoteDisk`] client: every transfer is a blocking
+    /// socket round trip, so two disks on one thread would serialize.
+    /// Each disk carries a crash-injection kill flag and shares the
+    /// farm's respawn ledger; a killed worker is relaunched with
+    /// `--reopen`, so its store survives, up to `max_respawns` times
+    /// per disk.
     pub fn new_uds(
         block: usize,
         disks: usize,
@@ -346,6 +357,7 @@ impl<R: Record + ByteRecord> DiskFarm<R> {
             block,
             slots,
             units,
+            disks,
             kills,
             respawns,
             Some(dir),
@@ -353,18 +365,11 @@ impl<R: Record + ByteRecord> DiskFarm<R> {
     }
 }
 
-impl<R: Record> Drop for DiskFarm<R> {
-    fn drop(&mut self) {
-        // Stop every worker; a lease that outlived the farm (the
-        // service core drops every leased system first) would see its
-        // commands answered with `Disconnected`.
-        for (d, inbox) in self.inboxes.iter().enumerate() {
-            inbox.send(d, &mut vec![Cmd::Stop]);
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
+/// `disks` memory disks of `slots` blocks of `block` records.
+fn mem_units<R: Record>(block: usize, disks: usize, slots: usize) -> Vec<Box<dyn DiskUnit<R>>> {
+    (0..disks)
+        .map(|_| Box::new(MemDisk::new(block, slots)) as Box<dyn DiskUnit<R>>)
+        .collect()
 }
 
 /// One disk's transport for one tenant: forwards commands to the
@@ -482,48 +487,63 @@ mod tests {
         assert_eq!(farm.free_slots(), 64);
     }
 
+    /// Two-disk memory farms of `slots` blocks of 2 records: by the
+    /// rule, and with both disks on one service thread.
+    fn two_disk_farms(slots: usize) -> [DiskFarm<u64>; 2] {
+        [
+            DiskFarm::new(2, 2, slots),
+            DiskFarm::over_units(2, slots, mem_units(2, 2, slots), 1),
+        ]
+    }
+
     #[test]
     fn a_run_lands_in_the_leased_slots() {
-        let farm: DiskFarm<u64> = DiskFarm::new(2, 2, 64);
-        // 8 stripes of 4 records; a memoryload is 4 stripes, so bulk
-        // placement sends each disk 4-block runs.
-        let geom = Geometry::new(32, 2, 2, 16).unwrap();
-        let (mut a, _la) = farm.lease_system(geom, 1).unwrap();
-        let (mut b, lb) = farm.lease_system(geom, 1).unwrap();
-        assert_eq!(
-            lb.base,
-            geom.stripes(),
-            "the second lease starts past the first"
-        );
-        a.set_threaded(true);
-        b.set_threaded(true);
-        a.load_records(0, &(0..32).collect::<Vec<_>>());
-        b.load_records(0, &(100..132).collect::<Vec<_>>());
-        // Disk 0 of the shared array, read straight from its worker:
-        // block 0 of every stripe of b, at b's leased slots.
-        let done = pdm::parallel::CompletionQueue::new();
-        let physical = lb.base..lb.base + geom.stripes();
-        let mut reads: Vec<Cmd<u64>> = physical
-            .clone()
-            .map(|slot| Cmd::Read {
-                slot,
-                buf: vec![0; 2],
-                idx: slot,
-                done: done.clone(),
-                more: false,
-            })
-            .collect();
-        assert!(farm.inboxes[0].send(0, &mut reads));
-        for (s, slot) in physical.enumerate() {
-            let c = done.recv();
-            c.result.unwrap();
-            assert_eq!(c.idx, slot);
-            assert_eq!(c.buf, [100 + 4 * s as u64, 101 + 4 * s as u64]);
+        for farm in two_disk_farms(64) {
+            let threads = farm.workers.threads();
+            // 8 stripes of 4 records; a memoryload is 4 stripes, so bulk
+            // placement sends each disk 4-block runs.
+            let geom = Geometry::new(32, 2, 2, 16).unwrap();
+            let (mut a, _la) = farm.lease_system(geom, 1).unwrap();
+            let (mut b, lb) = farm.lease_system(geom, 1).unwrap();
+            assert_eq!(
+                lb.base,
+                geom.stripes(),
+                "the second lease starts past the first"
+            );
+            a.set_threaded(true);
+            b.set_threaded(true);
+            a.load_records(0, &(0..32).collect::<Vec<_>>());
+            b.load_records(0, &(100..132).collect::<Vec<_>>());
+            // Each disk of the shared array, read straight from its
+            // service thread: block `disk` of every stripe of b, at b's
+            // leased slots.
+            for disk in 0..2 {
+                let done = pdm::parallel::CompletionQueue::new();
+                let physical = lb.base..lb.base + geom.stripes();
+                let mut reads: Vec<Cmd<u64>> = physical
+                    .clone()
+                    .map(|slot| Cmd::Read {
+                        slot,
+                        buf: vec![0; 2],
+                        idx: slot,
+                        done: done.clone(),
+                        more: false,
+                    })
+                    .collect();
+                assert!(farm.workers.inboxes()[disk].send(disk, &mut reads));
+                for (s, slot) in physical.enumerate() {
+                    let c = done.recv();
+                    c.result.unwrap();
+                    assert_eq!((c.idx, c.disk), (slot, disk));
+                    let first = 100 + 4 * s as u64 + 2 * disk as u64;
+                    assert_eq!(c.buf, [first, first + 1], "{threads} thread(s)");
+                }
+            }
+            // Both tenants read their own records back through runs.
+            assert_eq!(a.dump_records(0), (0..32).collect::<Vec<_>>());
+            assert_eq!(b.dump_records(0), (100..132).collect::<Vec<_>>());
+            assert_eq!(b.buffer_pool_stats().outstanding, 0);
         }
-        // Both tenants read their own records back through runs.
-        assert_eq!(a.dump_records(0), (0..32).collect::<Vec<_>>());
-        assert_eq!(b.dump_records(0), (100..132).collect::<Vec<_>>());
-        assert_eq!(b.buffer_pool_stats().outstanding, 0);
     }
 
     #[test]
@@ -578,19 +598,23 @@ mod tests {
 
     #[test]
     fn disconnected_tenant_leaves_the_worker_alive() {
-        let farm: DiskFarm<u64> = DiskFarm::new(2, 2, 32);
-        let geom = Geometry::new(32, 2, 2, 16).unwrap();
-        let (mut a, _la) = farm.lease_system(geom, 2).unwrap();
-        let (mut b, _lb) = farm.lease_system(geom, 2).unwrap();
-        a.load_records(0, &(0..32).collect::<Vec<_>>());
-        b.load_records(0, &(0..32).collect::<Vec<_>>());
-        // Sever tenant a mid-life via the fault plan, PR 6 style.
-        a.set_faults(pdm::FaultPlan::new().disconnect_at(0, 0));
-        a.set_threaded(true);
-        let err = a.read_stripe(0);
-        assert!(err.is_err(), "severed link must surface");
-        assert_eq!(a.buffer_pool_stats().outstanding, 0, "pool hygiene");
-        // Tenant b is unaffected.
-        assert_eq!(b.read_stripe(0).unwrap().len(), 4);
+        for farm in two_disk_farms(32) {
+            let geom = Geometry::new(32, 2, 2, 16).unwrap();
+            let (mut a, _la) = farm.lease_system(geom, 2).unwrap();
+            let (mut b, _lb) = farm.lease_system(geom, 2).unwrap();
+            a.load_records(0, &(0..32).collect::<Vec<_>>());
+            b.load_records(0, &(0..32).collect::<Vec<_>>());
+            // Sever tenant a's disk 0 via the fault plan.
+            a.set_faults(pdm::FaultPlan::new().disconnect_at(0, 0));
+            a.set_threaded(true);
+            let err = a.read_stripe(0);
+            assert!(err.is_err(), "severed link must surface");
+            assert_eq!(a.buffer_pool_stats().outstanding, 0, "pool hygiene");
+            // Tenant b is unaffected, on both disks, however they share
+            // service threads.
+            assert_eq!(b.read_stripe(0).unwrap(), [0, 1, 2, 3]);
+            b.set_threaded(true);
+            assert_eq!(b.dump_records(0), (0..32).collect::<Vec<_>>());
+        }
     }
 }

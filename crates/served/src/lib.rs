@@ -12,7 +12,7 @@
 //!
 //! The crate splits into:
 //!
-//! - [`farm`] — the shared per-disk worker threads, slot leasing, and
+//! - [`farm`] — the shared disks' service threads, slot leasing, and
 //!   the per-tenant transports that feed them;
 //! - [`job`] — job specifications and the executor that runs one job
 //!   against a leased disk system;
