@@ -69,4 +69,4 @@ pub use system::{
 };
 pub use tempdir::TempDir;
 pub use timing::{TimingModel, TimingTracker};
-pub use transport::{RemoteDisk, RespawnSpec, SimNetModel, TransportConfig, UdsConfig};
+pub use transport::{RespawnSpec, SimNetModel, TransportConfig, UdsConfig};

@@ -969,16 +969,15 @@ impl<R: Record> DiskSystem<R> {
         result
     }
 
-    /// Submits a staged ticket and waits for it: read blocks land in
-    /// `out` at their staged offsets (writes pass `None` and take block
-    /// `idx` from `data(idx)`). The ticket is recycled whatever the
-    /// outcome.
+    /// Submits a staged ticket and waits for it, recovering under the
+    /// retry policy: read blocks land in `out` at their staged offsets
+    /// (writes pass `None` and take block `idx` from `data(idx)`). The
+    /// ticket is recycled whatever the outcome.
     fn transfer<'d>(
         &mut self,
         mut op: InFlight<R>,
         data: impl Fn(usize) -> &'d [R],
         mut out: Option<&mut [R]>,
-        recover: bool,
     ) -> Result<()>
     where
         R: 'd,
@@ -987,9 +986,9 @@ impl<R: Record> DiskSystem<R> {
             &mut op,
             data,
             Sink::out_or_discard(out.as_deref_mut()),
-            recover,
+            true,
         );
-        let drained = self.finish(op, Sink::out_or_discard(out), recover);
+        let drained = self.finish(op, Sink::out_or_discard(out), true);
         sent.and(drained)
     }
 
@@ -1009,7 +1008,7 @@ impl<R: Record> DiskSystem<R> {
         self.admit(refs, read)?;
         let mut op = self.ticket(read);
         op.stage(refs);
-        self.transfer(op, data, out, true)?;
+        self.transfer(op, data, out)?;
         self.charge(refs, read);
         Ok(())
     }
@@ -1506,7 +1505,8 @@ impl<R: Record> DiskSystem<R> {
     /// Fills a portion with `records` in address order **without
     /// counting I/Os** — initial data placement, not part of any
     /// algorithm's cost. Each memoryload is one ticket: one run per disk
-    /// on a pooled system.
+    /// on a pooled system. A link that dies under it is recovered under
+    /// the retry policy, as for a counted operation.
     pub fn load_records(&mut self, portion: usize, records: &[R]) {
         assert_eq!(
             records.len(),
@@ -1518,21 +1518,22 @@ impl<R: Record> DiskSystem<R> {
         let (block, spm) = (self.geom.block(), self.geom.stripes_per_memoryload());
         for (ml, chunk) in records.chunks_exact(self.geom.memory()).enumerate() {
             let op = self.memoryload_ticket(false, base + ml * spm);
-            self.transfer(op, |i| &chunk[i * block..(i + 1) * block], None, false)
+            self.transfer(op, |i| &chunk[i * block..(i + 1) * block], None)
                 .expect("load_records within capacity");
         }
     }
 
     /// Reads a whole portion back in address order **without counting
     /// I/Os** — for verification at the end of an experiment. Each
-    /// memoryload is one ticket: one run per disk on a pooled system.
+    /// memoryload is one ticket: one run per disk on a pooled system,
+    /// recovered like [`DiskSystem::load_records`].
     pub fn dump_records(&mut self, portion: usize) -> Vec<R> {
         let base = self.portion_base(portion);
         let spm = self.geom.stripes_per_memoryload();
         let mut out = vec![R::default(); self.geom.records()];
         for (ml, chunk) in out.chunks_exact_mut(self.geom.memory()).enumerate() {
             let op = self.memoryload_ticket(true, base + ml * spm);
-            self.transfer(op, no_data, Some(chunk), false)
+            self.transfer(op, no_data, Some(chunk))
                 .expect("dump_records within capacity");
         }
         out
@@ -1544,7 +1545,7 @@ impl<R: Record> DiskSystem<R> {
         let mut buf = vec![R::default(); self.geom.block()];
         let mut op = self.ticket(true);
         op.stage(&[r]);
-        self.transfer(op, no_data, Some(&mut buf), false)
+        self.transfer(op, no_data, Some(&mut buf))
             .expect("peek_block within capacity");
         buf
     }

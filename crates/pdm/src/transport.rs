@@ -18,7 +18,10 @@
 //!   byte stream, and the single-threaded worker replies in request
 //!   order). Submission therefore stays split-phase: the engine's
 //!   read-ahead overlap pipelines requests over the socket exactly as
-//!   it pipelines them over channels.
+//!   it pipelines them over channels. It is the one client of
+//!   `pdm-diskd`, with those two threads per disk: a direct
+//!   [`TransportConfig::Uds`] system owns one per disk, and the job
+//!   service's UDS disk farm shares one per disk among its tenants.
 //! * [`SimNetTransport`] — a deterministic in-process "network": every
 //!   command is encoded to wire bytes, handled by the same
 //!   [`Worker`] the out-of-process server runs, and decoded back, with
@@ -304,7 +307,9 @@ fn locate_diskd(env_override: Option<OsString>, exe: Option<&Path>) -> Option<Pa
 /// reconnect to it: the spawn parameters [`spawn_uds_workers`] used,
 /// retained on the transport so [`Transport::respawn`] can redo the
 /// spawn — with `--reopen`, so a file-backed store survives its
-/// worker.
+/// worker. That respawn is the only code that relaunches a worker; a
+/// [`crate::system::DiskSystem`]'s retry layer calls it, directly or
+/// through a job service tenant's shared link.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RespawnSpec {
     /// The worker binary.
@@ -438,9 +443,12 @@ impl<R: Record + ByteRecord> UdsTransport<R> {
         let (cmd_tx, cmd_rx) = channel::<Cmd<R>>();
         let reader = {
             let counters = Arc::clone(&counters);
+            let dead = Arc::clone(&dead);
             std::thread::Builder::new()
                 .name(format!("pdm-uds-{disk}"))
-                .spawn(move || reader_loop::<R>(disk, reader_stream, pending_rx, counters, block))
+                .spawn(move || {
+                    reader_loop::<R>(disk, reader_stream, pending_rx, counters, dead, block)
+                })
                 .map_err(|e| PdmError::Io(format!("spawn uds reader: {e}")))?
         };
         let writer = {
@@ -588,13 +596,15 @@ fn writer_loop<R: Record + ByteRecord>(
 }
 
 /// Matches reply frames to pending commands in FIFO order and fires
-/// their completions; a broken socket answers the rest with
-/// `Disconnected`.
+/// their completions; a broken socket marks the link dead — a worker
+/// that crashed on its own is seen only here — and answers the rest
+/// with `Disconnected`.
 fn reader_loop<R: Record + ByteRecord>(
     disk: usize,
     stream: UnixStream,
     pending_rx: Receiver<PendingOp<R>>,
     counters: Arc<Counters>,
+    dead: Arc<AtomicBool>,
     block: usize,
 ) {
     let mut reader = BufReader::with_capacity(64 * 1024, stream);
@@ -633,7 +643,10 @@ fn reader_loop<R: Record + ByteRecord>(
                     Err(e) => Err(e),
                 }
             }
-            Err(_) => Err(PdmError::Disconnected { disk }),
+            Err(_) => {
+                dead.store(true, Ordering::Relaxed);
+                Err(PdmError::Disconnected { disk })
+            }
         };
         p.done.send(Completion {
             idx: p.idx,
@@ -859,231 +872,6 @@ pub fn spawn_uds_workers<R: Record + ByteRecord>(
         }
     }
     Ok(transports)
-}
-
-// ---------------------------------------------------------------------
-// A blocking DiskUnit client (the job service's remote disk farm).
-
-/// A synchronous [`DiskUnit`] over a `pdm-diskd` socket with bounded
-/// transparent worker respawn — the building block of the job
-/// service's UDS disk farm, where each farm worker thread drives one
-/// remote disk and a killed worker process must not take jobs down
-/// with it.
-///
-/// Unlike [`UdsTransport`] (split-phase, pipelined, feeding the
-/// engine), `RemoteDisk` performs one request/reply round trip per
-/// call on the calling thread. On a dead socket it relaunches the
-/// worker per its [`RespawnSpec`] (file-backed stores reopen without
-/// truncation), replays the handshake, and retries the interrupted
-/// operation once — reads are idempotent and an interrupted write is
-/// simply re-sent, so the replay is safe. Respawns are bounded by
-/// `max_respawns` over the disk's lifetime; past the budget (or for a
-/// memory-backed store, whose contents died with the process) the
-/// typed [`PdmError::Disconnected`] surfaces exactly as without
-/// recovery.
-pub struct RemoteDisk<R: Record + ByteRecord> {
-    spec: RespawnSpec,
-    stream: Option<UnixStream>,
-    child: Option<Child>,
-    /// Crash injection: armed by the owner; consumed at the next
-    /// operation, which kills the worker mid-service and then
-    /// recovers through the respawn path.
-    kill: Arc<AtomicBool>,
-    /// Shared ledger of successful respawns (the farm aggregates one
-    /// counter across its disks for service-level reporting).
-    respawns: Arc<AtomicU64>,
-    max_respawns: u32,
-    used_respawns: u32,
-    seq: u64,
-    req: Vec<u8>,
-    rep: Vec<u8>,
-    _records: PhantomData<R>,
-}
-
-impl<R: Record + ByteRecord> RemoteDisk<R> {
-    /// Spawns a fresh worker per `spec` (truncating any existing
-    /// store) and connects. `kill` and `respawns` are shared with the
-    /// owner for fault injection and accounting.
-    pub fn launch(
-        spec: RespawnSpec,
-        max_respawns: u32,
-        kill: Arc<AtomicBool>,
-        respawns: Arc<AtomicU64>,
-    ) -> Result<Self> {
-        let mut child = spec.launch(spec.block * R::BYTES, false)?;
-        let stream = match Self::handshake(&spec) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-        };
-        Ok(RemoteDisk {
-            spec,
-            stream: Some(stream),
-            child: Some(child),
-            kill,
-            respawns,
-            max_respawns,
-            used_respawns: 0,
-            seq: 0,
-            req: Vec::new(),
-            rep: Vec::new(),
-            _records: PhantomData,
-        })
-    }
-
-    /// Successful respawns this disk has performed.
-    pub fn respawns_used(&self) -> u32 {
-        self.used_respawns
-    }
-
-    fn handshake(spec: &RespawnSpec) -> Result<UnixStream> {
-        let mut stream = connect_with_retry(&spec.socket, Duration::from_secs(10))?;
-        let mut frame = Vec::new();
-        proto::encode_hello(&mut frame, spec.block, R::BYTES, spec.slots);
-        stream
-            .write_all(&frame)
-            .map_err(|e| PdmError::Io(format!("remote disk HELLO: {e}")))?;
-        read_frame(&mut stream, &mut frame)
-            .map_err(|e| PdmError::Io(format!("remote disk HELLO reply: {e}")))?;
-        proto::decode_hello_reply(&frame, PROTO_VERSION)?;
-        Ok(stream)
-    }
-
-    /// Consumes an armed kill flag: murders the worker and severs the
-    /// socket, so the next round trip observes the crash immediately.
-    fn maybe_kill(&mut self) {
-        if self.kill.swap(false, Ordering::Relaxed) {
-            if let Some(c) = self.child.as_mut() {
-                let _ = c.kill();
-            }
-            if let Some(s) = self.stream.take() {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-
-    /// Relaunches a dead worker (`--reopen`: the file-backed store
-    /// survives) and replays the handshake, within the respawn budget.
-    fn recover(&mut self) -> Result<()> {
-        if self.spec.file.is_none() || self.used_respawns >= self.max_respawns {
-            return Err(PdmError::Disconnected { disk: usize::MAX });
-        }
-        if let Some(mut c) = self.child.take() {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-        self.stream = None;
-        let mut child = self.spec.launch(self.spec.block * R::BYTES, true)?;
-        let stream = match Self::handshake(&self.spec) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-        };
-        self.child = Some(child);
-        self.stream = Some(stream);
-        self.used_respawns += 1;
-        self.respawns.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Writes the frame in `req`, reads the reply body into `rep`. A
-    /// broken socket surfaces as `Disconnected` with the stream
-    /// dropped so the caller's recovery path engages.
-    fn send_recv(&mut self) -> Result<()> {
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(PdmError::Disconnected { disk: usize::MAX });
-        };
-        if stream.write_all(&self.req).is_err() || read_frame(stream, &mut self.rep).is_err() {
-            self.stream = None;
-            return Err(PdmError::Disconnected { disk: usize::MAX });
-        }
-        Ok(())
-    }
-
-    fn read_once(&mut self, slot: usize, out: &mut [R]) -> Result<()> {
-        self.seq += 1;
-        self.req.clear();
-        proto::encode_read(&mut self.req, self.seq, slot as u64);
-        self.send_recv()?;
-        let reply = proto::decode_reply(&self.rep)?;
-        let payload = reply.result?;
-        if payload.len() != self.spec.block * R::BYTES {
-            return Err(PdmError::Io(format!(
-                "remote disk read reply carries {} bytes, expected {}",
-                payload.len(),
-                self.spec.block * R::BYTES
-            )));
-        }
-        for (chunk, r) in payload.chunks_exact(R::BYTES).zip(out.iter_mut()) {
-            *r = R::from_bytes(chunk);
-        }
-        Ok(())
-    }
-
-    fn write_once(&mut self, slot: usize, data: &[R]) -> Result<()> {
-        self.seq += 1;
-        self.req.clear();
-        proto::encode_write(&mut self.req, self.seq, slot as u64, data);
-        self.send_recv()?;
-        let reply = proto::decode_reply(&self.rep)?;
-        reply.result.map(|_| ())
-    }
-}
-
-impl<R: Record + ByteRecord> DiskUnit<R> for RemoteDisk<R> {
-    fn slots(&self) -> usize {
-        self.spec.slots
-    }
-
-    fn block(&self) -> usize {
-        self.spec.block
-    }
-
-    fn read(&mut self, slot: usize, out: &mut [R]) -> Result<()> {
-        self.maybe_kill();
-        match self.read_once(slot, out) {
-            Err(PdmError::Disconnected { .. }) => {
-                self.recover()?;
-                self.read_once(slot, out)
-            }
-            r => r,
-        }
-    }
-
-    fn write(&mut self, slot: usize, data: &[R]) -> Result<()> {
-        self.maybe_kill();
-        match self.write_once(slot, data) {
-            Err(PdmError::Disconnected { .. }) => {
-                self.recover()?;
-                self.write_once(slot, data)
-            }
-            r => r,
-        }
-    }
-}
-
-impl<R: Record + ByteRecord> Drop for RemoteDisk<R> {
-    fn drop(&mut self) {
-        let graceful = if let Some(mut s) = self.stream.take() {
-            self.req.clear();
-            proto::encode_stop(&mut self.req);
-            s.write_all(&self.req).is_ok()
-        } else {
-            false
-        };
-        if let Some(mut c) = self.child.take() {
-            if !graceful {
-                let _ = c.kill();
-            }
-            let _ = c.wait();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1369,6 +1157,34 @@ mod tests {
     }
 
     #[test]
+    fn uds_link_whose_worker_died_unseen_is_not_healthy() {
+        // A worker that takes the handshake and one request, then dies
+        // without replying: only the client's reader sees the crash.
+        let dir = TempDir::new("pdm-uds-died");
+        let path = dir.path().join("disk0.sock");
+        let listener = UnixListener::bind(&path).unwrap();
+        let worker = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let (mut frame, mut reply) = (Vec::new(), Vec::new());
+            read_frame(&mut stream, &mut frame).unwrap();
+            proto::encode_hello_ok(&mut reply, PROTO_VERSION);
+            stream.write_all(&reply).unwrap();
+            read_frame(&mut stream, &mut frame).unwrap();
+        });
+        let mut t = UdsTransport::<u64>::connect(0, &path, 2, 4, None, None).unwrap();
+        let q = CompletionQueue::new();
+        t.submit(cmd(true, 0, vec![0, 0], false, &q));
+        assert!(matches!(
+            q.recv().result,
+            Err(PdmError::Disconnected { disk: 0 })
+        ));
+        worker.join().unwrap();
+        // Not "healthy, resend": the link knows it is dead, and this
+        // externally managed worker cannot be relaunched.
+        assert!(t.respawn().is_err());
+    }
+
+    #[test]
     fn sim_transport_disconnect_answers_without_worker() {
         let mut t = SimNetTransport::<u64>::new_mem(3, 2, 4, SimNetModel::lan());
         let before = t.message_stats();
@@ -1475,45 +1291,6 @@ mod tests {
         let c = q.recv();
         c.result.unwrap();
         assert_eq!(c.buf, vec![5, 6], "store survived the crash");
-    }
-
-    #[test]
-    fn remote_disk_respawns_killed_worker_with_data_intact() {
-        let Some(bin) = find_diskd() else {
-            eprintln!("pdm-diskd not built; skipping");
-            return;
-        };
-        let dir = TempDir::new("pdm-remote-disk");
-        let spec = RespawnSpec {
-            bin,
-            socket: dir.path().join("d.sock"),
-            block: 2,
-            slots: 4,
-            file: Some(dir.path().join("d.bin")),
-        };
-        let kill = Arc::new(AtomicBool::new(false));
-        let respawns = Arc::new(AtomicU64::new(0));
-        let mut disk =
-            RemoteDisk::<u64>::launch(spec, 2, Arc::clone(&kill), Arc::clone(&respawns)).unwrap();
-        assert_eq!(DiskUnit::<u64>::slots(&disk), 4);
-        assert_eq!(DiskUnit::<u64>::block(&disk), 2);
-        disk.write(1, &[7, 8]).unwrap();
-        // Crash the worker; the very next operation recovers it and
-        // the file-backed store comes back un-truncated.
-        kill.store(true, Ordering::Relaxed);
-        let mut out = [0u64; 2];
-        disk.read(1, &mut out).unwrap();
-        assert_eq!(out, [7, 8]);
-        assert_eq!(respawns.load(Ordering::Relaxed), 1);
-        assert_eq!(disk.respawns_used(), 1);
-        // A second crash exhausts the budget of 2 on its respawn; a
-        // third surfaces Disconnected.
-        kill.store(true, Ordering::Relaxed);
-        disk.read(1, &mut out).unwrap();
-        assert_eq!(respawns.load(Ordering::Relaxed), 2);
-        kill.store(true, Ordering::Relaxed);
-        let err = disk.read(1, &mut out).unwrap_err();
-        assert!(matches!(err, PdmError::Disconnected { .. }), "{err}");
     }
 
     #[test]

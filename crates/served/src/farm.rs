@@ -1,28 +1,34 @@
-//! The shared disk array behind the service: a few service threads
-//! over the physical disks, many tenant [`DiskSystem`]s.
+//! The shared disk array behind the service: `D` physical disks, many
+//! tenant [`DiskSystem`]s.
 //!
-//! A [`DiskFarm`] owns `D` memory-backed disks served by
-//! [`pdm::parallel::service_threads`]`(D)` = `min(D,
-//! available_parallelism)` threads ([`pdm::parallel::Workers`], the same
-//! service threads as [`pdm::parallel::DiskPool::new`]'s, disk `d` on
-//! thread `d mod P`) — except that *many* clients feed each disk. Each
-//! admitted job leases a contiguous range of block slots on every disk
-//! ([`DiskFarm::lease_system`]) and gets its own
-//! [`DiskSystem`] whose per-disk `FarmTransport`s translate the
-//! job's slot addresses into the leased range and feed the shared
-//! threads. The disks are therefore physically contended — commands
-//! from all tenants interleave in each thread's queue — while
-//! validation, buffer pools, and [`pdm::IoStats`] accounting stay
+//! Each admitted job leases a contiguous range of block slots on every
+//! disk of a [`DiskFarm`] ([`DiskFarm::lease_system`]) and gets its own
+//! [`DiskSystem`], whose per-disk `FarmTransport`s translate the job's
+//! slot addresses into the leased range and hand each run of commands
+//! to the disk's one shared link. The disks are therefore physically
+//! contended — commands from all tenants interleave on each link —
+//! while validation, buffer pools, and [`pdm::IoStats`] accounting stay
 //! per-job, and the fair-share governor
-//! ([`pdm::system::DiskSystem::set_governor`]) decides whose command
-//! is *submitted* next.
+//! ([`pdm::system::DiskSystem::set_governor`]) decides whose command is
+//! *submitted* next. A memory disk's link is its service thread's
+//! [`Inbox`]: [`pdm::parallel::service_threads`]`(D)` = `min(D,
+//! available_parallelism)` threads serve the memory farm, disk `d` on
+//! thread `d mod P` ([`pdm::parallel::Workers`]). A `pdm-diskd` disk's
+//! link is its worker's [`UdsTransport`] behind a per-disk lock, the
+//! pipelined client of a direct [`pdm::TransportConfig::Uds`] system
+//! with its writer and reader thread; the UDS farm has no threads of
+//! its own. A leased system's [`DiskSystem::message_stats`] reads zero
+//! on both: memory commands cross by reference, and the frames on a
+//! shared socket belong to no single tenant.
+//!
+//! [`UdsTransport`]: pdm::transport::UdsTransport
 
 use pdm::backend::{DiskUnit, MemDisk};
 use pdm::parallel::{fail_disconnected, service_threads, Cmd, Inbox, Workers};
 use pdm::record::{ByteRecord, Record};
-use pdm::{DiskSystem, Geometry, MsgStats, PdmError, RemoteDisk, RespawnSpec, Result, Transport};
+use pdm::transport::spawn_uds_workers;
+use pdm::{Backend, DiskSystem, Geometry, PdmError, Result, RetryPolicy, Transport, UdsConfig};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What backs the farm's disks.
@@ -33,8 +39,8 @@ pub enum FarmBackend {
     Mem,
     /// One `pdm-diskd` process per disk over Unix sockets, file-backed
     /// so a crashed worker can be respawned with its data intact. An
-    /// injected disconnect *kills the real process*; the farm recovers
-    /// it transparently, bounded by `max_respawns` per disk.
+    /// injected disconnect *kills the real process*; the tenants' retry
+    /// layer relaunches it, at most `max_respawns` times per disk.
     Uds {
         /// Path to the `pdm-diskd` binary.
         bin: PathBuf,
@@ -131,45 +137,50 @@ impl Drop for Lease {
     }
 }
 
-/// The shared disk array: `D` disks of `slots` blocks on
-/// `min(D, available_parallelism)` service threads (one thread per
-/// disk over `pdm-diskd` workers), serving commands from every
-/// tenant's `FarmTransport`s.
-#[derive(Debug)]
+/// The shared disk array: `D` disks of `slots` blocks, each behind one
+/// link that every tenant's `FarmTransport` feeds.
 pub struct DiskFarm<R: Record> {
     block: usize,
     slots: usize,
-    /// The service threads. Dropping them stops them; a lease that
-    /// outlived the farm (the service core drops every leased system
-    /// first) would see its commands answered with `Disconnected`.
-    /// Declared before `_dir`, which must outlive the UDS workers.
-    workers: Workers<R>,
+    disks: Disks<R>,
     alloc: Arc<Mutex<SlotAllocator>>,
-    /// Per-disk crash-injection flags (UDS backend only; empty for
-    /// memory disks). Arming a flag makes the disk's [`RemoteDisk`]
-    /// kill its worker process at the next operation.
-    kills: Vec<Arc<AtomicBool>>,
-    /// Successful worker respawns across all disks.
-    respawns: Arc<AtomicU64>,
-    /// Holds the UDS backend's sockets and backing files.
-    _dir: Option<pdm::TempDir>,
 }
+
+/// How a farm's disks are served.
+enum Disks<R: Record> {
+    /// Memory disks on service threads. Dropping them stops them; a
+    /// lease that outlived the farm (the service core drops every leased
+    /// system first) would see its commands answered with
+    /// `Disconnected`.
+    Mem(Workers<R>),
+    /// `pdm-diskd` workers, the recovery policy of every leased system,
+    /// and the directory of the workers' sockets and files, declared
+    /// last so that it outlives them.
+    Uds {
+        remotes: Vec<Arc<Mutex<Remote<R>>>>,
+        retry: RetryPolicy,
+        _dir: pdm::TempDir,
+    },
+}
+
+/// One `pdm-diskd` worker's client, shared by every tenant, and the
+/// relaunches it has spent of its budget.
+struct Remote<R: Record> {
+    transport: Box<dyn Transport<R>>,
+    relaunches: u32,
+    budget: u32,
+}
+
+/// A disk's lock is poisoned only by a panic inside a transport call.
+const POISONED: &str = "farm disk lock poisoned";
 
 impl<R: Record> DiskFarm<R> {
     /// Serves `disks` memory-backed disks of `slots` blocks of `block`
     /// records on [`service_threads`]`(disks)` threads.
     pub fn new(block: usize, disks: usize, slots: usize) -> Self {
         let units = mem_units(block, disks, slots);
-        let threads = service_threads(disks);
-        Self::from_units(
-            block,
-            slots,
-            units,
-            threads,
-            Vec::new(),
-            Arc::default(),
-            None,
-        )
+        let workers = Workers::spawn("pdm-farm", units, service_threads(disks));
+        Self::serving(block, slots, Disks::Mem(workers))
     }
 
     /// A farm over the given units on `threads` service threads: how
@@ -182,35 +193,17 @@ impl<R: Record> DiskFarm<R> {
         units: Vec<Box<dyn DiskUnit<R>>>,
         threads: usize,
     ) -> Self {
-        Self::from_units(
-            block,
-            slots,
-            units,
-            threads,
-            Vec::new(),
-            Arc::default(),
-            None,
-        )
+        let workers = Workers::spawn("pdm-farm", units, threads);
+        Self::serving(block, slots, Disks::Mem(workers))
     }
 
-    /// Serves the units on `threads` service threads.
-    fn from_units(
-        block: usize,
-        slots: usize,
-        units: Vec<Box<dyn DiskUnit<R>>>,
-        threads: usize,
-        kills: Vec<Arc<AtomicBool>>,
-        respawns: Arc<AtomicU64>,
-        dir: Option<pdm::TempDir>,
-    ) -> Self {
+    /// A farm of `slots` blocks per disk over `disks`, nothing leased.
+    fn serving(block: usize, slots: usize, disks: Disks<R>) -> Self {
         DiskFarm {
             block,
             slots,
-            workers: Workers::spawn("pdm-farm", units, threads),
+            disks,
             alloc: Arc::new(Mutex::new(SlotAllocator::new(slots))),
-            kills,
-            respawns,
-            _dir: dir,
         }
     }
 
@@ -219,15 +212,23 @@ impl<R: Record> DiskFarm<R> {
         self.block
     }
 
-    /// Successful worker respawns across all disks (always zero for
-    /// the memory backend).
+    /// Worker relaunches across all disks over the farm's lifetime
+    /// (always zero for the memory backend).
     pub fn respawns(&self) -> u64 {
-        self.respawns.load(Ordering::Relaxed)
+        match &self.disks {
+            Disks::Mem(_) => 0,
+            Disks::Uds { remotes, .. } => (remotes.iter())
+                .map(|r| u64::from(r.lock().expect(POISONED).relaunches))
+                .sum(),
+        }
     }
 
     /// Number of disks.
     pub fn disks(&self) -> usize {
-        self.workers.inboxes().len()
+        match &self.disks {
+            Disks::Mem(workers) => workers.inboxes().len(),
+            Disks::Uds { remotes, .. } => remotes.len(),
+        }
     }
 
     /// Block slots per disk.
@@ -247,7 +248,10 @@ impl<R: Record> DiskFarm<R> {
     /// `portions × N/BD` slots per disk, allocated contiguously. The
     /// geometry's block size and disk count must match the farm's;
     /// the lease fails with a typed [`PdmError::Config`] when the
-    /// farm lacks capacity. Drop the system before the [`Lease`].
+    /// farm lacks capacity. On `pdm-diskd` disks the system may revive
+    /// a dead worker ([`Transport::respawn`]) once per relaunch in the
+    /// budget; on memory disks it fails fast. Drop the system before
+    /// the [`Lease`].
     pub fn lease_system(&self, geom: Geometry, portions: usize) -> Result<(DiskSystem<R>, Lease)> {
         if geom.block() != self.block {
             return Err(PdmError::Config(format!(
@@ -279,23 +283,31 @@ impl<R: Record> DiskFarm<R> {
             base,
             len: need,
         };
-        let transports: Vec<Box<dyn Transport<R>>> = (self.workers.inboxes().iter())
-            .enumerate()
-            .map(|(d, inbox)| {
+        let transports: Vec<Box<dyn Transport<R>>> = (0..self.disks())
+            .map(|disk| {
+                let link = match &self.disks {
+                    Disks::Mem(workers) => Link::Mem {
+                        inbox: workers.inboxes()[disk].clone(),
+                        dead: false,
+                    },
+                    Disks::Uds { remotes, .. } => Link::Uds {
+                        leased_at: remotes[disk].lock().expect(POISONED).relaunches,
+                        remote: Arc::clone(&remotes[disk]),
+                    },
+                };
                 Box::new(FarmTransport {
-                    disk: d,
+                    disk,
                     base,
-                    inbox: inbox.clone(),
+                    link,
                     held: Vec::new(),
-                    dead: false,
-                    kill: self.kills.get(d).cloned(),
                 }) as Box<dyn Transport<R>>
             })
             .collect();
-        Ok((
-            DiskSystem::new_from_transports(geom, portions, transports),
-            lease,
-        ))
+        let mut sys = DiskSystem::new_from_transports(geom, portions, transports);
+        if let Disks::Uds { retry, .. } = &self.disks {
+            sys.set_retry_policy(*retry);
+        }
+        Ok((sys, lease))
     }
 }
 
@@ -315,15 +327,15 @@ impl<R: Record + ByteRecord> DiskFarm<R> {
         }
     }
 
-    /// Spawns `disks` file-backed `pdm-diskd` worker processes (one
-    /// per disk, sockets and backing files in a fresh temp
-    /// directory) and a farm service thread per process holding the
-    /// blocking [`RemoteDisk`] client: every transfer is a blocking
-    /// socket round trip, so two disks on one thread would serialize.
-    /// Each disk carries a crash-injection kill flag and shares the
-    /// farm's respawn ledger; a killed worker is relaunched with
-    /// `--reopen`, so its store survives, up to `max_respawns` times
-    /// per disk.
+    /// Spawns `disks` file-backed `pdm-diskd` worker processes, their
+    /// sockets and backing files in a fresh temp directory, each behind
+    /// one [`UdsTransport`] that every tenant shares
+    /// ([`spawn_uds_workers`]), so tenants' runs pipeline over the
+    /// socket as on a direct UDS system. A crashed worker is relaunched
+    /// with `--reopen`, so its store survives, at most `max_respawns`
+    /// times per disk over the farm's lifetime.
+    ///
+    /// [`UdsTransport`]: pdm::transport::UdsTransport
     pub fn new_uds(
         block: usize,
         disks: usize,
@@ -331,37 +343,34 @@ impl<R: Record + ByteRecord> DiskFarm<R> {
         bin: PathBuf,
         max_respawns: u32,
     ) -> Result<Self> {
-        let dir = pdm::TempDir::new("pdm-farm");
-        let respawns: Arc<AtomicU64> = Arc::default();
-        let mut kills = Vec::with_capacity(disks);
-        let mut units: Vec<Box<dyn DiskUnit<R>>> = Vec::with_capacity(disks);
-        for d in 0..disks {
-            let spec = RespawnSpec {
-                bin: bin.clone(),
-                socket: dir.path().join(format!("farm{d:03}.sock")),
-                block,
-                slots,
-                file: Some(dir.path().join(format!("farm{d:03}.bin"))),
-            };
-            let kill = Arc::new(AtomicBool::new(false));
-            let unit = RemoteDisk::<R>::launch(
-                spec,
-                max_respawns,
-                Arc::clone(&kill),
-                Arc::clone(&respawns),
-            )?;
-            kills.push(kill);
-            units.push(Box::new(unit));
-        }
-        Ok(Self::from_units(
-            block,
-            slots,
-            units,
-            disks,
-            kills,
-            respawns,
-            Some(dir),
-        ))
+        let tmp = pdm::TempDir::new("pdm-farm");
+        let dir = tmp.path().to_path_buf();
+        let config = UdsConfig {
+            socket_dir: Some(dir.clone()),
+            worker_bin: Some(bin),
+            retry: RetryPolicy {
+                max_attempts: max_respawns.saturating_add(1),
+                respawn: true,
+                ..RetryPolicy::default()
+            },
+        };
+        let transports = spawn_uds_workers(disks, block, slots, &Backend::File { dir }, &config)?;
+        let remotes = (transports.into_iter())
+            .map(|transport| {
+                Arc::new(Mutex::new(Remote {
+                    transport,
+                    relaunches: 0,
+                    budget: max_respawns,
+                }))
+            })
+            .collect();
+        let retry = config.retry;
+        let disks = Disks::Uds {
+            remotes,
+            retry,
+            _dir: tmp,
+        };
+        Ok(Self::serving(block, slots, disks))
     }
 }
 
@@ -372,25 +381,31 @@ fn mem_units<R: Record>(block: usize, disks: usize, slots: usize) -> Vec<Box<dyn
         .collect()
 }
 
-/// One disk's transport for one tenant: forwards commands to the
-/// shared worker with their slots translated into the job's leased
-/// range, a whole run at a time ([`Cmd::more`]), as the in-process
-/// transport does. Message counters stay zero (commands cross by
-/// reference); a severed transport answers everything with
-/// [`PdmError::Disconnected`], buffer attached, per the [`Transport`]
-/// contract.
+/// One disk's link, as one tenant holds it: a memory disk's service
+/// thread (`dead` once severed for this tenant), or a `pdm-diskd`
+/// worker's client with its relaunches when this tenant leased it.
+enum Link<R: Record> {
+    Mem {
+        inbox: Inbox<R>,
+        dead: bool,
+    },
+    Uds {
+        remote: Arc<Mutex<Remote<R>>>,
+        leased_at: u32,
+    },
+}
+
+/// One disk's transport for one tenant: translates the job's slots into
+/// its leased range and hands each run ([`Cmd::more`]) to the disk's
+/// link at once, as the in-process transport does. A severed link
+/// answers everything with [`PdmError::Disconnected`], buffer attached,
+/// per the [`Transport`] contract.
 struct FarmTransport<R: Record> {
     disk: usize,
     base: usize,
-    inbox: Inbox<R>,
+    link: Link<R>,
     /// The commands of the run being submitted.
     held: Vec<Cmd<R>>,
-    dead: bool,
-    /// UDS backend only: the disk's crash-injection flag. An injected
-    /// disconnect arms it — killing the real worker process at its
-    /// next operation — instead of severing this tenant's link, so
-    /// the farm's respawn path gets to prove itself.
-    kill: Option<Arc<AtomicBool>>,
 }
 
 impl<R: Record> Transport<R> for FarmTransport<R> {
@@ -401,7 +416,7 @@ impl<R: Record> Transport<R> for FarmTransport<R> {
     fn submit(&mut self, mut cmd: Cmd<R>) {
         match &mut cmd {
             Cmd::Read { slot, .. } | Cmd::Write { slot, .. } => *slot += self.base,
-            // The shared worker outlives this tenant; swallow stops.
+            // The shared link outlives this tenant; swallow stops.
             Cmd::Stop => return,
         }
         let last = !cmd.more();
@@ -409,28 +424,60 @@ impl<R: Record> Transport<R> for FarmTransport<R> {
         if !last {
             return;
         }
-        if self.dead {
-            for cmd in self.held.drain(..) {
-                fail_disconnected(cmd, self.disk);
+        match &mut self.link {
+            Link::Mem { dead: true, .. } => {
+                for cmd in self.held.drain(..) {
+                    fail_disconnected(cmd, self.disk);
+                }
             }
-        } else if !self.inbox.send(self.disk, &mut self.held) {
-            self.dead = true;
+            Link::Mem { inbox, dead } => *dead = !inbox.send(self.disk, &mut self.held),
+            Link::Uds { remote, .. } => {
+                let mut remote = remote.lock().expect(POISONED);
+                for cmd in self.held.drain(..) {
+                    remote.transport.submit(cmd);
+                }
+            }
         }
-    }
-
-    fn message_stats(&self) -> MsgStats {
-        MsgStats::default()
     }
 
     fn inject_disconnect(&mut self) {
-        match &self.kill {
-            // Crash the real worker; the farm respawns it in place and
-            // the tenant's operation completes against the revived
-            // disk (bounded by the farm's respawn budget).
-            Some(kill) => kill.store(true, Ordering::Relaxed),
-            // Memory disks die with their link: fail fast.
-            None => self.dead = true,
+        match &mut self.link {
+            // A memory disk dies with this tenant's link: fail fast.
+            Link::Mem { dead, .. } => *dead = true,
+            // Kill the real worker, under every tenant: each one with
+            // commands in flight revives the link through `respawn`.
+            Link::Uds { remote, .. } => {
+                remote.lock().expect(POISONED).transport.inject_disconnect();
+            }
         }
+    }
+
+    /// Revives a `pdm-diskd` link: within the disk's budget the first
+    /// tenant to find the worker dead relaunches it (`Ok(true)`) and
+    /// the rest find it healthy (`Ok(false)`). Past the budget, a
+    /// tenant leased before the last relaunch resends, as its commands
+    /// may have died in that crash; any other gets an error, so the
+    /// `Disconnected` reaches its caller.
+    fn respawn(&mut self) -> Result<bool> {
+        let Link::Uds { remote, leased_at } = &self.link else {
+            return Err(PdmError::Io(format!(
+                "disk {}: a memory disk cannot be respawned",
+                self.disk
+            )));
+        };
+        let mut remote = remote.lock().expect(POISONED);
+        if remote.relaunches >= remote.budget {
+            if *leased_at < remote.relaunches {
+                return Ok(false);
+            }
+            return Err(PdmError::Io(format!(
+                "disk {}: worker respawn budget of {} spent",
+                self.disk, remote.budget
+            )));
+        }
+        let relaunched = remote.transport.respawn()?;
+        remote.relaunches += u32::from(relaunched);
+        Ok(relaunched)
     }
 
     fn shutdown(&mut self) -> Option<Box<dyn DiskUnit<R>>> {
@@ -441,6 +488,30 @@ impl<R: Record> Transport<R> for FarmTransport<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdm::transport::find_diskd;
+    use pdm::{BlockRef, FaultPlan, MsgStats, TransportConfig};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// A memory farm's service threads.
+    fn workers(farm: &DiskFarm<u64>) -> &Workers<u64> {
+        match &farm.disks {
+            Disks::Mem(workers) => workers,
+            Disks::Uds { .. } => panic!("a UDS farm has no service threads"),
+        }
+    }
+
+    /// The messages and bytes a UDS farm's shared clients have moved,
+    /// over every tenant.
+    fn link_message_stats(farm: &DiskFarm<u64>) -> MsgStats {
+        let Disks::Uds { remotes, .. } = &farm.disks else {
+            panic!("a memory farm moves no messages");
+        };
+        let mut total = MsgStats::default();
+        for remote in remotes {
+            total.merge(&remote.lock().unwrap().transport.message_stats());
+        }
+        total
+    }
 
     #[test]
     fn allocator_first_fit_and_coalesce() {
@@ -499,7 +570,7 @@ mod tests {
     #[test]
     fn a_run_lands_in_the_leased_slots() {
         for farm in two_disk_farms(64) {
-            let threads = farm.workers.threads();
+            let threads = workers(&farm).threads();
             // 8 stripes of 4 records; a memoryload is 4 stripes, so bulk
             // placement sends each disk 4-block runs.
             let geom = Geometry::new(32, 2, 2, 16).unwrap();
@@ -530,7 +601,7 @@ mod tests {
                         more: false,
                     })
                     .collect();
-                assert!(farm.workers.inboxes()[disk].send(disk, &mut reads));
+                assert!(workers(&farm).inboxes()[disk].send(disk, &mut reads));
                 for (s, slot) in physical.enumerate() {
                     let c = done.recv();
                     c.result.unwrap();
@@ -575,7 +646,7 @@ mod tests {
 
     #[test]
     fn uds_farm_recovers_injected_crash_with_respawn() {
-        let Some(bin) = pdm::transport::find_diskd() else {
+        let Some(bin) = find_diskd() else {
             eprintln!("pdm-diskd not built; skipping UDS farm test");
             return;
         };
@@ -616,5 +687,125 @@ mod tests {
             b.set_threaded(true);
             assert_eq!(b.dump_records(0), (0..32).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn uds_farm_respawn_budget_spans_leases() {
+        let Some(bin) = find_diskd() else {
+            eprintln!("pdm-diskd not built; skipping UDS farm test");
+            return;
+        };
+        let farm: DiskFarm<u64> = DiskFarm::new_uds(2, 2, 16, bin, 2).unwrap();
+        let geom = Geometry::new(32, 2, 2, 16).unwrap();
+        // Each lease crashes disk 0 at its first read. The first two
+        // leases spend the budget, and each relaunched worker reopens
+        // its store, so the records loaded before the crash read back.
+        for lease in 1..=2 {
+            let (mut sys, _lease) = farm.lease_system(geom, 1).unwrap();
+            let records: Vec<u64> = (0..32).map(|r| 1000 * lease + r).collect();
+            sys.load_records(0, &records);
+            sys.set_faults(FaultPlan::new().disconnect_at(0, 0));
+            for s in 0..geom.stripes() {
+                assert_eq!(sys.read_stripe(s).unwrap(), records[4 * s..4 * s + 4]);
+            }
+            assert_eq!(sys.retry_stats().respawns, 1);
+            assert_eq!(farm.respawns(), lease);
+        }
+        // The third crash finds the budget spent and reaches the caller.
+        let (mut sys, _lease) = farm.lease_system(geom, 1).unwrap();
+        sys.set_faults(FaultPlan::new().disconnect_at(0, 0));
+        let err = sys.read_stripe(0).unwrap_err();
+        assert!(matches!(err, PdmError::Disconnected { disk: 0 }), "{err}");
+        assert_eq!(sys.buffer_pool_stats().outstanding, 0);
+        assert_eq!(farm.respawns(), 2);
+    }
+
+    #[test]
+    fn one_crash_two_tenants_one_ledger() {
+        let Some(bin) = find_diskd() else {
+            eprintln!("pdm-diskd not built; skipping UDS farm test");
+            return;
+        };
+        // A budget of one: the crash spends it, and the tenant that did
+        // not relaunch the worker must still recover.
+        let farm: DiskFarm<u64> = DiskFarm::new_uds(2, 2, 32, bin, 1).unwrap();
+        let geom = Geometry::new(32, 2, 2, 16).unwrap();
+        let (mut a, _la) = farm.lease_system(geom, 1).unwrap();
+        let (mut b, _lb) = farm.lease_system(geom, 1).unwrap();
+        a.load_records(0, &(0..32).collect::<Vec<_>>());
+        b.load_records(0, &(100..132).collect::<Vec<_>>());
+        a.set_threaded(true);
+        b.set_threaded(true);
+        let stripe = |slot| [0, 1].map(|disk| BlockRef { disk, slot });
+        // b has a run in flight when a's first read crashes disk 1 and
+        // sends a's run to the dead worker.
+        let b0 = b.begin_read(&stripe(0)).unwrap();
+        a.set_faults(FaultPlan::new().disconnect_at(0, 1));
+        let a0 = a.begin_read(&stripe(0)).unwrap();
+        // b's next transfer, an uncounted dump, finds the worker dead and
+        // relaunches it; the runs that died in the crash resend to it.
+        assert_eq!(b.dump_records(0), (100..132).collect::<Vec<_>>());
+        let mut out = [0u64; 4];
+        b.finish_read(b0, &mut out).unwrap();
+        assert_eq!(out, [100, 101, 102, 103]);
+        a.finish_read(a0, &mut out).unwrap();
+        assert_eq!(out, [0, 1, 2, 3]);
+        assert_eq!(farm.respawns(), 1, "one crash, one relaunch");
+        let (ra, rb) = (a.retry_stats(), b.retry_stats());
+        assert_eq!((ra.respawns, rb.respawns), (0, 1));
+        assert_eq!(a.dump_records(0), (0..32).collect::<Vec<_>>());
+        for sys in [&a, &b] {
+            assert_eq!(sys.buffer_pool_stats().outstanding, 0);
+        }
+    }
+
+    #[test]
+    fn a_farm_tenant_matches_a_direct_uds_system() {
+        let Some(bin) = find_diskd() else {
+            eprintln!("pdm-diskd not built; skipping UDS farm test");
+            return;
+        };
+        let geom = Geometry::new(1 << 10, 4, 4, 1 << 6).unwrap();
+        let perm = bmmc::catalog::random_bmmc(&mut StdRng::seed_from_u64(7), geom.n());
+        let records: Vec<u64> = (0..geom.records() as u64).collect();
+        // Both systems run in lockstep, so the crash finds nothing in
+        // flight and every block crosses the wire exactly once.
+        let run = |sys: &mut DiskSystem<u64>| {
+            sys.load_records(0, &records);
+            sys.set_faults(FaultPlan::new().disconnect_at(2, 1));
+            let report = bmmc::algorithm::perform_bmmc(sys, &perm).unwrap();
+            let placed = sys.dump_records(report.final_portion);
+            (placed, sys.stats(), sys.retry_stats())
+        };
+        let farm: DiskFarm<u64> =
+            DiskFarm::new_uds(4, 4, 2 * geom.stripes(), bin.clone(), 2).unwrap();
+        let (mut leased, _lease) = farm.lease_system(geom, 2).unwrap();
+        let on_farm = run(&mut leased);
+        assert_eq!(leased.message_stats(), MsgStats::default());
+
+        let dir = pdm::TempDir::new("pdm-farm-direct");
+        let config = UdsConfig {
+            worker_bin: Some(bin),
+            retry: leased.retry_policy(),
+            ..UdsConfig::default()
+        };
+        let backend = Backend::File {
+            dir: dir.path().to_path_buf(),
+        };
+        let mut direct =
+            DiskSystem::new_with_transport(geom, 2, &backend, &TransportConfig::Uds(config))
+                .unwrap();
+        let alone = run(&mut direct);
+        assert_eq!(on_farm.2.respawns, 1, "the crash was recovered");
+        assert_eq!(on_farm, alone, "placement, IoStats and RetryStats");
+        let messages = direct.message_stats();
+        assert_eq!(link_message_stats(&farm), messages);
+        // One request and one reply frame per block: loaded, moved by
+        // the permutation, or dumped.
+        let blocks = 2 * geom.stripes() as u64 * 4 + alone.1.blocks_read + alone.1.blocks_written;
+        assert_eq!(
+            (messages.messages_sent, messages.messages_received),
+            (blocks, blocks)
+        );
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! The crate splits into:
 //!
-//! - [`farm`] — the shared disks' service threads, slot leasing, and
-//!   the per-tenant transports that feed them;
+//! - [`farm`] — the shared disks' links (memory service threads, or
+//!   one shared `pdm-diskd` client per disk), slot leasing, and the
+//!   per-tenant transports that feed them;
 //! - [`job`] — job specifications and the executor that runs one job
 //!   against a leased disk system;
 //! - [`core`] — the in-process service: admission queue, job table,

@@ -105,8 +105,10 @@ fn io_err(e: pdm::PdmError) -> std::io::Error {
 /// Sizes are in records (`--block`) and block slots per disk
 /// (`--slots`, `--quantum`). `--farm uds` runs one file-backed
 /// `pdm-diskd` process per disk (found next to this binary, or at
-/// `--diskd`), with crashed workers respawned up to `--max-respawns`
-/// times each.
+/// `--diskd`), each behind one pipelined client that every job shares.
+/// The first job whose retry layer finds a worker dead relaunches it,
+/// at most `--max-respawns` times per disk over the service's lifetime
+/// (default 4).
 pub fn served_main(args: impl Iterator<Item = String>) -> i32 {
     let mut socket: Option<PathBuf> = None;
     let mut config = ServiceConfig::default();
