@@ -79,15 +79,14 @@ pub struct AffineEvaluator {
 
 /// Packs each matrix column `j` of `perm` as a `u64`: bit `i` = `A[i][j]`.
 fn packed_columns(perm: &Bmmc) -> Vec<u64> {
-    let n = perm.bits();
-    let mut cols = vec![0u64; n];
-    for (j, col) in cols.iter_mut().enumerate() {
-        let column = perm.matrix().column(j);
-        for i in column.iter_ones() {
-            *col |= 1 << i;
-        }
-    }
-    cols
+    let (n, a) = (perm.bits(), perm.matrix());
+    (0..n)
+        .map(|j| {
+            (0..n)
+                .filter(|&i| a.get(i, j))
+                .fold(0, |col, i| col | 1 << i)
+        })
+        .collect()
 }
 
 /// Builds byte-sliced lookup tables over `cols[lo..hi]`: `k`-th table

@@ -116,13 +116,12 @@
 use crate::bmmc::Bmmc;
 use crate::classes::{is_mld, is_mld_inverse, is_mrc};
 use crate::error::{BmmcError, Result};
-use crate::eval::PassEval;
+use crate::eval::{AffineEvaluator, PassEval};
 use crate::factoring::{Pass, PassKind};
 use crate::passes::EvalStrategy;
 use gf2::{BitMatrix, BitVec};
 use pdm::engine::{BlockBatches, ReadPlan, WritePlan};
 use pdm::{BlockRef, DiskSystem, Geometry, PassEngine, Record};
-use std::cell::RefCell;
 
 /// How a fused pass reads each unit of `M` records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -411,13 +410,20 @@ fn try_absorb(group: &mut FusedPass, next: &Pass, b: usize, m: usize) -> bool {
 ///
 /// Unit `t` of `M` records is read from source memoryload `t` (striped)
 /// or from the `M/B` source blocks of `G⁻¹(memoryload t)` for the
-/// gather map `G` (`M/BD` independent reads); its block `g` is source
-/// block `t·M/B + g` or the `g`-th gathered block. Each record, headed
-/// for target address `y`, goes to position `y mod M` of the engine's
-/// scratch buffer, and the two buffers swap. The unit is then written
-/// as one target memoryload (striped; every record must land in it,
+/// gather map `G` (`M/BD` independent reads). Source block `s` lands at
+/// block position `φ(s)` of the engine's data buffer, where `φ` keeps
+/// the pivot bits of the units' common block space (`φ(s) = s mod M/B`
+/// for striped reads). The rearrangement is a gather: the scratch
+/// buffer is filled in target order, one target block `tb` of the unit
+/// at a time. One high-bit evaluation of the inverse map gives where
+/// the block's offset-0 record landed, and its record at offset `off`
+/// sits at that position XOR a per-step index table entry. The two
+/// buffers swap, and the unit is written as one
+/// target memoryload (striped; every record of it comes from the unit,
 /// Lemma 12) or as its `M/B` whole target blocks in `M/BD` scatter
-/// batches (each relative block on its home disk, property 3).
+/// batches (each relative block on its home disk, property 3). The
+/// gather writes its output in order and reads at random from the
+/// landed memoryload, which stays in cache.
 pub fn execute_fused_with_strategy<R: Record>(
     engine: &mut PassEngine<R>,
     sys: &mut DiskSystem<R>,
@@ -436,73 +442,103 @@ pub fn execute_fused_with_strategy<R: Record>(
     }
     assert_ne!(src, dst, "source and target portions must differ");
     let layout = sys.layout();
-    let (mem, block, b, m) = (geom.memory(), geom.block(), geom.b(), geom.m());
+    let (block, b, m) = (geom.block(), geom.b(), geom.m());
     let (disks, rel_blocks) = (geom.disks(), geom.blocks_per_memoryload());
-    let (mask, rel_mask) = ((mem - 1) as u64, (rel_blocks - 1) as u64);
+    let (mask, rel_mask) = ((geom.memory() - 1) as u64, (rel_blocks - 1) as u64);
     let dst_base = sys.portion_base(dst);
     let scatter_writes = step.write == WriteDiscipline::Scatter;
-    let ev = PassEval::new(&step.as_bmmc(), b as u32);
-    let (affine, bev) = (ev.affine(), ev.block());
-    let use_block = strategy.uses_block(bev);
-    let rtab = bev.residual_table().unwrap_or_default();
-    let brs = bev.block_residuals().unwrap_or_default();
-    let gather = step.gather.as_ref().map(|g| {
-        let inv = PassEval::new(&g.inverse(), b as u32);
-        RefCell::new(GatherState::new(sys, src, inv, use_block))
+    let perm = step.as_bmmc();
+    let land = landing_map(step.gather.as_ref().unwrap_or(&Bmmc::identity(n)), b, m);
+    // Addresses in landed form: `t·M + p` is position `p` of unit `t`'s
+    // data buffer. `fwd` maps them to target addresses, `inv` back.
+    let fwd = PassEval::new(&perm.compose(&land.inverse()), b as u32);
+    let inv = PassEval::new(&land.compose(&perm.inverse()), b as u32);
+    let use_block = strategy.uses_block(fwd.block());
+    let (fbev, faff, ibev, iaff) = (fwd.block(), fwd.affine(), inv.block(), inv.affine());
+    let brs = fbev.block_residuals().unwrap_or_default();
+    let irtab = ibev.residual_table().unwrap_or_default();
+    // The record at offset `off` of a target block landed at the
+    // position of its offset-0 record XOR `idx[off]` (inv is affine).
+    let idx: Vec<usize> = irtab.iter().map(|&r| (r & mask) as usize).collect();
+    let mut planner = step.gather.as_ref().map(|g| {
+        let g_inv = PassEval::new(&g.inverse(), b as u32);
+        GatherPlanner::new(sys, src, g_inv, AffineEvaluator::new(&land), use_block)
     });
-    // The global target block of each relative block (scatter writes).
+    // Scatter writes: the unit's target block per relative block, and
+    // the unit (plus one) that last filled each entry.
     let mut target_block = vec![0u64; rel_blocks];
+    let mut filled = vec![0usize; rel_blocks];
     engine
         .run_pass(
             sys,
-            |t, batches| match &gather {
-                Some(state) => state.borrow_mut().plan_unit(t, batches),
+            |t, batches| match &mut planner {
+                Some(planner) => planner.plan_unit(t, batches),
                 None => ReadPlan::Memoryload {
                     portion: src,
                     ml: t,
                 },
             },
             |t, records, scratch, batches| {
-                let state = gather.as_ref().map(RefCell::borrow);
-                let gathered = state.as_ref().map(|s| &s.blocks[t % 2][..]);
-                let first = (t * rel_blocks) as u64;
-                let source_block = |g: usize| gathered.map_or(first + g as u64, |blks| blks[g]);
-                let target_ml = affine.eval(layout.compose_block(source_block(0), 0)) >> m;
-                for (g, recs) in records.chunks_exact(block).enumerate() {
-                    let blk = source_block(g);
-                    if use_block {
-                        // One high-bit evaluation per source block;
-                        // ybase is the target of its offset-0 record.
-                        let ybase = bev.block_base(blk);
-                        for (&rec, &r) in recs.iter().zip(rtab) {
-                            let y = ybase ^ r;
-                            debug_assert!(
-                                scatter_writes || y >> m == target_ml,
-                                "unit scattered across target memoryloads (Lemma 12)"
-                            );
-                            scratch[(y & mask) as usize] = rec;
+                let (unit, stamp) = (t as u64, t + 1);
+                let first = unit * rel_blocks as u64;
+                if scatter_writes {
+                    // The target blocks of a landed block are a coset
+                    // of the block residuals' subspace, so one whose
+                    // offset-0 target block is already in the table
+                    // adds nothing new: M/B updates per unit.
+                    for lb in first..first + rel_blocks as u64 {
+                        let tb0 = if use_block {
+                            fbev.block_base(lb) >> b
+                        } else {
+                            layout.block(faff.eval(layout.compose_block(lb, 0)))
+                        };
+                        if filled[(tb0 & rel_mask) as usize] == stamp {
+                            continue;
                         }
-                        if scatter_writes {
-                            // Each source block lands in the target
-                            // blocks given by the block-level residuals.
-                            for &r in brs {
-                                let tb = (ybase >> b) ^ r;
-                                target_block[(tb & rel_mask) as usize] = tb;
+                        let mut add = |tb: u64| {
+                            target_block[(tb & rel_mask) as usize] = tb;
+                            filled[(tb & rel_mask) as usize] = stamp;
+                        };
+                        if use_block {
+                            brs.iter().for_each(|&r| add(tb0 ^ r));
+                        } else {
+                            for off in 0..block as u64 {
+                                add(layout.block(faff.eval(layout.compose_block(lb, off))));
                             }
+                        }
+                    }
+                    debug_assert!(
+                        filled.iter().all(|&f| f == stamp),
+                        "unit {t} misses a relative target block (Lemma 13)"
+                    );
+                }
+                let target_ml = faff.eval(first << b) >> m;
+                let data: &[R] = records;
+                for (rel, out) in scratch.chunks_exact_mut(block).enumerate() {
+                    let tb = if scatter_writes {
+                        target_block[rel]
+                    } else {
+                        (target_ml << (m - b)) | rel as u64
+                    };
+                    if use_block {
+                        // One high-bit evaluation per target block.
+                        let xbase = ibev.block_base(tb);
+                        debug_assert!(
+                            irtab.iter().all(|&r| (xbase ^ r) >> m == unit),
+                            "target block {tb} not read by unit {t} (Lemmas 12–13)"
+                        );
+                        let base = (xbase & mask) as usize;
+                        for (rec, &i) in out.iter_mut().zip(&idx) {
+                            *rec = data[base ^ i];
                         }
                     } else {
-                        for (off, &rec) in recs.iter().enumerate() {
-                            let y = affine.eval(layout.compose_block(blk, off as u64));
+                        for (off, rec) in out.iter_mut().enumerate() {
+                            let x = iaff.eval(layout.compose_block(tb, off as u64));
                             debug_assert!(
-                                scatter_writes || y >> m == target_ml,
-                                "unit scattered across target memoryloads (Lemma 12)"
+                                x >> m == unit,
+                                "target block {tb} not read by unit {t} (Lemmas 12–13)"
                             );
-                            scratch[(y & mask) as usize] = rec;
-                            if scatter_writes {
-                                // Records sharing a relative target block
-                                // share a target block (Lemma 14).
-                                target_block[layout.relative_block(y) as usize] = layout.block(y);
-                            }
+                            *rec = data[(x & mask) as usize];
                         }
                     }
                 }
@@ -533,20 +569,68 @@ pub fn execute_fused_with_strategy<R: Record>(
         .map_err(BmmcError::from)
 }
 
-/// Per-unit gather bookkeeping of a step with gathered reads, shared
-/// between the engine's `reads` and `transform` callbacks. The engine
-/// plans unit `t+1` before it transforms unit `t` (prefetch), so the
-/// gathered block lists are kept for two units, indexed by `t % 2`.
-struct GatherState {
-    /// Source block numbers in gather order (batch-major), per parity:
-    /// the order the gathered records land in the unit's buffer.
-    blocks: [Vec<u64>; 2],
+/// The landing map of a step whose unit `u` reads the source records
+/// `G⁻¹(memoryload u)` of the gather map `G` (the identity for striped
+/// reads): source address `x` ↦ `u·M + p`, where unit `u` reads `x` and
+/// `p` is the position `x` lands at in the unit's data buffer.
+///
+/// The units are cosets of one subspace, and their block numbers are
+/// cosets of the units' common block space `W`, spanned by the images
+/// `G⁻¹(eᵢ) >> b` of the `m` low unit vectors. A unit is made of whole
+/// blocks (Lemma 13 applied to `G⁻¹`), so `W` has dimension `m − b`.
+/// `φ` keeps only the pivot bits of a basis of `W` and packs them
+/// together, which maps each unit's blocks one-to-one onto `0..M/B`:
+/// block `s` lands at block position `φ(s)`. The map's low `m` bits are
+/// `φ(x >> b)·B + x mod B`, its high bits `G(x) >> m`, so it is affine
+/// and one-to-one, and `φ` of a XOR is the XOR of the `φ`s. For striped
+/// reads `W` is the low `m − b` bits, `φ(s) = s mod M/B`, and the map is
+/// the identity.
+fn landing_map(gather: &Bmmc, b: usize, m: usize) -> Bmmc {
+    let (n, g) = (gather.bits(), gather.matrix());
+    let g_inv = gather.inverse();
+    // A basis of W with distinct leading bits, in descending order.
+    let mut basis: Vec<u64> = Vec::with_capacity(m - b);
+    for j in 0..m {
+        let image = (0..n).filter(|&i| g_inv.matrix().get(i, j));
+        let v = image.fold(0u64, |v, i| v | 1 << i) >> b;
+        let v = basis.iter().fold(v, |v, &w| v.min(v ^ w));
+        if v != 0 {
+            basis.push(v);
+            basis.sort_unstable_by(|x, y| y.cmp(x));
+        }
+    }
+    assert_eq!(
+        basis.len(),
+        m - b,
+        "the gather map is not MLD⁻¹: its units are not made of whole blocks"
+    );
+    let mut a = BitMatrix::zeros(n, n);
+    let mut c = BitVec::zeros(n);
+    for i in 0..b {
+        a.set(i, i, true);
+    }
+    for (k, w) in basis.iter().rev().enumerate() {
+        a.set(b + k, b + (63 - w.leading_zeros()) as usize, true);
+    }
+    for i in m..n {
+        (0..n).for_each(|j| a.set(i, j, g.get(i, j)));
+        c.set(i, gather.complement().bit(i));
+    }
+    Bmmc::new(a, c).expect("a unit and a position in it determine one source address")
+}
+
+/// Plans the reads of a step with gathered reads: unit `t` reads the
+/// source blocks of `G⁻¹(memoryload t)` for the gather map `G`, and
+/// each lands where the step's landing map puts it.
+struct GatherPlanner {
     /// Scratch: per-disk source-block lists for the unit being planned.
     per_disk: Vec<Vec<u64>>,
     /// Scratch: block-seen bitmap over all N/B source blocks.
     seen: Vec<bool>,
-    /// The inverse of the gather map, which plans the units.
+    /// The inverse of the gather map, which finds the units' blocks.
     inv: PassEval,
+    /// The landing map (see [`landing_map`]), which places them.
+    land: AffineEvaluator,
     use_block: bool,
     layout: pdm::Layout,
     mem: usize,
@@ -556,16 +640,22 @@ struct GatherState {
     src_base: usize,
 }
 
-impl GatherState {
-    fn new<R: Record>(sys: &DiskSystem<R>, src: usize, inv: PassEval, use_block: bool) -> Self {
+impl GatherPlanner {
+    fn new<R: Record>(
+        sys: &DiskSystem<R>,
+        src: usize,
+        inv: PassEval,
+        land: AffineEvaluator,
+        use_block: bool,
+    ) -> Self {
         let geom = sys.geometry();
         let disks = geom.disks();
         let rel_blocks = geom.blocks_per_memoryload();
-        GatherState {
-            blocks: [Vec::new(), Vec::new()],
+        GatherPlanner {
             per_disk: vec![Vec::with_capacity(rel_blocks / disks); disks],
             seen: vec![false; geom.total_blocks()],
             inv,
+            land,
             use_block,
             layout: sys.layout(),
             mem: geom.memory(),
@@ -579,7 +669,8 @@ impl GatherState {
     /// Discovers the `M/B` distinct source blocks feeding unit `t`
     /// (the preimage of target memoryload `t` under the gather map,
     /// planned via its inverse) and fills `gather` with `M/BD`
-    /// independent reads of one block per disk.
+    /// independent reads of one block per disk, each block landing at
+    /// its block position `φ(s)`.
     ///
     /// With block-run evaluation the discovery loop walks the unit's
     /// `M/B` blocks and the inverse map's block-level residuals instead
@@ -587,8 +678,10 @@ impl GatherState {
     /// within source block `j`, the candidate blocks
     /// `(block_base(j) >> b) ⊕ r` exactly in the residuals'
     /// first-occurrence order — so the first-seen discovery order (and
-    /// with it the per-disk lists, batch composition, and buffer
-    /// layout) is byte-identical across strategies.
+    /// with it the per-disk lists and batch composition) is
+    /// byte-identical across strategies. The candidates of one `j` are
+    /// a coset of the residuals' subspace, so they are all new or all
+    /// seen, and a seen `block_base(j) >> b` skips the whole coset.
     fn plan_unit(&mut self, t: usize, gather: &mut BlockBatches) -> ReadPlan {
         let base = (t * self.mem) as u64;
         // Reset only the M/B bits the previous load set — a full clear
@@ -607,12 +700,14 @@ impl GatherState {
             let first = base >> self.b;
             for j in 0..self.rel_blocks as u64 {
                 let xb = bev.block_base(first + j) >> self.b;
+                if self.seen[xb as usize] {
+                    continue;
+                }
                 for &r in brs {
                     let blk = xb ^ r;
-                    if !self.seen[blk as usize] {
-                        self.seen[blk as usize] = true;
-                        self.per_disk[self.layout.disk_of_block(blk) as usize].push(blk);
-                    }
+                    debug_assert!(!self.seen[blk as usize], "residuals are a subspace");
+                    self.seen[blk as usize] = true;
+                    self.per_disk[self.layout.disk_of_block(blk) as usize].push(blk);
                 }
             }
         } else {
@@ -633,17 +728,23 @@ impl GatherState {
             "source blocks of a unit not evenly spread over the disks \
              (mirror of property 3)"
         );
-        let order = &mut self.blocks[t % 2];
-        order.clear();
         gather.reset(self.disks);
         for k in 0..self.rel_blocks / self.disks {
             for (disk, on_disk) in self.per_disk.iter().enumerate() {
                 let blk = on_disk[k];
-                order.push(blk);
-                gather.push(BlockRef {
-                    disk,
-                    slot: self.src_base + self.layout.stripe_of_block(blk) as usize,
-                });
+                let landed = self.land.eval(self.layout.compose_block(blk, 0));
+                debug_assert_eq!(
+                    landed / self.mem as u64,
+                    t as u64,
+                    "block {blk} gathered for the wrong unit"
+                );
+                gather.push_landing(
+                    BlockRef {
+                        disk,
+                        slot: self.src_base + self.layout.stripe_of_block(blk) as usize,
+                    },
+                    (landed as usize % self.mem) >> self.b,
+                );
             }
         }
         ReadPlan::Gather

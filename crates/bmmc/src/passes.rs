@@ -27,19 +27,23 @@
 //! next memoryload's reads with the current permute all live in
 //! `pdm::engine`.
 //!
-//! The in-memory rearrangement is the same for every shape: the record
-//! headed for target address `y` goes to position `y mod M` (its target
-//! relative-block number and offset) of the engine's scratch buffer,
-//! and the two buffers swap. This is a bijection on the unit because
+//! The in-memory rearrangement is the same for every shape, a gather:
+//! the unit's source blocks land in the engine's data buffer at
+//! positions fixed per step, and position `y mod M` of the scratch
+//! buffer (the target relative-block number and offset of target
+//! address `y`) is filled with the record the inverse map sends `y`
+//! to, read from where it landed; then the two buffers swap. The
+//! output is written in order and the landed memoryload, which stays
+//! in cache, is read at random. This is a bijection on the unit because
 //! the leading `m x m` submatrix of the map from a unit to its targets
 //! is nonsingular (Lemma 12; trivially for MRC).
 //!
 //! # Block-run evaluation
 //!
 //! By default ([`EvalStrategy::BlockRun`]) the step executor evaluates
-//! target addresses with the block-hoisted [`BlockEvaluator`] form
-//! (see [`crate::eval`]): the high `n − b` bits of the affine map are
-//! evaluated once per source block and the low `b` bits come from the
+//! addresses with the block-hoisted [`BlockEvaluator`] form (see
+//! [`crate::eval`]): the high `n − b` bits of the affine map, or of its
+//! inverse, are evaluated once per block and the low `b` bits come from the
 //! per-matrix residual table, so a memoryload's planning and permute
 //! closures perform `M/B` high-bit evaluations instead of `M` full
 //! ones. Batch discovery (the gather planner's first-seen order, the
@@ -69,10 +73,10 @@ pub struct PassStats {
     pub ios: IoStats,
 }
 
-/// How the step executor evaluates target addresses.
+/// How the step executor evaluates addresses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalStrategy {
-    /// Hoist the invariant high bits once per source block and look
+    /// Hoist the invariant high bits once per block and look
     /// the low bits up in the per-matrix residual table (see
     /// [`crate::eval::BlockEvaluator`]). The production default; the
     /// executor silently falls back to per-address evaluation when the

@@ -1,10 +1,11 @@
 //! A warm step allocates nothing per memoryload.
 //!
 //! The step executor (`fusion::execute_fused_with_strategy`) builds its
-//! evaluators, gather bookkeeping and target-block table once per step
-//! and rearranges every memoryload through the engine's scratch buffer,
-//! so the allocations of one step must not grow with the number of
-//! memoryloads. Each of the four step shapes — MRC, MLD, MLD⁻¹ and the
+//! evaluators (the forward and inverse maps of the landed units), its
+//! gather bookkeeping and landing positions, its index table, and its
+//! target-block and fill-stamp tables once per step, and gathers every
+//! memoryload into the engine's scratch buffer, so the allocations of
+//! one step must not grow with the number of memoryloads. Each of the four step shapes — MRC, MLD, MLD⁻¹ and the
 //! Section 7 `Y∘Z⁻¹` gather→scatter step — runs once warm at N=2^14 and
 //! at N=2^16 (4× the memoryloads, same B, D and M), in the serial and
 //! the threaded service mode, and the larger run may allocate only a

@@ -11,10 +11,12 @@
 //!   `M/BD` consecutive stripes of a source memoryload (striped reads)
 //!   or an arbitrary gather of independent block batches (the MLD⁻¹
 //!   discipline), described by the engine-owned [`BlockBatches`]
-//!   buffer the `reads` callback fills in place;
+//!   buffer the `reads` callback fills in place; a gather may name the
+//!   block position each of its blocks lands at in the memoryload
+//!   buffer ([`BlockBatches::push_landing`]);
 //! * the caller's **transform** rearranges the `M` records in memory
-//!   (a scratch memoryload buffer is provided for out-of-place
-//!   scatters);
+//!   (a scratch memoryload buffer is provided, so the transform can
+//!   fill its output in target order and swap the two buffers);
 //! * **writes** go out per the returned [`WritePlan`] — striped to a
 //!   target memoryload, or an independent scatter of block batches
 //!   (the MLD discipline), again via an engine-owned [`BlockBatches`].
@@ -138,6 +140,10 @@ pub struct BlockBatches {
     batch_len: usize,
     /// Total references pushed since the last reset.
     count: usize,
+    /// Per pushed reference, in push order, the block position of the
+    /// memoryload buffer its block lands at; empty when the plan lands
+    /// its blocks in push order.
+    landing: Vec<usize>,
 }
 
 /// Reusable iteration state for materialising a [`BlockBatches`] plan
@@ -168,6 +174,7 @@ impl BlockBatches {
         }
         self.batch_len = batch_len;
         self.count = 0;
+        self.landing.clear();
     }
 
     /// Appends one block reference to the current tail batch,
@@ -190,6 +197,21 @@ impl BlockBatches {
             slot: r.slot,
             len: 1,
         });
+    }
+
+    /// Appends one block reference like [`BlockBatches::push`] and lands
+    /// its block at block position `at` of the memoryload buffer (read
+    /// plans only). A plan gives a landing position for every block it
+    /// pushes or for none; without them its blocks land in push order.
+    pub fn push_landing(&mut self, r: BlockRef, at: usize) {
+        self.push(r);
+        self.landing.push(at);
+    }
+
+    /// The landing positions given by [`BlockBatches::push_landing`], in
+    /// push order; empty when the blocks land in push order.
+    pub fn landing(&self) -> &[usize] {
+        &self.landing
     }
 
     /// Blocks per batch (per parallel I/O).
@@ -277,7 +299,12 @@ pub enum ReadPlan {
     /// Independent block batches, as filled into the engine's
     /// [`BlockBatches`] argument of the `reads` callback. The total
     /// must be exactly `M` records; slots are absolute (include the
-    /// portion base).
+    /// portion base). Block `i` of the batches, counted in push order,
+    /// lands at block position `landing()[i]` of the data buffer when
+    /// the plan gives landing positions
+    /// ([`BlockBatches::push_landing`]), and at position `i` when it
+    /// does not; the reads are issued in push order either way, and in
+    /// both service modes.
     Gather,
 }
 
@@ -437,14 +464,17 @@ impl<R: Record> PassEngine<R> {
         // classic operation order.
         let overlap = sys.service_mode() == ServiceMode::Threaded;
         let spm = geom.stripes_per_memoryload();
-        let first = reads(0, &mut self.gather);
-        *pending_read = self.read(sys, first, overlap)?;
+        // The plan of the read in flight: `gather` still holds it when
+        // the read is finished, because the next plan is made after.
+        let mut plan = reads(0, &mut self.gather);
+        *pending_read = self.read(sys, plan, overlap)?;
         for t in 0..loads {
             if let Some(ticket) = pending_read.take() {
-                sys.finish_read(ticket, &mut self.data)?;
+                let at = landing(plan, &self.gather);
+                sys.finish_read_at(ticket, &mut self.data, at)?;
             }
             if overlap && t + 1 < loads {
-                let plan = reads(t + 1, &mut self.gather);
+                plan = reads(t + 1, &mut self.gather);
                 *pending_read = self.read(sys, plan, true)?;
             }
             let wp = transform(t, &mut self.data, &mut self.scratch, &mut self.scatter);
@@ -497,6 +527,11 @@ impl<R: Record> PassEngine<R> {
                 &mut stripes
             }
             ReadPlan::Gather => {
+                let landed = self.gather.landing().len();
+                assert!(
+                    landed == 0 || landed == self.gather.total_blocks(),
+                    "a gather lands every block at a given position or none"
+                );
                 batches = batch_ops(&geom, &self.gather, &mut self.cursor);
                 &mut batches
             }
@@ -504,8 +539,17 @@ impl<R: Record> PassEngine<R> {
         if overlap {
             return sys.begin_reads(ops).map(Some);
         }
-        sys.read_ops_into(ops, &mut self.data)?;
+        sys.read_ops_into(ops, &mut self.data, landing(plan, &self.gather))?;
         Ok(None)
+    }
+}
+
+/// Where the blocks of a read per `plan` land: at the gather's landing
+/// positions, or in staged order (empty).
+fn landing(plan: ReadPlan, gather: &BlockBatches) -> &[usize] {
+    match plan {
+        ReadPlan::Gather => gather.landing(),
+        ReadPlan::Memoryload { .. } => &[],
     }
 }
 
@@ -623,6 +667,48 @@ mod tests {
             .unwrap();
         assert_eq!(sys.dump_records(1), input);
         assert_eq!(sys.stats().parallel_ios() as usize, g.ios_per_pass());
+    }
+
+    #[test]
+    fn a_gather_lands_each_block_at_its_position() {
+        // Gather each memoryload's blocks in stripe order but land them
+        // in reverse block order; a later striped read of the same
+        // engine lands in staged order again.
+        let g = geom();
+        let blocks = g.blocks_per_memoryload();
+        let input: Vec<u64> = (0..256u64).map(|i| i * 5).collect();
+        for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
+            let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
+            sys.set_service_mode(mode);
+            sys.load_records(0, &input);
+            let spm = g.stripes_per_memoryload();
+            let mut engine = PassEngine::new(g);
+            engine
+                .run_pass(
+                    &mut sys,
+                    |ml, gather| {
+                        gather.reset(g.disks());
+                        for k in 0..blocks {
+                            let r = BlockRef {
+                                disk: k % g.disks(),
+                                slot: ml * spm + k / g.disks(),
+                            };
+                            gather.push_landing(r, blocks - 1 - k);
+                        }
+                        ReadPlan::Gather
+                    },
+                    |ml, _, _, _| WritePlan::Memoryload { portion: 1, ml },
+                )
+                .unwrap();
+            let expect: Vec<u64> = input
+                .chunks(g.memory())
+                .flat_map(|ml| ml.chunks(g.block()).rev().flatten().copied())
+                .collect();
+            assert_eq!(sys.dump_records(1), expect, "mode {mode:?}");
+            identity_pass(&mut sys, &mut engine);
+            assert_eq!(sys.dump_records(1), input, "mode {mode:?}");
+            assert_eq!(sys.stats().parallel_ios() as usize, 2 * g.ios_per_pass());
+        }
     }
 
     #[test]

@@ -200,9 +200,9 @@ impl<R: Record> BlockPool<R> {
 
 /// Where a read's blocks go.
 enum Sink<'a, R> {
-    /// Staged block `i` into `out[i*B .. (i+1)*B]`; a local read lands
-    /// there directly.
-    Out(&'a mut [R]),
+    /// Staged block `i` into block `at[i]` of `out` — block `i` when
+    /// `at` is empty; a local read lands there directly.
+    Out(&'a mut [R], &'a [usize]),
     /// Staged block `i` handed to the caller's `place(i, block)`.
     Each(&'a mut dyn FnMut(usize, &[R])),
     /// Kept on the ticket for a later drain: a local or lockstep
@@ -213,16 +213,23 @@ enum Sink<'a, R> {
 }
 
 impl<'a, R: Record> Sink<'a, R> {
-    /// Reads land in `out`; without one, blocks are discarded.
+    /// Reads land in `out` in staged order; without one, blocks are
+    /// discarded.
     fn out_or_discard(out: Option<&'a mut [R]>) -> Self {
-        out.map_or(Sink::Discard, Sink::Out)
+        out.map_or(Sink::Discard, |out| Sink::Out(out, &[]))
+    }
+
+    /// The records of `out` that staged block `idx` lands in.
+    fn landing<'o>(out: &'o mut [R], at: &[usize], idx: usize, block: usize) -> &'o mut [R] {
+        let pos = if at.is_empty() { idx } else { at[idx] };
+        &mut out[pos * block..(pos + 1) * block]
     }
 
     /// Delivers staged block `idx` (kept blocks are not delivered
     /// here: they stay on the ticket).
     fn put(&mut self, idx: usize, buf: &[R]) {
         match self {
-            Sink::Out(out) => out[idx * buf.len()..(idx + 1) * buf.len()].copy_from_slice(buf),
+            Sink::Out(out, at) => Self::landing(out, at, idx, buf.len()).copy_from_slice(buf),
             Sink::Each(place) => place(idx, buf),
             Sink::Keep | Sink::Discard => {}
         }
@@ -353,7 +360,7 @@ impl<R: Record> InFlight<R> {
             let unit = &mut units[disk];
             let result = match &mut *sink {
                 _ if !self.read => unit.write(slot, data(idx)),
-                Sink::Out(out) => unit.read(slot, &mut out[idx * block..(idx + 1) * block]),
+                Sink::Out(out, at) => unit.read(slot, Sink::landing(out, at, idx, block)),
                 sink => {
                     let mut buf = pool.take();
                     let result = unit.read(slot, &mut buf);
@@ -1312,29 +1319,44 @@ impl<R: Record> DiskSystem<R> {
     }
 
     /// Reads the operations that `next` yields (see
-    /// [`DiskSystem::begin_reads`]) into `out`, one block after another
-    /// in operation order, and waits for them. Admitted and charged
-    /// like `begin_reads`; serial local disks read straight into `out`.
+    /// [`DiskSystem::begin_reads`]) into `out` and waits for them: block
+    /// `i`, counted in operation order, lands at block position `at[i]`
+    /// of `out`, or at position `i` when `at` is empty. Admitted and
+    /// charged like `begin_reads`; serial local disks read straight
+    /// into `out`.
     pub(crate) fn read_ops_into(
         &mut self,
         next: impl FnMut(&mut Vec<BlockRef>) -> bool,
         out: &mut [R],
+        at: &[usize],
     ) -> Result<()> {
-        let op = self.begin_ops(true, next, no_data, Sink::Out(out))?;
-        self.finish(op, Sink::Out(out), true)
+        let op = self.begin_ops(true, next, no_data, Sink::Out(out, at))?;
+        self.finish(op, Sink::Out(out, at), true)
     }
 
     /// Completes a split-phase read, copying block `i` of the request
     /// into `out[i*B .. (i+1)*B]` and recycling the transfer buffers.
     /// On error every buffer is still reclaimed.
     pub fn finish_read(&mut self, ticket: ReadTicket<R>, out: &mut [R]) -> Result<()> {
+        self.finish_read_at(ticket, out, &[])
+    }
+
+    /// Completes a split-phase read like [`DiskSystem::finish_read`],
+    /// but lands block `i` at block position `at[i]` of `out` (at
+    /// position `i` when `at` is empty).
+    pub(crate) fn finish_read_at(
+        &mut self,
+        ticket: ReadTicket<R>,
+        out: &mut [R],
+        at: &[usize],
+    ) -> Result<()> {
         let want = ticket.records(self.geom.block());
         assert_eq!(
             out.len(),
             want,
             "finish_read requires {want} records of output space"
         );
-        self.finish(ticket.0, Sink::Out(out), true)
+        self.finish(ticket.0, Sink::Out(out, at), true)
     }
 
     /// Completes a split-phase read like [`DiskSystem::finish_read`],
@@ -1458,7 +1480,7 @@ impl<R: Record> DiskSystem<R> {
             self.geom.memory()
         );
         let base = self.portion_base(portion) + ml * self.geom.stripes_per_memoryload();
-        self.read_ops_into(stripe_ops(&self.geom, base), out)
+        self.read_ops_into(stripe_ops(&self.geom, base), out, &[])
     }
 
     /// Reads memoryload `ml` of a portion: its `M/BD` consecutive

@@ -124,13 +124,13 @@ pub fn served_main(args: impl Iterator<Item = String>) -> i32 {
             }
             v
         };
-        let parsed = |name: &str, v: Option<String>| -> Option<usize> {
+        fn parsed<T: std::str::FromStr>(name: &str, v: Option<String>) -> Option<T> {
             let parsed = v.as_deref().and_then(|v| v.parse().ok());
             if parsed.is_none() {
-                eprintln!("pdm-served: {name} wants a number, got {v:?}");
+                eprintln!("pdm-served: {name} wants a number in range, got {v:?}");
             }
             parsed
-        };
+        }
         match flag.as_str() {
             "--socket" => socket = value("--socket").map(PathBuf::from),
             "--block" => match parsed("--block", value("--block")) {
@@ -146,7 +146,7 @@ pub fn served_main(args: impl Iterator<Item = String>) -> i32 {
                 None => return 2,
             },
             "--quantum" => match parsed("--quantum", value("--quantum")) {
-                Some(v) => config.quantum = v as u64,
+                Some(v) => config.quantum = v,
                 None => return 2,
             },
             "--max-queue" => match parsed("--max-queue", value("--max-queue")) {
@@ -158,12 +158,12 @@ pub fn served_main(args: impl Iterator<Item = String>) -> i32 {
                 None => return 2,
             },
             "--sweep-ms" => match parsed("--sweep-ms", value("--sweep-ms")) {
-                Some(v) => config.sweep_ms = v as u64,
+                Some(v) => config.sweep_ms = v,
                 None => return 2,
             },
             "--retry-backoff-ms" => {
                 match parsed("--retry-backoff-ms", value("--retry-backoff-ms")) {
-                    Some(v) => config.retry_backoff_ms = v as u64,
+                    Some(v) => config.retry_backoff_ms = v,
                     None => return 2,
                 }
             }
@@ -177,7 +177,7 @@ pub fn served_main(args: impl Iterator<Item = String>) -> i32 {
             },
             "--diskd" => diskd = value("--diskd").map(PathBuf::from),
             "--max-respawns" => match parsed("--max-respawns", value("--max-respawns")) {
-                Some(v) => max_respawns = v as u32,
+                Some(v) => max_respawns = v,
                 None => return 2,
             },
             other => {
@@ -235,4 +235,42 @@ pub fn served_main(args: impl Iterator<Item = String>) -> i32 {
     serve_listener(listener, Arc::clone(&core));
     core.shutdown();
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::served_main;
+
+    /// Runs `pdm-served` on a UDS farm whose worker binary is missing,
+    /// with the given respawn budget.
+    fn serve_without_worker(budget: &str) -> i32 {
+        let dir = std::env::temp_dir();
+        let socket = dir.join(format!("pdm-served-budget-{}.sock", std::process::id()));
+        let missing = dir.join(format!("pdm-served-no-diskd-{}", std::process::id()));
+        let args = [
+            "--socket",
+            socket.to_str().unwrap(),
+            "--farm",
+            "uds",
+            "--diskd",
+            missing.to_str().unwrap(),
+            "--max-respawns",
+            budget,
+        ];
+        let code = served_main(args.into_iter().map(String::from));
+        assert!(!socket.exists(), "no socket may be bound");
+        code
+    }
+
+    #[test]
+    fn an_out_of_range_respawn_budget_is_refused() {
+        // 2^32 once wrapped to a budget of 0; it is refused like any
+        // malformed flag, before the farm is built.
+        for budget in ["4294967296", "4294967297", "-1", "four"] {
+            assert_eq!(serve_without_worker(budget), 2, "--max-respawns {budget}");
+        }
+        // The largest budget is accepted, so the farm is reached and
+        // fails to launch the missing worker.
+        assert_eq!(serve_without_worker("4294967295"), 1);
+    }
 }

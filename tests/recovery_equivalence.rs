@@ -17,14 +17,16 @@
 //!
 //! The UDS cases spawn one real `pdm-diskd` worker process per disk,
 //! so proptest case counts stay low; the deterministic sweep covers
-//! the full zoo.
+//! the full zoo. The two gathered-read step shapes, which a random
+//! plan rarely contains, are forced and also recover from a disconnect
+//! inside a gather read ticket.
 
 use bmmc::algorithm::perform_bmmc;
-use bmmc::catalog;
+use bmmc::{catalog, is_mld, is_mrc, perform_mld_pair, Bmmc};
 use extsort::{sort_by_key_with, SortConfig};
 use pdm::{
     Backend, DiskSystem, FaultPlan, Geometry, IoStats, RetryPolicy, RetryStats, ServiceMode,
-    TaggedRecord, TransportConfig,
+    TaggedRecord, TransportConfig, UdsConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -113,6 +115,29 @@ struct Outcome {
 enum Workload {
     Bmmc,
     Sort,
+    /// A forced MLD⁻¹ permutation: one gathered-read, striped-write
+    /// step.
+    MldInverse,
+    /// The Section 7 pair `Y∘Z⁻¹`: one gathered-read, scattered-write
+    /// step.
+    MldPair,
+}
+
+/// A seeded MLD⁻¹ permutation that is neither MRC nor MLD, so that its
+/// plan is one step with gathered reads.
+fn forced_mld_inverse(g: Geometry, s: u64) -> Bmmc {
+    let mut rng = StdRng::seed_from_u64(s);
+    (0..64)
+        .map(|_| catalog::random_mld(&mut rng, g.n(), g.b(), g.m()).inverse())
+        .find(|p| !is_mrc(p.matrix(), g.m()) && !is_mld(p.matrix(), g.b(), g.m()))
+        .expect("a random MLD inverse that only gathered reads can perform")
+}
+
+/// The seeded MLD permutations `(Y, Z)` of a [`Workload::MldPair`] run.
+fn mld_pair(g: Geometry, s: u64) -> (Bmmc, Bmmc) {
+    let mut rng = StdRng::seed_from_u64(s);
+    let y = catalog::random_mld(&mut rng, g.n(), g.b(), g.m());
+    (y, catalog::random_mld(&mut rng, g.n(), g.b(), g.m()))
 }
 
 /// Runs the workload with the given fault schedule (empty = clean) and
@@ -126,8 +151,20 @@ fn run(
     workload: &Workload,
     plan: FaultPlan,
 ) -> Outcome {
-    let mut sys = DiskSystem::new_with_transport(g, 2, &Backend::Mem, cfg)
+    let sys = DiskSystem::new_with_transport(g, 2, &Backend::Mem, cfg)
         .expect("transport system construction");
+    run_on(sys, s, mode, workload, plan)
+}
+
+/// [`run`] on a system built by the caller.
+fn run_on(
+    mut sys: DiskSystem<TaggedRecord>,
+    s: u64,
+    mode: ServiceMode,
+    workload: &Workload,
+    plan: FaultPlan,
+) -> Outcome {
+    let g = sys.geometry();
     sys.set_service_mode(mode);
     sys.set_retry_policy(RetryPolicy::fault_tolerant());
     sys.set_faults(plan);
@@ -149,6 +186,20 @@ fn run(
             sort_by_key_with(&mut sys, |r| r.key, SortConfig::default())
                 .expect("sort run")
                 .final_portion
+        }
+        Workload::MldInverse => {
+            let input: Vec<TaggedRecord> = (0..g.records() as u64).map(TaggedRecord::new).collect();
+            sys.load_records(0, &input);
+            perform_bmmc(&mut sys, &forced_mld_inverse(g, s))
+                .expect("MLD⁻¹ run")
+                .final_portion
+        }
+        Workload::MldPair => {
+            let (y, z) = mld_pair(g, s);
+            let input: Vec<TaggedRecord> = (0..g.records() as u64).map(TaggedRecord::new).collect();
+            sys.load_records(0, &input);
+            perform_mld_pair(&mut sys, &y, &z, 0, 1).expect("MLD pair run");
+            1
         }
     };
     let records = sys.dump_records(final_portion);
@@ -236,7 +287,7 @@ fn recovered_runs_equal_clean_runs_across_the_zoo() {
                         "g{gi}/{}/threaded={threaded}/{name}",
                         match workload {
                             Workload::Bmmc => "bmmc",
-                            Workload::Sort => "sort",
+                            _ => "sort",
                         }
                     );
                     let faulted = run(g, seed, &cfg, mode, workload, schedule.plan());
@@ -244,6 +295,95 @@ fn recovered_runs_equal_clean_runs_across_the_zoo() {
                 }
             }
         }
+    }
+}
+
+/// The gathered-read step shapes, forced, threaded, on both
+/// transports: under a covering transient schedule, and with a
+/// disconnect inside a gather read ticket. A resent run lands its
+/// blocks at the same positions as the first send, so placement and
+/// charged I/O equal the clean run's, and both transports keep the
+/// same recovery ledger.
+#[test]
+fn gathered_read_steps_recover_exactly() {
+    let g = geometries()[0];
+    let mode = ServiceMode::Threaded;
+    let seed = 0x6A7;
+    let (y, z) = mld_pair(g, seed);
+    for (label, workload, perm) in [
+        (
+            "mld-inverse",
+            Workload::MldInverse,
+            forced_mld_inverse(g, seed),
+        ),
+        ("mld-pair", Workload::MldPair, y.compose(&z.inverse())),
+    ] {
+        let clean = run(
+            g,
+            seed,
+            &TransportConfig::InProc,
+            mode,
+            &workload,
+            FaultPlan::new(),
+        );
+        for x in 0..g.records() as u64 {
+            let y = perm.target(x) as usize;
+            assert_eq!(clean.records[y].key, x, "{label}: clean run misplaced {x}");
+        }
+        let schedule = Schedule::covering(clean.ios.parallel_ios(), g.disks(), 3);
+        let mut ledgers = Vec::new();
+        for (name, cfg) in transports() {
+            let faulted = run(g, seed, &cfg, mode, &workload, schedule.plan());
+            assert_recovered(&format!("{label}/{name}"), &clean, &faulted).unwrap();
+            // A worker process is relaunched over its files, so the
+            // UDS system is file-backed and may respawn.
+            let dir = pdm::TempDir::new("pdm-recovery-gather");
+            let (backend, cfg) = match cfg {
+                TransportConfig::Uds(_) => (
+                    Backend::File {
+                        dir: dir.path().to_path_buf(),
+                    },
+                    TransportConfig::Uds(UdsConfig {
+                        retry: RetryPolicy::fault_tolerant(),
+                        ..UdsConfig::default()
+                    }),
+                ),
+                cfg => (Backend::Mem, cfg),
+            };
+            let sys = DiskSystem::new_with_transport(g, 2, &backend, &cfg)
+                .expect("transport system construction");
+            // M/BD = 4: threaded, ops 0–3 gather unit 0 and ops 4–7
+            // gather unit 1, so disk 2's link drops inside unit 1's
+            // gather ticket, and its run there is resent.
+            let cut = run_on(
+                sys,
+                seed,
+                mode,
+                &workload,
+                FaultPlan::new().disconnect_at(5, 2),
+            );
+            assert!(
+                cut.records.iter().all(TaggedRecord::intact),
+                "{label}/{name}: payload corrupted"
+            );
+            assert_eq!(
+                cut.records, clean.records,
+                "{label}/{name}: a resent gather run landed elsewhere"
+            );
+            assert_eq!(cut.ios, clean.ios, "{label}/{name}: charged differently");
+            let r = cut.retry;
+            assert_eq!(r.respawns, 1, "{label}/{name}: {r}");
+            assert_eq!(
+                r.attempts,
+                cut.ios.parallel_ios() + r.retries,
+                "{label}/{name}"
+            );
+            ledgers.push(r);
+        }
+        assert_eq!(
+            ledgers[0], ledgers[1],
+            "{label}: inproc and uds recover differently"
+        );
     }
 }
 

@@ -16,10 +16,12 @@
 //! The UDS runs spawn one real worker process per disk (the binary is
 //! built into `target/` beside this test's executable), so the case
 //! counts here are deliberately low; the cheap in-process/sim pair is
-//! additionally swept by the deterministic all-geometries tests.
+//! additionally swept by the deterministic all-geometries tests. The
+//! two gathered-read step shapes, which a random plan rarely contains,
+//! are forced.
 
 use bmmc::algorithm::perform_bmmc;
-use bmmc::catalog;
+use bmmc::{catalog, is_mld, is_mrc, perform_mld_pair, Bmmc};
 use extsort::{sort_by_key_with, SortConfig};
 use pdm::{
     Backend, DiskSystem, FaultPlan, Geometry, IoStats, MsgStats, PdmError, ServiceMode,
@@ -88,11 +90,46 @@ fn build(g: Geometry, cfg: &TransportConfig, mode: ServiceMode) -> DiskSystem<Ta
 /// Performs the BMMC permutation `seeded` by `s` on transport `cfg`.
 fn run_bmmc(g: Geometry, s: u64, cfg: &TransportConfig, mode: ServiceMode) -> Outcome {
     let mut rng = StdRng::seed_from_u64(s);
-    let perm = catalog::random_bmmc(&mut rng, g.n());
+    run_perm(g, &catalog::random_bmmc(&mut rng, g.n()), cfg, mode)
+}
+
+/// A seeded MLD⁻¹ permutation that is neither MRC nor MLD, so that its
+/// plan is one step with gathered reads.
+fn forced_mld_inverse(g: Geometry, s: u64) -> Bmmc {
+    let mut rng = StdRng::seed_from_u64(s);
+    (0..64)
+        .map(|_| catalog::random_mld(&mut rng, g.n(), g.b(), g.m()).inverse())
+        .find(|p| !is_mrc(p.matrix(), g.m()) && !is_mld(p.matrix(), g.b(), g.m()))
+        .expect("a random MLD inverse that only gathered reads can perform")
+}
+
+/// The Section 7 step `Y∘Z⁻¹` of two seeded MLD permutations, one
+/// gathered-read, scattered-write pass, on transport `cfg`.
+fn run_mld_pair(g: Geometry, s: u64, cfg: &TransportConfig, mode: ServiceMode) -> Outcome {
+    let mut rng = StdRng::seed_from_u64(s);
+    let y = catalog::random_mld(&mut rng, g.n(), g.b(), g.m());
+    let z = catalog::random_mld(&mut rng, g.n(), g.b(), g.m());
     let mut sys = build(g, cfg, mode);
     let input: Vec<TaggedRecord> = (0..g.records() as u64).map(TaggedRecord::new).collect();
     sys.load_records(0, &input);
-    let report = perform_bmmc(&mut sys, &perm).expect("bmmc run");
+    let before = sys.message_stats();
+    let pass = perform_mld_pair(&mut sys, &y, &z, 0, 1).expect("MLD pair run");
+    let msgs = sys.message_stats().since(&before);
+    let records = sys.dump_records(1);
+    assert_eq!(sys.buffer_pool_stats().outstanding, 0, "buffers stranded");
+    Outcome {
+        records,
+        ios: pass.ios,
+        msgs,
+    }
+}
+
+/// Performs `perm` on transport `cfg`.
+fn run_perm(g: Geometry, perm: &Bmmc, cfg: &TransportConfig, mode: ServiceMode) -> Outcome {
+    let mut sys = build(g, cfg, mode);
+    let input: Vec<TaggedRecord> = (0..g.records() as u64).map(TaggedRecord::new).collect();
+    sys.load_records(0, &input);
+    let report = perform_bmmc(&mut sys, perm).expect("bmmc run");
     let records = sys.dump_records(report.final_portion);
     assert_eq!(sys.buffer_pool_stats().outstanding, 0, "buffers stranded");
     Outcome {
@@ -194,6 +231,26 @@ fn all_geometries_agree_across_transports() {
                     .unwrap();
             }
         }
+    }
+}
+
+/// The gathered-read step shapes, forced, agree across every
+/// transport, serial and threaded: gathered blocks land at the same
+/// positions wherever the disks live.
+#[test]
+fn gathered_read_steps_agree_across_transports() {
+    let g = geometries()[0];
+    for threaded in [false, true] {
+        let mode = mode_of(threaded);
+        let perm = forced_mld_inverse(g, 0x61);
+        assert_transports_agree(&format!("mld-inverse/threaded={threaded}"), |cfg| {
+            run_perm(g, &perm, cfg, mode)
+        })
+        .unwrap();
+        assert_transports_agree(&format!("mld-pair/threaded={threaded}"), |cfg| {
+            run_mld_pair(g, 0x62, cfg, mode)
+        })
+        .unwrap();
     }
 }
 
