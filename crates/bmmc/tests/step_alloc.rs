@@ -5,12 +5,12 @@
 //! gather bookkeeping and landing positions, its index table, and its
 //! target-block and fill-stamp tables once per step, and gathers every
 //! memoryload into the engine's scratch buffer, so the allocations of
-//! one step must not grow with the number of memoryloads. Each of the four step shapes — MRC, MLD, MLD⁻¹ and the
-//! Section 7 `Y∘Z⁻¹` gather→scatter step — runs once warm at N=2^14 and
-//! at N=2^16 (4× the memoryloads, same B, D and M), in the serial and
-//! the threaded service mode, and the larger run may allocate only a
-//! few more times: the per-step evaluator tables grow with `n`, not
-//! with `N/M`.
+//! one step must not grow with the number of memoryloads. Each of the
+//! four step shapes — MRC, MLD, MLD⁻¹ and the Section 7 `Y∘Z⁻¹`
+//! gather→scatter step — runs once warm at N=2^14 and at N=2^16 (4×
+//! the memoryloads, same B, D and M), in the serial and the threaded
+//! service mode, and the larger run may allocate only a few more times:
+//! the per-step evaluator tables grow with `n`, not with `N/M`.
 //!
 //! Counted the way `crates/pdm/tests/engine_alloc.rs` counts: a
 //! counting `#[global_allocator]` with a per-thread counter, so tests

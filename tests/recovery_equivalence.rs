@@ -123,6 +123,17 @@ enum Workload {
     MldPair,
 }
 
+impl Workload {
+    fn label(&self) -> &'static str {
+        match self {
+            Workload::Bmmc => "bmmc",
+            Workload::Sort => "sort",
+            Workload::MldInverse => "mld-inverse",
+            Workload::MldPair => "mld-pair",
+        }
+    }
+}
+
 /// A seeded MLD⁻¹ permutation that is neither MRC nor MLD, so that its
 /// plan is one step with gathered reads.
 fn forced_mld_inverse(g: Geometry, s: u64) -> Bmmc {
@@ -283,13 +294,7 @@ fn recovered_runs_equal_clean_runs_across_the_zoo() {
                 );
                 let schedule = Schedule::covering(reference.ios.parallel_ios(), g.disks(), 3);
                 for (name, cfg) in transports() {
-                    let label = format!(
-                        "g{gi}/{}/threaded={threaded}/{name}",
-                        match workload {
-                            Workload::Bmmc => "bmmc",
-                            _ => "sort",
-                        }
-                    );
+                    let label = format!("g{gi}/{}/threaded={threaded}/{name}", workload.label());
                     let faulted = run(g, seed, &cfg, mode, workload, schedule.plan());
                     assert_recovered(&label, &reference, &faulted).unwrap();
                 }
@@ -310,14 +315,11 @@ fn gathered_read_steps_recover_exactly() {
     let mode = ServiceMode::Threaded;
     let seed = 0x6A7;
     let (y, z) = mld_pair(g, seed);
-    for (label, workload, perm) in [
-        (
-            "mld-inverse",
-            Workload::MldInverse,
-            forced_mld_inverse(g, seed),
-        ),
-        ("mld-pair", Workload::MldPair, y.compose(&z.inverse())),
+    for (workload, perm) in [
+        (Workload::MldInverse, forced_mld_inverse(g, seed)),
+        (Workload::MldPair, y.compose(&z.inverse())),
     ] {
+        let label = workload.label();
         let clean = run(
             g,
             seed,
